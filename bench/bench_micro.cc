@@ -19,6 +19,7 @@
 #include "mapping/xor_matched.h"
 #include "mapping/xor_sectioned.h"
 #include "memsys/backend_cache.h"
+#include "memsys/event_driven.h"
 #include "memsys/memory_system.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
@@ -134,6 +135,91 @@ BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted_percycle,
                   cfva::EngineKind::PerCycle, 32);
 BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted_event,
                   cfva::EngineKind::EventDriven, 32);
+
+/** Which implementation BM_Step times. */
+enum class StepVariant
+{
+    Oracle,         //!< per-cycle MemorySystem, collapse off
+    StepperFull,    //!< EventStepper writing every Delivery
+    StepperSummary, //!< EventStepper writing only the aggregates
+};
+
+/**
+ * The stepping layer on its own, per element: the per-cycle oracle
+ * against the event stepper as the theory tier runs it (recurrence
+ * jump on, stepping on to the end when nothing recurs), at full and
+ * at summary detail.  The pseudo-random stream is aperiodic, so the
+ * stepper steps all of it; the matched stream (family 6, outside the
+ * Theorem 1 window) conflicts periodically, so the stepper jumps.
+ * Streams are premapped outside the timed loop.
+ */
+void
+BM_Step(benchmark::State &state, StepVariant variant, MemoryKind kind)
+{
+    VectorUnitConfig cfg; // M = T = 8, L = 128
+    cfg.kind = kind;
+    cfg.t = 3;
+    cfg.lambda = 7;
+    const VectorAccessUnit unit(cfg);
+    const auto length = static_cast<std::uint64_t>(state.range(0));
+    const std::uint64_t stride =
+        kind == MemoryKind::PseudoRandom ? 1 : std::uint64_t{1} << 6;
+    const AccessPlan plan = unit.plan(16, Stride(stride), length);
+    std::vector<ModuleId> mods(plan.stream.size());
+    for (std::size_t i = 0; i < mods.size(); ++i)
+        mods[i] = unit.mapping().moduleOf(plan.stream[i].addr);
+
+    MemorySystem oracle(unit.memConfig(), unit.mapping(),
+                        MapPath::BitSliced, CollapseMode::Off);
+    EventStepper stepper;
+    for (auto _ : state) {
+        if (variant == StepVariant::Oracle) {
+            const AccessResult r =
+                oracle.run(plan.stream, nullptr, mods.data());
+            benchmark::DoNotOptimize(r.deliveries.data());
+            benchmark::ClobberMemory();
+            continue;
+        }
+        const bool full = variant == StepVariant::StepperFull;
+        AccessResult r;
+        if (full)
+            r.deliveries.reserve(plan.stream.size());
+        stepper.run(unit.memConfig(), plan.stream, mods.data(),
+                    Recurrence::JumpOrFinish, full, false, r);
+        benchmark::DoNotOptimize(r.deliveries.data());
+        benchmark::DoNotOptimize(r.latency);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(length));
+}
+
+void
+stepLengths(benchmark::internal::Benchmark *b)
+{
+    for (std::int64_t length : {64, 200, 65536, 1000000})
+        b->Arg(length);
+    b->Unit(benchmark::kMicrosecond);
+}
+
+BENCHMARK_CAPTURE(BM_Step, prand_oracle, StepVariant::Oracle,
+                  MemoryKind::PseudoRandom)
+    ->Apply(stepLengths);
+BENCHMARK_CAPTURE(BM_Step, prand_stepper_full,
+                  StepVariant::StepperFull, MemoryKind::PseudoRandom)
+    ->Apply(stepLengths);
+BENCHMARK_CAPTURE(BM_Step, prand_stepper_summary,
+                  StepVariant::StepperSummary, MemoryKind::PseudoRandom)
+    ->Apply(stepLengths);
+BENCHMARK_CAPTURE(BM_Step, matched_oracle, StepVariant::Oracle,
+                  MemoryKind::Matched)
+    ->Apply(stepLengths);
+BENCHMARK_CAPTURE(BM_Step, matched_stepper_full,
+                  StepVariant::StepperFull, MemoryKind::Matched)
+    ->Apply(stepLengths);
+BENCHMARK_CAPTURE(BM_Step, matched_stepper_summary,
+                  StepVariant::StepperSummary, MemoryKind::Matched)
+    ->Apply(stepLengths);
 
 void
 BM_PlanFullAccess(benchmark::State &state)

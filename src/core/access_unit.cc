@@ -401,9 +401,11 @@ VectorAccessUnit::execute(const AccessPlan &plan,
                 "tiers; execute() takes a single tier");
     if (tier == TierPolicy::TheoryFirst) {
         // Certified plans are claimed on the planner's window
-        // theorems (O(1) under summary detail); everything else goes
-        // straight to the steady-state solver — the per-element
-        // proof would only re-derive what the windows already said.
+        // theorems (O(1) under summary detail).  Everything else
+        // tries the O(L) proof — the windows are sufficient, not
+        // necessary, so out-of-window streams can still be conflict
+        // free — then the steady-state solver, whose stepper pass
+        // is also the answer when nothing recurs.
         const auto answer = [&](TheoryBackend &tb) {
             AccessResult r =
                 plan.expectConflictFree
@@ -418,15 +420,10 @@ VectorAccessUnit::execute(const AccessPlan &plan,
             return r;
         };
         if (cache) {
-            return answer(cache->theoryBackendFor(
-                cfg_.engine, cfg_.memConfig(), *mapping_, path,
-                collapse));
+            return answer(cache->theoryBackendFor(cfg_.memConfig(),
+                                                  *mapping_, path));
         }
-        TheoryBackend tb(
-            cfg_.memConfig(), *mapping_,
-            makeMemoryBackend(cfg_.engine, cfg_.memConfig(),
-                              *mapping_, path, collapse),
-            path);
+        TheoryBackend tb(cfg_.memConfig(), *mapping_, path);
         return answer(tb);
     }
     if (tiers)
@@ -462,15 +459,10 @@ VectorAccessUnit::executePorts(
             return r;
         };
         if (cache) {
-            return answer(cache->theoryBackendFor(
-                cfg_.engine, cfg_.memConfig(), *mapping_, path,
-                collapse));
+            return answer(cache->theoryBackendFor(cfg_.memConfig(),
+                                                  *mapping_, path));
         }
-        TheoryBackend tb(
-            cfg_.memConfig(), *mapping_,
-            makeMemoryBackend(cfg_.engine, cfg_.memConfig(),
-                              *mapping_, path, collapse),
-            path);
+        TheoryBackend tb(cfg_.memConfig(), *mapping_, path);
         return answer(tb);
     }
     if (tiers)

@@ -106,10 +106,11 @@ class VectorAccessUnit
                     bool explain = true) const;
 
     /**
-     * Runs a plan through the memory backend selected by
-     * config().engine — the per-cycle reference or the event-driven
-     * engine; both produce identical results.  When @p arena is
-     * given, the result's delivery buffer is recycled through it.
+     * Runs a plan through a memory backend: under SimulateAlways the
+     * reference engine config().engine selects — the per-cycle
+     * oracle or the event-driven engine; both produce identical
+     * results.  When @p arena is given, the result's delivery
+     * buffer is recycled through it.
      * When @p cache is given, the backend instance is taken from it
      * (and built into it on first use) instead of being rebuilt for
      * this one access — the sweep engine passes each worker's cache
@@ -117,8 +118,9 @@ class VectorAccessUnit
      *
      * @p tier selects the evaluation tier: SimulateAlways runs the
      * engine; TheoryFirst hands the plan to the analytic
-     * TheoryBackend (the plan's expectConflictFree classification is
-     * the claim hint) and simulates only when the claim is refused.
+     * TheoryBackend, which claims what it can prove and steps the
+     * rest on the event-driven stepper (config().engine and
+     * @p collapse do not apply to it).
      * AuditBoth is resolved a layer up (runScenario runs both tiers
      * and compares); passing it here is an error.  When @p tiers is
      * given, the access is attributed to it as claimed or fallback
@@ -150,12 +152,12 @@ class VectorAccessUnit
     /**
      * Runs P = streams.size() simultaneous request streams through
      * the port-aware backend selected by config().engine.  The
-     * engine knob is honored for every port count; the per-cycle
-     * and event-driven backends produce bit-identical results.
-     * @p cache, @p tier, @p tiers, @p path, @p detail as in
-     * execute(); the theory tier claims P > 1 accesses whose port
-     * streams are provably module-disjoint and falls back to the
-     * port-aware engine otherwise.
+     * engine knob is honored for every port count of the simulation
+     * tier; the per-cycle and event-driven backends produce
+     * bit-identical results.  @p cache, @p tier, @p tiers, @p path,
+     * @p detail as in execute(); the theory tier claims P > 1
+     * accesses whose port streams are provably module-disjoint and
+     * steps the rest on the event-driven multi-port engine.
      */
     MultiPortResult
     executePorts(const std::vector<std::vector<Request>> &streams,

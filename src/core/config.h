@@ -92,8 +92,10 @@ struct VectorUnitConfig
     /** PseudoRandom only: seed of the GF(2) matrix. */
     std::uint64_t prandSeed = 0x52A5ull;
 
-    /** Which simulation engine access() / execute() /
-     *  executePorts() run on — honored for every port count. */
+    /** Which reference engine the simulation tier of access() /
+     *  execute() / executePorts() runs on — honored for every port
+     *  count.  The theory tier always steps on the event-driven
+     *  engines. */
     EngineKind engine = EngineKind::PerCycle;
 
     unsigned m() const;

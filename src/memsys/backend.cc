@@ -132,15 +132,6 @@ DeliveryArena::pooledBytes() const
     return bytes;
 }
 
-AccessResult
-MemoryBackend::runSingleMapped(const std::vector<Request> &stream,
-                               const ModuleId *modules,
-                               DeliveryArena *arena)
-{
-    (void)modules;
-    return runSingle(stream, arena);
-}
-
 std::unique_ptr<MemoryBackend>
 makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
                   const ModuleMapping &map, MapPath path,

@@ -63,9 +63,9 @@ enum class TierPolicy
 
     /**
      * Try the analytic TheoryBackend first; accesses it cannot
-     * prove conflict free fall back to the simulation engine.
-     * Claimed results are bit-identical to simulation by
-     * construction (the audit tier enforces it).
+     * claim are stepped on the event-driven engines.  Claimed
+     * results are bit-identical to simulation by construction (the
+     * audit tier enforces it).
      */
     TheoryFirst,
 
@@ -79,26 +79,28 @@ enum class TierPolicy
 const char *to_string(TierPolicy tier);
 
 /**
- * How much of a claimed AccessResult the caller needs.  Simulation
- * engines always materialize every Delivery; the analytic tier can
- * answer in O(1) when the caller only folds aggregates (latency,
- * stalls, conflict-free), which is what the sweep hot path does with
- * every access whose delivery stream it would immediately release.
+ * How much of a theory-tier AccessResult the caller needs.  The
+ * simulation-tier engines always materialize every Delivery; the
+ * theory tier can answer in O(1) when the caller only folds
+ * aggregates (latency, stalls, conflict-free), which is what the
+ * sweep hot path does with every access whose delivery stream it
+ * would immediately release.
  */
 enum class ResultDetail
 {
     /** Materialize every Delivery (the library default). */
     Full,
 
-    /** Timing aggregates only; a claimed result's deliveries stay
-     *  empty.  Fallback simulation still materializes. */
+    /** Timing aggregates only: single-port results — claimed or
+     *  stepped — carry no deliveries.  A stepped multi-port access
+     *  still materializes. */
     Summary,
 
     /**
      * Aggregates for uniform (conflict-free) claims — their Sec. 5F
      * chaining costs are closed-form — but full deliveries for
-     * solver (periodic conflicted) claims, whose chained cost the
-     * caller must fold delivery by delivery.
+     * solver (periodic conflicted) claims and stepped answers, whose
+     * chained cost the caller must fold delivery by delivery.
      */
     SummaryIfUniform,
 };
@@ -296,21 +298,6 @@ class MemoryBackend
     virtual AccessResult
     runSingle(const std::vector<Request> &stream,
               DeliveryArena *arena = nullptr) = 0;
-
-    /**
-     * runSingle() over a stream whose module assignments were
-     * already computed (modules[i] = mapping of stream[i].addr,
-     * typically by a BitSlicedMapper).  Lets a caller that premapped
-     * the stream for its own analysis — the theory tier's
-     * conflict-freedom proof — hand the work to the simulation
-     * fallback instead of mapping every element twice.  The default
-     * ignores @p modules and calls runSingle(); the engines override
-     * it to skip their internal premap pass.
-     */
-    virtual AccessResult
-    runSingleMapped(const std::vector<Request> &stream,
-                    const ModuleId *modules,
-                    DeliveryArena *arena = nullptr);
 
     /**
      * Collapse/memo attribution accumulated by this backend's

@@ -6,14 +6,10 @@
 
 namespace cfva {
 
+template <typename Make>
 MemoryBackend &
-BackendCache::backendFor(EngineKind engine, const MemConfig &cfg,
-                         const ModuleMapping &map, MapPath path,
-                         CollapseMode collapse)
+BackendCache::lookup(const Key &key, Make &&make)
 {
-    const Key key{engine,           cfg.m, cfg.t, cfg.inputBuffers,
-                  cfg.outputBuffers, &map, false, path,
-                  collapse};
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         if (entries_[i].key == key) {
             ++stats_.hits;
@@ -23,38 +19,34 @@ BackendCache::backendFor(EngineKind engine, const MemConfig &cfg,
         }
     }
     ++stats_.misses;
-    entries_.insert(
-        entries_.begin(),
-        Entry{key,
-              makeMemoryBackend(engine, cfg, map, path, collapse)});
+    entries_.insert(entries_.begin(), Entry{key, make()});
     return *entries_.front().backend;
 }
 
-TheoryBackend &
-BackendCache::theoryBackendFor(EngineKind engine, const MemConfig &cfg,
-                               const ModuleMapping &map, MapPath path,
-                               CollapseMode collapse)
+MemoryBackend &
+BackendCache::backendFor(EngineKind engine, const MemConfig &cfg,
+                         const ModuleMapping &map, MapPath path,
+                         CollapseMode collapse)
 {
     const Key key{engine,           cfg.m, cfg.t, cfg.inputBuffers,
-                  cfg.outputBuffers, &map, /*theory=*/true, path,
+                  cfg.outputBuffers, &map, false, path,
                   collapse};
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].key == key) {
-            ++stats_.hits;
-            if (i != 0)
-                std::swap(entries_[0], entries_[i]);
-            return static_cast<TheoryBackend &>(*entries_[0].backend);
-        }
-    }
-    ++stats_.misses;
-    entries_.insert(
-        entries_.begin(),
-        Entry{key,
-              std::make_unique<TheoryBackend>(
-                  cfg, map,
-                  makeMemoryBackend(engine, cfg, map, path, collapse),
-                  path)});
-    return static_cast<TheoryBackend &>(*entries_.front().backend);
+    return lookup(key, [&] {
+        return makeMemoryBackend(engine, cfg, map, path, collapse);
+    });
+}
+
+TheoryBackend &
+BackendCache::theoryBackendFor(const MemConfig &cfg,
+                               const ModuleMapping &map, MapPath path)
+{
+    const Key key{EngineKind::EventDriven, cfg.m, cfg.t,
+                  cfg.inputBuffers, cfg.outputBuffers, &map,
+                  /*theory=*/true, path, CollapseMode::On};
+    return static_cast<TheoryBackend &>(lookup(key, [&] {
+        return std::unique_ptr<MemoryBackend>(
+            std::make_unique<TheoryBackend>(cfg, map, path));
+    }));
 }
 
 FastPathStats

@@ -71,17 +71,15 @@ class BackendCache
                               CollapseMode collapse = CollapseMode::On);
 
     /**
-     * The analytic tier over the same shape: a TheoryBackend whose
-     * simulation fallback implements @p engine.  Cached separately
-     * from the plain simulation backend (the key carries a tier
-     * bit) so TierPolicy::AuditBoth can hold both at once.
+     * The analytic tier over the same shape.  It steps what it
+     * cannot claim on the event-driven engines, so neither the
+     * engine nor the collapse knob is part of its key.  Cached
+     * separately from the plain simulation backend (the key carries
+     * a tier bit) so TierPolicy::AuditBoth can hold both at once.
      */
-    TheoryBackend &theoryBackendFor(EngineKind engine,
-                                    const MemConfig &cfg,
+    TheoryBackend &theoryBackendFor(const MemConfig &cfg,
                                     const ModuleMapping &map,
-                                    MapPath path = MapPath::BitSliced,
-                                    CollapseMode collapse =
-                                        CollapseMode::On);
+                                    MapPath path = MapPath::BitSliced);
 
     const BackendCacheStats &stats() const { return stats_; }
 
@@ -103,7 +101,8 @@ class BackendCache
         unsigned inputBuffers = 0;
         unsigned outputBuffers = 0;
         const ModuleMapping *map = nullptr;
-        bool theory = false; //!< analytic tier wrapping the engine
+        bool theory = false; //!< analytic tier (engine and
+                             //!< collapse fixed)
         MapPath path = MapPath::BitSliced; //!< premap variant
         CollapseMode collapse = CollapseMode::On; //!< fast-path gate
 
@@ -115,6 +114,10 @@ class BackendCache
         Key key;
         std::unique_ptr<MemoryBackend> backend;
     };
+
+    /** The entry for @p key, built by @p make on a miss. */
+    template <typename Make>
+    MemoryBackend &lookup(const Key &key, Make &&make);
 
     // Linear scan with move-to-front: a worker touches a handful
     // of (engine, mapping) pairs per sweep, and the hot lookups

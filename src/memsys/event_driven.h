@@ -1,6 +1,6 @@
 /**
  * @file
- * Event-driven memory-system engine.
+ * Event-driven single-port engine: the one fast stepper.
  *
  * Simulates exactly the model of memsys/memory_system.h — same
  * modules, same buffers, same per-cycle step order (retire, return
@@ -8,13 +8,33 @@
  * time directly to the next instant at which any state can change
  * instead of ticking every cycle.  Between events the only activity
  * is the processor retrying a stalled issue against an unchanged
- * input buffer, which the engine accounts for in one subtraction.
+ * input buffer, which the stepper accounts for in one subtraction.
  *
- * The produced AccessResult is bit-identical to MemorySystem::run
- * on every stream: identical delivery records (all five timestamps),
- * identical stall counts, identical aggregates.  The per-cycle model
- * stays in-tree as the oracle; tests/test_engine_differential.cc
- * holds the two to that contract over randomized scenario grids.
+ * EventStepper is that loop over a premapped module sequence, with
+ * three properties every fast caller relies on:
+ *
+ * - Compact per-element state: an element in flight is its stream
+ *   position plus the two timestamps the model reads (issue and
+ *   service start; arrival and ready follow from the 1-cycle bus and
+ *   the T-cycle service).  Addresses and element numbers are looked
+ *   up from the stream only when a Delivery is written.
+ * - Output on request: Delivery records are written only when the
+ *   caller materializes; summary callers get the aggregates and no
+ *   O(L) buffer at all.
+ * - Recurrence in its own loop: with recurrence detection on, the
+ *   stepper snapshots the relative machine state at issue positions
+ *   one module-sequence period apart and, once a snapshot recurs,
+ *   takes the affine jump over the remaining whole periods
+ *   (memsys/steady_state.h).  A stream that never recurs keeps
+ *   stepping from where it is, so every stream costs one pass.
+ *
+ * EventDrivenMemorySystem wraps the stepper into the mapping-aware
+ * engine (premap, memo, attribution).  Its results are bit-identical
+ * to MemorySystem::run on every stream: identical delivery records
+ * (all five timestamps), identical stall counts, identical
+ * aggregates.  The per-cycle model stays in-tree as the oracle;
+ * tests/test_engine_differential.cc and tests/test_collapse.cc hold
+ * the two to that contract.
  *
  * Why it is faster: the per-cycle loop scans all M modules two to
  * three times per cycle.  This engine touches only the modules named
@@ -32,13 +52,144 @@
 #include "mapping/bitslice.h"
 #include "mapping/mapping.h"
 #include "memsys/event_queue.h"
-#include "memsys/memory_system.h"
-#include "memsys/module.h"
 #include "memsys/request.h"
+#include "memsys/steady_state.h"
 
 namespace cfva {
 
 class DeliveryArena;
+
+/**
+ * The event-driven single-port stepper over a premapped module
+ * sequence.  Holds only scratch state, reconfigured in place when a
+ * pass names a different memory shape, so one instance serves every
+ * access of every shape.  Not thread-safe.
+ */
+class EventStepper
+{
+  public:
+    /** Periods above this are not worth snapshotting. */
+    static constexpr std::size_t kMaxPeriod = 2048;
+
+    /** Distinct state snapshots kept before recurrence detection
+     *  gives up. */
+    static constexpr std::size_t kMaxSnapshots = 64;
+
+    /**
+     * Steps an access of @p stream, premapped to @p mods, on the
+     * shape @p cfg, issuing one request per cycle from cycle 0.
+     *
+     * @p mode selects recurrence detection: snapshots at every
+     * multiple of the module sequence's smallest period (when that
+     * period is at most kMaxPeriod and fits twice), the affine jump
+     * on the first match, and — under JumpOrAbandon — an early stop
+     * once no match is possible.
+     *
+     * Unless the pass was abandoned, @p result receives the scalar
+     * aggregates and, when @p materialize is set, every Delivery in
+     * delivery order, written as it is decided (result.deliveries
+     * must be empty; capacity may be reserved; an abandoned pass
+     * leaves it empty).  @p trace keeps the position-form trace
+     * readable through emits() after the pass.
+     *
+     * @return true iff the pass jumped (a snapshot recurred)
+     */
+    bool run(const MemConfig &cfg, const std::vector<Request> &stream,
+             const ModuleId *mods, Recurrence mode, bool materialize,
+             bool trace, AccessResult &result);
+
+    /** Cycles the last pass stepped: all of them up to the last
+     *  delivery, minus the span a jump covered (or, for an
+     *  abandoned pass, the cycles stepped before it stopped). */
+    Cycle steppedCycles() const { return stepped_; }
+
+    /** Position-form trace of the last pass run with @p trace. */
+    const std::vector<Emit> &emits() const { return emits_; }
+
+    /** Scalar aggregates of the last pass that finished. */
+    const EmitSummary &summary() const { return summary_; }
+
+  private:
+    /** One element in flight, in absolute position/cycle terms. */
+    struct Flight
+    {
+        std::uint32_t pos = 0;
+        Cycle issued = 0;       //!< arrival is issued + 1
+        Cycle serviceStart = 0; //!< ready is serviceStart + T;
+                                //!< meaningful once in service
+    };
+
+    /** One module: ring heads/counts over the shared storage. */
+    struct Module
+    {
+        unsigned inHead = 0, inCount = 0;
+        unsigned outHead = 0, outCount = 0;
+        bool busy = false;
+        bool retireBlocked = false; //!< finished, output buffer full
+        Flight svc{};
+    };
+
+    /** Relative-state snapshot at an issue-position multiple of
+     *  the module-sequence period. */
+    struct Snapshot
+    {
+        std::uint64_t hash = 0;
+        std::vector<std::int64_t> sig; //!< serialized relative state
+        Cycle now = 0;
+        std::size_t next = 0;
+        std::size_t delivered = 0;
+        std::uint64_t stalls = 0;
+    };
+
+    /** Sizes the module array and event heaps for @p cfg and
+     *  empties them. */
+    void reset(const MemConfig &cfg);
+
+    /** Smallest period p <= kMaxPeriod of mods[0..length) (every
+     *  i >= p has mods[i] == mods[i-p]), or @p length when there is
+     *  none.  Scratch stays O(kMaxPeriod) for any length. */
+    std::size_t smallestPeriod(std::size_t length,
+                               const ModuleId *mods);
+
+    /** Serializes the live state relative to (@p now, @p next)
+     *  into sig_ and returns its hash. */
+    std::uint64_t encodeState(Cycle now, std::size_t next);
+
+    /** Advances every in-flight timestamp and event by (@p tShift,
+     *  @p pShift): the state after @p pShift more issues. */
+    void shiftState(Cycle tShift, std::uint32_t pShift);
+
+    Flight &inAt(ModuleId m, unsigned i)
+    {
+        return in_[m * q_ + (i >= q_ ? i - q_ : i)];
+    }
+    Flight &outAt(ModuleId m, unsigned i)
+    {
+        return out_[m * qOut_ + (i >= qOut_ ? i - qOut_ : i)];
+    }
+
+    ModuleId moduleCount_ = 0;
+    unsigned q_ = 0, qOut_ = 0;
+    Cycle t_ = 0;
+    std::vector<Module> modules_;
+    std::vector<Flight> in_;  //!< input rings, q_ per module
+    std::vector<Flight> out_; //!< output rings, qOut_ per module
+
+    /** Pending service completions, keyed by retire cycle. */
+    ModuleEventHeap retire_{0};
+
+    /** Output-buffer heads, keyed by the head's ready cycle —
+     *  popping the minimum IS the return-bus arbitration. */
+    ModuleEventHeap outputs_{0};
+
+    std::vector<std::uint32_t> fail_;  //!< KMP scratch
+    std::vector<std::uint32_t> positions_; //!< see run()
+    std::vector<std::int64_t> sig_;    //!< snapshot-encoding scratch
+    std::vector<Snapshot> snapshots_;  //!< storage, reused per pass
+    std::vector<Emit> emits_;
+    EmitSummary summary_;
+    Cycle stepped_ = 0;
+};
 
 /**
  * Event-driven twin of MemorySystem.  Same construction contract,
@@ -53,9 +204,9 @@ class EventDrivenMemorySystem
      *              < cfg.modules()
      * @param path  stream premap strategy (see makeMemoryBackend)
      * @param collapse  On lets run() answer periodic streams via
-     *              steady-state collapse + memo replay
+     *              memo replay and the stepper's recurrence jump
      *              (bit-identical); Off keeps the engine a pure
-     *              stepped oracle (see MemorySystem)
+     *              stepped model (see MemorySystem)
      */
     EventDrivenMemorySystem(const MemConfig &cfg,
                             const ModuleMapping &map,
@@ -64,7 +215,9 @@ class EventDrivenMemorySystem
 
     /**
      * Simulates the access of @p stream issued one request per
-     * cycle starting at cycle 0; see MemorySystem::run.
+     * cycle starting at cycle 0; see MemorySystem::run.  One
+     * stepper pass answers every stream: with collapse on it jumps
+     * when the state recurs and otherwise steps to the end.
      *
      * When @p arena is given, the result's delivery buffer is
      * acquired from it instead of freshly allocated — tight sweeps
@@ -85,33 +238,12 @@ class EventDrivenMemorySystem
 
   private:
     MemConfig cfg_;
-    const ModuleMapping &map_;
     BitSlicedMapper slicer_;
     CollapseMode collapse_;
-    std::vector<MemoryModule> modules_;
     std::vector<ModuleId> mods_; //!< premap scratch, reused per run
-
-    /** Shared periodic fast path (memsys/steady_state.h). */
-    SteadyStateCollapser collapser_;
+    EventStepper stepper_;
     OutcomeMemo memo_;
     FastPathStats fast_;
-
-    /** Pending service completions, keyed by ready cycle. */
-    ModuleEventHeap retire_;
-
-    /** Output-buffer heads, keyed by the head's ready cycle —
-     *  popping the minimum IS the return-bus arbitration. */
-    ModuleEventHeap outputs_;
-
-    /** In-flight request-bus arrivals, in issue order. */
-    ArrivalQueue arrivals_;
-
-    /** Modules whose finished service waits on a full output
-     *  buffer; re-armed on the next delivery from that module. */
-    std::vector<std::uint8_t> retireBlocked_;
-
-    /** Scratch: modules that may start a service this cycle. */
-    std::vector<ModuleId> startable_;
 };
 
 /**

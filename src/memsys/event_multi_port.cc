@@ -37,14 +37,6 @@ EventDrivenMultiPort::runSingle(const std::vector<Request> &stream,
     return single_.run(stream, arena);
 }
 
-AccessResult
-EventDrivenMultiPort::runSingleMapped(
-    const std::vector<Request> &stream, const ModuleId *modules,
-    DeliveryArena *arena)
-{
-    return single_.run(stream, arena, modules);
-}
-
 MultiPortResult
 EventDrivenMultiPort::run(
     const std::vector<std::vector<Request>> &streams,

@@ -116,6 +116,15 @@ class BasicModuleEventHeap
         siftUp(heap_.size() - 1);
     }
 
+    /** Adds @p delta to every event's time.  A uniform shift keeps
+     *  the (time, module) order, so the heap stays valid. */
+    void
+    shiftTimes(Cycle delta)
+    {
+        for (auto &e : heap_)
+            e.time += delta;
+    }
+
     /** Drops every event. */
     void
     clear()

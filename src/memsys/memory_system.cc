@@ -10,7 +10,7 @@ namespace cfva {
 MemorySystem::MemorySystem(const MemConfig &cfg,
                            const ModuleMapping &map, MapPath path,
                            CollapseMode collapse)
-    : cfg_(cfg), map_(map), slicer_(map, path), collapse_(collapse)
+    : cfg_(cfg), slicer_(map, path), collapse_(collapse)
 {
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),
@@ -77,11 +77,12 @@ MemorySystem::run(const std::vector<Request> &stream,
         mods = mods_.data();
     }
 
-    // Periodic fast path: memo replay or steady-state collapse.
-    // Bit-identical to the stepped loop below by construction
+    // Periodic fast path: memo replay or one event-stepper pass that
+    // jumps once the machine state recurs, abandoned as soon as no
+    // recurrence is possible.  Bit-identical to the cycle loop below
     // (tests/test_collapse.cc holds it to that differentially).
     if (collapse_ == CollapseMode::On
-        && tryFastPath(cfg_, stream, mods, collapser_, memo_, fast_,
+        && tryFastPath(cfg_, stream, mods, stepper_, memo_, fast_,
                        result)) {
         return result;
     }
@@ -169,6 +170,10 @@ MemorySystem::run(const std::vector<Request> &stream,
         static_cast<Cycle>(stream.size()) + t_cycles + 1;
     result.conflictFree =
         result.stallCycles == 0 && result.latency == min_latency;
+    // The loop is the fast path's fallback: it stepped every cycle
+    // up to the last delivery.
+    if (collapse_ == CollapseMode::On)
+        fast_.steppedCycles += result.lastDelivery + 1;
     return result;
 }
 

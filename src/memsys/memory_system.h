@@ -17,6 +17,7 @@
 
 #include "mapping/bitslice.h"
 #include "mapping/mapping.h"
+#include "memsys/event_driven.h"
 #include "memsys/module.h"
 #include "memsys/request.h"
 #include "memsys/steady_state.h"
@@ -24,21 +25,6 @@
 namespace cfva {
 
 class DeliveryArena;
-
-/** Static configuration of the memory subsystem. */
-struct MemConfig
-{
-    unsigned m = 3;            //!< log2 module count (M = 2^m)
-    unsigned t = 3;            //!< log2 service time (T = 2^t)
-    unsigned inputBuffers = 1; //!< q, per-module input entries
-    unsigned outputBuffers = 1; //!< q', per-module output entries
-
-    ModuleId modules() const { return ModuleId{1} << m; }
-    Cycle serviceCycles() const { return Cycle{1} << t; }
-
-    /** True for the matched case M = T the paper starts from. */
-    bool matched() const { return m == t; }
-};
 
 /**
  * The memory subsystem simulator.
@@ -59,8 +45,8 @@ class MemorySystem
      *              GF(2) rows when available; Scalar forces
      *              per-element moduleOf() (for differential tests)
      * @param collapse  On lets run() answer periodic streams via
-     *              steady-state collapse + memo replay
-     *              (bit-identical); Off keeps the engine a pure
+     *              memo replay or the event stepper's recurrence
+     *              jump (bit-identical); Off keeps the engine a pure
      *              stepped oracle.  Raw engines default to Off; the
      *              backend factories default to On.
      */
@@ -99,12 +85,15 @@ class MemorySystem
     bool deliverOne(Cycle now, AccessResult &result);
 
     MemConfig cfg_;
-    const ModuleMapping &map_;
     BitSlicedMapper slicer_;
     CollapseMode collapse_;
     std::vector<MemoryModule> modules_;
     std::vector<ModuleId> mods_; //!< premap scratch, reused per run
-    SteadyStateCollapser collapser_;
+
+    /** The collapse fast path: memo replay, or one event-stepper
+     *  pass that is abandoned when no recurrence is possible (the
+     *  cycle loop then steps the stream as the oracle does). */
+    EventStepper stepper_;
     OutcomeMemo memo_;
     FastPathStats fast_;
 };

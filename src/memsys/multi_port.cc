@@ -35,14 +35,6 @@ PerCycleMultiPort::runSingle(const std::vector<Request> &stream,
     return single_.run(stream, arena);
 }
 
-AccessResult
-PerCycleMultiPort::runSingleMapped(const std::vector<Request> &stream,
-                                   const ModuleId *modules,
-                                   DeliveryArena *arena)
-{
-    return single_.run(stream, arena, modules);
-}
-
 MultiPortResult
 PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
                        DeliveryArena *arena)

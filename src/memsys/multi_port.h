@@ -66,12 +66,6 @@ class PerCycleMultiPort final : public MemoryBackend
     runSingle(const std::vector<Request> &stream,
               DeliveryArena *arena = nullptr) override;
 
-    /** runSingle() with caller-supplied module assignments. */
-    AccessResult
-    runSingleMapped(const std::vector<Request> &stream,
-                    const ModuleId *modules,
-                    DeliveryArena *arena = nullptr) override;
-
     /** The embedded single-port engine's collapse/memo counters. */
     FastPathStats
     fastPathStats() const override

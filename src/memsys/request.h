@@ -1,6 +1,7 @@
 /**
  * @file
- * Request/delivery value types for the multi-module memory simulator.
+ * Value types for the multi-module memory simulator: the memory
+ * shape, the requests, and their delivery records.
  *
  * The simulator's timing contract (DESIGN.md "Key design decisions"):
  * a request issued by the processor at cycle c crosses the 1-cycle
@@ -20,6 +21,21 @@
 #include "common/bits.h"
 
 namespace cfva {
+
+/** Static configuration of the memory subsystem. */
+struct MemConfig
+{
+    unsigned m = 3;            //!< log2 module count (M = 2^m)
+    unsigned t = 3;            //!< log2 service time (T = 2^t)
+    unsigned inputBuffers = 1; //!< q, per-module input entries
+    unsigned outputBuffers = 1; //!< q', per-module output entries
+
+    ModuleId modules() const { return ModuleId{1} << m; }
+    Cycle serviceCycles() const { return Cycle{1} << t; }
+
+    /** True for the matched case M = T the paper starts from. */
+    bool matched() const { return m == t; }
+};
 
 /** One element request as produced by an access ordering. */
 struct Request

@@ -1,24 +1,26 @@
 /**
  * @file
  * Periodic steady-state collapse and base-invariant outcome
- * memoization for the simulation fallback path.
+ * memoization for the single-port stepper.
  *
  * The paper's whole analysis rests on constant-stride conflict
  * patterns being *periodic* (Theorems 1 and 3 compute the period in
- * closed form); the simulation engines nevertheless step every
- * cycle of every conflicted access.  Two fast paths exploit the
- * periodicity while staying bit-identical to the full simulation:
+ * closed form).  Two fast paths exploit the periodicity while
+ * staying bit-identical to the full simulation:
  *
- * - SteadyStateCollapser: simulates the per-cycle model only until
- *   the machine state recurs at two issue positions one stream
- *   period apart, then closes the form — every Delivery timestamp
- *   and the stall count of the remaining floor((L-prefix)/period)
- *   repetitions are affine extrapolations of the captured segment,
- *   and a short simulated tail finishes the remainder.  Recurrence
- *   of the *relative* state (buffer occupancy and in-flight
- *   timestamps as offsets from the current cycle and issue
- *   position) is exact, so the extrapolated trace equals the
- *   stepped trace cycle for cycle.
+ * - Steady-state collapse, taken inside the event-driven stepper's
+ *   own loop (memsys/event_driven.h, EventStepper): the stepper
+ *   snapshots the machine state at issue positions one module-
+ *   sequence period apart, and once the state recurs it closes the
+ *   form — every Delivery timestamp and the stall count of the
+ *   remaining floor((L-prefix)/period) repetitions are affine
+ *   extrapolations of the captured segment, and stepping resumes
+ *   for the tail.  Recurrence of the *relative* state (buffer
+ *   occupancy and in-flight timestamps as offsets from the current
+ *   cycle and issue position) is exact, so the extrapolated trace
+ *   equals the stepped trace cycle for cycle.  This is the
+ *   transient-then-periodic structure of contention that the
+ *   conflict model of Atalar et al. (arXiv:1508.03566) analyzes.
  * - OutcomeMemo: two streams whose premapped module sequences are
  *   equal up to an order-preserving relabeling drive the engine
  *   through identical timing decisions — every tie-break compares
@@ -31,11 +33,10 @@
  *   yields an order-isomorphic module sequence hits; one that
  *   reorders modules (XOR mappings do) correctly misses.
  *
- * Both paths plug into the single-port engines behind
- * CollapseMode; the per-cycle and event-driven engines share the
- * tryFastPath() orchestration so their fast-path results are one
- * implementation, differentially tested against both engines with
- * the collapse disabled (tests/test_collapse.cc, --collapse off).
+ * tryFastPath() is the one orchestration of the two (memo lookup,
+ * then one stepper pass) shared by both single-port engines and the
+ * theory tier's ConflictSolver, differentially tested against the
+ * pure stepped oracle (tests/test_collapse.cc, --collapse off).
  */
 
 #ifndef CFVA_MEMSYS_STEADY_STATE_H
@@ -51,6 +52,7 @@
 namespace cfva {
 
 struct MemConfig;
+class EventStepper;
 
 /** Whether the single-port engines may answer periodic
  *  constant-stride accesses via steady-state collapse + memo
@@ -63,6 +65,21 @@ enum class CollapseMode
 };
 
 const char *to_string(CollapseMode mode);
+
+/** What one stepper pass does about machine-state recurrence. */
+enum class Recurrence
+{
+    /** Plain stepping: no snapshots, no jump. */
+    Off,
+
+    /** Snapshot and jump; a stream that never recurs steps on from
+     *  where it is to its end, so the pass always answers. */
+    JumpOrFinish,
+
+    /** Snapshot and jump; the pass is abandoned (no answer) as soon
+     *  as no jump is possible any more. */
+    JumpOrAbandon,
+};
 
 /** Fast-path attribution counters, mergeable across instances. */
 struct FastPathStats
@@ -78,8 +95,13 @@ struct FastPathStats
     /** Accesses replayed from the outcome memo. */
     std::uint64_t memoHits = 0;
 
-    /** Memo lookups that missed (collapse then ran or failed). */
+    /** Memo lookups that missed (a stepper pass then ran). */
     std::uint64_t memoMisses = 0;
+
+    /** Cycles stepped by passes that did not jump: streams stepped
+     *  to their end, and the work of passes abandoned once no
+     *  recurrence was possible. */
+    std::uint64_t steppedCycles = 0;
 
     FastPathStats &
     operator+=(const FastPathStats &o)
@@ -88,6 +110,7 @@ struct FastPathStats
         collapsePrefixCycles += o.collapsePrefixCycles;
         memoHits += o.memoHits;
         memoMisses += o.memoMisses;
+        steppedCycles += o.steppedCycles;
         return *this;
     }
 
@@ -142,91 +165,6 @@ void materializeEmits(const EmitSummary &summary,
  *  summary-only half of materializeEmits(). */
 void applyEmitSummary(const EmitSummary &summary,
                       AccessResult &result);
-
-/**
- * The steady-state collapse engine.  Holds only scratch state, so
- * one instance per engine serves every access; tryRun() leaves the
- * last successful trace readable until the next call.
- */
-class SteadyStateCollapser
-{
-  public:
-    /** Periods above this are not worth snapshotting. */
-    static constexpr std::size_t kMaxPeriod = 2048;
-
-    /** Distinct state snapshots kept before giving up. */
-    static constexpr std::size_t kMaxSnapshots = 64;
-
-    /**
-     * Attempts to answer an access of @p length requests premapped
-     * to @p mods on the shape @p cfg.  On success returns true with
-     * emits()/summary() holding the full position-form trace —
-     * bit-identical to what MemorySystem::run would record — and
-     * writes the stepped-cycle count to @p steppedOut.  Returns
-     * false (scratch clobbered, no other effect) when the module
-     * sequence is aperiodic, too short, or the state never recurs
-     * within the snapshot budget; the caller then runs its normal
-     * engine loop.
-     */
-    bool tryRun(const MemConfig &cfg, std::size_t length,
-                const ModuleId *mods, Cycle *steppedOut);
-
-    /** Position-form trace of the last successful tryRun(). */
-    const std::vector<Emit> &emits() const { return emits_; }
-
-    /** Scalar aggregates of the last successful tryRun(). */
-    const EmitSummary &summary() const { return summary_; }
-
-  private:
-    /** One element in flight, in absolute position/cycle terms. */
-    struct Flight
-    {
-        std::uint32_t pos = 0;
-        Cycle issued = 0;
-        Cycle arrived = 0;
-        Cycle serviceStart = 0; //!< meaningful once in service
-        Cycle ready = 0;        //!< meaningful once in service
-    };
-
-    /** Mirror of one MemoryModule's state, replayable/shiftable. */
-    struct ModState
-    {
-        std::vector<Flight> in;  //!< ring storage, size q
-        unsigned inHead = 0, inCount = 0;
-        Flight svc{};            //!< the service in flight
-        bool busy = false;
-        std::vector<Flight> out; //!< ring storage, size q'
-        unsigned outHead = 0, outCount = 0;
-    };
-
-    /** Relative-state snapshot at an issue-position multiple of
-     *  the module-sequence period. */
-    struct Snapshot
-    {
-        std::uint64_t hash = 0;
-        std::vector<std::int64_t> sig; //!< serialized relative state
-        Cycle now = 0;
-        std::size_t next = 0;
-        std::size_t emitCount = 0;
-        std::uint64_t stalls = 0;
-    };
-
-    /** Smallest period of mods[0..length) via the KMP failure
-     *  function; length itself when aperiodic. */
-    std::size_t smallestPeriod(std::size_t length,
-                               const ModuleId *mods);
-
-    /** Serializes the live state relative to (@p now, @p next)
-     *  into sig_ and returns its hash. */
-    std::uint64_t encodeState(Cycle now, std::size_t next);
-
-    std::vector<ModState> state_;
-    std::vector<std::size_t> fail_;     //!< KMP scratch
-    std::vector<std::int64_t> sig_;     //!< snapshot-encoding scratch
-    std::vector<Snapshot> snapshots_;
-    std::vector<Emit> emits_;
-    EmitSummary summary_;
-};
 
 /**
  * Bounded cache of collapsed outcomes keyed on the
@@ -290,22 +228,27 @@ class OutcomeMemo
 };
 
 /**
- * The fast path shared by both single-port engines: memo replay if
- * the canonical sequence is cached, else steady-state collapse (and
- * a memo insert on success).  Returns true with @p result filled —
- * bit-identical to the engine's stepped loop — or false with
- * @p result untouched beyond its pre-acquired delivery buffer.
- * @p stats is updated either way.  When @p materialize is false the
- * deliveries are not synthesized — only the scalar aggregates are
- * written — which is how the theory tier answers accesses whose
- * delivery stream the caller would immediately discard.
+ * The periodic fast path shared by both single-port engines and the
+ * theory tier: memo replay if the canonical sequence is cached, else
+ * one stepper pass with recurrence detection in mode @p mode (and a
+ * memo insert when it jumped).  Streams up to OutcomeMemo::kMaxLen
+ * make exactly one memo lookup; longer ones none.
+ *
+ * Returns true iff the access was claimed — the memo hit or the pass
+ * jumped — with @p result filled bit-identical to the stepped
+ * model.  On false, under Recurrence::JumpOrFinish @p result still
+ * holds the pass's stepped answer; under JumpOrAbandon it holds
+ * nothing beyond its pre-acquired delivery buffer.  When
+ * @p materialize is false no Delivery is written — only the scalar
+ * aggregates — which is how summary callers skip O(L) output.
+ * @p stats is updated either way.
  */
 bool tryFastPath(const MemConfig &cfg,
                  const std::vector<Request> &stream,
-                 const ModuleId *mods,
-                 SteadyStateCollapser &collapser, OutcomeMemo &memo,
-                 FastPathStats &stats, AccessResult &result,
-                 bool materialize = true);
+                 const ModuleId *mods, EventStepper &stepper,
+                 OutcomeMemo &memo, FastPathStats &stats,
+                 AccessResult &result, bool materialize = true,
+                 Recurrence mode = Recurrence::JumpOrAbandon);
 
 } // namespace cfva
 

@@ -404,10 +404,11 @@ applyExecuteStep(ScenarioOutcome &out, const Scenario &sc,
 {
     if (sc.ports <= 1) {
         if (lastLoad.deliveries.empty()) {
-            // Summary-claimed uniform schedule (simulation and
-            // solver claims always materialize): delivered_k =
-            // k + 1 + T, so the chained pipeline never waits after
-            // its first operand and the Sec. 5F costs close.
+            // Summary-claimed uniform schedule (stepped answers and
+            // solver claims materialize under SummaryIfUniform, and
+            // simulation always does): delivered_k = k + 1 + T, so
+            // the chained pipeline never waits after its first
+            // operand and the Sec. 5F costs close.
             // Matches chainingModel() on the materialized stream:
             // decoupled = (L - 1) + exec for ANY load, chained =
             // max_k(delivered_k - k) + L + exec - loadEnd = exec.
@@ -1215,6 +1216,7 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
             run.collapsePrefixCycles += fp.collapsePrefixCycles;
             run.memoHits += fp.memoHits;
             run.memoMisses += fp.memoMisses;
+            run.steppedCycles += fp.steppedCycles;
         }
     }
 

@@ -339,13 +339,17 @@ struct SweepRunStats
 
     /** Periodic fast-path attribution summed over all workers
      *  (memsys/steady_state.h): accesses answered by steady-state
-     *  collapse, the cycles those accesses still stepped, and
-     *  outcome-memo replay hits/misses.  All 0 under
-     *  CollapseMode::Off. */
+     *  collapse, the cycles those accesses still stepped,
+     *  outcome-memo replay hits/misses, and the cycles stepped by
+     *  passes that did not jump (streams stepped to their end plus
+     *  abandoned attempts), so the stepped work adds up.  The
+     *  simulation tier reports 0 under CollapseMode::Off; the theory
+     *  tier always steps through its solver. */
     std::uint64_t collapseHits = 0;
     std::uint64_t collapsePrefixCycles = 0;
     std::uint64_t memoHits = 0;
     std::uint64_t memoMisses = 0;
+    std::uint64_t steppedCycles = 0;
 
     /** Scenario-dedup attribution (sim/canonical.h): equivalence
      *  classes this run's slice partitioned into, and outcomes
@@ -405,14 +409,16 @@ struct SweepOptions
      * configuration in the grid — the sweep's engine axis.  Both
      * engines produce bit-identical reports (the cfva_sweep
      * cross-check mode runs the same grid under each and compares).
-     * Honored for every port count: multi-port scenarios dispatch
-     * to the matching port-aware backend.
+     * Honored for every port count of the simulation tier:
+     * multi-port scenarios dispatch to the matching port-aware
+     * backend.  The theory tier steps on the event engines
+     * regardless.
      */
     std::optional<EngineKind> engine;
 
     /**
      * Evaluation tier for every scenario: simulate (default),
-     * analytic theory fast path with simulation fallback, or both
+     * analytic theory fast path stepping what it cannot claim, or both
      * with a bit-for-bit cross-check (SweepRunStats counts the
      * divergences).  Reports are identical across tiers by
      * construction except for the tier-attribution columns.

@@ -5,29 +5,51 @@
 
 namespace cfva {
 
+namespace {
+
+/** An empty delivery buffer for @p length records, recycled from
+ *  @p arena when one is given. */
+std::vector<Delivery>
+deliveryBuffer(DeliveryArena *arena, std::size_t length)
+{
+    std::vector<Delivery> buf =
+        arena ? arena->acquire(length) : std::vector<Delivery>{};
+    buf.reserve(length);
+    return buf;
+}
+
+} // namespace
+
 bool
 ConflictSolver::solve(const MemConfig &cfg,
                       const std::vector<Request> &stream,
                       const ModuleId *mods, DeliveryArena *arena,
                       AccessResult &result, bool materialize)
 {
-    if (materialize) {
-        result.deliveries =
-            arena ? arena->acquire(stream.size())
-                  : std::vector<Delivery>{};
-        result.deliveries.reserve(stream.size());
-    }
-    if (tryFastPath(cfg, stream, mods, collapser_, memo_, stats_,
-                    result, materialize))
+    if (materialize)
+        result.deliveries = deliveryBuffer(arena, stream.size());
+    if (tryFastPath(cfg, stream, mods, stepper_, memo_, stats_, result,
+                    materialize, Recurrence::JumpOrAbandon))
         return true;
     // No closed form (aperiodic sequence, too short for a
     // recurrence, or the snapshot budget ran out).  Hand the
-    // acquired buffer back; the caller's fallback engine acquires
-    // its own.
+    // acquired buffer back; the caller's fallback acquires its own.
     if (materialize && arena)
         arena->release(std::move(result.deliveries));
     result.deliveries = std::vector<Delivery>{};
     return false;
+}
+
+bool
+ConflictSolver::solveOrStep(const MemConfig &cfg,
+                            const std::vector<Request> &stream,
+                            const ModuleId *mods, DeliveryArena *arena,
+                            AccessResult &result, bool materialize)
+{
+    if (materialize)
+        result.deliveries = deliveryBuffer(arena, stream.size());
+    return tryFastPath(cfg, stream, mods, stepper_, memo_, stats_,
+                       result, materialize, Recurrence::JumpOrFinish);
 }
 
 void

@@ -4,31 +4,37 @@
  * multi-port streams.
  *
  * The paper's argument (Theorems 1 and 3) is that constant-stride
- * conflict behaviour is analyzable, not merely simulable.  PR 8's
- * SteadyStateCollapser proved the stronger operational fact the
- * solver rests on: a conflicted constant-stride access is exactly
- * periodic — once the machine state (buffer occupancy and in-flight
- * timestamps, taken relative to the current cycle and issue
- * position) recurs at two issue positions one module-sequence period
- * apart, every Delivery timestamp and the stall count of the
- * remaining repetitions are affine extrapolations of the captured
- * segment.  The module-visit multiset over one stride period plus
- * the buffer depths therefore determines the whole steady-state
- * issue schedule; only the O(period) transient has to be
- * established at all.
+ * conflict behaviour is analyzable, not merely simulable.  The
+ * steady-state collapse (memsys/steady_state.h) proved the stronger
+ * operational fact the solver rests on: a conflicted constant-stride
+ * access is exactly periodic — once the machine state (buffer
+ * occupancy and in-flight timestamps, taken relative to the current
+ * cycle and issue position) recurs at two issue positions one
+ * module-sequence period apart, every Delivery timestamp and the
+ * stall count of the remaining repetitions are affine extrapolations
+ * of the captured segment.  The module-visit multiset over one stride
+ * period plus the buffer depths therefore determines the whole
+ * steady-state issue schedule; only the O(period) transient has to
+ * be established at all.
  *
  * This class packages that closed form as a *claiming* tier rather
  * than a simulation accelerator:
  *
  *  - solve() answers a single premapped stream without invoking any
  *    engine: memo replay when the rank-canonicalized module
- *    sequence was solved before, otherwise one collapser pass
- *    (establish the O(period) transient, extrapolate the rest).
+ *    sequence was solved before, otherwise one event-stepper pass
+ *    that establishes the O(period) transient and jumps over the
+ *    rest, abandoned as soon as no recurrence is possible.
  *    Success/failure is a deterministic function of (config, module
  *    sequence, length) — memo state only changes the speed, never
  *    the answer or the claim attribution, which is what makes
  *    claimed/fallback columns sound under scenario dedup and result
  *    caching (sim/canonical.h).
+ *  - solveOrStep() is solve() for a caller that needs the answer
+ *    either way: the same memo lookup and the same pass, but a pass
+ *    that finds no recurrence steps on from where it is to the end of
+ *    the stream.  The claim decision is solve()'s, and a declined
+ *    stream costs that one pass.
  *  - beginPortCheck()/portDisjoint() implement the multi-port
  *    extension: when per-port streams are provably disjoint across
  *    modules, the ports never interact — each port's trace is
@@ -37,11 +43,10 @@
  *    (theory/theory_backend.cc synthesizes the MultiPortResult).
  *
  * Bit-identity with the stepped engines is by construction: the
- * transient is established by the same per-cycle model the engines
- * run (one shared implementation, memsys/steady_state.cc), and the
- * extrapolation is the one the collapse fast path already performs
- * under differential test.  --tier audit cross-checks every claimed
- * answer against the pure stepped oracle end to end.
+ * transient is established by the same event stepper the engines run
+ * (memsys/event_driven.h), and the extrapolation is its recurrence
+ * jump under differential test.  --tier audit cross-checks every
+ * claimed answer against the pure stepped oracle end to end.
  */
 
 #ifndef CFVA_THEORY_CONFLICT_SOLVER_H
@@ -50,6 +55,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "memsys/event_driven.h"
 #include "memsys/steady_state.h"
 
 namespace cfva {
@@ -86,6 +92,19 @@ class ConflictSolver
                const ModuleId *mods, DeliveryArena *arena,
                AccessResult &result, bool materialize = true);
 
+    /**
+     * solve() that always answers: the same single memo lookup and
+     * the same claim decision, but when the stepper pass finds no
+     * recurrence it steps on to the end of the stream, and @p result
+     * holds that stepped answer.  Returns true iff the answer is a
+     * claim (memo hit or recurrence jump).  A delivery buffer is
+     * acquired from @p arena only when @p materialize is set.
+     */
+    bool solveOrStep(const MemConfig &cfg,
+                     const std::vector<Request> &stream,
+                     const ModuleId *mods, DeliveryArena *arena,
+                     AccessResult &result, bool materialize);
+
     /** Starts a fresh port-disjointness epoch over @p moduleCount
      *  modules. */
     void beginPortCheck(ModuleId moduleCount);
@@ -99,11 +118,11 @@ class ConflictSolver
     bool portDisjoint(std::size_t length, const ModuleId *mods,
                       unsigned port);
 
-    /** Memo/collapse attribution of this solver's claims. */
+    /** Memo/collapse attribution of this solver's passes. */
     const FastPathStats &stats() const { return stats_; }
 
   private:
-    SteadyStateCollapser collapser_;
+    EventStepper stepper_;
     OutcomeMemo memo_;
     FastPathStats stats_;
 

@@ -4,19 +4,15 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "memsys/event_multi_port.h"
 #include "theory/theory.h"
 
 namespace cfva {
 
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
-                             const ModuleMapping &map,
-                             std::unique_ptr<MemoryBackend> fallback,
-                             MapPath path)
-    : cfg_(cfg), map_(map), slicer_(map, path),
-      fallback_(std::move(fallback))
+                             const ModuleMapping &map, MapPath path)
+    : cfg_(cfg), map_(map), path_(path), slicer_(map, path)
 {
-    cfva_assert(fallback_ != nullptr,
-                "TheoryBackend needs a simulation fallback");
 }
 
 void
@@ -76,12 +72,19 @@ TheoryBackend::tryClaim(const std::vector<Request> &stream,
     const Cycle T = cfg_.serviceCycles();
     const std::size_t L = stream.size();
 
+    // An empty stream's schedule is vacuous; claim it outright so
+    // the taxonomy never blames a zero-length access on the solver.
+    if (L == 0) {
+        summarizeUniform(0, out);
+        return true;
+    }
+
     // The proof: under the simulator's timing contract the request
     // issued at cycle i reaches its module at i+1.  If that module
     // is still busy (nextFree > i+1) the element queues, the
     // one-request-per-cycle cadence is broken, and the closed-form
     // schedule no longer holds — reject and let the solver (or the
-    // engine) take over.  If every request finds its module free on
+    // stepper) take over.  If every request finds its module free on
     // arrival, service starts the same cycle it arrives, the module
     // is busy for T cycles, and ready times i+1+T are strictly
     // increasing, so the return bus delivers each element the cycle
@@ -108,54 +111,47 @@ TheoryBackend::tryClaim(const std::vector<Request> &stream,
     return true;
 }
 
-bool
-TheoryBackend::answerMapped(bool attemptProof,
-                            const std::vector<Request> &stream,
-                            const ModuleId *mods,
-                            DeliveryArena *arena, AccessResult &out,
-                            ResultDetail detail)
+void
+TheoryBackend::note(bool claimed, FallbackReason reason)
 {
-    // An empty stream's schedule is vacuous; claim it outright so
-    // the taxonomy never blames a zero-length access on the solver.
-    if (stream.empty()) {
-        summarizeUniform(0, out);
-        return true;
-    }
-    if (attemptProof
-        && tryClaim(stream, mods, arena, out,
-                    detail == ResultDetail::Full))
-        return true;
-    // A solver (periodic) claim is non-uniform, so SummaryIfUniform
-    // materializes it: its chained cost is not closed-form for the
-    // caller.
-    return solver_.solve(cfg_, stream, mods, arena, out,
-                         detail != ResultDetail::Summary);
+    lastClaimed_ = claimed;
+    lastReason_ = reason;
+    stats_.add(claimed);
 }
 
 AccessResult
-TheoryBackend::runSingleHinted(bool claimHint,
+TheoryBackend::runSingleHinted(bool expectConflictFree,
                                const std::vector<Request> &stream,
                                DeliveryArena *arena,
                                ResultDetail detail)
 {
     // Premap once (bit-sliced when the mapping exposes GF(2) rows);
-    // the proof, the solver, and — after a rejection — the
-    // simulation fallback all reuse it instead of each re-deriving
-    // every module number.
+    // the proof and the solver's pass both reuse it.
     premap(stream, mods_);
     AccessResult out;
-    if (answerMapped(claimHint, stream, mods_.data(), arena, out,
-                     detail)) {
-        lastClaimed_ = true;
-        lastReason_ = FallbackReason::None;
-        stats_.add(true);
+    // The proof is tried even when the planner's windows say the
+    // stream conflicts: the windows are sufficient, not necessary,
+    // so an out-of-window stream can still be conflict free, and
+    // the walk stops at the first request that would queue.
+    if (tryClaim(stream, mods_.data(), arena, out,
+                 detail == ResultDetail::Full)) {
+        note(true, FallbackReason::None);
         return out;
     }
-    lastClaimed_ = false;
-    lastReason_ = claimHint ? FallbackReason::Unproven
-                            : FallbackReason::Conflicted;
-    stats_.add(false);
-    return fallback_->runSingleMapped(stream, mods_.data(), arena);
+    // One memo lookup and one stepper pass: a claim when the memo
+    // hits or the machine state recurs, otherwise the pass steps on
+    // to the end of the stream and its answer is the stepped one.
+    // A solver answer is non-uniform, so SummaryIfUniform
+    // materializes it: its chained cost is not closed-form for the
+    // caller.
+    if (solver_.solveOrStep(cfg_, stream, mods_.data(), arena, out,
+                            detail != ResultDetail::Summary)) {
+        note(true, FallbackReason::None);
+    } else {
+        note(false, expectConflictFree ? FallbackReason::Unproven
+                                       : FallbackReason::Conflicted);
+    }
+    return out;
 }
 
 AccessResult
@@ -163,9 +159,7 @@ TheoryBackend::runSingleCertified(const std::vector<Request> &stream,
                                   DeliveryArena *arena,
                                   ResultDetail detail)
 {
-    lastClaimed_ = true;
-    lastReason_ = FallbackReason::None;
-    stats_.add(true);
+    note(true, FallbackReason::None);
     AccessResult out;
     if (detail == ResultDetail::Full) {
         // Full detail still needs each delivery's module number.
@@ -205,16 +199,19 @@ TheoryBackend::tryClaimPorts(
     // between requests for the SAME module, and each port has a
     // private return bus that delivers only its own elements — so
     // each port's trace is bit-identical to its single-port trace.
-    // Answer each port analytically; any port neither tier can
-    // close defeats the whole claim.
+    // Answer each port analytically; any port neither the proof nor
+    // the solver can close defeats the whole claim.
     out.ports.clear();
     out.ports.resize(P);
     Cycle lastDelivery = 0;
     bool any = false;
     for (std::size_t p = 0; p < P; ++p) {
         AccessResult &r = out.ports[p];
-        if (!answerMapped(true, streams[p], portMods_[p].data(),
-                          arena, r, detail)) {
+        const ModuleId *mods = portMods_[p].data();
+        if (!tryClaim(streams[p], mods, arena, r,
+                      detail == ResultDetail::Full)
+            && !solver_.solve(cfg_, streams[p], mods, arena, r,
+                              detail != ResultDetail::Summary)) {
             if (arena) {
                 for (std::size_t q = 0; q < p; ++q)
                     arena->release(
@@ -249,17 +246,17 @@ TheoryBackend::runPorts(
             runSingleHinted(true, streams[0], arena, detail));
     MultiPortResult out;
     if (tryClaimPorts(streams, arena, out, detail)) {
-        lastClaimed_ = true;
-        lastReason_ = FallbackReason::None;
-        stats_.add(true);
+        note(true, FallbackReason::None);
         return out;
     }
     // Ports sharing modules interleave on them; that schedule is
-    // not single-port-decomposable, so it simulates.
-    lastClaimed_ = false;
-    lastReason_ = FallbackReason::MultiPort;
-    stats_.add(false);
-    return fallback_->run(streams, arena);
+    // not single-port-decomposable, so it is stepped.
+    note(false, FallbackReason::MultiPort);
+    if (!ports_) {
+        ports_ = std::make_unique<EventDrivenMultiPort>(cfg_, map_,
+                                                        path_);
+    }
+    return ports_->run(streams, arena);
 }
 
 MultiPortResult

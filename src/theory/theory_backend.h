@@ -13,44 +13,48 @@
  *  - Conflict-free claims: for planner-certified streams
  *    (AccessPlan::expectConflictFree — the paper's window theorems)
  *    the uniform schedule is claimed directly, O(1) per access under
- *    ResultDetail::Summary; for uncertified streams a one-pass O(L)
- *    proof over per-module next-free times re-establishes it.
- *    Either way the exact AccessResult the simulation engines would
- *    produce is synthesized from the timing contract (request issued
- *    at cycle i arrives at i+1, starts service immediately, retires
- *    and crosses the return bus at i+1+T).
+ *    ResultDetail::Summary; for every other stream a one-pass O(L)
+ *    proof over per-module next-free times is tried first, and it
+ *    stops at the first request that would queue.  Either way the
+ *    exact AccessResult the simulation engines would produce is
+ *    synthesized from the timing contract (request issued at cycle i
+ *    arrives at i+1, starts service immediately, retires and crosses
+ *    the return bus at i+1+T).
  *  - Conflicted claims: theory/conflict_solver.h establishes the
- *    O(period) transient, extrapolates the periodic steady state,
- *    and memoizes the proof per rank-canonicalized module sequence —
- *    the per-worker BackendCache keeps this backend (and the memo)
- *    alive across a sweep, so repeated workload accesses stop
- *    re-proving the same claim.
+ *    O(period) transient on the event stepper, jumps over the
+ *    periodic steady state, and memoizes the proof per
+ *    rank-canonicalized module sequence — the per-worker
+ *    BackendCache keeps this backend (and the memo) alive across a
+ *    sweep, so repeated workload accesses stop re-proving the same
+ *    claim.
  *  - Multi-port claims: when the P > 1 port streams are provably
  *    disjoint across modules, the ports never interact and the
  *    MultiPortResult is synthesized from P independent single-port
- *    answers; ports that share modules (or defeat the solver) fall
- *    back to the port-aware engine.
+ *    answers.
  *
- * Streams no tier can answer are delegated untouched to a wrapped
- * simulation engine, so callers always get an answer and claimed
+ * What no claim covers is stepped, always on the event-driven
+ * engines whatever VectorUnitConfig::engine says (that knob selects
+ * the reference engine of the simulation tier only): a single-port
+ * stream the solver declines is answered by the very stepper pass
+ * that looked for its recurrence — one memo lookup and one pass, the
+ * pass stepping on to the end of the stream when no state recurs —
+ * and ports that share modules go to EventDrivenMultiPort.  Claimed
  * answers are bit-identical to simulation by construction
  * (tests/test_theory_backend.cc and tests/test_conflict_solver.cc
  * audit this across randomized grids; TierPolicy::AuditBoth audits
- * it on every sweep scenario it runs).  Every fallback is
- * attributed a FallbackReason; claim/fallback attribution is a
- * deterministic function of (config, mapping, planned streams) —
- * never of memo state — which is what keeps the attribution columns
- * sound under scenario dedup and result caching.
+ * it against the per-cycle oracle on every sweep scenario it runs).
+ * Every fallback is attributed a FallbackReason; claim/fallback
+ * attribution is a deterministic function of (config, mapping,
+ * planned streams) — never of memo state — which is what keeps the
+ * attribution columns sound under scenario dedup and result caching.
  *
  * The window classification itself (mapping kind + stride family
  * against matchedWindow / sectionedWindows / ...) lives in the
  * planner: VectorAccessUnit::plan sets AccessPlan::expectConflictFree
  * from exactly those windows.  execute() dispatches on it: certified
  * streams take runSingleCertified (theorem-backed O(1) claim),
- * everything else goes straight to the steady-state solver.  The
- * hinted entry point keeps the historical semantics for library
- * callers: the hint gates only the O(L) conflict-free proof; the
- * solver is attempted either way.
+ * everything else runSingleHinted (proof, then solver, then the
+ * stepped answer).
  */
 
 #ifndef CFVA_THEORY_THEORY_BACKEND_H
@@ -68,22 +72,19 @@ namespace cfva {
 /**
  * MemoryBackend that answers provably conflict-free, periodic
  * conflicted, and module-disjoint multi-port streams analytically
- * and delegates everything else to a wrapped simulation engine.
- * Like the engines it wraps, it is reusable across run() calls and
- * cacheable per (engine, config, mapping); the mapping must outlive
- * the backend.
+ * and steps everything else on the event-driven engines.  Like the
+ * engines, it is reusable across run() calls and cacheable per
+ * (config, mapping); the mapping must outlive the backend.
  */
 class TheoryBackend final : public MemoryBackend
 {
   public:
     /**
-     * @param cfg       memory shape the claims are proved against
-     * @param map       address mapping (must outlive the backend)
-     * @param fallback  simulation backend for rejected streams
-     * @param path      stream premap strategy (see makeMemoryBackend)
+     * @param cfg   memory shape the claims are proved against
+     * @param map   address mapping (must outlive the backend)
+     * @param path  stream premap strategy (see makeMemoryBackend)
      */
     TheoryBackend(const MemConfig &cfg, const ModuleMapping &map,
-                  std::unique_ptr<MemoryBackend> fallback,
                   MapPath path = MapPath::BitSliced);
 
     MultiPortResult
@@ -97,16 +98,19 @@ class TheoryBackend final : public MemoryBackend
     const char *name() const override { return "theory"; }
 
     /**
-     * runSingle with the planner's window classification: when
-     * @p claimHint is false the O(L) conflict-free proof is skipped
-     * (the windows already say it conflicts) and the stream goes
-     * straight to the steady-state solver; when true the proof is
-     * attempted first.  The plain runSingle() always attempts both.
-     * @p detail selects how much of a claimed result is
-     * materialized (fallback simulation always materializes).
+     * runSingle with the planner's window classification: the O(L)
+     * conflict-free proof is attempted, then the steady-state
+     * solver, and a stream neither claims is answered by the
+     * solver's own stepper pass.  @p expectConflictFree only names
+     * such a fallback: Unproven when the planner expected conflict
+     * freedom, Conflicted when its windows said the stream
+     * conflicts.  The plain runSingle() passes true.  @p detail
+     * selects how much of the result is materialized; a stepped
+     * answer follows the same rule as a solver claim (deliveries
+     * unless the detail is Summary).
      */
     AccessResult
-    runSingleHinted(bool claimHint,
+    runSingleHinted(bool expectConflictFree,
                     const std::vector<Request> &stream,
                     DeliveryArena *arena = nullptr,
                     ResultDetail detail = ResultDetail::Full);
@@ -147,21 +151,14 @@ class TheoryBackend final : public MemoryBackend
     /** Cumulative claim/fallback counts over this instance. */
     const TierCounters &stats() const { return stats_; }
 
-    /**
-     * Collapse/memo attribution: the solver's own proofs plus the
-     * fallback engine's fast path — the conflicted residue either
-     * tier attacks with the same machinery, so the counters merge.
-     */
+    /** Memo, collapse, and stepped-cycle attribution of the solver's
+     *  passes — every single-port stream this tier did not claim
+     *  outright went through exactly one of them. */
     FastPathStats
     fastPathStats() const override
     {
-        FastPathStats fp = solver_.stats();
-        fp += fallback_->fastPathStats();
-        return fp;
+        return solver_.stats();
     }
-
-    /** The wrapped simulation engine (for diagnostics). */
-    MemoryBackend &fallback() { return *fallback_; }
 
   private:
     /** Premaps @p stream into @p mods (bit-sliced for linear
@@ -169,14 +166,18 @@ class TheoryBackend final : public MemoryBackend
     void premap(const std::vector<Request> &stream,
                 std::vector<ModuleId> &mods);
 
+    /** Records the attribution of the access just answered. */
+    void note(bool claimed, FallbackReason reason);
+
     /**
      * The O(L) conflict-free claim proof + synthesis over an
      * already premapped stream: walks @p mods tracking each
      * module's next-free cycle; if every request finds its module
      * free on arrival the conflict-free schedule is exact and
      * @p out is filled with the synthesized result (aggregates only
-     * when @p materialize is false).  Returns false (leaving @p out
-     * untouched) when any request would queue.
+     * when @p materialize is false).  An empty stream is claimed
+     * vacuously.  Returns false (leaving @p out untouched) when any
+     * request would queue.
      */
     bool tryClaim(const std::vector<Request> &stream,
                   const ModuleId *mods, DeliveryArena *arena,
@@ -194,23 +195,13 @@ class TheoryBackend final : public MemoryBackend
                            DeliveryArena *arena, AccessResult &out);
 
     /**
-     * One port's full analytic story: the conflict-free proof when
-     * @p attemptProof, then the steady-state solver.  True iff one
-     * of them filled @p out at the requested detail.
-     */
-    bool answerMapped(bool attemptProof,
-                      const std::vector<Request> &stream,
-                      const ModuleId *mods, DeliveryArena *arena,
-                      AccessResult &out, ResultDetail detail);
-
-    /**
      * The multi-port claim: premaps every port, proves pairwise
      * module-disjointness, and — since disjoint ports never
      * interact — synthesizes the MultiPortResult from P independent
      * single-port answers (port ids patched, makespan assembled
      * exactly as detail::assemblePortResults would).  False when
-     * any two ports share a module or any port defeats both
-     * analytic paths.
+     * any two ports share a module or any port defeats both the
+     * proof and the solver.
      */
     bool tryClaimPorts(
         const std::vector<std::vector<Request>> &streams,
@@ -219,9 +210,14 @@ class TheoryBackend final : public MemoryBackend
 
     MemConfig cfg_;
     const ModuleMapping &map_;
+    MapPath path_;
     BitSlicedMapper slicer_;
-    std::unique_ptr<MemoryBackend> fallback_;
     ConflictSolver solver_;
+
+    /** Steps P > 1 accesses whose ports share modules; built on the
+     *  first one. */
+    std::unique_ptr<MemoryBackend> ports_;
+
     std::vector<Cycle> nextFree_; // per-module scratch
     std::vector<ModuleId> mods_;  // premap scratch, reused per run
     std::vector<std::vector<ModuleId>> portMods_; // P > 1 premaps

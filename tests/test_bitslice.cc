@@ -241,10 +241,10 @@ TEST(BitSlice, BackendCacheNeverAliasesMapPaths)
     EXPECT_EQ(cache.size(), 2u);
 
     // The theory tier caches separately, and also per path.
-    TheoryBackend &theorySliced = cache.theoryBackendFor(
-        EngineKind::EventDriven, cfg, map, MapPath::BitSliced);
-    TheoryBackend &theoryScalar = cache.theoryBackendFor(
-        EngineKind::EventDriven, cfg, map, MapPath::Scalar);
+    TheoryBackend &theorySliced =
+        cache.theoryBackendFor(cfg, map, MapPath::BitSliced);
+    TheoryBackend &theoryScalar =
+        cache.theoryBackendFor(cfg, map, MapPath::Scalar);
     EXPECT_NE(static_cast<MemoryBackend *>(&theorySliced),
               static_cast<MemoryBackend *>(&theoryScalar));
     EXPECT_EQ(cache.stats().misses, 4u);

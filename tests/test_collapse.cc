@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the periodic steady-state collapse fast path
- * (memsys/steady_state.h): differential bit-identity against the
+ * (memsys/steady_state.h) and the event stepper that takes it
+ * (memsys/event_driven.h): differential bit-identity against the
  * stepped oracle, outcome-memo rank canonicalization, and the
  * arity-templated module event heap.
  *
@@ -11,7 +12,12 @@
  * five timestamps, every stall, every aggregate — on every mapping
  * kind, both premap paths, and lengths on both sides of the module
  * sequence's period (including L < one period and L = k * period
- * exactly).
+ * exactly).  The StepperEdges suite drives the stepper itself along
+ * the edges of its recurrence logic: lengths around the first
+ * snapshot pair, periods around kMaxPeriod, an exhausted snapshot
+ * budget, buffer-depth and service-time extremes, and a 10^6-element
+ * summary pass — full detail bit-identical to the per-cycle oracle,
+ * summary detail carrying the same aggregates.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/access_unit.h"
 #include "mapping/dynamic.h"
 #include "mapping/interleave.h"
 #include "mapping/prand.h"
@@ -248,12 +255,12 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     for (std::size_t i = 0; i < stream.size(); ++i)
         mods[i] = map.moduleOf(stream[i].addr);
 
-    SteadyStateCollapser collapser;
+    EventStepper stepper;
     OutcomeMemo memo;
     FastPathStats stats;
     AccessResult result;
-    ASSERT_TRUE(tryFastPath(cfg, stream, mods.data(), collapser,
-                            memo, stats, result));
+    ASSERT_TRUE(tryFastPath(cfg, stream, mods.data(), stepper, memo,
+                            stats, result));
     EXPECT_EQ(stats.collapseHits, 1u);
     EXPECT_EQ(stats.memoMisses, 0u);
     EXPECT_EQ(memo.size(), 0u);
@@ -261,6 +268,320 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     MemorySystem oracle(cfg, map, MapPath::BitSliced,
                         CollapseMode::Off);
     EXPECT_EQ(result, oracle.run(stream));
+}
+
+/** Premaps @p stream through @p map, element by element. */
+std::vector<ModuleId>
+premapped(const ModuleMapping &map, const std::vector<Request> &stream)
+{
+    std::vector<ModuleId> mods(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        mods[i] = map.moduleOf(stream[i].addr);
+    return mods;
+}
+
+/**
+ * Steps @p stream (premapped to @p mods) on a fresh EventStepper with
+ * recurrence on, at full and at summary detail, and holds it to the
+ * per-cycle oracle: the full pass bit-identical, the summary pass
+ * with no deliveries and the full pass's aggregates.  Returns
+ * whether the pass jumped.
+ */
+bool
+expectStepperMatchesOracle(const MemConfig &cfg,
+                           const ModuleMapping &map,
+                           const std::vector<Request> &stream,
+                           const std::vector<ModuleId> &mods,
+                           const std::string &what)
+{
+    MemorySystem oracle(cfg, map, MapPath::BitSliced,
+                        CollapseMode::Off);
+    const AccessResult expect = oracle.run(stream, nullptr, mods.data());
+
+    EventStepper stepper;
+    AccessResult full;
+    const bool jumped =
+        stepper.run(cfg, stream, mods.data(), Recurrence::JumpOrFinish,
+                    true, false, full);
+    EXPECT_EQ(full, expect) << what;
+
+    AccessResult brief;
+    EXPECT_EQ(stepper.run(cfg, stream, mods.data(),
+                          Recurrence::JumpOrFinish, false, false, brief),
+              jumped)
+        << what;
+    EXPECT_TRUE(brief.deliveries.empty()) << what;
+    brief.deliveries = full.deliveries;
+    EXPECT_EQ(brief, full) << what << " (summary aggregates)";
+    return jumped;
+}
+
+/** Smallest p with mods[i] == mods[i - p] for all i >= p, by
+ *  definition (mods.size() when there is none). */
+std::size_t
+bruteForcePeriod(const std::vector<ModuleId> &mods)
+{
+    for (std::size_t p = 1; p < mods.size(); ++p) {
+        bool periodic = true;
+        for (std::size_t i = p; i < mods.size() && periodic; ++i)
+            periodic = mods[i] == mods[i - p];
+        if (periodic)
+            return p;
+    }
+    return mods.size();
+}
+
+/** One unit configuration per mapping kind (t = 2, lambda = 6). */
+std::vector<VectorUnitConfig>
+allKinds()
+{
+    std::vector<VectorUnitConfig> cfgs;
+    VectorUnitConfig base;
+    base.t = 2;
+    base.lambda = 6;
+    for (MemoryKind kind :
+         {MemoryKind::Matched, MemoryKind::Sectioned,
+          MemoryKind::SimpleUnmatched, MemoryKind::DynamicTuned,
+          MemoryKind::PseudoRandom}) {
+        VectorUnitConfig cfg = base;
+        cfg.kind = kind;
+        if (kind == MemoryKind::SimpleUnmatched)
+            cfg.mOverride = 3;
+        if (kind == MemoryKind::DynamicTuned)
+            cfg.dynamicTune = 2;
+        cfgs.push_back(cfg);
+    }
+    return cfgs;
+}
+
+// Every mapping kind, strides in and out of each window, lengths
+// around the register length (L = 64 here) and around the first
+// snapshot pair of each periodic stream: below it (2p, where the
+// stepper cannot snapshot twice), at it (2p+1) and just before the
+// third snapshot (3p-1).
+TEST(StepperEdges, LengthsAroundRegisterAndFirstSnapshotPair)
+{
+    std::uint64_t jumps = 0;
+    for (const VectorUnitConfig &cfg : allKinds()) {
+        const VectorAccessUnit unit(cfg);
+        for (unsigned family = 0; family <= 8; family += 2) {
+            const Stride stride = Stride::fromFamily(3, family);
+            std::vector<std::size_t> lengths = {1, 2, 63, 64, 65, 200};
+            const AccessPlan probe = unit.plan(5, stride, 200);
+            const std::size_t p =
+                bruteForcePeriod(premapped(unit.mapping(), probe.stream));
+            if (p < 60) {
+                for (std::size_t len : {2 * p, 2 * p + 1, 3 * p - 1})
+                    lengths.push_back(len);
+            }
+            for (std::size_t len : lengths) {
+                const AccessPlan plan = unit.plan(5, stride, len);
+                jumps += expectStepperMatchesOracle(
+                    unit.memConfig(), unit.mapping(), plan.stream,
+                    premapped(unit.mapping(), plan.stream),
+                    cfg.describe() + " family=" + std::to_string(family)
+                        + " L=" + std::to_string(len));
+            }
+        }
+    }
+    EXPECT_GT(jumps, 0u);
+}
+
+/** A raw module sequence as a stream: under LowOrderInterleave the
+ *  address is its own module number. */
+std::vector<Request>
+rawStream(const std::vector<ModuleId> &mods)
+{
+    std::vector<Request> stream(mods.size());
+    for (std::size_t i = 0; i < mods.size(); ++i)
+        stream[i] = {mods[i], i};
+    return stream;
+}
+
+// Smallest periods on both sides of kMaxPeriod: a conflicted
+// rotation over six of 16 modules with one marker module per period.
+// Up to kMaxPeriod the stepper snapshots and jumps; one past it the
+// pass never snapshots, and a JumpOrAbandon pass gives up before
+// stepping a single cycle.
+TEST(StepperEdges, PeriodsAroundMaxPeriod)
+{
+    MemConfig cfg;
+    cfg.m = 4;
+    cfg.t = 3;
+    cfg.inputBuffers = 1;
+    cfg.outputBuffers = 1;
+    const LowOrderInterleave map(cfg.m);
+    for (std::size_t p : {EventStepper::kMaxPeriod - 1,
+                          EventStepper::kMaxPeriod,
+                          EventStepper::kMaxPeriod + 1}) {
+        std::vector<ModuleId> mods;
+        for (std::size_t i = 0; i < 3 * p + 5; ++i)
+            mods.push_back(i % p == p - 1 ? 15 : (i % p) % 6);
+        ASSERT_EQ(bruteForcePeriod(mods), p);
+        const std::vector<Request> stream = rawStream(mods);
+        const std::string what = "period " + std::to_string(p);
+
+        const bool jumped =
+            expectStepperMatchesOracle(cfg, map, stream, mods, what);
+        EXPECT_EQ(jumped, p <= EventStepper::kMaxPeriod) << what;
+
+        EventStepper stepper;
+        AccessResult abandoned;
+        EXPECT_EQ(stepper.run(cfg, stream, mods.data(),
+                              Recurrence::JumpOrAbandon, false, false,
+                              abandoned),
+                  jumped)
+            << what;
+        if (p > EventStepper::kMaxPeriod) {
+            EXPECT_EQ(stepper.steppedCycles(), 0u) << what;
+        }
+    }
+}
+
+// The smallest-period search reads a prefix of 2 * kMaxPeriod
+// elements and then checks its period against the rest: a stream
+// that repeats 0,0,1 well past that prefix and then changes pattern
+// has no period at all, so the stepper must not snapshot (a jump
+// would extrapolate the prefix's pattern over the whole stream).
+TEST(StepperEdges, PeriodicPrefixBeyondTheSearchWindow)
+{
+    MemConfig cfg;
+    cfg.m = 1;
+    cfg.t = 2;
+    cfg.inputBuffers = 2;
+    cfg.outputBuffers = 1;
+    const LowOrderInterleave map(cfg.m);
+    std::vector<ModuleId> mods;
+    for (std::size_t i = 0; i < 3 * EventStepper::kMaxPeriod; ++i)
+        mods.push_back(i % 3 == 2 ? 1 : 0);
+    for (std::size_t i = 0; i < 600; ++i)
+        mods.push_back(i % 3 == 0 ? 0 : 1);
+    const std::vector<Request> stream = rawStream(mods);
+
+    EXPECT_FALSE(expectStepperMatchesOracle(cfg, map, stream, mods,
+                                            "periodic prefix"));
+    EventStepper stepper;
+    AccessResult abandoned;
+    EXPECT_FALSE(stepper.run(cfg, stream, mods.data(),
+                             Recurrence::JumpOrAbandon, false, false,
+                             abandoned));
+    EXPECT_EQ(stepper.steppedCycles(), 0u);
+}
+
+// A backlog that grows every period (modules 0,0,1 with T = 2 put
+// four service cycles of demand on module 0 every three issue
+// cycles) into a deep input buffer never lets the state recur before
+// kMaxSnapshots snapshots are spent.  The stepper must then finish
+// the stream without a jump; a JumpOrAbandon pass gives up right
+// after the last snapshot.
+TEST(StepperEdges, ExhaustedSnapshotBudgetFinishesWithoutJump)
+{
+    MemConfig cfg;
+    cfg.m = 1;
+    cfg.t = 1;
+    cfg.inputBuffers = 128;
+    cfg.outputBuffers = 1;
+    const LowOrderInterleave map(cfg.m);
+    std::vector<ModuleId> mods;
+    for (std::size_t i = 0; i < 200 * 3 + 1; ++i)
+        mods.push_back(i % 3 == 2 ? 1 : 0);
+    const std::vector<Request> stream = rawStream(mods);
+
+    EXPECT_FALSE(expectStepperMatchesOracle(cfg, map, stream, mods,
+                                            "growing backlog"));
+
+    EventStepper stepper;
+    AccessResult abandoned;
+    EXPECT_FALSE(stepper.run(cfg, stream, mods.data(),
+                             Recurrence::JumpOrAbandon, false, false,
+                             abandoned));
+    // Snapshots at every third issue; the pass stops at the top of
+    // the cycle after the (kMaxSnapshots + 1)-th, stall free.
+    EXPECT_EQ(stepper.steppedCycles(),
+              (EventStepper::kMaxSnapshots + 1) * 3);
+
+    // Through the fast path the declined pass is accounted as
+    // stepped work, and nothing reaches the memo.
+    OutcomeMemo memo;
+    FastPathStats stats;
+    AccessResult viaFastPath;
+    EXPECT_FALSE(tryFastPath(cfg, stream, mods.data(), stepper, memo,
+                             stats, viaFastPath, false,
+                             Recurrence::JumpOrFinish));
+    EXPECT_EQ(stats.collapseHits, 0u);
+    EXPECT_EQ(stats.steppedCycles, viaFastPath.lastDelivery + 1);
+    EXPECT_EQ(memo.size(), 0u);
+}
+
+// Buffer depths q, q' in {1, 2, 4} at the smallest and the largest
+// service time the configuration validator accepts (T = 2^1 and
+// T = 2^8), over an interleaved, an XOR-matched and a pseudo-random
+// mapping.
+TEST(StepperEdges, BufferDepthsAndServiceTimeExtremes)
+{
+    for (unsigned t : {1u, 8u}) {
+        const unsigned m = t;
+        const LowOrderInterleave interleave(m);
+        const XorMatchedMapping xorMatched(m, m + 1);
+        const GF2LinearMapping prand =
+            makePseudoRandomMapping(m, 24, 11);
+        for (unsigned q : {1u, 2u, 4u}) {
+            for (unsigned qOut : {1u, 2u, 4u}) {
+                MemConfig cfg;
+                cfg.m = m;
+                cfg.t = t;
+                cfg.inputBuffers = q;
+                cfg.outputBuffers = qOut;
+                for (const ModuleMapping *map :
+                     {static_cast<const ModuleMapping *>(&interleave),
+                      static_cast<const ModuleMapping *>(&xorMatched),
+                      static_cast<const ModuleMapping *>(&prand)}) {
+                    for (std::uint64_t stride : {1u, 6u, 64u}) {
+                        const std::vector<Request> stream =
+                            strideStream(7, stride, 65);
+                        expectStepperMatchesOracle(
+                            cfg, *map, stream,
+                            premapped(*map, stream),
+                            map->name() + " t=" + std::to_string(t)
+                                + " q=" + std::to_string(q) + " q'="
+                                + std::to_string(qOut) + " s="
+                                + std::to_string(stride));
+                    }
+                }
+            }
+        }
+    }
+}
+
+// One 10^6-element conflicted stream (family 6, outside the matched
+// window) under summary detail: the pass jumps, writes no delivery,
+// and carries the per-cycle oracle's aggregates.
+TEST(StepperEdges, MillionElementConflictedSummary)
+{
+    VectorUnitConfig cfg;
+    cfg.kind = MemoryKind::Matched;
+    cfg.t = 3;
+    cfg.lambda = 7;
+    const VectorAccessUnit unit(cfg);
+    const AccessPlan plan = unit.plan(16, Stride(64), 1000000);
+    ASSERT_FALSE(plan.expectConflictFree);
+    const std::vector<ModuleId> mods =
+        premapped(unit.mapping(), plan.stream);
+
+    EventStepper stepper;
+    AccessResult brief;
+    EXPECT_TRUE(stepper.run(unit.memConfig(), plan.stream, mods.data(),
+                            Recurrence::JumpOrFinish, false, false,
+                            brief));
+    EXPECT_TRUE(brief.deliveries.empty());
+    EXPECT_LT(stepper.steppedCycles(), brief.latency / 100);
+
+    MemorySystem oracle(unit.memConfig(), unit.mapping(),
+                        MapPath::BitSliced, CollapseMode::Off);
+    AccessResult expect = oracle.run(plan.stream, nullptr, mods.data());
+    EXPECT_FALSE(expect.conflictFree);
+    expect.deliveries.clear();
+    EXPECT_EQ(brief, expect);
 }
 
 TEST(EventHeap, QuaternaryMatchesBinaryPopOrder)

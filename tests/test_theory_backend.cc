@@ -41,13 +41,14 @@ matchedConfig()
     return cfg;
 }
 
-/** TheoryBackend over @p unit's mapping, wrapping a fresh engine. */
-TheoryBackend
-theoryOver(const VectorAccessUnit &unit, EngineKind engine)
+/** The pure stepped reference over @p unit's mapping: collapse off,
+ *  on the engine @p engine. */
+std::unique_ptr<MemoryBackend>
+oracleOver(const VectorAccessUnit &unit,
+           EngineKind engine = EngineKind::PerCycle)
 {
-    return TheoryBackend(
-        unit.memConfig(), unit.mapping(),
-        makeMemoryBackend(engine, unit.memConfig(), unit.mapping()));
+    return makeMemoryBackend(engine, unit.memConfig(), unit.mapping(),
+                             MapPath::BitSliced, CollapseMode::Off);
 }
 
 TEST(TheoryBackend, ClaimedStreamIsBitIdenticalToSimulation)
@@ -58,22 +59,20 @@ TEST(TheoryBackend, ClaimedStreamIsBitIdenticalToSimulation)
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
     ASSERT_TRUE(plan.expectConflictFree);
 
+    TheoryBackend tb(unit.memConfig(), unit.mapping());
+    const AccessResult claimed = tb.runSingle(plan.stream);
+    EXPECT_TRUE(tb.lastClaimed());
+    EXPECT_EQ(tb.stats().claimed, 1u);
+    EXPECT_EQ(tb.stats().fallback, 0u);
+    EXPECT_TRUE(claimed.conflictFree);
+    EXPECT_EQ(claimed.latency,
+              theory::minimumLatency(
+                  64, unit.memConfig().serviceCycles()));
     for (EngineKind engine :
          {EngineKind::PerCycle, EngineKind::EventDriven}) {
-        TheoryBackend tb = theoryOver(unit, engine);
-        const AccessResult claimed = tb.runSingle(plan.stream);
-        EXPECT_TRUE(tb.lastClaimed());
-        EXPECT_EQ(tb.stats().claimed, 1u);
-        EXPECT_EQ(tb.stats().fallback, 0u);
-
-        const AccessResult simulated =
-            tb.fallback().runSingle(plan.stream);
-        EXPECT_EQ(claimed, simulated)
+        EXPECT_EQ(claimed, oracleOver(unit, engine)->runSingle(
+                               plan.stream))
             << "claimed result diverges from " << to_string(engine);
-        EXPECT_TRUE(claimed.conflictFree);
-        EXPECT_EQ(claimed.latency,
-                  theory::minimumLatency(
-                      64, unit.memConfig().serviceCycles()));
     }
 }
 
@@ -87,65 +86,120 @@ TEST(TheoryBackend, ConflictedStreamIsSolvedAnalytically)
     const AccessPlan plan = unit.plan(0, Stride(64), 64);
     ASSERT_FALSE(plan.expectConflictFree);
 
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb(unit.memConfig(), unit.mapping());
     const AccessResult viaTier = tb.runSingle(plan.stream);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::None);
     EXPECT_EQ(tb.stats().claimed, 1u);
     EXPECT_EQ(tb.stats().fallback, 0u);
+    EXPECT_EQ(tb.fastPathStats().collapseHits, 1u);
 
-    const AccessResult simulated =
-        tb.fallback().runSingle(plan.stream);
-    EXPECT_EQ(viaTier, simulated);
+    EXPECT_EQ(viaTier, oracleOver(unit)->runSingle(plan.stream));
     EXPECT_FALSE(viaTier.conflictFree);
     EXPECT_GT(viaTier.stallCycles, 0u);
 }
 
-TEST(TheoryBackend, HintFalseSkipsTheProofButNotTheSolver)
+TEST(TheoryBackend, ProofRunsWhateverTheHint)
 {
     const VectorAccessUnit unit(matchedConfig());
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb(unit.memConfig(), unit.mapping());
 
-    // The hint gates only the O(L) conflict-free proof; the
-    // steady-state solver still runs, and a periodic stream —
-    // conflict free or not — is claimed with the bit-identical
+    // The hint only names a fallback; the O(L) proof is tried
+    // either way, so a conflict-free stream is claimed by it — no
+    // memo lookup, no stepper pass — with the bit-identical
     // schedule.
     const AccessResult hinted =
         tb.runSingleHinted(false, plan.stream);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.stats().claimed, 1u);
-    EXPECT_EQ(hinted, tb.fallback().runSingle(plan.stream));
+    EXPECT_EQ(tb.fastPathStats(), FastPathStats{});
+    EXPECT_EQ(hinted, oracleOver(unit)->runSingle(plan.stream));
     EXPECT_TRUE(hinted.conflictFree);
 }
 
+/** A pseudo-random unit and a plan it can neither prove nor solve:
+ *  an aperiodic, conflicted module sequence. */
+struct DeclinedCase
+{
+    VectorAccessUnit unit;
+    AccessPlan plan;
+
+    DeclinedCase()
+        : unit([] {
+              VectorUnitConfig cfg = matchedConfig();
+              cfg.kind = MemoryKind::PseudoRandom;
+              return cfg;
+          }()),
+          plan(unit.plan(0, Stride(3), 64))
+    {
+    }
+};
+
 TEST(TheoryBackend, AperiodicConflictedStreamFallsBack)
 {
-    VectorUnitConfig cfg = matchedConfig();
-    cfg.kind = MemoryKind::PseudoRandom;
-    const VectorAccessUnit unit(cfg);
     // A pseudo-random mapping's module sequence has no short
     // period, so neither the proof nor the solver can close a
-    // conflicted stream's form: it must simulate, and the taxonomy
-    // must say why.
-    const AccessPlan plan = unit.plan(0, Stride(3), 64);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
-    const AccessResult viaTier =
-        tb.runSingleHinted(false, plan.stream);
-    if (!tb.lastClaimed()) {
-        EXPECT_EQ(tb.lastReason(), FallbackReason::Conflicted);
-        EXPECT_EQ(tb.stats().fallback, 1u);
+    // conflicted stream's form: it is stepped, and the taxonomy
+    // names why — from the planner's expectation, not from which
+    // path gave up.
+    const DeclinedCase c;
+    const auto oracle = oracleOver(c.unit);
+    TheoryBackend tb(c.unit.memConfig(), c.unit.mapping());
+    for (bool expectConflictFree : {false, true}) {
+        const AccessResult viaTier =
+            tb.runSingleHinted(expectConflictFree, c.plan.stream);
+        ASSERT_FALSE(tb.lastClaimed());
+        EXPECT_EQ(tb.lastReason(), expectConflictFree
+                                       ? FallbackReason::Unproven
+                                       : FallbackReason::Conflicted);
+        EXPECT_EQ(viaTier, oracle->runSingle(c.plan.stream));
     }
-    EXPECT_EQ(viaTier, tb.fallback().runSingle(plan.stream));
+    EXPECT_EQ(tb.stats().fallback, 2u);
+    EXPECT_EQ(tb.fastPathStats().collapseHits, 0u);
+}
+
+// A declined stream costs one memo lookup and one stepper pass, and
+// a summary caller gets its aggregates without any delivery buffer:
+// the pass that looked for a recurrence is also the answer.
+TEST(TheoryBackend, DeclinedSummaryAccessIsSteppedOnce)
+{
+    const DeclinedCase c;
+    ASSERT_FALSE(c.plan.expectConflictFree);
+    ASSERT_LE(c.plan.stream.size(), OutcomeMemo::kMaxLen);
+
+    BackendCache cache;
+    DeliveryArena arena;
+    TierCounters tc;
+    const AccessResult r = c.unit.execute(
+        c.plan, &arena, &cache, TierPolicy::TheoryFirst, &tc,
+        MapPath::BitSliced, CollapseMode::On, ResultDetail::Summary);
+    ASSERT_EQ(tc.fallback, 1u) << "the stream should be declined";
+    EXPECT_EQ(tc.lastReason, FallbackReason::Conflicted);
+
+    const FastPathStats fp = cache.fastPathStats();
+    EXPECT_EQ(fp.memoHits + fp.memoMisses, 1u);
+    EXPECT_EQ(arena.acquires(), 0u);
+    EXPECT_TRUE(r.deliveries.empty());
+    EXPECT_GT(fp.steppedCycles, 0u);
+    EXPECT_LE(fp.steppedCycles, r.latency);
+
+    const AccessResult ref = oracleOver(c.unit)->runSingle(c.plan.stream);
+    EXPECT_EQ(r.firstIssue, ref.firstIssue);
+    EXPECT_EQ(r.lastDelivery, ref.lastDelivery);
+    EXPECT_EQ(r.latency, ref.latency);
+    EXPECT_EQ(r.stallCycles, ref.stallCycles);
+    EXPECT_EQ(r.conflictFree, ref.conflictFree);
+    EXPECT_FALSE(r.conflictFree);
 }
 
 TEST(TheoryBackend, EmptyStreamIsClaimedTrivially)
 {
     const VectorAccessUnit unit(matchedConfig());
-    TheoryBackend tb = theoryOver(unit, EngineKind::PerCycle);
+    TheoryBackend tb(unit.memConfig(), unit.mapping());
     const AccessResult empty = tb.runSingle({});
     EXPECT_TRUE(tb.lastClaimed());
-    EXPECT_EQ(empty, tb.fallback().runSingle({}));
+    EXPECT_EQ(empty, oracleOver(unit)->runSingle({}));
     EXPECT_TRUE(empty.conflictFree);
     EXPECT_EQ(empty.latency, 0u);
     EXPECT_TRUE(empty.deliveries.empty());
@@ -155,11 +209,11 @@ TEST(TheoryBackend, SinglePortRunLiftsLikeTheEngines)
 {
     const VectorAccessUnit unit(matchedConfig());
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb(unit.memConfig(), unit.mapping());
 
     const MultiPortResult lifted = tb.run({plan.stream});
     EXPECT_TRUE(tb.lastClaimed());
-    EXPECT_EQ(lifted, tb.fallback().run({plan.stream}));
+    EXPECT_EQ(lifted, oracleOver(unit)->run({plan.stream}));
     ASSERT_EQ(lifted.ports.size(), 1u);
     EXPECT_TRUE(lifted.ports[0].conflictFree);
 }
@@ -168,17 +222,17 @@ TEST(TheoryBackend, MultiPortSharedModulesFallBack)
 {
     const VectorAccessUnit unit(matchedConfig());
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb(unit.memConfig(), unit.mapping());
 
     // Two ports issuing the same stream contend for every module:
-    // the schedule is not single-port-decomposable and simulates.
+    // the schedule is not single-port-decomposable and is stepped.
     const std::vector<std::vector<Request>> streams = {plan.stream,
                                                        plan.stream};
     const MultiPortResult viaTier = tb.run(streams);
     EXPECT_FALSE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::MultiPort);
     EXPECT_EQ(tb.stats().fallback, 1u);
-    EXPECT_EQ(viaTier, tb.fallback().run(streams));
+    EXPECT_EQ(viaTier, oracleOver(unit)->run(streams));
 }
 
 TEST(TheoryBackend, MultiPortDisjointPortsAreClaimed)
@@ -204,14 +258,14 @@ TEST(TheoryBackend, MultiPortDisjointPortsAreClaimed)
     }
     ASSERT_TRUE(found) << "no disjoint base below 4096";
 
-    TheoryBackend tb = theoryOver(unit, EngineKind::EventDriven);
+    TheoryBackend tb(unit.memConfig(), unit.mapping());
     const std::vector<std::vector<Request>> streams = {p0.stream,
                                                        p1.stream};
     const MultiPortResult viaTier = tb.run(streams);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::None);
     EXPECT_EQ(tb.stats().claimed, 1u);
-    EXPECT_EQ(viaTier, tb.fallback().run(streams));
+    EXPECT_EQ(viaTier, oracleOver(unit)->run(streams));
     ASSERT_EQ(viaTier.ports.size(), 2u);
     for (unsigned p = 0; p < 2; ++p) {
         for (const Delivery &d : viaTier.ports[p].deliveries)
@@ -225,14 +279,13 @@ TEST(TheoryBackend, CacheKeepsTiersSeparate)
     BackendCache cache;
     MemoryBackend &sim = cache.backendFor(
         EngineKind::EventDriven, unit.memConfig(), unit.mapping());
-    TheoryBackend &tb = cache.theoryBackendFor(
-        EngineKind::EventDriven, unit.memConfig(), unit.mapping());
+    TheoryBackend &tb =
+        cache.theoryBackendFor(unit.memConfig(), unit.mapping());
     EXPECT_NE(&sim, static_cast<MemoryBackend *>(&tb));
     EXPECT_EQ(cache.size(), 2u);
 
     // Repeat lookups hit their own entries.
-    EXPECT_EQ(&cache.theoryBackendFor(EngineKind::EventDriven,
-                                      unit.memConfig(),
+    EXPECT_EQ(&cache.theoryBackendFor(unit.memConfig(),
                                       unit.mapping()),
               &tb);
     EXPECT_EQ(&cache.backendFor(EngineKind::EventDriven,

@@ -100,16 +100,17 @@ usage(std::ostream &os)
           "\n"
           "Execution and output:\n"
           "  --engine E         percycle | event | both (default\n"
-          "                     percycle); 'both' runs the grid on\n"
-          "                     each engine, cross-checks the\n"
-          "                     reports bit for bit, and exits\n"
+          "                     percycle): the simulation tier's\n"
+          "                     reference engine; 'both' runs the\n"
+          "                     grid on each engine, cross-checks\n"
+          "                     the reports bit for bit, and exits\n"
           "                     non-zero on any mismatch\n"
           "  --tier T           sim | theory | audit (default sim):\n"
-          "                     'theory' answers provably conflict-\n"
-          "                     free accesses analytically (zero\n"
-          "                     cycles simulated) and falls back to\n"
-          "                     the engine otherwise; 'audit' runs\n"
-          "                     both tiers on every scenario,\n"
+          "                     'theory' answers provable and\n"
+          "                     periodic accesses analytically and\n"
+          "                     steps the rest on the event engines\n"
+          "                     (any --engine); 'audit' runs both\n"
+          "                     tiers on every scenario,\n"
           "                     cross-checks them bit for bit, and\n"
           "                     exits non-zero on any divergence\n"
           "  --map-path P       bitsliced | scalar (default\n"
@@ -651,7 +652,9 @@ printFastPathStats(std::ostream &info, CollapseMode collapse,
          << " steady-state collapses ("
          << stats.collapsePrefixCycles
          << " prefix cycles stepped), " << stats.memoHits
-         << " memo hits / " << stats.memoMisses << " misses\n";
+         << " memo hits / " << stats.memoMisses << " misses, "
+         << stats.steppedCycles
+         << " cycles stepped without a jump\n";
 }
 
 /** Prints the dedup class/replay counters and, when a cache
@@ -851,6 +854,7 @@ writeBenchJson(const std::string &path, const Options &o,
             << r.stats.collapsePrefixCycles
             << ", \"memo_hits\": " << r.stats.memoHits
             << ", \"memo_misses\": " << r.stats.memoMisses
+            << ", \"stepped_cycles\": " << r.stats.steppedCycles
             << ", \"peak_pending_outcomes\": "
             << r.stats.peakPendingOutcomes
             << ", \"arena_acquires\": " << r.stats.arenaAcquires
