@@ -8,7 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 
 #include "access/agu.h"
 #include "access/ordering.h"
@@ -290,6 +293,90 @@ BM_SweepStreamCsv(benchmark::State &state)
                             * grid.jobCount());
 }
 BENCHMARK(BM_SweepStreamCsv)->Arg(1)->Arg(2)->Arg(4);
+
+/** A streambuf that counts and drops what it is given, so the emit
+ *  rows time the row formatting alone. */
+class DiscardBuf final : public std::streambuf
+{
+  public:
+    std::uint64_t bytes() const { return bytes_; }
+
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        ++bytes_;
+        return traits_type::not_eof(ch);
+    }
+
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        bytes_ += static_cast<std::uint64_t>(n);
+        return n;
+    }
+
+  private:
+    std::uint64_t bytes_ = 0;
+};
+
+/** The emit rows' outcomes: the paper grid ({matched, sectioned} x
+ *  t = 2, 3 x 64 strides x 64 starts = 16384 full-register jobs),
+ *  answered once by the theory tier. */
+const sim::SweepReport &
+emitReport()
+{
+    static const sim::SweepReport report = [] {
+        sim::ScenarioGrid grid;
+        for (MemoryKind kind :
+             {MemoryKind::Matched, MemoryKind::Sectioned}) {
+            for (unsigned t : {2u, 3u}) {
+                VectorUnitConfig cfg;
+                cfg.kind = kind;
+                cfg.t = t;
+                cfg.lambda = 7;
+                grid.mappings.push_back(cfg);
+            }
+        }
+        grid.addFamilies(0, 7, {1, 3, 5, 7, 9, 11, 13, 15});
+        grid.randomStarts = 63;
+        sim::SweepOptions opts;
+        opts.tier = TierPolicy::TheoryFirst;
+        return sim::SweepEngine(opts).run(grid);
+    }();
+    return report;
+}
+
+/** The emit layer on its own: every outcome of emitReport() through
+ *  one stream sink into a discarding stream. */
+template <typename Sink>
+void
+emitRows(benchmark::State &state)
+{
+    const sim::SweepReport &report = emitReport();
+    for (auto _ : state) {
+        DiscardBuf buf;
+        std::ostream os(&buf);
+        Sink sink(os);
+        report.stream(sink);
+        benchmark::DoNotOptimize(buf.bytes());
+    }
+    state.SetItemsProcessed(state.iterations() * report.jobs());
+}
+
+void
+BM_EmitCsv(benchmark::State &state)
+{
+    emitRows<sim::CsvStreamSink>(state);
+}
+BENCHMARK(BM_EmitCsv);
+
+void
+BM_EmitJson(benchmark::State &state)
+{
+    emitRows<sim::JsonStreamSink>(state);
+}
+BENCHMARK(BM_EmitJson);
 
 } // namespace
 

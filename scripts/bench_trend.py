@@ -3,16 +3,17 @@
 
 Usage: bench_trend.py BASELINE FRESH [--threshold 0.30]
 
-Scaling rows are matched on (engine, tier, collapse, dedup, cache,
-threads) and per-workload rows on (workload, tier, collapse,
-dedup); only legs present in BOTH files are compared, so adding or
-removing a leg never trips the gate.  A fresh leg whose
-scenarios_per_s falls more than the threshold below the same
-baseline leg emits a GitHub Actions ::warning:: annotation.  The
-exit code is always 0: CI hosts are noisy and the committed
-baseline may come from different hardware, so the gate surfaces
-trends for a human, it does not fail the build.  Only the standard
-library is used.
+Scaling rows are matched on (engine, tier, collapse, threads) and
+per-workload rows on (workload, tier, collapse); only legs present
+in BOTH files are compared, so adding or removing a leg never trips
+the gate.  A fresh leg whose scenarios_per_s falls more than the
+threshold below the same baseline leg emits a GitHub Actions
+::warning:: annotation, and so does a comparison in which no leg
+matches at all (a renamed or dropped key field would otherwise
+silence the gate).  The exit code is always 0: CI hosts are noisy
+and the committed baseline may come from different hardware, so
+the gate surfaces trends for a human, it does not fail the build.
+Only the standard library is used.
 """
 
 import argparse
@@ -26,8 +27,6 @@ def run_key(row):
         row.get("engine"),
         row.get("tier"),
         row.get("collapse"),
-        row.get("dedup"),
-        row.get("cache"),
         row.get("threads"),
     )
 
@@ -38,7 +37,6 @@ def workload_key(row):
         row.get("workload"),
         row.get("tier"),
         row.get("collapse"),
-        row.get("dedup"),
     )
 
 
@@ -104,6 +102,12 @@ def main():
         f"{regressed} regressed beyond "
         f"{args.threshold * 100:.0f}%"
     )
+    if compared == 0:
+        print(
+            "::warning::bench_trend: no leg of the fresh bench matches "
+            "a leg of the baseline; regenerate the committed BENCH "
+            "file or check the leg key fields"
+        )
     return 0
 
 

@@ -64,7 +64,6 @@
 // Batch scenario sweeps.
 #include "sim/canonical.h"
 #include "sim/merge.h"
-#include "sim/result_cache.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "sim/sweep_sink.h"

@@ -110,8 +110,8 @@ enum class ResultDetail
  * None means the access was answered analytically (or the theory
  * tier was not active at all).  The reason is a deterministic
  * function of the mapping and the planned module sequence — the same
- * inputs the scenario CanonicalKey encodes — so dedup replays and
- * cached results carry it soundly.
+ * inputs the scenario CanonicalKey encodes — so dedup replays carry
+ * it soundly.
  */
 enum class FallbackReason : std::uint8_t
 {

@@ -24,18 +24,6 @@ to_string(DedupMode mode)
     cfva_panic("unreachable dedup mode");
 }
 
-std::uint64_t
-fnv1a(const void *data, std::size_t n, std::uint64_t basis)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = basis;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 std::string
 CanonicalKey::digest() const
 {
@@ -315,10 +303,9 @@ canonicalKey(const ScenarioGrid &grid, const Scenario &sc,
     key.words = w;
     // Both digests in one pass, a 64-bit block per step: classing
     // compares the full words, so the digests only have to spread
-    // cache filenames — a byte-granular hash here costs more than
-    // the whole rank canonicalization.  Distinct bases and odd
-    // multipliers keep the two lanes independent; a filename
-    // collision is caught by the embedded-key check on read.
+    // hash buckets — a byte-granular hash here costs more than the
+    // whole rank canonicalization.  Distinct bases and odd
+    // multipliers keep the two lanes independent.
     std::uint64_t hi = 0xcbf29ce484222325ull;
     std::uint64_t lo = 0x9e3779b97f4a7c15ull;
     const std::size_t n = key.words.size();

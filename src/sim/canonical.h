@@ -29,9 +29,8 @@
  * in the same class, exactly the OutcomeMemo soundness argument.
  *
  * The key keeps the full encoded word sequence next to its digest:
- * in-memory classing compares the words (hash collisions cannot
- * merge classes), and the on-disk ResultCache embeds and re-verifies
- * them on every read.
+ * classing compares the words, so hash collisions cannot merge
+ * classes.
  */
 
 #ifndef CFVA_SIM_CANONICAL_H
@@ -48,13 +47,12 @@
 namespace cfva::sim {
 
 /**
- * Whether SweepEngine::runToSink may group jobs by CanonicalKey and
- * execute one representative per class.  On (the default) is
+ * Whether SweepEngine::runToSink groups jobs by CanonicalKey and
+ * executes one representative per class.  Off is the default; On is
  * byte-identical to Off by construction — the replayed outcomes flow
  * through the same ordered flush and sinks; Audit executes every
  * member anyway and compares it field for field against the replay
- * (SweepRunStats counts divergences; cfva_sweep --dedup audit exits
- * nonzero on any).
+ * (SweepRunStats counts divergences).
  */
 enum class DedupMode
 {
@@ -70,7 +68,7 @@ struct CanonicalKey
 {
     /** Block digests of the word encoding (one FNV-style pass, two
      *  independent base/multiplier lanes), the cheap first-stage
-     *  comparison and the cache filename. */
+     *  comparison. */
     std::uint64_t hi = 0;
     std::uint64_t lo = 0;
 
@@ -152,11 +150,6 @@ CanonicalKey canonicalKey(const ScenarioGrid &grid,
                           WorkloadUnits *workloads, TierPolicy tier,
                           DeliveryArena *arena,
                           CanonicalScratch &scratch);
-
-/** FNV-1a over @p n bytes from @p basis (shared with the result
- *  cache's checksum so both sides agree on the function). */
-std::uint64_t fnv1a(const void *data, std::size_t n,
-                    std::uint64_t basis = 0xcbf29ce484222325ull);
 
 } // namespace cfva::sim
 

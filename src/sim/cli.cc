@@ -94,28 +94,4 @@ parsePortMixFlag(const std::string &flag, const std::string &arg)
     return mixes;
 }
 
-DedupMode
-parseDedupFlag(const std::string &flag, const std::string &arg)
-{
-    if (arg == "on")
-        return DedupMode::On;
-    if (arg == "off")
-        return DedupMode::Off;
-    if (arg == "audit")
-        return DedupMode::Audit;
-    cfva_fatal("bad ", flag, " value '", arg,
-               "' (expected on, off, or audit)");
-}
-
-std::string
-parseCacheDirFlag(const std::string &flag, const std::string &arg)
-{
-    if (arg.empty())
-        cfva_fatal(flag, " path is empty");
-    if (arg.rfind("--", 0) == 0)
-        cfva_fatal(flag, " path '", arg,
-                   "' looks like a flag (missing argument?)");
-    return arg;
-}
-
 } // namespace cfva::sim

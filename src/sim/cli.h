@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/canonical.h"
 #include "sim/scenario.h"
 
 namespace cfva::sim {
@@ -40,20 +39,6 @@ splitFlagList(const std::string &flag, const std::string &arg,
  */
 std::vector<PortMix>
 parsePortMixFlag(const std::string &flag, const std::string &arg);
-
-/** Parses a --dedup value: exactly "on", "off", or "audit";
- *  anything else is a hard error naming @p flag and the token. */
-DedupMode parseDedupFlag(const std::string &flag,
-                         const std::string &arg);
-
-/**
- * Validates a --cache-dir value: rejects (via cfva_fatal, naming
- * @p flag) an empty path and a path starting with "--" — the
- * telltale of a forgotten argument swallowing the next flag.
- * Existence is NOT required; the cache creates its directory.
- */
-std::string parseCacheDirFlag(const std::string &flag,
-                              const std::string &arg);
 
 } // namespace cfva::sim
 

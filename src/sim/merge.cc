@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -275,36 +274,6 @@ extractArrayBody(const std::string &text, const std::string &key,
                " array never closes");
 }
 
-/**
- * Sums every `"key": N` occurrence in @p text.  Rows written by
- * builds that predate the field simply contribute nothing, so
- * mixed-vintage bench files still merge.
- */
-std::uint64_t
-sumField(const std::string &text, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    std::uint64_t sum = 0;
-    std::size_t at = 0;
-    while ((at = text.find(needle, at)) != std::string::npos) {
-        std::size_t p = at + needle.size();
-        while (p < text.size() && text[p] == ' ')
-            ++p;
-        std::uint64_t v = 0;
-        bool digits = false;
-        while (p < text.size() && text[p] >= '0'
-               && text[p] <= '9') {
-            v = v * 10 + static_cast<std::uint64_t>(text[p] - '0');
-            ++p;
-            digits = true;
-        }
-        if (digits)
-            sum += v;
-        at = p;
-    }
-    return sum;
-}
-
 /** Splices pre-trimmed array bodies back into one indented array
  *  (the writeBenchJson layout). */
 void
@@ -348,22 +317,7 @@ mergeBench(std::ostream &out,
     writeSplicedArray(out, runs);
     out << ",\n  \"workloads\": [";
     writeSplicedArray(out, workloads);
-    // Aggregate the dedup/result-cache traffic across every spliced
-    // run row so a sharded bench still reports fleet-wide totals.
-    static const char *const kTotaledFields[] = {
-        "dedup_classes", "dedup_replays", "cache_hits",
-        "cache_misses", "cache_corrupt"};
-    out << ",\n  \"totals\": {";
-    bool firstField = true;
-    for (const char *field : kTotaledFields) {
-        std::uint64_t total = 0;
-        for (const auto &body : runs)
-            total += sumField(body, field);
-        out << (firstField ? "" : ", ") << "\"" << field
-            << "\": " << total;
-        firstField = false;
-    }
-    out << "}\n}\n";
+    out << "\n}\n";
 }
 
 } // namespace cfva::sim

@@ -53,12 +53,7 @@ void mergeJson(std::ostream &out,
  * builds before and after a row field was added — e.g. the
  * per-(workload, tier) rows that replaced the single-workload
  * summary — merge without a schema conflict; a file with no
- * "workloads" section at all contributes an empty one.  A "totals"
- * object is appended summing the scenario-dedup and result-cache
- * counters (dedup_classes, dedup_replays, cache_hits,
- * cache_misses, cache_corrupt) across every runs row, so a sharded
- * bench still reports fleet-wide dedup/cache traffic; rows that
- * predate those fields contribute zero.
+ * "workloads" section at all contributes an empty one.
  */
 void mergeBench(std::ostream &out,
                 const std::vector<std::istream *> &shards);

@@ -17,7 +17,6 @@
 #include "common/stride.h"
 #include "core/chaining.h"
 #include "memsys/backend_cache.h"
-#include "sim/result_cache.h"
 #include "sim/sweep_sink.h"
 #include "theory/theory.h"
 
@@ -839,18 +838,16 @@ struct DedupClass
 {
     CanonicalKey key;
 
-    /** The class's resolved outcome template (from the cache or
-     *  from its executed representative); measured fields only
-     *  matter — replayOutcome rewrites every identity column. */
+    /** The outcome of the class's executed representative; measured
+     *  fields only matter — replayOutcome rewrites every identity
+     *  column. */
     std::optional<ScenarioOutcome> outcome;
-
-    bool fromCache = false;
 };
 
 /**
  * The adapter between the ordered flush and the real sink when
  * dedup is active.  The flush delivers EXECUTED outcomes (one per
- * unresolved class under DedupMode::On; every member under Audit)
+ * class under DedupMode::On; every member under Audit)
  * in ascending order; this sink resolves their classes and emits
  * the full job stream — replays included — to the real sink in
  * strictly increasing job order.  Representatives are chosen in
@@ -858,10 +855,7 @@ struct DedupClass
  * class's representative (some job <= j) has always already been
  * delivered or is the next execution the flush is waiting on:
  * the drain never deadlocks and always finishes at lastJob.
- *
- * Calls are serialized by the flush (and the pre-pool drain of
- * cache-resolved classes happens before any worker starts), so the
- * cache store below needs no locking.
+ * Calls are serialized by the flush.
  */
 class DedupReplaySink final : public SweepSink
 {
@@ -870,11 +864,10 @@ class DedupReplaySink final : public SweepSink
                     const std::vector<Scenario> &jobs,
                     std::size_t firstJob, std::size_t lastJob,
                     const std::vector<std::uint32_t> &classOf,
-                    std::vector<DedupClass> &classes, DedupMode mode,
-                    ResultCache *cache)
+                    std::vector<DedupClass> &classes, DedupMode mode)
         : sink_(sink), jobs_(jobs), firstJob_(firstJob),
           lastJob_(lastJob), classOf_(classOf), classes_(classes),
-          mode_(mode), cache_(cache), next_(firstJob)
+          mode_(mode), next_(firstJob)
     {
     }
 
@@ -884,8 +877,6 @@ class DedupReplaySink final : public SweepSink
         DedupClass &cls = classes_[classOf_[o.index - firstJob_]];
         if (!cls.outcome) {
             cls.outcome = o;
-            if (cache_ && !cls.fromCache)
-                cache_->store(cls.key, o);
         } else if (mode_ == DedupMode::Audit) {
             const ScenarioOutcome replay =
                 SweepEngine::replayOutcome(*cls.outcome,
@@ -915,6 +906,16 @@ class DedupReplaySink final : public SweepSink
         drain();
     }
 
+    /** Lowest job index not yet delivered to the real sink. */
+    std::size_t delivered() const { return next_; }
+
+    std::uint64_t
+    auditDivergences() const
+    {
+        return auditDivergences_;
+    }
+
+  private:
     /** Emits replays for every job whose class is resolved, in job
      *  order, until the stream stalls on an unexecuted class. */
     void
@@ -931,16 +932,6 @@ class DedupReplaySink final : public SweepSink
         }
     }
 
-    /** Lowest job index not yet delivered to the real sink. */
-    std::size_t delivered() const { return next_; }
-
-    std::uint64_t
-    auditDivergences() const
-    {
-        return auditDivergences_;
-    }
-
-  private:
     SweepSink &sink_;
     const std::vector<Scenario> &jobs_;
     std::size_t firstJob_;
@@ -948,7 +939,6 @@ class DedupReplaySink final : public SweepSink
     const std::vector<std::uint32_t> &classOf_;
     std::vector<DedupClass> &classes_;
     DedupMode mode_;
-    ResultCache *cache_;
     std::size_t next_;
     std::uint64_t auditDivergences_ = 0;
 };
@@ -989,16 +979,14 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
     }
 
     // Dedup pre-pass: canonicalize every job of the slice, group
-    // equal keys into classes, answer classes from the result cache
-    // when one is attached, and reduce the execution list to one
-    // representative per unresolved class (Audit keeps every job —
-    // it executes the members to check the replays against them).
+    // equal keys into classes, and reduce the execution list to one
+    // representative per class (Audit keeps every job — it executes
+    // the members to check the replays against them).
     const DedupMode mode = opts_.dedup;
     const bool dedup = mode != DedupMode::Off;
     std::vector<std::uint32_t> classOf;
     std::vector<DedupClass> classes;
     std::vector<std::size_t> execJobs;
-    std::optional<ResultCache> cache;
     DeliveryArena keyArena;
     if (dedup) {
         // The keying pre-pass runs sequentially before any worker
@@ -1039,24 +1027,12 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
             }
             if (!found) {
                 id = static_cast<std::uint32_t>(classes.size());
-                classes.push_back(
-                    {std::move(key), std::nullopt, false});
+                classes.push_back({std::move(key), std::nullopt});
                 bucket.push_back(id);
             }
             classOf.push_back(id);
         }
         run.dedupClasses = classes.size();
-
-        if (mode == DedupMode::On && !opts_.cacheDir.empty()) {
-            cache.emplace(opts_.cacheDir);
-            for (DedupClass &cls : classes) {
-                ScenarioOutcome tmpl;
-                if (cache->lookup(cls.key, tmpl)) {
-                    cls.outcome = tmpl;
-                    cls.fromCache = true;
-                }
-            }
-        }
 
         if (mode == DedupMode::Audit) {
             execJobs.resize(run.jobs);
@@ -1065,7 +1041,7 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
             std::vector<char> claimed(classes.size(), 0);
             for (std::size_t i = firstJob; i < lastJob; ++i) {
                 const std::uint32_t id = classOf[i - firstJob];
-                if (classes[id].outcome || claimed[id])
+                if (claimed[id])
                     continue;
                 claimed[id] = 1;
                 execJobs.push_back(i);
@@ -1084,15 +1060,11 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
     // indices — and the adapter re-expands them into the full job
     // stream.  Off keeps the historical direct path, bit for bit.
     DedupReplaySink replay(sink, jobs, firstJob, lastJob, classOf,
-                           classes, mode,
-                           cache ? &*cache : nullptr);
+                           classes, mode);
     SweepSink &flushSink =
         dedup ? static_cast<SweepSink &>(replay) : sink;
     const std::size_t execCount = dedup ? execJobs.size() : run.jobs;
     const std::size_t execFirst = dedup ? 0 : firstJob;
-
-    if (dedup)
-        replay.drain(); // cache-resolved classes may cover a prefix
 
     if (execCount) {
         // Clamp explicit thread counts to the hardware:
@@ -1229,12 +1201,6 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
         run.arenaAcquires += keyArena.acquires();
         run.arenaReuses += keyArena.reuses();
         run.arenaPeakBytes += keyArena.peakBytes();
-        if (cache) {
-            const ResultCache::Stats &cs = cache->stats();
-            run.cacheHits = cs.hits;
-            run.cacheMisses = cs.misses;
-            run.cacheCorrupt = cs.corrupt;
-        }
     }
     sink.end();
 

@@ -361,17 +361,8 @@ struct SweepRunStats
     std::uint64_t dedupReplays = 0;
 
     /** Members whose executed outcome differed from the class
-     *  replay under DedupMode::Audit (cfva_sweep --dedup audit
-     *  exits nonzero when this is nonzero). */
+     *  replay under DedupMode::Audit. */
     std::uint64_t dedupAuditDivergences = 0;
-
-    /** Result-cache attribution (sim/result_cache.h): classes
-     *  answered from --cache-dir, classes that missed, and entries
-     *  dropped as corrupt (each corrupt entry also counts as a
-     *  miss).  All 0 without a cache directory. */
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t cacheCorrupt = 0;
 };
 
 /** Engine tuning knobs. */
@@ -444,26 +435,20 @@ struct SweepOptions
     CollapseMode collapse = CollapseMode::On;
 
     /**
-     * Whether the run may group its jobs into canonical equivalence
-     * classes (sim/canonical.h), execute one representative per
-     * class, and replay its outcome to the other members.  On (the
-     * default) is byte-identical to Off by construction — replays
+     * Whether the run groups its jobs into canonical equivalence
+     * classes (sim/canonical.h), executes one representative per
+     * class, and replays its outcome to the other members.  Off (the
+     * default) runs every job directly: the serial keying pre-pass
+     * costs more than the executions it saves on every benchmark
+     * grid.  On is byte-identical to Off by construction — replays
      * flow through the same ordered flush and sinks with only the
      * identity columns rewritten; Audit executes every member too
      * and counts divergences from the replay
-     * (SweepRunStats::dedupAuditDivergences).
+     * (SweepRunStats::dedupAuditDivergences).  A library-only
+     * switch: cfva_sweep has no flag for it; tests and audits set
+     * it.
      */
-    DedupMode dedup = DedupMode::On;
-
-    /**
-     * Directory of the persistent cross-run result cache
-     * (sim/result_cache.h).  Empty (the default) disables it.  Only
-     * consulted under DedupMode::On: each class is looked up before
-     * execution and freshly executed representatives are stored
-     * back, so a repeat or overlapping sweep answers warm classes
-     * without simulating.
-     */
-    std::string cacheDir;
+    DedupMode dedup = DedupMode::Off;
 
     /** Panics on an impossible shard spec.  Any grain (including
      *  0 = adaptive) and any thread count are valid. */

@@ -1,10 +1,125 @@
 #include "sim/sweep_sink.h"
 
+#include <algorithm>
+#include <charconv>
+#include <concepts>
+#include <cstring>
+#include <limits>
 #include <ostream>
+#include <string_view>
 
 #include "common/logging.h"
 
 namespace cfva::sim {
+
+namespace {
+
+/** A value printed with Digits decimals, the digits
+ *  std::fixed << std::setprecision(Digits) prints. */
+template <int Digits>
+struct Fixed
+{
+    double value;
+};
+
+/**
+ * Builds one CSV/JSON row in a sink's reused buffer, then writes it
+ * with one os.write.  The buffer only grows — its size is capacity,
+ * the row ends at the cursor — so once it has fit the longest row,
+ * each field costs a bounds check and a copy.  Integers go through
+ * std::to_chars, Fixed values through std::to_chars in fixed
+ * notation.
+ */
+class RowAppender
+{
+  public:
+    explicit RowAppender(std::string &buf)
+        : buf_(buf), cur_(buf.data()), end_(buf.data() + buf.size())
+    {
+    }
+
+    /** Appends every part in order. */
+    template <typename... Parts>
+    RowAppender &
+    operator()(const Parts &...parts)
+    {
+        (put(parts), ...);
+        return *this;
+    }
+
+    void
+    writeTo(std::ostream &os) const
+    {
+        os.write(buf_.data(), cur_ - buf_.data());
+    }
+
+  private:
+    void
+    put(std::string_view s)
+    {
+        reserve(s.size());
+        std::memcpy(cur_, s.data(), s.size());
+        cur_ += s.size();
+    }
+
+    void
+    put(char c)
+    {
+        reserve(1);
+        *cur_++ = c;
+    }
+
+    template <std::unsigned_integral T>
+    void
+    put(T v)
+    {
+        chars(std::numeric_limits<T>::digits10 + 1, v);
+    }
+
+    template <int Digits>
+    void
+    put(Fixed<Digits> f)
+    {
+        // Sign, every integer digit of the largest double, the
+        // point, and the decimals.
+        chars(1 + std::numeric_limits<double>::max_exponent10 + 1 + 1
+                  + Digits,
+              f.value, std::chars_format::fixed, Digits);
+    }
+
+    /** Converts @p v into @p width reserved chars, which hold the
+     *  widest value of its kind. */
+    template <typename T, typename... Fmt>
+    void
+    chars(std::size_t width, T v, Fmt... fmt)
+    {
+        reserve(width);
+        cur_ = std::to_chars(cur_, cur_ + width, v, fmt...).ptr;
+    }
+
+    void
+    reserve(std::size_t n)
+    {
+        if (static_cast<std::size_t>(end_ - cur_) < n)
+            grow(n);
+    }
+
+    void
+    grow(std::size_t n)
+    {
+        const std::size_t used =
+            static_cast<std::size_t>(cur_ - buf_.data());
+        buf_.resize(std::max(2 * buf_.size(), used + n));
+        cur_ = buf_.data() + used;
+        end_ = buf_.data() + buf_.size();
+    }
+
+    std::string &buf_;
+    char *cur_;
+    char *end_;
+};
+
+} // namespace
 
 void
 ReportSink::begin(const SweepContext &ctx)
@@ -39,19 +154,18 @@ CsvStreamSink::consume(const ScenarioOutcome &o)
                     && o.portMixIndex < ctx_.portMixLabels.size()
                     && o.workloadIndex < ctx_.workloadLabels.size(),
                 "outcome ", o.index, " references unknown labels");
-    os_ << o.index << ',' << ctx_.mappingLabels[o.mappingIndex] << ','
-        << o.stride << ',' << o.family << ',' << o.length << ','
-        << o.a1 << ',' << o.ports << ','
-        << ctx_.portMixLabels[o.portMixIndex] << ','
-        << ctx_.workloadLabels[o.workloadIndex] << ',' << o.latency
-        << ',' << o.minLatency << ',' << o.stallCycles << ','
-        << (o.conflictFree ? 1 : 0) << ',' << (o.inWindow ? 1 : 0)
-        << ',' << fixed(o.efficiency(), 4) << ',' << o.accesses
-        << ',' << o.decoupledCycles << ',' << o.chainedCycles << ','
-        << o.chainSaved() << ',' << (o.chainable ? 1 : 0) << ','
-        << o.retunes << ',' << o.retuneCycles << ',' << o.tierLabel()
-        << ',' << o.theoryClaimed << ',' << o.theoryFallback << ','
-        << to_string(o.fallbackReason) << "\n";
+    RowAppender row(row_);
+    row(o.index, ',', ctx_.mappingLabels[o.mappingIndex], ',', o.stride,
+        ',', o.family, ',', o.length, ',', o.a1, ',', o.ports, ',',
+        ctx_.portMixLabels[o.portMixIndex], ',',
+        ctx_.workloadLabels[o.workloadIndex], ',', o.latency, ',',
+        o.minLatency, ',', o.stallCycles, ',', o.conflictFree ? '1' : '0',
+        ',', o.inWindow ? '1' : '0', ',', Fixed<4>{o.efficiency()}, ',',
+        o.accesses, ',', o.decoupledCycles, ',', o.chainedCycles, ',',
+        o.chainSaved(), ',', o.chainable ? '1' : '0', ',', o.retunes, ',',
+        o.retuneCycles, ',', o.tierLabel(), ',', o.theoryClaimed, ',',
+        o.theoryFallback, ',', to_string(o.fallbackReason), '\n')
+        .writeTo(os_);
 }
 
 void
@@ -69,30 +183,30 @@ JsonStreamSink::consume(const ScenarioOutcome &o)
                     && o.portMixIndex < ctx_.portMixLabels.size()
                     && o.workloadIndex < ctx_.workloadLabels.size(),
                 "outcome ", o.index, " references unknown labels");
-    os_ << (first_ ? "\n" : ",\n");
+    const auto flag = [](bool b) {
+        return std::string_view(b ? "true" : "false");
+    };
+    RowAppender row(row_);
+    row(first_ ? "\n" : ",\n", "  {\"job\": ", o.index,
+        ", \"mapping\": \"", ctx_.mappingLabels[o.mappingIndex],
+        "\", \"stride\": ", o.stride, ", \"family\": ", o.family,
+        ", \"length\": ", o.length, ", \"a1\": ", o.a1, ", \"ports\": ",
+        o.ports, ", \"port_mix\": \"", ctx_.portMixLabels[o.portMixIndex],
+        "\", \"workload\": \"", ctx_.workloadLabels[o.workloadIndex],
+        "\", \"latency\": ", o.latency, ", \"min_latency\": ",
+        o.minLatency, ", \"stalls\": ", o.stallCycles,
+        ", \"conflict_free\": ", flag(o.conflictFree),
+        ", \"in_window\": ", flag(o.inWindow), ", \"efficiency\": ",
+        Fixed<6>{o.efficiency()}, ", \"accesses\": ", o.accesses,
+        ", \"decoupled\": ", o.decoupledCycles, ", \"chained\": ",
+        o.chainedCycles, ", \"chain_saved\": ", o.chainSaved(),
+        ", \"chainable\": ", flag(o.chainable), ", \"retunes\": ",
+        o.retunes, ", \"retune_cycles\": ", o.retuneCycles,
+        ", \"tier\": \"", o.tierLabel(), "\", \"theory_claimed\": ",
+        o.theoryClaimed, ", \"theory_fallback\": ", o.theoryFallback,
+        ", \"fallback_reason\": \"", to_string(o.fallbackReason), "\"}")
+        .writeTo(os_);
     first_ = false;
-    os_ << "  {\"job\": " << o.index << ", \"mapping\": \""
-        << ctx_.mappingLabels[o.mappingIndex] << "\", \"stride\": "
-        << o.stride << ", \"family\": " << o.family
-        << ", \"length\": " << o.length << ", \"a1\": " << o.a1
-        << ", \"ports\": " << o.ports << ", \"port_mix\": \""
-        << ctx_.portMixLabels[o.portMixIndex] << "\", \"workload\": \""
-        << ctx_.workloadLabels[o.workloadIndex] << "\", \"latency\": "
-        << o.latency << ", \"min_latency\": " << o.minLatency
-        << ", \"stalls\": " << o.stallCycles << ", \"conflict_free\": "
-        << (o.conflictFree ? "true" : "false") << ", \"in_window\": "
-        << (o.inWindow ? "true" : "false") << ", \"efficiency\": "
-        << fixed(o.efficiency(), 6) << ", \"accesses\": "
-        << o.accesses << ", \"decoupled\": " << o.decoupledCycles
-        << ", \"chained\": " << o.chainedCycles
-        << ", \"chain_saved\": " << o.chainSaved()
-        << ", \"chainable\": " << (o.chainable ? "true" : "false")
-        << ", \"retunes\": " << o.retunes << ", \"retune_cycles\": "
-        << o.retuneCycles << ", \"tier\": \"" << o.tierLabel()
-        << "\", \"theory_claimed\": " << o.theoryClaimed
-        << ", \"theory_fallback\": " << o.theoryFallback
-        << ", \"fallback_reason\": \""
-        << to_string(o.fallbackReason) << "\"}";
 }
 
 void

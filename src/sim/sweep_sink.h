@@ -120,6 +120,7 @@ class CsvStreamSink final : public SweepSink
   private:
     std::ostream &os_;
     SweepContext ctx_;
+    std::string row_; //!< reused row buffer, one os.write per row
 };
 
 /**
@@ -138,6 +139,7 @@ class JsonStreamSink final : public SweepSink
   private:
     std::ostream &os_;
     SweepContext ctx_;
+    std::string row_; //!< reused row buffer, one os.write per row
     bool first_ = true;
 };
 

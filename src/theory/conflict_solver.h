@@ -28,8 +28,8 @@
  *    Success/failure is a deterministic function of (config, module
  *    sequence, length) — memo state only changes the speed, never
  *    the answer or the claim attribution, which is what makes
- *    claimed/fallback columns sound under scenario dedup and result
- *    caching (sim/canonical.h).
+ *    claimed/fallback columns sound under scenario dedup
+ *    (sim/canonical.h).
  *  - solveOrStep() is solve() for a caller that needs the answer
  *    either way: the same memo lookup and the same pass, but a pass
  *    that finds no recurrence steps on from where it is to the end of

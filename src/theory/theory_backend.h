@@ -46,7 +46,7 @@
  * Every fallback is attributed a FallbackReason; claim/fallback
  * attribution is a deterministic function of (config, mapping,
  * planned streams) — never of memo state — which is what keeps the
- * attribution columns sound under scenario dedup and result caching.
+ * attribution columns sound under scenario dedup.
  *
  * The window classification itself (mapping kind + stride family
  * against matchedWindow / sectionedWindows / ...) lives in the

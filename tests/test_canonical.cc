@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for grid-level scenario canonicalization, dedup-aware sweep
- * execution, and the persistent result cache.
+ * Tests for grid-level scenario canonicalization and dedup-aware
+ * sweep execution (an opt-in library switch, off by default).
  *
- * Four layers of evidence:
+ * Two layers of evidence:
  *
  *  1. Frozen canonical-key digests for the golden grid (the same
  *     grid test_sweep_golden.cc freezes the report schema on): any
@@ -12,32 +12,21 @@
  *     golden files with CFVA_UPDATE_GOLDEN=1.
  *  2. Byte-identity: a randomized grid over every mapping kind x
  *     workload x port count x mix streams identical CSV/JSON under
- *     --dedup off, on, and audit, at one and several threads, with
+ *     DedupMode Off, On, and Audit, at one and several threads, with
  *     zero audit divergences.
- *  3. ResultCache unit behavior: roundtrip, truncation, bit-flips,
- *     and digest collisions (an entry parked under the wrong name)
- *     each degrade exactly as specified — to a miss or a corrupt
- *     fallback, never to a wrong answer.
- *  4. Cold -> warm sweeps against a cache directory: the warm run
- *     answers every class from disk, both runs stay byte-identical
- *     to the uncached sweep, and a corrupted entry re-simulates.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/access_unit.h"
 #include "sim/canonical.h"
-#include "sim/result_cache.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "sim/sweep_sink.h"
@@ -50,8 +39,6 @@
 
 namespace cfva::sim {
 namespace {
-
-namespace fs = std::filesystem;
 
 /** The frozen grid — keep in sync with test_sweep_golden.cc so the
  *  key digests freeze alongside the report schema. */
@@ -238,29 +225,11 @@ streamRun(const ScenarioGrid &grid, const SweepOptions &opts)
     return out;
 }
 
-/** A fresh per-process temporary directory, wiped on construction
- *  and destruction. */
-struct ScopedTempDir
-{
-    fs::path path;
-
-    explicit ScopedTempDir(const char *tag)
-        : path(fs::temp_directory_path()
-               / (std::string(tag) + "."
-                  + std::to_string(::getpid())))
-    {
-        fs::remove_all(path);
-    }
-
-    ~ScopedTempDir() { fs::remove_all(path); }
-};
-
 TEST(Canonical, GoldenKeyDigestsAreFrozen)
 {
     // One digest line per job of the golden grid, in job order:
-    // the canonical-key encoding is API surface (it names on-disk
-    // cache entries), so changes must be as deliberate as a report
-    // schema change.
+    // changes to the canonical-key encoding must be as deliberate
+    // as a report schema change.
     const std::vector<CanonicalKey> keys = keysOf(goldenGrid());
     ASSERT_FALSE(keys.empty());
     std::ostringstream os;
@@ -288,7 +257,7 @@ TEST(Canonical, TierIsPartOfOutcomeIdentity)
 {
     // The tier changes the report's attribution columns, so equal
     // scenarios evaluated under different tiers must not share a
-    // class (or a cache entry).
+    // class.
     const std::vector<CanonicalKey> sim = keysOf(goldenGrid());
     const std::vector<CanonicalKey> theory =
         keysOf(goldenGrid(), TierPolicy::TheoryFirst);
@@ -403,218 +372,6 @@ TEST(CanonicalDedup, ShardSlicesDedupIndependently)
         EXPECT_EQ(deduped.json, base.json) << "shard " << i;
         EXPECT_GT(deduped.stats.dedupClasses, 0u) << "shard " << i;
     }
-}
-
-ScenarioOutcome
-sampleOutcome()
-{
-    ScenarioOutcome o;
-    o.latency = 123;
-    o.minLatency = 45;
-    o.stallCycles = 6;
-    o.conflictFree = true;
-    o.inWindow = true;
-    o.accesses = 7;
-    o.decoupledCycles = 89;
-    o.chainedCycles = 88;
-    o.chainable = true;
-    o.retunes = 2;
-    o.retuneCycles = 30;
-    o.theoryClaimed = 1;
-    o.theoryFallback = 6;
-    o.tierAuditDiverged = false;
-    return o;
-}
-
-TEST(ResultCacheTest, RoundTripPreservesMeasuredFields)
-{
-    ScopedTempDir dir("cfva_test_cache_rt");
-    const std::vector<CanonicalKey> keys = keysOf(goldenGrid());
-    ResultCache cache(dir.path.string());
-    const ScenarioOutcome stored = sampleOutcome();
-    cache.store(keys[0], stored);
-    EXPECT_EQ(cache.stats().stores, 1u);
-    EXPECT_EQ(cache.stats().storeFailures, 0u);
-
-    ScenarioOutcome out;
-    out.index = 42; // identity fields must stay the caller's
-    out.stride = 9;
-    ASSERT_TRUE(cache.lookup(keys[0], out));
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(out.index, 42u);
-    EXPECT_EQ(out.stride, 9u);
-    EXPECT_EQ(out.latency, stored.latency);
-    EXPECT_EQ(out.minLatency, stored.minLatency);
-    EXPECT_EQ(out.stallCycles, stored.stallCycles);
-    EXPECT_EQ(out.conflictFree, stored.conflictFree);
-    EXPECT_EQ(out.inWindow, stored.inWindow);
-    EXPECT_EQ(out.accesses, stored.accesses);
-    EXPECT_EQ(out.decoupledCycles, stored.decoupledCycles);
-    EXPECT_EQ(out.chainedCycles, stored.chainedCycles);
-    EXPECT_EQ(out.chainable, stored.chainable);
-    EXPECT_EQ(out.retunes, stored.retunes);
-    EXPECT_EQ(out.retuneCycles, stored.retuneCycles);
-    EXPECT_EQ(out.theoryClaimed, stored.theoryClaimed);
-    EXPECT_EQ(out.theoryFallback, stored.theoryFallback);
-    EXPECT_EQ(out.tierAuditDiverged, stored.tierAuditDiverged);
-
-    // An absent key is a plain miss, not corruption.
-    ScenarioOutcome miss;
-    EXPECT_FALSE(cache.lookup(keys[1], miss));
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().corrupt, 0u);
-}
-
-TEST(ResultCacheTest, TruncatedEntryReadsAsCorrupt)
-{
-    ScopedTempDir dir("cfva_test_cache_trunc");
-    const std::vector<CanonicalKey> keys = keysOf(goldenGrid());
-    ResultCache cache(dir.path.string());
-    cache.store(keys[0], sampleOutcome());
-
-    const std::string path = cache.entryPath(keys[0]);
-    const auto size = fs::file_size(path);
-    ASSERT_GT(size, 8u);
-    fs::resize_file(path, size / 2);
-
-    ScenarioOutcome out;
-    EXPECT_FALSE(cache.lookup(keys[0], out));
-    EXPECT_EQ(cache.stats().corrupt, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-
-    // A fresh store heals the entry.
-    cache.store(keys[0], sampleOutcome());
-    EXPECT_TRUE(cache.lookup(keys[0], out));
-}
-
-TEST(ResultCacheTest, BitFlipFailsTheChecksum)
-{
-    ScopedTempDir dir("cfva_test_cache_flip");
-    const std::vector<CanonicalKey> keys = keysOf(goldenGrid());
-    ResultCache cache(dir.path.string());
-    cache.store(keys[0], sampleOutcome());
-
-    const std::string path = cache.entryPath(keys[0]);
-    std::string bytes = readFile(path);
-    bytes[bytes.size() / 2] ^= 0x40;
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << bytes;
-    }
-
-    ScenarioOutcome out;
-    EXPECT_FALSE(cache.lookup(keys[0], out));
-    EXPECT_EQ(cache.stats().corrupt, 1u);
-}
-
-TEST(ResultCacheTest, WrongKeyUnderRightNameIsAMissNotCorrupt)
-{
-    // A digest collision parks a VALID entry of another class under
-    // the probed name; the embedded-words check must turn that into
-    // a miss (re-simulate), never a wrong answer or a "corrupt"
-    // alarm.
-    ScopedTempDir dir("cfva_test_cache_coll");
-    const std::vector<CanonicalKey> keys = keysOf(goldenGrid());
-    ASSERT_NE(keys[0], keys[1]);
-    ResultCache cache(dir.path.string());
-    cache.store(keys[1], sampleOutcome());
-    fs::copy_file(cache.entryPath(keys[1]),
-                  cache.entryPath(keys[0]));
-
-    ScenarioOutcome out;
-    EXPECT_FALSE(cache.lookup(keys[0], out));
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().corrupt, 0u);
-}
-
-TEST(ResultCacheSweep, ColdThenWarmStaysByteIdentical)
-{
-    const ScenarioGrid grid = richGrid();
-    ScopedTempDir dir("cfva_test_cache_sweep");
-
-    SweepOptions off;
-    off.dedup = DedupMode::Off;
-    const Streamed base = streamRun(grid, off);
-
-    SweepOptions cached;
-    cached.dedup = DedupMode::On;
-    cached.cacheDir = dir.path.string();
-
-    const Streamed cold = streamRun(grid, cached);
-    EXPECT_EQ(cold.csv, base.csv);
-    EXPECT_EQ(cold.json, base.json);
-    EXPECT_EQ(cold.stats.cacheHits, 0u);
-    EXPECT_EQ(cold.stats.cacheMisses, cold.stats.dedupClasses);
-    EXPECT_EQ(cold.stats.cacheCorrupt, 0u);
-
-    const Streamed warm = streamRun(grid, cached);
-    EXPECT_EQ(warm.csv, base.csv);
-    EXPECT_EQ(warm.json, base.json);
-    EXPECT_EQ(warm.stats.cacheHits, warm.stats.dedupClasses);
-    EXPECT_EQ(warm.stats.cacheMisses, 0u);
-    // Every job replays from a cache-resolved class: nothing runs.
-    EXPECT_EQ(warm.stats.dedupReplays, warm.stats.jobs);
-
-    // Audit ignores the cache by design: full execution coverage.
-    SweepOptions audit = cached;
-    audit.dedup = DedupMode::Audit;
-    const Streamed audited = streamRun(grid, audit);
-    EXPECT_EQ(audited.csv, base.csv);
-    EXPECT_EQ(audited.json, base.json);
-    EXPECT_EQ(audited.stats.cacheHits, 0u);
-    EXPECT_EQ(audited.stats.dedupAuditDivergences, 0u);
-}
-
-TEST(ResultCacheSweep, CorruptedEntriesFallBackToSimulation)
-{
-    const ScenarioGrid grid = richGrid();
-    ScopedTempDir dir("cfva_test_cache_heal");
-
-    SweepOptions off;
-    off.dedup = DedupMode::Off;
-    const Streamed base = streamRun(grid, off);
-
-    SweepOptions cached;
-    cached.dedup = DedupMode::On;
-    cached.cacheDir = dir.path.string();
-    const Streamed cold = streamRun(grid, cached);
-    ASSERT_EQ(cold.csv, base.csv);
-
-    // Truncate every third entry and zero-fill another third: the
-    // rerun must re-simulate those classes and still match.
-    std::size_t n = 0, mangled = 0;
-    for (const auto &entry : fs::directory_iterator(dir.path)) {
-        if (!entry.is_regular_file())
-            continue;
-        const auto size = entry.file_size();
-        if (n % 3 == 0 && size > 4) {
-            fs::resize_file(entry.path(), size / 3);
-            ++mangled;
-        } else if (n % 3 == 1) {
-            std::ofstream out(entry.path(), std::ios::binary);
-            out << std::string(static_cast<std::size_t>(size),
-                               '\0');
-            ++mangled;
-        }
-        ++n;
-    }
-    ASSERT_GT(mangled, 0u);
-
-    const Streamed healed = streamRun(grid, cached);
-    EXPECT_EQ(healed.csv, base.csv);
-    EXPECT_EQ(healed.json, base.json);
-    EXPECT_EQ(healed.stats.cacheCorrupt, mangled);
-    EXPECT_EQ(healed.stats.cacheHits
-                  + healed.stats.cacheMisses,
-              healed.stats.dedupClasses);
-    EXPECT_GT(healed.stats.cacheHits, 0u);
-
-    // The corrupt entries were rewritten: a third run is all-warm.
-    const Streamed rewarmed = streamRun(grid, cached);
-    EXPECT_EQ(rewarmed.csv, base.csv);
-    EXPECT_EQ(rewarmed.stats.cacheHits,
-              rewarmed.stats.dedupClasses);
-    EXPECT_EQ(rewarmed.stats.cacheCorrupt, 0u);
 }
 
 } // namespace

@@ -217,8 +217,7 @@ TEST(ConflictSolverProperty, TailGapsArePeriodic)
 // Claim attribution must be memo-invariant: the same stream solved
 // on a warm solver (memo hit), again on the same solver, and on a
 // cold one must agree on the claim bit and on every byte of the
-// result.  Scenario dedup and the persistent result cache key on
-// exactly this determinism.
+// result.  Scenario dedup keys on exactly this determinism.
 TEST(ConflictSolverProperty, ClaimDecisionIsMemoInvariant)
 {
     Rng rng(0xDE7E12ull);

@@ -123,6 +123,22 @@ TEST(SweepEngine, SingleJobMatchesDirectSimulation)
     EXPECT_TRUE(o.inWindow);
 }
 
+TEST(SweepEngine, DefaultRunExecutesEveryJobWithoutKeying)
+{
+    // Keying every job costs more than the executions dedup saves on
+    // every benchmark grid, so a default engine runs its whole slice
+    // directly: no classes, no replays, no keying pre-pass.
+    EXPECT_EQ(SweepOptions{}.dedup, DedupMode::Off);
+    const ScenarioGrid grid = smallGrid();
+    SweepRunStats stats;
+    const SweepReport report = SweepEngine().run(grid, &stats);
+    EXPECT_EQ(report.jobs(), grid.jobCount());
+    EXPECT_EQ(stats.jobs, grid.jobCount());
+    EXPECT_EQ(stats.dedupClasses, 0u);
+    EXPECT_EQ(stats.dedupReplays, 0u);
+    EXPECT_EQ(stats.dedupKeySeconds, 0.0);
+}
+
 TEST(SweepEngine, ReportIdenticalAtAnyThreadCount)
 {
     const ScenarioGrid grid = smallGrid();
@@ -304,59 +320,6 @@ TEST(SweepCli, ParsePortMixFlagRejectsMalformedLists)
     // Duplicate mixes ACROSS groups double the grid silently.
     EXPECT_THROW(parsePortMixFlag("--port-mix", "1,3/1,3"),
                  std::runtime_error);
-}
-
-TEST(SweepCli, ParseDedupFlagAcceptsExactModeNames)
-{
-    EXPECT_EQ(parseDedupFlag("--dedup", "on"), DedupMode::On);
-    EXPECT_EQ(parseDedupFlag("--dedup", "off"), DedupMode::Off);
-    EXPECT_EQ(parseDedupFlag("--dedup", "audit"), DedupMode::Audit);
-}
-
-TEST(SweepCli, ParseDedupFlagRejectsUnknownTokens)
-{
-    test::ScopedPanicThrow guard;
-    EXPECT_THROW(parseDedupFlag("--dedup", ""),
-                 std::runtime_error);
-    EXPECT_THROW(parseDedupFlag("--dedup", "On"),
-                 std::runtime_error);
-    EXPECT_THROW(parseDedupFlag("--dedup", "true"),
-                 std::runtime_error);
-    try {
-        parseDedupFlag("--dedup", "audi");
-        FAIL() << "expected a fatal diagnostic";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("--dedup"), std::string::npos);
-        EXPECT_NE(what.find("audi"), std::string::npos);
-    }
-}
-
-TEST(SweepCli, ParseCacheDirFlagPassesOrdinaryPaths)
-{
-    EXPECT_EQ(parseCacheDirFlag("--cache-dir", "/tmp/cache"),
-              "/tmp/cache");
-    EXPECT_EQ(parseCacheDirFlag("--cache-dir", "rel/dir"),
-              "rel/dir");
-    // A single leading dash is a legal (if odd) directory name;
-    // only the double-dash flag shape is rejected.
-    EXPECT_EQ(parseCacheDirFlag("--cache-dir", "-cache"), "-cache");
-}
-
-TEST(SweepCli, ParseCacheDirFlagRejectsEmptyAndFlagLikePaths)
-{
-    test::ScopedPanicThrow guard;
-    EXPECT_THROW(parseCacheDirFlag("--cache-dir", ""),
-                 std::runtime_error);
-    // "--cache-dir --dedup" swallowed the next flag.
-    try {
-        parseCacheDirFlag("--cache-dir", "--dedup");
-        FAIL() << "expected a fatal diagnostic";
-    } catch (const std::runtime_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("--cache-dir"), std::string::npos);
-        EXPECT_NE(what.find("--dedup"), std::string::npos);
-    }
 }
 
 } // namespace

@@ -18,13 +18,19 @@
  *    add up.
  *  - Streaming-mode memory is bounded by the flush window
  *    (O(threads x grain)), not by the job count.
+ *  - The sinks' to_chars rows print exactly what iostreams print,
+ *    at edge values the golden grid never reaches.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/access_unit.h"
@@ -335,6 +341,119 @@ TEST(SweepStream, TableRenderingMatchesCsvSink)
     EXPECT_EQ(viaTable.str(), csvOf(report));
 }
 
+/** One CSV row of @p o as iostreams print it. */
+std::string
+iostreamCsvRow(const SweepReport &r, const ScenarioOutcome &o)
+{
+    std::ostringstream os;
+    os << o.index << ',' << r.mappingLabels[o.mappingIndex] << ','
+       << o.stride << ',' << o.family << ',' << o.length << ','
+       << o.a1 << ',' << o.ports << ','
+       << r.portMixLabels[o.portMixIndex] << ','
+       << r.workloadLabels[o.workloadIndex] << ',' << o.latency << ','
+       << o.minLatency << ',' << o.stallCycles << ','
+       << (o.conflictFree ? 1 : 0) << ',' << (o.inWindow ? 1 : 0)
+       << ',' << std::fixed << std::setprecision(4) << o.efficiency()
+       << ',' << o.accesses << ',' << o.decoupledCycles << ','
+       << o.chainedCycles << ',' << o.chainSaved() << ','
+       << (o.chainable ? 1 : 0) << ',' << o.retunes << ','
+       << o.retuneCycles << ',' << o.tierLabel() << ','
+       << o.theoryClaimed << ',' << o.theoryFallback << ','
+       << to_string(o.fallbackReason) << "\n";
+    return os.str();
+}
+
+/** One JSON object of @p o as iostreams print it. */
+std::string
+iostreamJsonRow(const SweepReport &r, const ScenarioOutcome &o)
+{
+    const auto flag = [](bool b) { return b ? "true" : "false"; };
+    std::ostringstream os;
+    os << "  {\"job\": " << o.index << ", \"mapping\": \""
+       << r.mappingLabels[o.mappingIndex] << "\", \"stride\": "
+       << o.stride << ", \"family\": " << o.family
+       << ", \"length\": " << o.length << ", \"a1\": " << o.a1
+       << ", \"ports\": " << o.ports << ", \"port_mix\": \""
+       << r.portMixLabels[o.portMixIndex] << "\", \"workload\": \""
+       << r.workloadLabels[o.workloadIndex] << "\", \"latency\": "
+       << o.latency << ", \"min_latency\": " << o.minLatency
+       << ", \"stalls\": " << o.stallCycles << ", \"conflict_free\": "
+       << flag(o.conflictFree) << ", \"in_window\": "
+       << flag(o.inWindow) << ", \"efficiency\": " << std::fixed
+       << std::setprecision(6) << o.efficiency()
+       << ", \"accesses\": " << o.accesses << ", \"decoupled\": "
+       << o.decoupledCycles << ", \"chained\": " << o.chainedCycles
+       << ", \"chain_saved\": " << o.chainSaved()
+       << ", \"chainable\": " << flag(o.chainable)
+       << ", \"retunes\": " << o.retunes << ", \"retune_cycles\": "
+       << o.retuneCycles << ", \"tier\": \"" << o.tierLabel()
+       << "\", \"theory_claimed\": " << o.theoryClaimed
+       << ", \"theory_fallback\": " << o.theoryFallback
+       << ", \"fallback_reason\": \"" << to_string(o.fallbackReason)
+       << "\"}";
+    return os.str();
+}
+
+TEST(SweepStream, RowsMatchIostreamsAtEdgeValues)
+{
+    // Values the golden grid never reaches: 64-bit maxima, a zero
+    // latency, efficiencies that round at the last printed digit
+    // (1/32 is an exact tie at 4 digits), and labels longer than
+    // any fixed-size row buffer.
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    std::string longLabel;
+    for (int i = 0; i < 300; ++i)
+        longLabel += static_cast<char>('a' + i % 26);
+    SweepReport report;
+    report.mappingLabels = {"matched(t=2,lambda=7)", longLabel};
+    report.portMixLabels = {"1", longLabel};
+    report.workloadLabels = {"single", longLabel};
+    // {minLatency, latency}: efficiency = minLatency / latency.
+    const std::pair<Cycle, Cycle> latencies[] = {
+        {0, 0},           {1, 3},    {2, 3},     {19999, 20000},
+        {9999949, 10000000}, {1, 32}, {kMax, kMax}};
+    for (std::size_t i = 0; i < std::size(latencies); ++i) {
+        ScenarioOutcome o;
+        o.index = i == 0 ? kMax : i;
+        o.mappingIndex = i % 2;
+        o.portMixIndex = (i + 1) % 2;
+        o.workloadIndex = i % 2;
+        o.stride = kMax;
+        o.family = 63;
+        o.length = kMax;
+        o.a1 = i % 2 ? kMax : 0;
+        o.ports = ~0u;
+        o.minLatency = latencies[i].first;
+        o.latency = latencies[i].second;
+        o.stallCycles = kMax;
+        o.conflictFree = i % 2 == 0;
+        o.inWindow = i % 3 == 0;
+        o.accesses = kMax;
+        o.decoupledCycles = kMax;
+        o.chainedCycles = 0;
+        o.chainable = i % 2 == 1;
+        o.retunes = kMax;
+        o.retuneCycles = kMax - 1;
+        o.theoryClaimed = i % 3 ? kMax : 0;
+        o.theoryFallback = i % 3 == 1 ? 0 : i;
+        o.fallbackReason =
+            i % 2 ? FallbackReason::Conflicted : FallbackReason::None;
+        report.outcomes.push_back(o);
+    }
+
+    // The header lines come from an empty report: only rows differ.
+    std::string wantCsv = csvOf(SweepReport{});
+    std::string wantJson = "[";
+    for (const ScenarioOutcome &o : report.outcomes) {
+        wantCsv += iostreamCsvRow(report, o);
+        wantJson += (&o == &report.outcomes.front() ? "\n" : ",\n")
+                    + iostreamJsonRow(report, o);
+    }
+    wantJson += "\n]\n";
+    EXPECT_EQ(csvOf(report), wantCsv);
+    EXPECT_EQ(jsonOf(report), wantJson);
+}
+
 TEST(SweepStream, SummarySinkMatchesReportAggregates)
 {
     const ScenarioGrid grid = pipelineGrid();
@@ -497,35 +616,6 @@ TEST(SweepStream, MergeBenchToleratesExtendedWorkloadRows)
               std::string::npos);
     EXPECT_LT(merged.find("\"threads\": 2"),
               merged.find("\"percycle\""));
-}
-
-TEST(SweepStream, MergeBenchSumsDedupAndCacheTotals)
-{
-    // The appended "totals" object sums the dedup/result-cache
-    // counters across every runs row of every input; rows that
-    // predate the fields contribute zero.  "backend_cache_hits"
-    // must NOT leak into the "cache_hits" total.
-    std::istringstream a(
-        "{\n  \"grid_jobs\": 8,\n  \"runs\": [\n    "
-        "{\"engine\": \"percycle\", \"backend_cache_hits\": 999, "
-        "\"dedup_classes\": 10, \"dedup_replays\": 6, "
-        "\"cache_hits\": 3, \"cache_misses\": 7, "
-        "\"cache_corrupt\": 1}\n  ]\n}\n");
-    std::istringstream b(
-        "{\n  \"grid_jobs\": 8,\n  \"runs\": [\n    "
-        "{\"engine\": \"percycle\", \"dedup_classes\": 20, "
-        "\"dedup_replays\": 4, \"cache_hits\": 2, "
-        "\"cache_misses\": 1, \"cache_corrupt\": 0},\n    "
-        "{\"engine\": \"event\", \"threads\": 1}\n  ]\n}\n");
-    std::vector<std::istream *> in{&a, &b};
-    std::ostringstream out;
-    mergeBench(out, in);
-    EXPECT_NE(out.str().find(
-                  "\"totals\": {\"dedup_classes\": 30, "
-                  "\"dedup_replays\": 10, \"cache_hits\": 5, "
-                  "\"cache_misses\": 8, \"cache_corrupt\": 1}"),
-              std::string::npos)
-        << out.str();
 }
 
 TEST(SweepStream, MergeBenchRejectsNonBenchInput)

@@ -43,11 +43,8 @@ usage(std::ostream &os)
           "\n"
           "--bench merges cfva_sweep --bench outputs\n"
           "(BENCH_sweep.json): header scalars from the first file,\n"
-          "\"runs\" and \"workloads\" arrays concatenated, and a\n"
-          "\"totals\" object appended summing the dedup and result-\n"
-          "cache counters (dedup_classes, dedup_replays,\n"
-          "cache_hits, cache_misses, cache_corrupt) across every\n"
-          "run.  Rows are spliced as opaque text, so old and\n"
+          "\"runs\" and \"workloads\" arrays concatenated.  Rows\n"
+          "are spliced as opaque text, so old and\n"
           "extended row formats (e.g. per-(workload, tier) rows)\n"
           "coexist.\n";
 }

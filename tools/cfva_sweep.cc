@@ -18,10 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -29,8 +26,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "cfva/cfva.h"
 #include "common/logging.h"
@@ -126,23 +121,6 @@ usage(std::ostream &os)
           "                     base-invariant outcome memo on top;\n"
           "                     results are bit-identical either\n"
           "                     way (off = pure stepped oracle)\n"
-          "  --dedup D          on | off | audit (default on):\n"
-          "                     canonicalize scenarios into\n"
-          "                     outcome-equivalence classes,\n"
-          "                     execute one representative per\n"
-          "                     class, and replay its outcome to\n"
-          "                     the other members (byte-identical\n"
-          "                     reports either way); 'audit'\n"
-          "                     executes every member, cross-\n"
-          "                     checks each against the class\n"
-          "                     replay, and exits non-zero on any\n"
-          "                     divergence\n"
-          "  --cache-dir DIR    persist one outcome per canonical\n"
-          "                     class under DIR so later runs\n"
-          "                     skip simulation entirely (only\n"
-          "                     consulted with --dedup on);\n"
-          "                     corrupt or truncated entries fall\n"
-          "                     back to simulation\n"
           "  --threads N        worker threads (0 = all cores;\n"
           "                     clamped to the hardware)\n"
           "  --grain N          jobs per work item (0 = adaptive,\n"
@@ -391,8 +369,6 @@ struct Options
     TierPolicy tier = TierPolicy::SimulateAlways;
     MapPath mapPath = MapPath::BitSliced;
     CollapseMode collapse = CollapseMode::On;
-    sim::DedupMode dedup = sim::DedupMode::On;
-    std::string cacheDir;
     std::string csvPath;
     std::string jsonPath;
     bool summary = true;
@@ -475,12 +451,6 @@ parseArgs(int argc, char **argv)
             o.mapPath = parseMapPath(need(i, "--map-path"));
         } else if (a == "--collapse") {
             o.collapse = parseCollapse(need(i, "--collapse"));
-        } else if (a == "--dedup") {
-            o.dedup = sim::parseDedupFlag("--dedup",
-                                          need(i, "--dedup"));
-        } else if (a == "--cache-dir") {
-            o.cacheDir = sim::parseCacheDirFlag(
-                "--cache-dir", need(i, "--cache-dir"));
         } else if (a == "--threads") {
             o.threads = parseU32(need(i, "--threads"),
                                  "--threads");
@@ -657,36 +627,6 @@ printFastPathStats(std::ostream &info, CollapseMode collapse,
          << " cycles stepped without a jump\n";
 }
 
-/** Prints the dedup class/replay counters and, when a cache
- *  directory is in play, the result-cache traffic of a run; silent
- *  under --dedup off. */
-void
-printDedupStats(std::ostream &info, sim::DedupMode dedup,
-                const std::string &cacheDir,
-                const sim::SweepRunStats &stats)
-{
-    if (dedup == sim::DedupMode::Off)
-        return;
-    info << "dedup: " << stats.dedupClasses
-         << " canonical classes over " << stats.jobs
-         << " scenarios (" << stats.dedupReplays << " replayed";
-    if (dedup == sim::DedupMode::Audit) {
-        info << ", audit "
-             << (stats.dedupAuditDivergences ? "DIVERGED on "
-                                             : "identical, ")
-             << stats.dedupAuditDivergences << " divergences";
-    }
-    // The keying pre-pass is the sequential part of a dedup run;
-    // reporting it keeps Amdahl's law honest as workers scale.
-    info << ", keyed in " << fixed(stats.dedupKeySeconds * 1e3, 3)
-         << " ms)\n";
-    if (!cacheDir.empty() && dedup == sim::DedupMode::On) {
-        info << "result cache: " << stats.cacheHits << " hits / "
-             << stats.cacheMisses << " misses, "
-             << stats.cacheCorrupt << " corrupt entries\n";
-    }
-}
-
 double
 timedRun(const sim::SweepEngine &engine,
          const sim::ScenarioGrid &grid, sim::SweepReport &report,
@@ -704,8 +644,7 @@ timedRun(const sim::SweepEngine &engine,
  * count; 0 repeats adaptively — at least kMinReps reps, continuing
  * until kMinWallSeconds of cumulative wall time or kMaxReps, so
  * sub-millisecond legs still get a stable median without slow legs
- * paying 15x.  @p prep runs before every timed rep (cold-cache
- * legs wipe their directory there, so each rep really is cold).
+ * paying 15x.
  */
 struct RepTiming
 {
@@ -716,7 +655,6 @@ struct RepTiming
 RepTiming
 timedReps(const sim::SweepOptions &opts,
           const sim::ScenarioGrid &grid, unsigned benchReps,
-          const std::function<void()> &prep,
           sim::SweepReport &report, sim::SweepRunStats &stats)
 {
     constexpr unsigned kMinReps = 3;
@@ -735,8 +673,6 @@ timedReps(const sim::SweepOptions &opts,
                        || rep >= kMaxReps)) {
             break;
         }
-        if (prep)
-            prep();
         sim::SweepReport r;
         sim::SweepRunStats s;
         const double secs =
@@ -765,8 +701,6 @@ struct BenchRun
     EngineKind engine = EngineKind::PerCycle;
     TierPolicy tier = TierPolicy::SimulateAlways;
     CollapseMode collapse = CollapseMode::On;
-    sim::DedupMode dedup = sim::DedupMode::Off;
-    std::string cache = "none"; // none | cold | warm
     std::uint64_t threads = 0;
     unsigned reps = 0;
     double seconds = 0.0;
@@ -784,7 +718,6 @@ struct WorkloadBenchRun
     std::string label;
     TierPolicy tier = TierPolicy::SimulateAlways;
     CollapseMode collapse = CollapseMode::On;
-    sim::DedupMode dedup = sim::DedupMode::Off;
     std::size_t jobs = 0;
     unsigned reps = 0;
     double seconds = 0.0;
@@ -809,7 +742,6 @@ writeBenchJson(const std::string &path, const Options &o,
         << ",\n  \"tier\": \"" << to_string(o.tier)
         << "\",\n  \"map_path\": \"" << to_string(o.mapPath)
         << "\",\n  \"collapse\": \"" << to_string(o.collapse)
-        << "\",\n  \"dedup\": \"" << to_string(o.dedup)
         << "\",\n  \"reports_identical\": "
         << (identical ? "true" : "false") << ",\n  \"runs\": [";
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -817,9 +749,7 @@ writeBenchJson(const std::string &path, const Options &o,
         out << (i ? ",\n" : "\n") << "    {\"engine\": \""
             << to_string(r.engine) << "\", \"tier\": \""
             << to_string(r.tier) << "\", \"collapse\": \""
-            << to_string(r.collapse) << "\", \"dedup\": \""
-            << to_string(r.dedup) << "\", \"cache\": \"" << r.cache
-            << "\", \"threads\": "
+            << to_string(r.collapse) << "\", \"threads\": "
             << r.threads << ", \"reps\": " << r.reps
             << ", \"seconds\": " << fixed(r.seconds, 6)
             << ", \"scenarios_per_s\": "
@@ -830,13 +760,6 @@ writeBenchJson(const std::string &path, const Options &o,
             << r.stats.backendCacheHits
             << ", \"backend_cache_misses\": "
             << r.stats.backendCacheMisses
-            << ", \"dedup_classes\": " << r.stats.dedupClasses
-            << ", \"dedup_replays\": " << r.stats.dedupReplays
-            << ", \"cache_hits\": " << r.stats.cacheHits
-            << ", \"cache_misses\": " << r.stats.cacheMisses
-            << ", \"cache_corrupt\": " << r.stats.cacheCorrupt
-            << ", \"dedup_key_seconds\": "
-            << fixed(r.stats.dedupKeySeconds, 6)
             << ", \"theory_claimed\": " << r.stats.theoryClaims
             << ", \"theory_fallback\": " << r.stats.theoryFallbacks
             << ", \"fallback_conflicted\": "
@@ -868,7 +791,6 @@ writeBenchJson(const std::string &path, const Options &o,
         out << (i ? ",\n" : "\n") << "    {\"workload\": \""
             << w.label << "\", \"tier\": \"" << to_string(w.tier)
             << "\", \"collapse\": \"" << to_string(w.collapse)
-            << "\", \"dedup\": \"" << to_string(w.dedup)
             << "\", \"jobs\": " << w.jobs
             << ", \"reps\": " << w.reps
             << ", \"seconds\": " << fixed(w.seconds, 6)
@@ -914,10 +836,6 @@ main(int argc, char **argv)
     if (o.stream && !o.benchThreads.empty())
         cfva_fatal("--bench times materialized runs; it cannot "
                    "honor --stream (drop one of the two)");
-    if (!o.benchThreads.empty() && !o.cacheDir.empty())
-        cfva_fatal("--bench manages its own cold/warm cache legs "
-                   "in a fresh temporary directory and never "
-                   "clears a user cache; drop --cache-dir");
 
     std::string engineNames = to_string(o.engines.front());
     for (std::size_t e = 1; e < o.engines.size(); ++e)
@@ -931,21 +849,16 @@ main(int argc, char **argv)
         info << "collapse: " << to_string(o.collapse) << "\n";
 
     if (!o.benchThreads.empty()) {
-        TextTable t({"engine", "tier", "collapse", "dedup", "cache",
-                     "threads", "reps", "seconds", "scenarios/s",
-                     "speedup"});
+        TextTable t({"engine", "tier", "collapse", "threads", "reps",
+                     "seconds", "scenarios/s", "speedup"});
         // Under --tier theory the bench times the simulation
         // baseline too — with the collapse fast path off (the pure
-        // stepped oracle) and on, then with scenario dedup layered
-        // on top and finally against a cold and a warm persistent
-        // result cache — so BENCH_sweep.json records what each
-        // fast-path tier buys next to what it replaced.
+        // stepped oracle) and on — so BENCH_sweep.json records what
+        // each fast-path tier buys next to what it replaced.
         struct Leg
         {
             TierPolicy tier;
             CollapseMode collapse;
-            sim::DedupMode dedup = sim::DedupMode::Off;
-            const char *cache = "none"; // none | cold | warm
         };
         std::vector<Leg> legs;
         if (o.tier == TierPolicy::TheoryFirst) {
@@ -954,14 +867,6 @@ main(int argc, char **argv)
                          CollapseMode::Off},
                         {TierPolicy::SimulateAlways,
                          CollapseMode::On},
-                        {TierPolicy::SimulateAlways,
-                         CollapseMode::On, sim::DedupMode::On},
-                        {TierPolicy::SimulateAlways,
-                         CollapseMode::On, sim::DedupMode::On,
-                         "cold"},
-                        {TierPolicy::SimulateAlways,
-                         CollapseMode::On, sim::DedupMode::On,
-                         "warm"},
                         {TierPolicy::TheoryFirst,
                          CollapseMode::On}};
             else
@@ -970,23 +875,7 @@ main(int argc, char **argv)
                         {TierPolicy::TheoryFirst,
                          CollapseMode::Off}};
         } else {
-            legs = {{o.tier, o.collapse, o.dedup}};
-        }
-        // Cache legs run against a fresh temporary directory (a
-        // user --cache-dir is rejected above, so nothing of the
-        // user's is ever cleared).  A cold leg wipes it before
-        // every timed run; the warm legs reuse what the last cold
-        // run stored.
-        namespace fs = std::filesystem;
-        bool anyCacheLeg = false;
-        for (const Leg &leg : legs)
-            anyCacheLeg |= std::strcmp(leg.cache, "none") != 0;
-        fs::path benchCache;
-        if (anyCacheLeg) {
-            benchCache =
-                fs::temp_directory_path()
-                / ("cfva_bench_cache." + std::to_string(::getpid()));
-            fs::remove_all(benchCache);
+            legs = {{o.tier, o.collapse}};
         }
         double base = 0.0;
         sim::SweepReport first;
@@ -1004,7 +893,6 @@ main(int argc, char **argv)
             warm.tier = o.tier;
             warm.mapPath = o.mapPath;
             warm.collapse = o.collapse;
-            warm.dedup = o.dedup;
             sim::SweepReport scratch;
             timedRun(sim::SweepEngine(warm), grid, scratch);
         }
@@ -1051,24 +939,10 @@ main(int argc, char **argv)
                     opts.tier = leg.tier;
                     opts.mapPath = o.mapPath;
                     opts.collapse = leg.collapse;
-                    opts.dedup = leg.dedup;
-                    std::function<void()> prep;
-                    if (std::strcmp(leg.cache, "none") != 0) {
-                        if (std::strcmp(leg.cache, "cold") == 0) {
-                            // Wiped before EVERY timed rep, so the
-                            // median really measures a cold start.
-                            prep = [&benchCache] {
-                                fs::remove_all(benchCache);
-                                fs::create_directories(benchCache);
-                            };
-                        }
-                        opts.cacheDir = benchCache.string();
-                    }
                     sim::SweepReport report;
                     sim::SweepRunStats stats;
-                    const RepTiming timing =
-                        timedReps(opts, grid, o.benchReps, prep,
-                                  report, stats);
+                    const RepTiming timing = timedReps(
+                        opts, grid, o.benchReps, report, stats);
                     const double secs = timing.seconds;
                     if (!haveBase) {
                         base = secs;
@@ -1083,8 +957,6 @@ main(int argc, char **argv)
                     row.engine = engine;
                     row.tier = leg.tier;
                     row.collapse = leg.collapse;
-                    row.dedup = leg.dedup;
-                    row.cache = leg.cache;
                     row.threads = threads;
                     row.reps = timing.reps;
                     row.seconds = secs;
@@ -1094,8 +966,7 @@ main(int argc, char **argv)
                     row.stats = stats;
                     runs.push_back(row);
                     t.row(to_string(engine), to_string(leg.tier),
-                          to_string(leg.collapse),
-                          to_string(leg.dedup), leg.cache, threads,
+                          to_string(leg.collapse), threads,
                           timing.reps, fixed(secs, 3),
                           fixed(row.scenariosPerSec, 0),
                           fixed(row.speedup, 2));
@@ -1115,9 +986,8 @@ main(int argc, char **argv)
         // the narrowed grid would be the grid already timed.
         std::vector<WorkloadBenchRun> workloadRuns;
         {
-            TextTable wt({"workload", "tier", "collapse", "dedup",
-                          "jobs", "reps", "seconds",
-                          "scenarios/s"});
+            TextTable wt({"workload", "tier", "collapse", "jobs",
+                          "reps", "seconds", "scenarios/s"});
             // The committed BENCH artifact should track every
             // workload program even when the grid itself runs only
             // the default single-access job: widen the bench-only
@@ -1144,23 +1014,16 @@ main(int argc, char **argv)
                     grid.workloads.size() == 1
                     && wl.kind == grid.workloads.front().kind;
                 for (const Leg &leg : legs) {
-                    // Cache legs time persistence, not programs;
-                    // the per-workload table skips them.
-                    if (std::strcmp(leg.cache, "none") != 0)
-                        continue;
                     WorkloadBenchRun row;
                     row.label = wl.label();
                     row.tier = leg.tier;
                     row.collapse = leg.collapse;
-                    row.dedup = leg.dedup;
                     const BenchRun *reuse = nullptr;
                     if (sameAsGrid) {
                         for (const auto &r : runs) {
                             if (r.engine == o.engines.front()
                                 && r.tier == leg.tier
                                 && r.collapse == leg.collapse
-                                && r.dedup == leg.dedup
-                                && r.cache == "none"
                                 && r.threads
                                        == benchThreads.front()) {
                                 reuse = &r;
@@ -1185,11 +1048,10 @@ main(int argc, char **argv)
                         opts.tier = leg.tier;
                         opts.mapPath = o.mapPath;
                         opts.collapse = leg.collapse;
-                        opts.dedup = leg.dedup;
                         sim::SweepReport r;
                         sim::SweepRunStats s;
-                        const RepTiming timing = timedReps(
-                            opts, sub, o.benchReps, nullptr, r, s);
+                        const RepTiming timing =
+                            timedReps(opts, sub, o.benchReps, r, s);
                         row.reps = timing.reps;
                         row.seconds = timing.seconds;
                         row.jobs = r.jobs();
@@ -1199,8 +1061,7 @@ main(int argc, char **argv)
                     }
                     workloadRuns.push_back(row);
                     wt.row(row.label, to_string(row.tier),
-                           to_string(row.collapse),
-                           to_string(row.dedup), row.jobs, row.reps,
+                           to_string(row.collapse), row.jobs, row.reps,
                            fixed(row.seconds, 3),
                            fixed(row.scenariosPerSec, 0));
                 }
@@ -1252,41 +1113,12 @@ main(int argc, char **argv)
             }
             printFastPathStats(info, o.collapse, tierRow->stats);
             printTierStats(info, o.tier, tierRow->stats);
-            // The dedup and cache footers come from the legs that
-            // actually exercised them (the leading rows run with
-            // dedup off as the baseline).
-            const BenchRun *dedupRow = nullptr;
-            const BenchRun *warmRow = nullptr;
-            for (const auto &r : runs) {
-                if (!dedupRow && r.dedup == sim::DedupMode::On
-                    && r.cache == "none") {
-                    dedupRow = &r;
-                }
-                if (r.cache == "warm")
-                    warmRow = &r;
-            }
-            if (dedupRow) {
-                printDedupStats(info, dedupRow->dedup, "",
-                                dedupRow->stats);
-            }
-            if (warmRow) {
-                info << "result cache (warm leg): "
-                     << warmRow->stats.cacheHits << " hits / "
-                     << warmRow->stats.cacheMisses << " misses, "
-                     << warmRow->stats.cacheCorrupt
-                     << " corrupt entries\n";
-            }
         }
         std::uint64_t auditDivergences = 0;
-        std::uint64_t dedupDivergences = 0;
-        for (const auto &r : runs) {
+        for (const auto &r : runs)
             auditDivergences += r.stats.tierAuditDivergences;
-            dedupDivergences += r.stats.dedupAuditDivergences;
-        }
         writeBenchJson(o.benchJsonPath, o, grid, runs, workloadRuns,
                        allIdentical);
-        if (anyCacheLeg)
-            fs::remove_all(benchCache);
         if (!o.csvPath.empty()) {
             std::ofstream file;
             first.writeCsv(*openSink(o.csvPath, file));
@@ -1295,10 +1127,7 @@ main(int argc, char **argv)
             std::ofstream file;
             first.writeJson(*openSink(o.jsonPath, file));
         }
-        return (allIdentical && auditDivergences == 0
-                && dedupDivergences == 0)
-                   ? 0
-                   : 1;
+        return (allIdentical && auditDivergences == 0) ? 0 : 1;
     }
 
     if (o.stream) {
@@ -1314,8 +1143,6 @@ main(int argc, char **argv)
         opts.tier = o.tier;
         opts.mapPath = o.mapPath;
         opts.collapse = o.collapse;
-        opts.dedup = o.dedup;
-        opts.cacheDir = o.cacheDir;
 
         std::ofstream csvFile, jsonFile;
         std::optional<sim::CsvStreamSink> csvSink;
@@ -1361,12 +1188,8 @@ main(int argc, char **argv)
                  << " misses\n";
             printFastPathStats(info, o.collapse, stats);
             printTierStats(info, o.tier, stats);
-            printDedupStats(info, o.dedup, o.cacheDir, stats);
         }
-        return (stats.tierAuditDivergences == 0
-                && stats.dedupAuditDivergences == 0)
-                   ? 0
-                   : 1;
+        return stats.tierAuditDivergences == 0 ? 0 : 1;
     }
 
     // One timed run per requested engine; with --engine both the
@@ -1376,7 +1199,6 @@ main(int argc, char **argv)
     bool crossChecked = false;
     bool crossIdentical = true;
     std::uint64_t auditDivergences = 0;
-    std::uint64_t dedupDivergences = 0;
     double firstSecs = 0.0;
     for (std::size_t e = 0; e < o.engines.size(); ++e) {
         sim::SweepOptions opts;
@@ -1387,14 +1209,11 @@ main(int argc, char **argv)
         opts.tier = o.tier;
         opts.mapPath = o.mapPath;
         opts.collapse = o.collapse;
-        opts.dedup = o.dedup;
-        opts.cacheDir = o.cacheDir;
         sim::SweepReport r;
         sim::SweepRunStats stats;
         const double secs =
             timedRun(sim::SweepEngine(opts), grid, r, &stats);
         auditDivergences += stats.tierAuditDivergences;
-        dedupDivergences += stats.dedupAuditDivergences;
         if (o.summary) {
             info << to_string(o.engines[e]) << ": " << r.jobs()
                  << " scenarios in " << fixed(secs, 3) << " s ("
@@ -1428,7 +1247,6 @@ main(int argc, char **argv)
              << " misses\n";
         printFastPathStats(info, o.collapse, firstStats);
         printTierStats(info, o.tier, firstStats);
-        printDedupStats(info, o.dedup, o.cacheDir, firstStats);
     }
     if (crossChecked) {
         info << (crossIdentical
@@ -1443,8 +1261,5 @@ main(int argc, char **argv)
         std::ofstream file;
         report.writeJson(*openSink(o.jsonPath, file));
     }
-    return (crossIdentical && auditDivergences == 0
-            && dedupDivergences == 0)
-               ? 0
-               : 1;
+    return (crossIdentical && auditDivergences == 0) ? 0 : 1;
 }
