@@ -236,6 +236,45 @@ BM_PlanFullAccess(benchmark::State &state)
 BENCHMARK(BM_PlanFullAccess);
 
 /**
+ * The planner layer on its own, per element, for each policy on the
+ * paper's matched example (M = T = 8, L = 128): in-order (x = s),
+ * conflict-free (stride 12), chunked by L, and split-short.  The
+ * stream buffer is recycled as a sweep worker's arena recycles it,
+ * so a row reads beside the trace's access.plan_ns_per_elem.
+ */
+void
+BM_Plan(benchmark::State &state)
+{
+    const VectorAccessUnit unit(paperMatchedExample());
+    const Stride stride(static_cast<std::uint64_t>(state.range(0)));
+    const auto length = static_cast<std::uint64_t>(state.range(1));
+    std::vector<Request> buf;
+    AccessPolicy policy = AccessPolicy::InOrder;
+    for (auto _ : state) {
+        AccessPlan p = unit.plan(16, stride, length, std::move(buf),
+                                 /*explain=*/false);
+        benchmark::DoNotOptimize(p.stream.data());
+        benchmark::ClobberMemory();
+        policy = p.policy;
+        buf = std::move(p.stream);
+    }
+    state.SetLabel(to_string(policy));
+    const auto elems = static_cast<double>(state.iterations())
+                       * static_cast<double>(length);
+    state.SetItemsProcessed(static_cast<std::int64_t>(elems));
+    state.counters["per_elem"] = benchmark::Counter(
+        elems, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Plan)
+    ->ArgNames({"stride", "L"})
+    ->Args({16, 128})      // in-order
+    ->Args({12, 128})      // conflict-free
+    ->Args({12, 4096})     // chunked-by-L
+    ->Args({12, 65536})    // chunked-by-L
+    ->Args({12, 200})      // split-short
+    ->Args({12, 1000000}); // split-short
+
+/**
  * The per-access setup cost the backend cache removes: the same
  * plan executed with a fresh backend per access (the historical
  * hot path) vs through a per-worker BackendCache.  The cached/

@@ -8,13 +8,22 @@ std::vector<Request>
 canonicalOrder(Addr a1, const Stride &s, std::uint64_t length,
                std::vector<Request> seed)
 {
-    std::vector<Request> stream = std::move(seed);
-    stream.clear();
-    stream.reserve(length);
-    Addr a = a1;
-    for (std::uint64_t i = 0; i < length; ++i, a += s.value())
-        stream.push_back({a, i});
-    return stream;
+    seed.clear();
+    appendCanonicalOrder(seed, a1, s, 0, length);
+    return seed;
+}
+
+void
+appendCanonicalOrder(std::vector<Request> &out, Addr a1, const Stride &s,
+                     std::uint64_t first, std::uint64_t count)
+{
+    const std::size_t base = out.size();
+    out.resize(base + count);
+    Request *dst = out.data() + base;
+    const Addr step = s.value();
+    Addr a = a1 + step * first;
+    for (std::uint64_t i = 0; i < count; ++i, a += step)
+        dst[i] = {a, first + i};
 }
 
 bool
@@ -75,46 +84,6 @@ subsequenceOrder(Addr a1, const SubsequencePlan &plan)
                 a += plan.innerIncrement;
                 elem += plan.elementStep;
             }
-        }
-    }
-    return stream;
-}
-
-std::vector<Request>
-conflictFreeOrderByKey(Addr a1, const SubsequencePlan &plan,
-                       const std::function<ModuleId(Addr)> &key,
-                       std::vector<Request> seed)
-{
-    const std::vector<Request> base = subsequenceOrder(a1, plan);
-    const std::uint64_t t_elems = plan.elemsPerSubseq;
-    const std::uint64_t n_subseq = plan.subsequences();
-
-    // Key order of the first subsequence: keyPos[kappa] = issue slot.
-    std::vector<std::uint64_t> key_pos(t_elems, t_elems);
-    for (std::uint64_t i = 0; i < t_elems; ++i) {
-        const ModuleId kappa = key(base[i].addr);
-        cfva_assert(kappa < t_elems, "reorder key ", kappa,
-                    " out of range 2^t");
-        cfva_assert(key_pos[kappa] == t_elems,
-                    "duplicate key ", kappa,
-                    " in first subsequence (Lemma 2/4 violated)");
-        key_pos[kappa] = i;
-    }
-
-    // Replay every subsequence in that key order (Sec. 3.2 / 4.2).
-    std::vector<Request> stream = std::move(seed);
-    stream.assign(plan.length, Request{});
-    for (std::uint64_t sub = 0; sub < n_subseq; ++sub) {
-        const std::uint64_t first = sub * t_elems;
-        std::vector<bool> filled(t_elems, false);
-        for (std::uint64_t i = 0; i < t_elems; ++i) {
-            const Request &req = base[first + i];
-            const ModuleId kappa = key(req.addr);
-            cfva_assert(kappa < t_elems && !filled[kappa],
-                        "subsequence ", sub, " does not cover key ",
-                        kappa, " exactly once");
-            filled[kappa] = true;
-            stream[first + key_pos[kappa]] = req;
         }
     }
     return stream;

@@ -21,9 +21,9 @@
 #define CFVA_ACCESS_ORDERING_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/stride.h"
 #include "mapping/xor_matched.h"
 #include "mapping/xor_sectioned.h"
@@ -40,6 +40,14 @@ namespace cfva {
 std::vector<Request> canonicalOrder(Addr a1, const Stride &s,
                                     std::uint64_t length,
                                     std::vector<Request> seed = {});
+
+/**
+ * Appends elements first, first+1, ..., first+count-1 of the vector
+ * (@p a1, @p s) to @p out in order: element e at a1 + S*e.
+ */
+void appendCanonicalOrder(std::vector<Request> &out, Addr a1,
+                          const Stride &s, std::uint64_t first,
+                          std::uint64_t count);
 
 /**
  * Shape of the Fig. 4 out-of-order loop nest for one vector access.
@@ -129,17 +137,86 @@ std::vector<Request> conflictFreeOrder(Addr a1,
                                        const XorSectionedMapping &map);
 
 /**
- * Generic kernel used by both overloads: reorders each subsequence
- * of the Fig. 4 stream by the @p key of the first subsequence.
- * @p key maps an address to a value in [0, 2^t); every subsequence
- * must contain each key exactly once (Lemmas 2 and 4 guarantee
- * this for the supported mappings).  @p seed donates capacity as in
+ * Generic kernel used by both overloads, in append form: appends the
+ * conflict-free order of elements first .. first+plan.length-1 of
+ * the vector (@p a1, S = sigma*2^x) to @p out, element e at
+ * a1 + S*e.  One walk of the Fig. 4 loop nest writes each element
+ * straight into its slot: the first subsequence fixes the slot of
+ * every @p key value, and every later subsequence is replayed in
+ * that key order (Sec. 3.2 / 4.2).  @p key maps an address to a
+ * value in [0, 2^t) and is called once per element; every
+ * subsequence must contain each key exactly once (Lemmas 2 and 4
+ * guarantee this for the supported mappings), which is asserted.
+ */
+template <typename Key>
+void
+appendConflictFreeOrder(std::vector<Request> &out, Addr a1,
+                        const SubsequencePlan &plan,
+                        std::uint64_t first, const Key &key)
+{
+    // Locals, not plan fields: the stores below could alias them.
+    const std::uint64_t t_elems = plan.elemsPerSubseq;
+    const std::uint64_t inner_increment = plan.innerIncrement;
+    const std::uint64_t element_step = plan.elementStep;
+
+    // Per key value: its issue slot in the first subsequence, and
+    // one past the last subsequence that issued it (0 = none yet).
+    struct KeySlot
+    {
+        std::uint64_t slot = 0;
+        std::uint64_t stamp = 0;
+    };
+    std::vector<KeySlot> keys(t_elems);
+
+    const std::size_t base = out.size();
+    out.resize(base + plan.length);
+    Request *block = out.data() + base;
+
+    const Addr stride_value = plan.sigma << plan.x;
+    std::uint64_t sub = 0;
+    for (std::uint64_t k = 0; k < plan.periods; ++k) {
+        for (std::uint64_t j = 0; j < plan.subseqPerPeriod;
+             ++j, ++sub, block += t_elems) {
+            std::uint64_t elem = first + k * plan.periodElems + j;
+            Addr a = a1 + stride_value * elem;
+            for (std::uint64_t i = 0; i < t_elems; ++i) {
+                const std::uint64_t kappa = key(a);
+                cfva_assert(kappa < t_elems, "reorder key ", kappa,
+                            " out of range 2^t");
+                KeySlot &ks = keys[kappa];
+                if (sub == 0) {
+                    cfva_assert(ks.stamp == 0, "duplicate key ", kappa,
+                                " in first subsequence (Lemma 2/4 "
+                                "violated)");
+                    ks.slot = i;
+                } else {
+                    cfva_assert(ks.stamp == sub, "subsequence ", sub,
+                                " does not cover key ", kappa,
+                                " exactly once");
+                }
+                ks.stamp = sub + 1;
+                block[ks.slot] = {a, elem};
+                a += inner_increment;
+                elem += element_step;
+            }
+        }
+    }
+}
+
+/**
+ * The keyed conflict-free stream of elements 0 .. L-1 (see
+ * appendConflictFreeOrder).  @p seed donates capacity as in
  * canonicalOrder.
  */
+template <typename Key>
 std::vector<Request>
 conflictFreeOrderByKey(Addr a1, const SubsequencePlan &plan,
-                       const std::function<ModuleId(Addr)> &key,
-                       std::vector<Request> seed = {});
+                       const Key &key, std::vector<Request> seed = {})
+{
+    seed.clear();
+    appendConflictFreeOrder(seed, a1, plan, 0, key);
+    return seed;
+}
 
 } // namespace cfva
 

@@ -31,30 +31,6 @@ planShortVector(unsigned t, unsigned w, const Stride &s,
 
 std::vector<Request>
 shortVectorOrder(Addr a1, const Stride &s, const ShortVectorPlan &plan,
-                 const std::function<ModuleId(Addr)> &key,
-                 std::vector<Request> seed)
-{
-    std::vector<Request> stream = std::move(seed);
-    stream.clear();
-    stream.reserve(plan.total);
-
-    if (plan.hasReorderedPart()) {
-        auto head = conflictFreeOrderByKey(a1, plan.head, key);
-        stream.insert(stream.end(), head.begin(), head.end());
-    }
-
-    if (plan.ordered > 0) {
-        const Addr tail_a1 = a1 + s.value() * plan.reordered;
-        auto tail = canonicalOrder(tail_a1, s, plan.ordered);
-        for (auto &req : tail)
-            req.element += plan.reordered;
-        stream.insert(stream.end(), tail.begin(), tail.end());
-    }
-    return stream;
-}
-
-std::vector<Request>
-shortVectorOrder(Addr a1, const Stride &s, const ShortVectorPlan &plan,
                  const XorMatchedMapping &map)
 {
     return shortVectorOrder(a1, s, plan,

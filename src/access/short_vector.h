@@ -47,14 +47,22 @@ ShortVectorPlan planShortVector(unsigned t, unsigned w,
 
 /**
  * Emits the full request stream of a planned short vector: the
- * conflict-free head (keyed reordering, see conflictFreeOrderByKey)
- * followed by the in-order tail.  @p seed donates capacity as in
- * canonicalOrder.
+ * conflict-free head (keyed reordering, see appendConflictFreeOrder)
+ * followed by the in-order tail, both written straight into one
+ * buffer.  @p seed donates capacity as in canonicalOrder.
  */
+template <typename Key>
 std::vector<Request>
 shortVectorOrder(Addr a1, const Stride &s, const ShortVectorPlan &plan,
-                 const std::function<ModuleId(Addr)> &key,
-                 std::vector<Request> seed = {});
+                 const Key &key, std::vector<Request> seed = {})
+{
+    seed.clear();
+    seed.reserve(plan.total);
+    if (plan.hasReorderedPart())
+        appendConflictFreeOrder(seed, a1, plan.head, 0, key);
+    appendCanonicalOrder(seed, a1, s, plan.reordered, plan.ordered);
+    return seed;
+}
 
 /** Convenience overload for the matched (Eq. 1) mapping. */
 std::vector<Request>

@@ -161,32 +161,37 @@ VectorAccessUnit::inOrderConflictFree(unsigned x) const
     return false;
 }
 
-std::function<ModuleId(Addr)>
-VectorAccessUnit::reorderKey(unsigned x) const
+template <typename Fn>
+void
+VectorAccessUnit::withReorderKey(unsigned x, Fn &&fn) const
 {
-    const Cycle t_mask = (Cycle{1} << cfg_.t) - 1;
     switch (cfg_.kind) {
-      case MemoryKind::Matched:
+      case MemoryKind::Matched: {
         // Key = the module number itself.
-        return [map = matched_](Addr a) { return map->moduleOf(a); };
-      case MemoryKind::SimpleUnmatched:
+        const XorMatchedMapping &map = *matched_;
+        fn([&map](Addr a) { return map.moduleOf(a); });
+        return;
+      }
+      case MemoryKind::SimpleUnmatched: {
         // Key = low t bits of the module number: Lemma 2 guarantees
         // these cycle through all 2^t values in a subsequence, and
         // differing low bits imply differing modules.
-        return [map = matched_, t_mask](Addr a) {
-            return static_cast<ModuleId>(map->moduleOf(a) & t_mask);
-        };
-      case MemoryKind::Sectioned:
+        const XorMatchedMapping &map = *matched_;
+        const ModuleId t_mask = (ModuleId{1} << cfg_.t) - 1;
+        fn([&map, t_mask](Addr a) { return map.moduleOf(a) & t_mask; });
+        return;
+      }
+      case MemoryKind::Sectioned: {
+        const XorSectionedMapping &map = *sectioned_;
         if (x <= cfg_.s()) {
             // Supermodule order (Sec. 4.2 case i).
-            return [map = sectioned_](Addr a) {
-                return map->supermoduleOf(a);
-            };
+            fn([&map](Addr a) { return map.supermoduleOf(a); });
+        } else {
+            // Section order (Sec. 4.2 case ii).
+            fn([&map](Addr a) { return map.sectionOf(a); });
         }
-        // Section order (Sec. 4.2 case ii).
-        return [map = sectioned_](Addr a) {
-            return map->sectionOf(a);
-        };
+        return;
+      }
       case MemoryKind::DynamicTuned:
       case MemoryKind::PseudoRandom:
         // windowW() is nullopt for these kinds, so the planner
@@ -197,40 +202,50 @@ VectorAccessUnit::reorderKey(unsigned x) const
 }
 
 AccessPlan
-VectorAccessUnit::planExact(Addr a1, const Stride &s,
-                            std::uint64_t length,
-                            std::vector<Request> seed,
-                            bool explain) const
+VectorAccessUnit::planRegisters(Addr a1, const Stride &s,
+                                std::uint64_t length,
+                                std::vector<Request> seed,
+                                bool explain) const
 {
+    const std::uint64_t reg_len = cfg_.registerLength();
+    const std::uint64_t chunks = length / reg_len;
+    const unsigned x = s.family();
+
     AccessPlan plan;
     plan.a1 = a1;
     plan.stride = s;
     plan.length = length;
+    plan.stream = std::move(seed);
+    plan.stream.clear();
+    plan.stream.reserve(length);
 
-    const unsigned x = s.family();
-
+    // The choice depends on the family alone, not on a1, so every
+    // portion of a V = k*L access takes the same one.
+    const bool explain_portion = explain && chunks == 1;
+    bool portion_conflict_free = false;
+    const auto w = windowW(x);
     if (inOrderConflictFree(x)) {
         plan.policy = AccessPolicy::InOrder;
-        plan.expectConflictFree = true;
-        plan.stream = canonicalOrder(a1, s, length, std::move(seed));
-        if (explain) {
+        portion_conflict_free = true;
+        appendCanonicalOrder(plan.stream, a1, s, 0, length);
+        if (explain_portion) {
             std::ostringstream why;
             why << "family x=" << x
                 << " is conflict free in order on "
                 << mapping_->name();
             plan.rationale = why.str();
         }
-        return plan;
-    }
-
-    const auto w = windowW(x);
-    if (w && subsequencePlanExists(cfg_.t, *w, s, length)) {
-        const auto sub = makeSubsequencePlan(cfg_.t, *w, s, length);
+    } else if (w && subsequencePlanExists(cfg_.t, *w, s, reg_len)) {
         plan.policy = AccessPolicy::ConflictFree;
-        plan.expectConflictFree = true;
-        plan.stream = conflictFreeOrderByKey(a1, sub, reorderKey(x),
-                                             std::move(seed));
-        if (explain) {
+        portion_conflict_free = true;
+        const auto sub = makeSubsequencePlan(cfg_.t, *w, s, reg_len);
+        withReorderKey(x, [&](const auto &key) {
+            for (std::uint64_t c = 0; c < chunks; ++c) {
+                appendConflictFreeOrder(plan.stream, a1, sub,
+                                        c * reg_len, key);
+            }
+        });
+        if (explain_portion) {
             std::ostringstream why;
             why << "family x=" << x << " in window via w=" << *w
                 << ": Sec. " << (cfg_.kind == MemoryKind::Sectioned
@@ -238,17 +253,31 @@ VectorAccessUnit::planExact(Addr a1, const Stride &s,
                 << " out-of-order issue";
             plan.rationale = why.str();
         }
-        return plan;
+    } else {
+        plan.policy = AccessPolicy::InOrder;
+        appendCanonicalOrder(plan.stream, a1, s, 0, length);
+        if (explain_portion) {
+            std::ostringstream why;
+            why << "family x=" << x << " outside every window (vector "
+                << "not T-matched); canonical order";
+            plan.rationale = why.str();
+        }
     }
 
-    plan.policy = AccessPolicy::InOrder;
-    plan.expectConflictFree = false;
-    plan.stream = canonicalOrder(a1, s, length, std::move(seed));
-    if (explain) {
-        std::ostringstream why;
-        why << "family x=" << x << " outside every window (vector "
-            << "not T-matched); canonical order";
-        plan.rationale = why.str();
+    // Seams between portions are not covered by Theorem 1/3; only a
+    // fully in-order stream keeps the guarantee end to end.  Each
+    // seam may cost up to T-1 cycles, which the simulator measures
+    // honestly.
+    plan.expectConflictFree =
+        portion_conflict_free && (chunks == 1 || inOrderConflictFree(x));
+    if (chunks > 1) {
+        plan.policy = AccessPolicy::ChunkedByL;
+        if (explain) {
+            std::ostringstream why;
+            why << "V = " << chunks << " * L: per-portion scheme "
+                << "(Sec. 5C case ii)";
+            plan.rationale = why.str();
+        }
     }
     return plan;
 }
@@ -263,49 +292,10 @@ VectorAccessUnit::plan(Addr a1, const Stride &s,
     const std::uint64_t reg_len = cfg_.registerLength();
     const unsigned x = s.family();
 
-    if (length == reg_len)
-        return planExact(a1, s, length, std::move(seed), explain);
-
-    if (length > reg_len && length % reg_len == 0) {
-        // Sec. 5C case ii: multiple-size registers; apply the
-        // register-length scheme to each portion.  Each chunk is
-        // individually conflict free; the seams may cost up to T-1
-        // cycles each, which the simulator measures honestly.
-        AccessPlan plan;
-        plan.policy = AccessPolicy::ChunkedByL;
-        plan.a1 = a1;
-        plan.stride = s;
-        plan.length = length;
-        plan.stream = std::move(seed);
-        plan.stream.clear();
-        plan.stream.reserve(length);
-        const std::uint64_t chunks = length / reg_len;
-        for (std::uint64_t c = 0; c < chunks; ++c) {
-            const Addr chunk_a1 = a1 + s.value() * (c * reg_len);
-            AccessPlan sub =
-                planExact(chunk_a1, s, reg_len, {}, explain);
-            for (auto &req : sub.stream)
-                req.element += c * reg_len;
-            plan.stream.insert(plan.stream.end(), sub.stream.begin(),
-                               sub.stream.end());
-            if (c == 0)
-                plan.expectConflictFree = sub.expectConflictFree;
-            else
-                plan.expectConflictFree &= sub.expectConflictFree;
-        }
-        // Seams between chunks are not covered by Theorem 1/3; only
-        // a fully in-order stream keeps the guarantee end to end.
-        if (plan.expectConflictFree && chunks > 1
-            && !inOrderConflictFree(x)) {
-            plan.expectConflictFree = false;
-        }
-        if (explain) {
-            std::ostringstream why;
-            why << "V = " << chunks << " * L: per-portion scheme "
-                << "(Sec. 5C case ii)";
-            plan.rationale = why.str();
-        }
-        return plan;
+    if (length % reg_len == 0) {
+        // V = L, or Sec. 5C case ii: multiple-size registers; apply
+        // the register-length scheme to each portion.
+        return planRegisters(a1, s, length, std::move(seed), explain);
     }
 
     if (inOrderConflictFree(x)) {
@@ -344,8 +334,9 @@ VectorAccessUnit::plan(Addr a1, const Stride &s,
     }
 
     const auto split = planShortVector(cfg_.t, *w, s, length);
-    plan.stream = shortVectorOrder(a1, s, split, reorderKey(x),
-                                   std::move(seed));
+    withReorderKey(x, [&](const auto &key) {
+        plan.stream = shortVectorOrder(a1, s, split, key, std::move(seed));
+    });
     plan.expectConflictFree =
         split.hasReorderedPart() && split.ordered == 0;
     if (explain) {
@@ -365,13 +356,15 @@ VectorAccessUnit::plan(Addr a1, std::int64_t stride,
                        bool explain) const
 {
     cfva_assert(stride != 0, "stride must be nonzero");
+    cfva_assert(length > 0, "empty access");
     if (stride > 0)
         return plan(a1, Stride(static_cast<std::uint64_t>(stride)),
                     length, std::move(seed), explain);
 
-    const std::uint64_t mag =
-        static_cast<std::uint64_t>(-stride);
-    cfva_assert(a1 >= (length - 1) * mag,
+    // |S| in unsigned arithmetic: -stride overflows for INT64_MIN,
+    // and (length-1)*|S| can wrap past a1, so compare by division.
+    const std::uint64_t mag = 0 - static_cast<std::uint64_t>(stride);
+    cfva_assert(length - 1 <= a1 / mag,
                 "negative-stride access underflows address 0: a1=",
                 a1, ", |S|=", mag, ", V=", length);
 

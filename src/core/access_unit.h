@@ -178,14 +178,18 @@ class VectorAccessUnit
     MemConfig memConfig() const { return cfg_.memConfig(); }
 
   private:
-    /** Plans one full-register (or period-multiple) access. */
-    AccessPlan planExact(Addr a1, const Stride &s,
-                         std::uint64_t length,
-                         std::vector<Request> seed = {},
-                         bool explain = true) const;
+    /** Plans an access of k >= 1 whole registers (length = k * L):
+     *  the full-register scheme, applied to each portion when
+     *  k > 1 (Sec. 5C case ii). */
+    AccessPlan planRegisters(Addr a1, const Stride &s,
+                             std::uint64_t length,
+                             std::vector<Request> seed,
+                             bool explain) const;
 
-    /** The reorder key for conflict-free issue at family @p x. */
-    std::function<ModuleId(Addr)> reorderKey(unsigned x) const;
+    /** Calls @p fn with the concrete reorder key for conflict-free
+     *  issue at family @p x; windowW(x) must be set. */
+    template <typename Fn>
+    void withReorderKey(unsigned x, Fn &&fn) const;
 
     /** The XOR distance (w = s or y) to use for family @p x, or
      *  nullopt when x is outside every out-of-order window. */

@@ -14,14 +14,6 @@ XorMatchedMapping::XorMatchedMapping(unsigned t, unsigned s)
     cfva_assert(s + t <= 56, "s too large: ", s);
 }
 
-ModuleId
-XorMatchedMapping::moduleOf(Addr a) const
-{
-    const Addr low = bitField(a, 0, t_);
-    const Addr mid = bitField(a, s_, t_);
-    return static_cast<ModuleId>(low ^ mid);
-}
-
 Addr
 XorMatchedMapping::displacementOf(Addr a) const
 {

@@ -22,7 +22,7 @@
 namespace cfva {
 
 /** Eq. 1 mapping: b = a_{t-1..0} XOR a_{s+t-1..s}. */
-class XorMatchedMapping : public ModuleMapping
+class XorMatchedMapping final : public ModuleMapping
 {
   public:
     /**
@@ -34,7 +34,13 @@ class XorMatchedMapping : public ModuleMapping
      */
     XorMatchedMapping(unsigned t, unsigned s);
 
-    ModuleId moduleOf(Addr a) const override;
+    ModuleId
+    moduleOf(Addr a) const override
+    {
+        return static_cast<ModuleId>(bitField(a, 0, t_)
+                                     ^ bitField(a, s_, t_));
+    }
+
     Addr displacementOf(Addr a) const override;
     Addr addressOf(ModuleId module, Addr displacement) const override;
     unsigned moduleBits() const override { return t_; }

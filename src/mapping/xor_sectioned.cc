@@ -19,27 +19,6 @@ XorSectionedMapping::XorSectionedMapping(unsigned t, unsigned s,
     cfva_assert(y + u <= 56, "y too large: ", y);
 }
 
-ModuleId
-XorSectionedMapping::moduleOf(Addr a) const
-{
-    const Addr low = bitField(a, 0, t_) ^ bitField(a, s_, t_);
-    const Addr high = bitField(a, y_, u_);
-    return static_cast<ModuleId>((high << t_) | low);
-}
-
-ModuleId
-XorSectionedMapping::sectionOf(Addr a) const
-{
-    return static_cast<ModuleId>(bitField(a, y_, u_));
-}
-
-ModuleId
-XorSectionedMapping::supermoduleOf(Addr a) const
-{
-    return static_cast<ModuleId>(bitField(a, 0, t_)
-                                 ^ bitField(a, s_, t_));
-}
-
 Addr
 XorSectionedMapping::displacementOf(Addr a) const
 {

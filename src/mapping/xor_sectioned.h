@@ -28,7 +28,7 @@
 namespace cfva {
 
 /** Eq. 2 mapping: sectioned XOR transformation for m = t + u. */
-class XorSectionedMapping : public ModuleMapping
+class XorSectionedMapping final : public ModuleMapping
 {
   public:
     /**
@@ -46,7 +46,12 @@ class XorSectionedMapping : public ModuleMapping
         : XorSectionedMapping(t, s, y, t)
     {}
 
-    ModuleId moduleOf(Addr a) const override;
+    ModuleId
+    moduleOf(Addr a) const override
+    {
+        return (sectionOf(a) << t_) | supermoduleOf(a);
+    }
+
     Addr displacementOf(Addr a) const override;
     Addr addressOf(ModuleId module, Addr displacement) const override;
     unsigned moduleBits() const override { return t_ + u_; }
@@ -65,14 +70,23 @@ class XorSectionedMapping : public ModuleMapping
     ModuleId modulesPerSection() const { return ModuleId{1} << t_; }
 
     /** Section number of @p a: bits b_{m-1..t} = a_{y+u-1..y}. */
-    ModuleId sectionOf(Addr a) const;
+    ModuleId
+    sectionOf(Addr a) const
+    {
+        return static_cast<ModuleId>(bitField(a, y_, u_));
+    }
 
     /**
      * Supermodule number of @p a (paper Sec. 4.2): the supermodule i
      * consists of the i-th module of each section, i.e. bits
      * b_{t-1..0} of the module number.
      */
-    ModuleId supermoduleOf(Addr a) const;
+    ModuleId
+    supermoduleOf(Addr a) const
+    {
+        return static_cast<ModuleId>(bitField(a, 0, t_)
+                                     ^ bitField(a, s_, t_));
+    }
 
     /**
      * The period P_x of the canonical temporal distribution for

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/access_unit.h"
 #include "test_util.h"
 
@@ -143,21 +145,80 @@ TEST(AccessUnit, ChunkedMultipleOfL)
     EXPECT_EQ(r.deliveries.size(), 256u);
     // Each chunk is conflict free; seams cost at most T-1 each.
     EXPECT_LE(r.latency, 256u + 8u + 1u + 7u);
+
+    // Longer multiples: the stream is the concatenation of the
+    // per-chunk full-register plans, element numbers offset by the
+    // chunk, for the reordered (x < s), in-order (x = s) and
+    // out-of-window (x > s) families, with and without address wrap.
+    // Only the in-order family keeps the guarantee across seams.
+    const std::uint64_t reg_len = unit.config().registerLength();
+    for (std::uint64_t len : {4096ull, 65536ull}) {
+        for (std::uint64_t stride : {1ull, 12ull, 16ull, 32ull}) {
+            for (Addr a1 : {Addr{7}, ~Addr{0} - 1000}) {
+                const Stride s(stride);
+                const auto chunked = unit.plan(a1, s, len);
+                ASSERT_EQ(chunked.policy, AccessPolicy::ChunkedByL);
+                ASSERT_EQ(chunked.stream.size(), len);
+                EXPECT_EQ(chunked.expectConflictFree, stride == 16)
+                    << "stride " << stride;
+                for (std::uint64_t c = 0; c < len / reg_len; ++c) {
+                    const std::uint64_t first = c * reg_len;
+                    const auto chunk =
+                        unit.plan(a1 + stride * first, s, reg_len);
+                    for (std::uint64_t i = 0; i < reg_len; ++i) {
+                        const Request &got = chunked.stream[first + i];
+                        ASSERT_EQ(got.addr, chunk.stream[i].addr)
+                            << "L " << len << " stride " << stride
+                            << " slot " << first + i;
+                        ASSERT_EQ(got.element,
+                                  chunk.stream[i].element + first)
+                            << "L " << len << " stride " << stride
+                            << " slot " << first + i;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(AccessUnit, ElementsCoveredExactlyOnceAllPolicies)
 {
     const VectorAccessUnit unit(paperMatchedExample());
-    for (std::uint64_t len : {40ull, 64ull, 128ull, 256ull}) {
+    const auto &map =
+        dynamic_cast<const XorMatchedMapping &>(unit.mapping());
+    for (std::uint64_t len :
+         {40ull, 64ull, 128ull, 200ull, 256ull, 1000000ull}) {
         for (std::uint64_t stride : {1ull, 12ull, 16ull, 32ull}) {
-            const auto p = unit.plan(7, Stride(stride), len);
+            const Stride s(stride);
+            const auto p = unit.plan(7, s, len);
             ASSERT_EQ(p.stream.size(), len);
             std::vector<bool> seen(len, false);
             for (const auto &req : p.stream) {
                 ASSERT_LT(req.element, len);
-                EXPECT_FALSE(seen[req.element]);
+                ASSERT_FALSE(seen[req.element]);
                 seen[req.element] = true;
-                EXPECT_EQ(req.addr, 7 + stride * req.element);
+                ASSERT_EQ(req.addr, 7 + stride * req.element);
+            }
+            if (p.policy != AccessPolicy::SplitShort)
+                continue;
+
+            // Sec. 5C: the conflict-free head, then the in-order
+            // tail, in one stream.
+            const auto split = planShortVector(
+                map.t(), map.xorDistance(), s, len);
+            const auto head = split.hasReorderedPart()
+                                  ? conflictFreeOrder(7, split.head, map)
+                                  : std::vector<Request>{};
+            for (std::uint64_t i = 0; i < len; ++i) {
+                const Request want =
+                    i < split.reordered ? head[i]
+                                        : Request{7 + stride * i, i};
+                ASSERT_EQ(p.stream[i].addr, want.addr)
+                    << "L " << len << " stride " << stride
+                    << " slot " << i;
+                ASSERT_EQ(p.stream[i].element, want.element)
+                    << "L " << len << " stride " << stride
+                    << " slot " << i;
             }
         }
     }
@@ -168,6 +229,30 @@ TEST(AccessUnit, RejectsEmptyAccess)
     test::ScopedPanicThrow guard;
     const VectorAccessUnit unit(paperMatchedExample());
     EXPECT_THROW(unit.plan(0, Stride(1), 0), std::runtime_error);
+}
+
+TEST(AccessUnit, RejectsNegativeStrideThatWrapsTheGuard)
+{
+    // 4 * 2^62 wraps to 0, so a product guard a1 >= (V-1)*|S|
+    // would accept this and alias elements 0 and 4 at address 0.
+    test::ScopedPanicThrow guard;
+    const VectorAccessUnit unit(paperMatchedExample());
+    EXPECT_THROW(unit.plan(0, -(std::int64_t{1} << 62), 5),
+                 std::runtime_error);
+}
+
+TEST(AccessUnit, NegativeStrideInt64Min)
+{
+    // |INT64_MIN| = 2^63 is not representable as an int64_t.
+    const VectorAccessUnit unit(paperMatchedExample());
+    const auto p = unit.plan(Addr{1} << 63,
+                             std::numeric_limits<std::int64_t>::min(), 2);
+    ASSERT_EQ(p.stream.size(), 2u);
+    for (const auto &req : p.stream) {
+        ASSERT_LT(req.element, 2u);
+        EXPECT_EQ(req.addr, req.element == 0 ? Addr{1} << 63 : Addr{0});
+    }
+    EXPECT_NE(p.stream[0].element, p.stream[1].element);
 }
 
 TEST(AccessUnit, PolicyNames)

@@ -50,6 +50,28 @@ TEST(ShortVector, OutsideWindowFallsBackToOrdered)
     EXPECT_EQ(plan.ordered, 64u);
 }
 
+/**
+ * Reference for the keyed reordering: the Fig. 4 subsequence order
+ * with every 2^t block permuted into the key order of the first
+ * block (Sec. 3.2).
+ */
+std::vector<Request>
+keyedReference(Addr a1, const SubsequencePlan &plan,
+               const XorMatchedMapping &map)
+{
+    const auto base = subsequenceOrder(a1, plan);
+    const std::uint64_t block = plan.elemsPerSubseq;
+    std::vector<std::uint64_t> slot_of_key(block);
+    for (std::uint64_t i = 0; i < block; ++i)
+        slot_of_key[map.moduleOf(base[i].addr)] = i;
+    std::vector<Request> out(base.size());
+    for (std::uint64_t i = 0; i < base.size(); ++i) {
+        const std::uint64_t first = i - i % block;
+        out[first + slot_of_key[map.moduleOf(base[i].addr)]] = base[i];
+    }
+    return out;
+}
+
 TEST(ShortVector, StreamCoversAllElementsOnce)
 {
     const XorMatchedMapping map(3, 3);
@@ -67,6 +89,48 @@ TEST(ShortVector, StreamCoversAllElementsOnce)
         EXPECT_LT(stream[i].element, 32u);
     for (std::size_t i = 32; i < 40; ++i)
         EXPECT_GE(stream[i].element, 32u);
+
+    // conflictFreeOrderByKey, and the head of shortVectorOrder, equal
+    // keyedReference, and the tail follows in order, for t = 1..8,
+    // w = t and t+1, every x <= w and a start near 2^64 whose
+    // addresses wrap.  Two and a half periods leave a tail.
+    const auto same = [](const Request &a, const Request &b) {
+        return a.addr == b.addr && a.element == b.element;
+    };
+    for (unsigned t = 1; t <= 8; ++t) {
+        for (unsigned w : {t, t + 1}) {
+            const XorMatchedMapping key_map(t, w);
+            const auto key = [&](Addr a) { return key_map.moduleOf(a); };
+            for (unsigned x = 0; x <= w; ++x) {
+                for (Addr a1 : {Addr{16}, ~Addr{0} - 100}) {
+                    const Stride sx = Stride::fromFamily(3, x);
+                    const std::uint64_t period =
+                        std::uint64_t{1} << (w + t - x);
+                    const std::uint64_t v = 2 * period + period / 2;
+                    const auto split = planShortVector(t, w, sx, v);
+                    ASSERT_EQ(split.reordered, 2 * period);
+                    const auto head =
+                        keyedReference(a1, split.head, key_map);
+                    const auto keyed =
+                        conflictFreeOrderByKey(a1, split.head, key);
+                    const auto got =
+                        shortVectorOrder(a1, sx, split, key_map);
+                    ASSERT_EQ(keyed.size(), head.size());
+                    ASSERT_EQ(got.size(), v);
+                    for (std::uint64_t i = 0; i < v; ++i) {
+                        const bool in_head = i < head.size();
+                        const Request want =
+                            in_head ? head[i]
+                                    : Request{a1 + sx.value() * i, i};
+                        ASSERT_TRUE(same(got[i], want)
+                                    && (!in_head || same(keyed[i], want)))
+                            << "t=" << t << " w=" << w << " x=" << x
+                            << " a1=" << a1 << " slot " << i;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(ShortVector, HeadIsConflictFreeInSimulation)
