@@ -24,6 +24,7 @@
 #include "memsys/backend_cache.h"
 #include "memsys/event_driven.h"
 #include "memsys/memory_system.h"
+#include "memsys/multi_port.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "sim/sweep_sink.h"
@@ -223,6 +224,68 @@ BENCHMARK_CAPTURE(BM_Step, matched_stepper_full,
 BENCHMARK_CAPTURE(BM_Step, matched_stepper_summary,
                   StepVariant::StepperSummary, MemoryKind::Matched)
     ->Apply(stepLengths);
+
+/**
+ * The multi-port stepping layer on its own, per element: P ports of
+ * the matched M = T = 8 unit each plan stride 1 from bases 2^20
+ * apart (the sweep's default port stagger), so every port visits
+ * every module and the ports contend for all of them.  The
+ * per-cycle PerCycleMultiPort oracle (which premaps inside its run)
+ * against the event stepper's P-port pass at full and at summary
+ * detail, premapped outside the timed loop.
+ */
+void
+BM_StepPorts(benchmark::State &state, StepVariant variant)
+{
+    VectorUnitConfig cfg;
+    cfg.t = 3;
+    cfg.lambda = 7;
+    const VectorAccessUnit unit(cfg);
+    const auto ports = static_cast<unsigned>(state.range(0));
+    const auto length = static_cast<std::uint64_t>(state.range(1));
+    std::vector<std::vector<Request>> streams;
+    std::vector<std::vector<ModuleId>> mods;
+    for (unsigned p = 0; p < ports; ++p) {
+        streams.push_back(
+            unit.plan(16 + (Addr{p} << 20), Stride(1), length).stream);
+        mods.emplace_back();
+        for (const Request &r : streams.back())
+            mods.back().push_back(unit.mapping().moduleOf(r.addr));
+    }
+
+    PerCycleMultiPort oracle(unit.memConfig(), unit.mapping());
+    EventStepper stepper;
+    for (auto _ : state) {
+        const MultiPortResult r =
+            variant == StepVariant::Oracle
+                ? oracle.run(streams)
+                : stepper.runPorts(unit.memConfig(), streams, mods,
+                                   variant == StepVariant::StepperFull);
+        benchmark::DoNotOptimize(r.ports.data());
+        benchmark::DoNotOptimize(r.makespan);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(ports * length));
+}
+
+void
+stepPortShapes(benchmark::internal::Benchmark *b)
+{
+    b->ArgNames({"P", "L"});
+    for (std::int64_t ports : {2, 3})
+        for (std::int64_t length : {64, 200})
+            b->Args({ports, length});
+    b->Unit(benchmark::kMicrosecond);
+}
+
+BENCHMARK_CAPTURE(BM_StepPorts, oracle, StepVariant::Oracle)
+    ->Apply(stepPortShapes);
+BENCHMARK_CAPTURE(BM_StepPorts, stepper_full, StepVariant::StepperFull)
+    ->Apply(stepPortShapes);
+BENCHMARK_CAPTURE(BM_StepPorts, stepper_summary,
+                  StepVariant::StepperSummary)
+    ->Apply(stepPortShapes);
 
 void
 BM_PlanFullAccess(benchmark::State &state)

@@ -151,50 +151,6 @@ makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
 namespace detail {
 
 MultiPortResult
-assemblePortResults(const MemConfig &cfg,
-                    const std::vector<std::vector<Request>> &streams,
-                    std::vector<PortState> &ports, Cycle lastDelivery)
-{
-    MultiPortResult result;
-    bool any = false;
-    for (const auto &p : ports)
-        any |= !p.delivered.empty();
-    result.makespan = any ? lastDelivery + 1 : 0;
-    result.ports.resize(ports.size());
-    for (std::size_t p = 0; p < ports.size(); ++p) {
-        AccessResult &r = result.ports[p];
-        r.deliveries = std::move(ports[p].delivered);
-        r.firstIssue = ports[p].firstIssue;
-        r.lastDelivery =
-            r.deliveries.empty() ? 0 : r.deliveries.back().delivered;
-        r.latency = r.deliveries.empty()
-            ? 0 : r.lastDelivery - r.firstIssue + 1;
-        r.stallCycles = ports[p].stalls;
-        if (streams[p].empty()) {
-            // A port with nothing to issue vacuously ran at its
-            // minimum (matches MemorySystem::run on an empty
-            // stream).
-            r.conflictFree = true;
-            continue;
-        }
-        const Cycle min_latency =
-            static_cast<Cycle>(streams[p].size())
-            + cfg.serviceCycles() + 1;
-        r.conflictFree =
-            r.stallCycles == 0 && r.latency == min_latency;
-    }
-    return result;
-}
-
-Cycle
-wedgeLimit(const MemConfig &cfg, std::size_t total, unsigned n_ports)
-{
-    return (static_cast<Cycle>(total) + 4 * n_ports)
-               * (cfg.serviceCycles() + 2)
-           + 64;
-}
-
-MultiPortResult
 wrapSinglePort(AccessResult &&r)
 {
     MultiPortResult out;

@@ -11,9 +11,10 @@
  *   reference, bit-exact with the historical simulateMultiPort loop
  *   and — at P = 1 — with MemorySystem::run.  It remains the oracle
  *   the event-driven engines are differentially tested against.
- * - EventDrivenMultiPort (memsys/event_multi_port.h): jumps straight
- *   to the next state-changing cycle; per-port output heaps replace
- *   the O(P*M) per-cycle return-bus head scan.
+ * - EventDrivenMultiPort (memsys/event_multi_port.h): the event
+ *   stepper (memsys/event_driven.h) jumps straight to the next
+ *   state-changing cycle; per-port output heaps replace the O(P*M)
+ *   per-cycle return-bus head scan.
  *
  * EngineKind lives here (not in core/) so the dispatch is decided at
  * the memsys layer and every consumer — VectorAccessUnit, the sweep
@@ -91,9 +92,8 @@ enum class ResultDetail
     /** Materialize every Delivery (the library default). */
     Full,
 
-    /** Timing aggregates only: single-port results — claimed or
-     *  stepped — carry no deliveries.  A stepped multi-port access
-     *  still materializes. */
+    /** Timing aggregates only: no result — claimed or stepped,
+     *  one port or several — carries deliveries. */
     Summary,
 
     /**
@@ -237,31 +237,6 @@ class DeliveryArena
     std::size_t peakBytes_ = 0;
 };
 
-/** Outcome of a simultaneous multi-vector access. */
-struct MultiPortResult
-{
-    /** Per-port results (latency, stalls, deliveries). */
-    std::vector<AccessResult> ports;
-
-    /** Cycles from the first issue to the last delivery overall
-     *  (exclusive: the cycle after the last delivery); 0 when no
-     *  element was delivered. */
-    Cycle makespan = 0;
-
-    /** True iff every port ran at its own minimum latency. */
-    bool
-    allConflictFree() const
-    {
-        for (const auto &p : ports) {
-            if (!p.conflictFree)
-                return false;
-        }
-        return true;
-    }
-
-    bool operator==(const MultiPortResult &o) const = default;
-};
-
 /**
  * A simulation engine for P simultaneous request streams sharing
  * one set of memory modules.  Implementations are constructed per
@@ -334,35 +309,6 @@ makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
                   CollapseMode collapse = CollapseMode::On);
 
 namespace detail {
-
-/** Per-port issue bookkeeping shared by the multi-port backends. */
-struct PortState
-{
-    std::size_t next = 0; //!< next request index (= requests issued)
-    bool started = false;
-    Cycle firstIssue = 0;
-    std::uint64_t stalls = 0;
-    std::vector<Delivery> delivered;
-};
-
-/**
- * Folds per-port issue state into the MultiPortResult both backends
- * must agree on bit for bit: latency, conflict-free criterion, and
- * makespan are computed in exactly one place.  The delivered
- * buffers are moved out of @p ports, but the vector itself is left
- * intact so engines can keep it as reusable member scratch.
- */
-MultiPortResult
-assemblePortResults(const MemConfig &cfg,
-                    const std::vector<std::vector<Request>> &streams,
-                    std::vector<PortState> &ports, Cycle lastDelivery);
-
-/**
- * Wedge guard for P serialized streams of @p total requests; the
- * same bound both backends assert against.
- */
-Cycle wedgeLimit(const MemConfig &cfg, std::size_t total,
-                 unsigned n_ports);
 
 /** Lifts a single-port AccessResult into the P = 1 MultiPortResult
  *  the generic loops would produce for the same stream. */

@@ -48,17 +48,20 @@ replicate(std::vector<Record> &records, std::size_t from, std::size_t to,
 } // namespace
 
 void
-EventStepper::reset(const MemConfig &cfg)
+EventStepper::reset(const MemConfig &cfg, unsigned ports)
 {
     const ModuleId count = cfg.modules();
     if (count != moduleCount_) {
         moduleCount_ = count;
         retire_ = ModuleEventHeap(count);
-        outputs_ = ModuleEventHeap(count);
+        outputs_.clear();
     } else {
         retire_.clear();
-        outputs_.clear();
+        for (ModuleEventHeap &bus : outputs_)
+            bus.clear();
     }
+    while (outputs_.size() < ports)
+        outputs_.emplace_back(count);
     q_ = cfg.inputBuffers;
     qOut_ = cfg.outputBuffers;
     t_ = cfg.serviceCycles();
@@ -173,7 +176,7 @@ EventStepper::shiftState(Cycle tShift, std::uint32_t pShift)
             shift(outAt(id, m.outHead + i));
     }
     retire_.shiftTimes(tShift);
-    outputs_.shiftTimes(tShift);
+    outputs_.front().shiftTimes(tShift);
 }
 
 bool
@@ -210,7 +213,7 @@ EventStepper::run(const MemConfig &cfg,
             return false;
     }
 
-    reset(cfg);
+    reset(cfg, 1);
     std::vector<Delivery> &out = result.deliveries;
     if (trace)
         emits_.reserve(length);
@@ -244,9 +247,9 @@ EventStepper::run(const MemConfig &cfg,
 
     // Same wedge guard as the per-cycle model; a jump assigns true
     // cycle numbers, so the bound stays meaningful after it.
-    const Cycle limit =
-        (static_cast<Cycle>(length) + 4) * (T + 2) + 64;
+    const Cycle limit = cfg.wedgeLimit(length, 1);
     const Cycle never = std::numeric_limits<Cycle>::max();
+    ModuleEventHeap &bus = outputs_.front();
 
     // Starts the input-buffer head's service on an idle module if
     // it has crossed the request bus.
@@ -285,16 +288,16 @@ EventStepper::run(const MemConfig &cfg,
             }
             outAt(id, m.outHead + m.outCount) = m.svc;
             if (m.outCount++ == 0)
-                outputs_.push(id, m.svc.serviceStart + T);
+                bus.push(id, m.svc.serviceStart + T);
             m.busy = false;
             tryStart(id, now);
         }
 
         // 2. Return bus: at most one delivery per cycle, oldest
         //    ready first, lowest module number on ties — the heap
-        //    order of `outputs_`.
-        if (!outputs_.empty() && outputs_.top().time <= now) {
-            const ModuleId id = outputs_.pop().module;
+        //    order of `bus`.
+        if (!bus.empty() && bus.top().time <= now) {
+            const ModuleId id = bus.pop().module;
             Module &m = modules_[id];
             const Flight f = outAt(id, m.outHead);
             if (materialize) {
@@ -312,7 +315,7 @@ EventStepper::run(const MemConfig &cfg,
             }
             m.outHead = wrap(m.outHead + 1, qOut_);
             if (--m.outCount != 0)
-                outputs_.push(id, outAt(id, m.outHead).serviceStart + T);
+                bus.push(id, outAt(id, m.outHead).serviceStart + T);
             ++delivered;
             lastDelivery = now;
             if (m.retireBlocked) {
@@ -440,7 +443,7 @@ EventStepper::run(const MemConfig &cfg,
 
         // Advance to the next cycle at which any state can change.
         Cycle wake = never;
-        if (!outputs_.empty() || arriving != kNoModule) {
+        if (!bus.empty() || arriving != kNoModule) {
             // A pending output delivers, or the arrival lands, next
             // cycle.
             wake = now + 1;
@@ -463,16 +466,233 @@ EventStepper::run(const MemConfig &cfg,
         now = wake;
     }
 
-    summary_.firstIssue = firstIssue;
-    summary_.lastDelivery = lastDelivery;
-    summary_.stallCycles = stalls;
-    summary_.latency = lastDelivery - firstIssue + 1;
-    summary_.conflictFree =
-        stalls == 0
-        && summary_.latency == static_cast<Cycle>(length) + T + 1;
+    summary_ =
+        summarizePort(length, T, firstIssue, lastDelivery, stalls);
     stepped_ = now + 1 - jumpedSpan;
     applyEmitSummary(summary_, result);
     return jumped;
+}
+
+void
+EventStepper::reorderPorts()
+{
+    // Insertion pass: an issue raises a port's count by one, so the
+    // list is nearly sorted and this costs O(P) per issuing cycle.
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < order_.size(); ++k) {
+        const unsigned p = order_[k];
+        const Port &ps = ports_[p];
+        if (ps.next == ps.length)
+            continue;
+        std::size_t j = n;
+        for (; j > 0; --j) {
+            const unsigned o = order_[j - 1];
+            const std::size_t issued = ports_[o].next;
+            if (issued < ps.next || (issued == ps.next && o < p))
+                break;
+            order_[j] = o;
+        }
+        order_[j] = p;
+        ++n;
+    }
+    order_.resize(n);
+}
+
+MultiPortResult
+EventStepper::runPorts(const MemConfig &cfg,
+                       const std::vector<std::vector<Request>> &streams,
+                       const std::vector<std::vector<ModuleId>> &mods,
+                       bool materialize, DeliveryArena *arena)
+{
+    const auto nPorts = static_cast<unsigned>(streams.size());
+    cfva_assert(nPorts > 0 && mods.size() >= nPorts,
+                "need a premapped stream per port");
+    reset(cfg, nPorts);
+    MultiPortResult result;
+    result.ports.resize(nPorts);
+    ports_.assign(nPorts, Port{});
+    order_.clear();
+    std::size_t total = 0;
+    for (unsigned p = 0; p < nPorts; ++p) {
+        const std::size_t length = streams[p].size();
+        cfva_assert(mods[p].size() == length, "port ", p, " has ",
+                    length, " requests but ", mods[p].size(),
+                    " premapped modules");
+        cfva_assert(length <= std::numeric_limits<std::uint32_t>::max(),
+                    "a stream of ", length, " requests is longer than "
+                    "the stepper's 32-bit stream positions");
+        ports_[p].mods = mods[p].data();
+        ports_[p].length = length;
+        total += length;
+        if (length != 0)
+            order_.push_back(p); // every count is 0: port order
+        if (materialize) {
+            std::vector<Delivery> &buf = result.ports[p].deliveries;
+            if (arena)
+                buf = arena->acquire(length);
+            buf.reserve(length);
+        }
+    }
+    arriving_.clear();
+
+    const Cycle T = t_;
+    const auto target = [&](const Port &ps) {
+        const ModuleId id = ps.mods[ps.next];
+        cfva_assert(id < moduleCount_, "mapping produced module ", id,
+                    " outside 2^", cfg.m);
+        return id;
+    };
+    const Cycle limit = cfg.wedgeLimit(total, nPorts);
+    const Cycle never = std::numeric_limits<Cycle>::max();
+
+    // Starts the input-buffer head's service on an idle module if
+    // it has crossed the request bus.
+    const auto tryStart = [&](ModuleId id, Cycle now) {
+        Module &m = modules_[id];
+        if (m.busy || m.inCount == 0)
+            return;
+        const Flight &head = inAt(id, m.inHead);
+        if (head.issued + 1 > now)
+            return; // still on the request bus
+        m.svc = head;
+        m.svc.serviceStart = now;
+        m.inHead = wrap(m.inHead + 1, q_);
+        --m.inCount;
+        m.busy = true;
+        retire_.push(id, now + T);
+    };
+
+    std::size_t delivered = 0;
+    Cycle now = 0;
+    while (delivered < total) {
+        cfva_assert(now <= limit, "multi-port simulation wedged at "
+                    "cycle ", now);
+
+        // 1. Retire finished services into output buffers, parking a
+        //    module on a full one, and start the next service.
+        while (!retire_.empty() && retire_.top().time <= now) {
+            const ModuleId id = retire_.pop().module;
+            Module &m = modules_[id];
+            if (m.outCount >= qOut_) {
+                m.retireBlocked = true;
+                continue;
+            }
+            outAt(id, m.outHead + m.outCount) = m.svc;
+            if (m.outCount++ == 0)
+                outputs_[m.svc.port].push(id, m.svc.serviceStart + T);
+            m.busy = false;
+            tryStart(id, now);
+        }
+
+        // 2. Return buses, in port order: each delivers its own
+        //    oldest ready element.  The head a delivery reveals joins
+        //    its own port's bus, so a later port can still take it
+        //    this cycle — the per-cycle model's port-by-port scan.
+        for (unsigned p = 0; p < nPorts; ++p) {
+            ModuleEventHeap &bus = outputs_[p];
+            if (bus.empty() || bus.top().time > now)
+                continue;
+            const ModuleId id = bus.pop().module;
+            Module &m = modules_[id];
+            const Flight f = outAt(id, m.outHead);
+            if (materialize) {
+                const Request &req = streams[p][f.pos];
+                result.ports[p].deliveries.push_back(
+                    {req.addr, req.element, id, p, f.issued,
+                     f.issued + 1, f.serviceStart, f.serviceStart + T,
+                     now});
+            }
+            m.outHead = wrap(m.outHead + 1, qOut_);
+            if (--m.outCount != 0) {
+                const Flight &head = outAt(id, m.outHead);
+                outputs_[head.port].push(id, head.serviceStart + T);
+            }
+            ports_[p].lastDelivery = now;
+            ++delivered;
+            if (m.retireBlocked) {
+                // The parked service retires at the next cycle's
+                // step 1, as in the single-port pass.
+                m.retireBlocked = false;
+                retire_.push(id, now + 1);
+            }
+        }
+
+        // 3. Start new services.  Besides a retirement (step 1),
+        //    only this cycle's request-bus arrivals (at most one per
+        //    port, all issued last cycle) can make one possible.
+        for (ModuleId id : arriving_)
+            tryStart(id, now);
+        arriving_.clear();
+
+        // 4. Issue: least-issued port first, so contention for an
+        //    input-buffer slot alternates among the contenders.
+        bool issued = false;
+        for (unsigned p : order_) {
+            Port &ps = ports_[p];
+            const ModuleId id = target(ps);
+            Module &m = modules_[id];
+            if (m.inCount < q_) {
+                Flight &f = inAt(id, m.inHead + m.inCount);
+                f.pos = static_cast<std::uint32_t>(ps.next);
+                f.port = p;
+                f.issued = now;
+                ++m.inCount;
+                arriving_.push_back(id);
+                if (ps.next == 0)
+                    ps.firstIssue = now;
+                ++ps.next;
+                issued = true;
+            } else {
+                ++ps.stalls;
+            }
+        }
+        if (issued)
+            reorderPorts();
+
+        if (delivered == total)
+            break;
+
+        // Advance to the next cycle at which any state can change.
+        bool pending = !arriving_.empty();
+        for (unsigned p = 0; p < nPorts && !pending; ++p)
+            pending = !outputs_[p].empty();
+        Cycle wake = never;
+        if (pending) {
+            // A pending output delivers, or an arrival lands, next
+            // cycle.
+            wake = now + 1;
+        } else if (!retire_.empty()) {
+            wake = std::max(retire_.top().time, now + 1);
+        }
+        if (wake > now + 1) {
+            for (unsigned p : order_) {
+                if (modules_[target(ports_[p])].inCount < q_) {
+                    wake = now + 1; // this port's issue succeeds
+                    break;
+                }
+            }
+        }
+        cfva_assert(wake != never,
+                    "no pending events but the access has not "
+                    "drained (delivered ", delivered, " of ", total,
+                    ")");
+
+        // Every skipped cycle is, for each unfinished port, one
+        // issue retry against an unchanged (full) input buffer.
+        for (unsigned p : order_)
+            ports_[p].stalls += wake - now - 1;
+        now = wake;
+    }
+
+    for (unsigned p = 0; p < nPorts; ++p) {
+        const Port &ps = ports_[p];
+        applyEmitSummary(summarizePort(ps.length, T, ps.firstIssue,
+                                       ps.lastDelivery, ps.stalls),
+                         result.ports[p]);
+    }
+    result.makespan = total == 0 ? 0 : now + 1;
+    stepped_ = result.makespan;
+    return result;
 }
 
 EventDrivenMemorySystem::EventDrivenMemorySystem(

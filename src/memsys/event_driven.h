@@ -1,6 +1,6 @@
 /**
  * @file
- * Event-driven single-port engine: the one fast stepper.
+ * Event-driven engine: the one fast stepper, for one port or many.
  *
  * Simulates exactly the model of memsys/memory_system.h — same
  * modules, same buffers, same per-cycle step order (retire, return
@@ -10,37 +10,48 @@
  * is the processor retrying a stalled issue against an unchanged
  * input buffer, which the stepper accounts for in one subtraction.
  *
- * EventStepper is that loop over a premapped module sequence, with
+ * EventStepper is that loop over premapped module sequences, with
  * three properties every fast caller relies on:
  *
  * - Compact per-element state: an element in flight is its stream
- *   position plus the two timestamps the model reads (issue and
- *   service start; arrival and ready follow from the 1-cycle bus and
- *   the T-cycle service).  Addresses and element numbers are looked
- *   up from the stream only when a Delivery is written.
+ *   position, its port, and the two timestamps the model reads
+ *   (issue and service start; arrival and ready follow from the
+ *   1-cycle bus and the T-cycle service).  Addresses and element
+ *   numbers are looked up from the stream only when a Delivery is
+ *   written.
  * - Output on request: Delivery records are written only when the
  *   caller materializes; summary callers get the aggregates and no
  *   O(L) buffer at all.
- * - Recurrence in its own loop: with recurrence detection on, the
- *   stepper snapshots the relative machine state at issue positions
- *   one module-sequence period apart and, once a snapshot recurs,
- *   takes the affine jump over the remaining whole periods
- *   (memsys/steady_state.h).  A stream that never recurs keeps
- *   stepping from where it is, so every stream costs one pass.
+ * - Recurrence in its own loop (one port): with recurrence
+ *   detection on, the stepper snapshots the relative machine state
+ *   at issue positions one module-sequence period apart and, once a
+ *   snapshot recurs, takes the affine jump over the remaining whole
+ *   periods (memsys/steady_state.h).  A stream that never recurs
+ *   keeps stepping from where it is, so every stream costs one pass.
  *
- * EventDrivenMemorySystem wraps the stepper into the mapping-aware
- * engine (premap, memo, attribution).  Its results are bit-identical
- * to MemorySystem::run on every stream: identical delivery records
- * (all five timestamps), identical stall counts, identical
- * aggregates.  The per-cycle model stays in-tree as the oracle;
- * tests/test_engine_differential.cc and tests/test_collapse.cc hold
- * the two to that contract.
+ * runPorts() is the P-port pass of memsys/multi_port.h's model on
+ * the same modules, rings and retire heap: P streams share the
+ * modules, each port has its own return bus (one output heap per
+ * port, arbitrated in port order each cycle), and each cycle the
+ * ports issue least-issued first.  It takes no jump.
+ *
+ * EventDrivenMemorySystem wraps the single-port pass into the
+ * mapping-aware engine (premap, memo, attribution), and
+ * EventDrivenMultiPort (memsys/event_multi_port.h) the P-port pass.
+ * Results are bit-identical to the per-cycle models on every
+ * stream: identical delivery records (all five timestamps and the
+ * port tag), identical stall counts, identical aggregates.  The
+ * per-cycle models stay in-tree as the oracles;
+ * tests/test_engine_differential.cc, tests/test_collapse.cc and
+ * tests/test_multi_port_differential.cc hold the stepper to that
+ * contract.
  *
  * Why it is faster: the per-cycle loop scans all M modules two to
- * three times per cycle.  This engine touches only the modules named
- * by an event (O(log M) heap work each), and skips the dead cycles
- * entirely — on heavily conflicting streams, where the per-cycle
- * model burns ~L*T iterations, the event count stays O(L).
+ * three times per cycle (once per port for the return buses).  This
+ * engine touches only the modules named by an event (O(log M) heap
+ * work each), and skips the dead cycles entirely — on heavily
+ * conflicting streams, where the per-cycle model burns ~L*T
+ * iterations, the event count stays O(L).
  */
 
 #ifndef CFVA_MEMSYS_EVENT_DRIVEN_H
@@ -60,10 +71,10 @@ namespace cfva {
 class DeliveryArena;
 
 /**
- * The event-driven single-port stepper over a premapped module
- * sequence.  Holds only scratch state, reconfigured in place when a
- * pass names a different memory shape, so one instance serves every
- * access of every shape.  Not thread-safe.
+ * The event-driven stepper over premapped module sequences, for one
+ * port or P.  Holds only scratch state, reconfigured in place when a
+ * pass names a different memory shape or port count, so one instance
+ * serves every access of every shape.  Not thread-safe.
  */
 class EventStepper
 {
@@ -98,9 +109,29 @@ class EventStepper
              const ModuleId *mods, Recurrence mode, bool materialize,
              bool trace, AccessResult &result);
 
+    /**
+     * Steps the P = streams.size() streams of a simultaneous
+     * access, stream p premapped to mods[p], on the shape @p cfg:
+     * every port issues one request per cycle from cycle 0, least
+     * issued port first, into the shared modules, and each port's
+     * return bus delivers at most one of its own elements per cycle.
+     *
+     * Returns each port's aggregates and the makespan.  Only when
+     * @p materialize is set are the port-tagged Delivery records
+     * written, in each port's delivery order, into buffers acquired
+     * from @p arena (or freshly allocated); otherwise no buffer is
+     * acquired at all.
+     */
+    MultiPortResult
+    runPorts(const MemConfig &cfg,
+             const std::vector<std::vector<Request>> &streams,
+             const std::vector<std::vector<ModuleId>> &mods,
+             bool materialize, DeliveryArena *arena = nullptr);
+
     /** Cycles the last pass stepped: all of them up to the last
-     *  delivery, minus the span a jump covered (or, for an
-     *  abandoned pass, the cycles stepped before it stopped). */
+     *  delivery (the makespan, for a P-port pass), minus the span a
+     *  jump covered (or, for an abandoned pass, the cycles stepped
+     *  before it stopped). */
     Cycle steppedCycles() const { return stepped_; }
 
     /** Position-form trace of the last pass run with @p trace. */
@@ -113,10 +144,22 @@ class EventStepper
     /** One element in flight, in absolute position/cycle terms. */
     struct Flight
     {
-        std::uint32_t pos = 0;
+        std::uint32_t pos = 0;  //!< position in its port's stream
+        std::uint32_t port = 0; //!< issuing port
         Cycle issued = 0;       //!< arrival is issued + 1
         Cycle serviceStart = 0; //!< ready is serviceStart + T;
                                 //!< meaningful once in service
+    };
+
+    /** One port of a P-port pass: its stream and its aggregates. */
+    struct Port
+    {
+        const ModuleId *mods = nullptr;
+        std::size_t length = 0;
+        std::size_t next = 0; //!< next request (= requests issued)
+        Cycle firstIssue = 0;
+        Cycle lastDelivery = 0;
+        std::uint64_t stalls = 0;
     };
 
     /** One module: ring heads/counts over the shared storage. */
@@ -142,8 +185,12 @@ class EventStepper
     };
 
     /** Sizes the module array and event heaps for @p cfg and
-     *  empties them. */
-    void reset(const MemConfig &cfg);
+     *  @p ports return buses, and empties them. */
+    void reset(const MemConfig &cfg, unsigned ports);
+
+    /** Restores the least-issued-first order of order_ after an
+     *  issue step and drops the ports that have issued everything. */
+    void reorderPorts();
 
     /** Smallest period p <= kMaxPeriod of mods[0..length) (every
      *  i >= p has mods[i] == mods[i-p]), or @p length when there is
@@ -178,9 +225,18 @@ class EventStepper
     /** Pending service completions, keyed by retire cycle. */
     ModuleEventHeap retire_{0};
 
-    /** Output-buffer heads, keyed by the head's ready cycle —
-     *  popping the minimum IS the return-bus arbitration. */
-    ModuleEventHeap outputs_{0};
+    /** One heap per return bus.  A module with a nonempty output
+     *  buffer is filed in the heap of its head's port, keyed by the
+     *  head's ready cycle — popping a port's minimum IS its
+     *  return-bus arbitration (oldest ready first, lowest module on
+     *  ties). */
+    std::vector<ModuleEventHeap> outputs_;
+
+    std::vector<Port> ports_;        //!< P-port pass state
+    std::vector<unsigned> order_;    //!< unfinished ports, least
+                                     //!< issued (then lowest) first
+    std::vector<ModuleId> arriving_; //!< modules this cycle's issues
+                                     //!< reach next cycle
 
     std::vector<std::uint32_t> fail_;  //!< KMP scratch
     std::vector<std::uint32_t> positions_; //!< see run()

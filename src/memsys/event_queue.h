@@ -1,34 +1,29 @@
 /**
  * @file
- * Event containers for the event-driven memory-system engine.
+ * The event heap of the event-driven stepper (memsys/event_driven.h).
  *
- * Two structures cover every event class the engine needs:
- *
- * - BasicModuleEventHeap: an indexed d-ary min-heap of per-module
- *   timestamped events, at most one live event per module, ordered
- *   by (cycle, module id).  Used for module-ready (service
- *   completion) events and for the return-bus arbitration over
- *   output-buffer heads, whose tie-break — oldest ready first,
- *   lowest module number on ties — is exactly the heap order.
- *   ModuleEventHeap fixes the arity at 4: the engines' heaps are
- *   push-heavy (every service completion is a push, but only the
- *   minimum is ever popped per cycle), and a wider node trades the
- *   rarely-exercised pop's extra comparisons for a sift-up that is
- *   half as deep and for node children that share a cache line.
- *   Pop order is arity-invariant — (time, module) is a total order,
- *   so every arity returns the same sequence (property-tested in
- *   tests/test_collapse.cc).
- * - ArrivalQueue: a FIFO of request-bus arrival events.  The
- *   processor issues at most one request per cycle, so arrivals are
- *   produced in nondecreasing cycle order and a plain queue gives
- *   O(1) push/pop without any ordering work.
+ * BasicModuleEventHeap is an indexed d-ary min-heap of per-module
+ * timestamped events, at most one live event per module, ordered by
+ * (cycle, module id).  The stepper uses it for module-ready (service
+ * completion) events and for each port's return-bus arbitration over
+ * output-buffer heads, whose tie-break — oldest ready first, lowest
+ * module number on ties — is exactly the heap order.
+ * ModuleEventHeap fixes the arity at 4: the heaps are push-heavy
+ * (every service completion is a push, but only the minimum is ever
+ * popped per cycle), and a wider node trades the rarely-exercised
+ * pop's extra comparisons for a sift-up that is half as deep and for
+ * node children that share a cache line.  Pop order is
+ * arity-invariant — (time, module) is a total order, so every arity
+ * returns the same sequence (property-tested in
+ * tests/test_collapse.cc).  Request-bus arrivals need no queue: every
+ * issue wakes the very next cycle, so the arrivals pending at any
+ * cycle are just the requests issued on the one before it.
  */
 
 #ifndef CFVA_MEMSYS_EVENT_QUEUE_H
 #define CFVA_MEMSYS_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/bits.h"
@@ -192,32 +187,8 @@ class BasicModuleEventHeap
     std::vector<std::uint32_t> pos_; //!< module id -> heap slot
 };
 
-/** The engines' event heap (see the file comment for why 4-ary). */
+/** The stepper's event heap (see the file comment for why 4-ary). */
 using ModuleEventHeap = BasicModuleEventHeap<4>;
-
-/**
- * FIFO of arrival events, pushed in nondecreasing cycle order (the
- * request bus carries one request per cycle).
- */
-class ArrivalQueue
-{
-  public:
-    bool empty() const { return events_.empty(); }
-
-    /** Earliest pending arrival; queue must be nonempty. */
-    const ModuleEvent &front() const { return events_.front(); }
-
-    /** Appends an arrival; @p time must be >= the last push's. */
-    void push(ModuleId module, Cycle time);
-
-    /** Removes the earliest arrival. */
-    void pop() { events_.pop_front(); }
-
-    void clear() { events_.clear(); }
-
-  private:
-    std::deque<ModuleEvent> events_;
-};
 
 } // namespace cfva
 

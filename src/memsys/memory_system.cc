@@ -100,8 +100,7 @@ MemorySystem::run(const std::vector<Request> &stream,
     // Hard cap: a stream of L requests on one module with all
     // buffering degenerates to ~L*T cycles; anything far beyond that
     // means the model wedged, which is a simulator bug.
-    const Cycle limit =
-        (static_cast<Cycle>(stream.size()) + 4) * (t_cycles + 2) + 64;
+    const Cycle limit = cfg_.wedgeLimit(stream.size(), 1);
 
     for (Cycle now = 0;; ++now) {
         cfva_assert(now <= limit, "simulation wedged at cycle ", now);

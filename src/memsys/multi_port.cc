@@ -7,13 +7,11 @@
 
 namespace cfva {
 
-using detail::PortState;
-
 PerCycleMultiPort::PerCycleMultiPort(const MemConfig &cfg,
                                      const ModuleMapping &map,
                                      MapPath path,
                                      CollapseMode collapse)
-    : cfg_(cfg), map_(map), slicer_(map, path),
+    : cfg_(cfg), slicer_(map, path),
       single_(cfg, map, path, collapse)
 {
     cfva_assert(map.moduleBits() == cfg.m,
@@ -51,10 +49,12 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
     std::vector<unsigned> &order = order_;
 
     // Member scratch: clear() + resize() value-initializes the
-    // PortStates while keeping the vector's own capacity.
+    // Ports while keeping the vector's own capacity.
     ports_.clear();
     ports_.resize(n_ports);
-    std::vector<PortState> &ports = ports_;
+    std::vector<Port> &ports = ports_;
+    MultiPortResult result;
+    result.ports.resize(n_ports);
 
     // Premap every stream before the cycle loop (bit-sliced for
     // linear mappings); issue attempts below just index the result.
@@ -68,14 +68,14 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
         slicer_.mapWith(
             [&stream](std::size_t i) { return stream[i].addr; },
             stream.size(), portMods_[p].data());
+        std::vector<Delivery> &buf = result.ports[p].deliveries;
         if (arena)
-            ports[p].delivered = arena->acquire(streams[p].size());
-        else
-            ports[p].delivered.reserve(streams[p].size());
+            buf = arena->acquire(stream.size());
+        buf.reserve(stream.size());
     }
     std::size_t delivered_total = 0;
 
-    const Cycle limit = detail::wedgeLimit(cfg_, total, n_ports);
+    const Cycle limit = cfg_.wedgeLimit(total, n_ports);
 
     // Aggregate occupancy so quiet-phase scans can be skipped (same
     // scheme as MemorySystem::run).
@@ -117,7 +117,7 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
                     Delivery d = best->popOutput();
                     --inOutput;
                     d.delivered = now;
-                    ports[p].delivered.push_back(d);
+                    result.ports[p].deliveries.push_back(d);
                     ++delivered_total;
                     makespan = now;
                 }
@@ -145,7 +145,7 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
                   });
         for (unsigned k = 0; k < n_ports; ++k) {
             const unsigned p = order[k];
-            PortState &ps = ports[p];
+            Port &ps = ports[p];
             if (ps.next >= streams[p].size())
                 continue;
             const Request &req = streams[p][ps.next];
@@ -164,10 +164,8 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
                 d.arrived = now + 1;
                 mod.accept(d);
                 ++queued;
-                if (!ps.started) {
-                    ps.started = true;
+                if (ps.next == 0)
                     ps.firstIssue = now;
-                }
                 ++ps.next;
             } else {
                 ++ps.stalls;
@@ -175,7 +173,18 @@ PerCycleMultiPort::run(const std::vector<std::vector<Request>> &streams,
         }
     }
 
-    return detail::assemblePortResults(cfg_, streams, ports, makespan);
+    for (unsigned p = 0; p < n_ports; ++p) {
+        AccessResult &r = result.ports[p];
+        const Cycle last =
+            r.deliveries.empty() ? 0 : r.deliveries.back().delivered;
+        applyEmitSummary(summarizePort(streams[p].size(),
+                                       cfg_.serviceCycles(),
+                                       ports[p].firstIssue, last,
+                                       ports[p].stalls),
+                         r);
+    }
+    result.makespan = total == 0 ? 0 : makespan + 1;
+    return result;
 }
 
 MultiPortResult

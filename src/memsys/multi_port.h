@@ -14,9 +14,10 @@
  * several vectors" becomes measurable (bench_multi_vector).
  *
  * This engine is the multi-port oracle: every cycle is stepped, so
- * its semantics are auditable line by line, and the event-driven
- * backend (memsys/event_multi_port.h) is held bit-identical to it
- * by tests/test_multi_port_differential.cc.
+ * its semantics are auditable line by line, and the event stepper's
+ * P-port pass (memsys/event_driven.h, behind
+ * memsys/event_multi_port.h and the theory tier) is held
+ * bit-identical to it by tests/test_multi_port_differential.cc.
  */
 
 #ifndef CFVA_MEMSYS_MULTI_PORT_H
@@ -76,8 +77,15 @@ class PerCycleMultiPort final : public MemoryBackend
     const char *name() const override { return "per-cycle"; }
 
   private:
+    /** Per-port issue bookkeeping. */
+    struct Port
+    {
+        std::size_t next = 0; //!< next request (= requests issued)
+        Cycle firstIssue = 0;
+        std::uint64_t stalls = 0;
+    };
+
     MemConfig cfg_;
-    const ModuleMapping &map_;
     BitSlicedMapper slicer_;
 
     // Persistent across run() calls so a cached backend stops
@@ -88,7 +96,7 @@ class PerCycleMultiPort final : public MemoryBackend
     MemorySystem single_;
     std::vector<MemoryModule> modules_;
     std::vector<unsigned> order_; //!< issue-priority scratch
-    std::vector<detail::PortState> ports_; //!< per-port scratch
+    std::vector<Port> ports_; //!< per-port scratch
     std::vector<std::vector<ModuleId>> portMods_; //!< premap scratch
 };
 

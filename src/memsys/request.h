@@ -35,6 +35,20 @@ struct MemConfig
 
     /** True for the matched case M = T the paper starts from. */
     bool matched() const { return m == t; }
+
+    /**
+     * Wedge guard for @p requests requests issued from @p ports
+     * ports: serialized on one module with all buffering, the
+     * access takes about requests * T cycles, so a simulation past
+     * this cycle has wedged — a simulator bug.
+     */
+    Cycle
+    wedgeLimit(std::size_t requests, unsigned ports) const
+    {
+        return (static_cast<Cycle>(requests) + 4 * Cycle{ports})
+                   * (serviceCycles() + 2)
+               + 64;
+    }
 };
 
 /** One element request as produced by an access ordering. */
@@ -104,6 +118,31 @@ struct AccessResult
      * against the per-cycle reference.
      */
     bool operator==(const AccessResult &o) const = default;
+};
+
+/** Outcome of a simultaneous multi-vector access. */
+struct MultiPortResult
+{
+    /** Per-port results (latency, stalls, deliveries). */
+    std::vector<AccessResult> ports;
+
+    /** Cycles from the first issue to the last delivery overall
+     *  (exclusive: the cycle after the last delivery); 0 when no
+     *  element was delivered. */
+    Cycle makespan = 0;
+
+    /** True iff every port ran at its own minimum latency. */
+    bool
+    allConflictFree() const
+    {
+        for (const auto &p : ports) {
+            if (!p.conflictFree)
+                return false;
+        }
+        return true;
+    }
+
+    bool operator==(const MultiPortResult &o) const = default;
 };
 
 } // namespace cfva

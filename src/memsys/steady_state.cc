@@ -43,6 +43,21 @@ applyEmitSummary(const EmitSummary &summary, AccessResult &result)
     result.conflictFree = summary.conflictFree;
 }
 
+EmitSummary
+summarizePort(std::size_t length, Cycle T, Cycle firstIssue,
+              Cycle lastDelivery, std::uint64_t stalls)
+{
+    EmitSummary s;
+    s.firstIssue = firstIssue;
+    s.lastDelivery = lastDelivery;
+    s.stallCycles = stalls;
+    s.latency = length == 0 ? 0 : lastDelivery - firstIssue + 1;
+    const Cycle minimum = static_cast<Cycle>(length) + T + 1;
+    s.conflictFree =
+        length == 0 || (stalls == 0 && s.latency == minimum);
+    return s;
+}
+
 bool
 OutcomeMemo::lookup(std::size_t length, const ModuleId *mods,
                     ModuleId moduleCount)

@@ -167,6 +167,19 @@ void applyEmitSummary(const EmitSummary &summary,
                       AccessResult &result);
 
 /**
+ * The aggregates of one port's stepped access: @p length requests,
+ * the first issued at @p firstIssue, @p stalls issue retries, the
+ * last element delivered at @p lastDelivery, on a memory of service
+ * time @p T.  Latency is inclusive; the access is conflict free iff
+ * it never stalled and took the minimum L + T + 1 cycles.  An empty
+ * stream has latency 0 and is vacuously conflict free.  Every
+ * engine judges a port here, so the criterion has one definition.
+ */
+EmitSummary summarizePort(std::size_t length, Cycle T,
+                          Cycle firstIssue, Cycle lastDelivery,
+                          std::uint64_t stalls);
+
+/**
  * Bounded cache of collapsed outcomes keyed on the
  * rank-canonicalized module sequence (distinct modules used, sorted
  * ascending, rewritten as ranks 0..k-1).  Not thread-safe; the

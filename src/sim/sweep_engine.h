@@ -341,10 +341,11 @@ struct SweepRunStats
      *  (memsys/steady_state.h): accesses answered by steady-state
      *  collapse, the cycles those accesses still stepped,
      *  outcome-memo replay hits/misses, and the cycles stepped by
-     *  passes that did not jump (streams stepped to their end plus
-     *  abandoned attempts), so the stepped work adds up.  The
-     *  simulation tier reports 0 under CollapseMode::Off; the theory
-     *  tier always steps through its solver. */
+     *  passes that did not jump (streams stepped to their end,
+     *  abandoned attempts, and the makespan of every P-port pass
+     *  over ports that share modules), so the stepped work adds up.
+     *  The simulation tier reports 0 under CollapseMode::Off; the
+     *  theory tier always steps through its solver. */
     std::uint64_t collapseHits = 0;
     std::uint64_t collapsePrefixCycles = 0;
     std::uint64_t memoHits = 0;

@@ -52,6 +52,18 @@ ConflictSolver::solveOrStep(const MemConfig &cfg,
                        result, materialize, Recurrence::JumpOrFinish);
 }
 
+MultiPortResult
+ConflictSolver::stepPorts(const MemConfig &cfg,
+                          const std::vector<std::vector<Request>> &streams,
+                          const std::vector<std::vector<ModuleId>> &mods,
+                          DeliveryArena *arena, bool materialize)
+{
+    MultiPortResult result =
+        stepper_.runPorts(cfg, streams, mods, materialize, arena);
+    stats_.steppedCycles += stepper_.steppedCycles();
+    return result;
+}
+
 void
 ConflictSolver::beginPortCheck(ModuleId moduleCount)
 {

@@ -41,6 +41,8 @@
  *    bit-identical to its single-port trace — so a P > 1 access
  *    decomposes into P independent single-port answers
  *    (theory/theory_backend.cc synthesizes the MultiPortResult).
+ *    stepPorts() answers the ports that share modules with one
+ *    P-port pass of the same stepper.
  *
  * Bit-identity with the stepped engines is by construction: the
  * transient is established by the same event stepper the engines run
@@ -104,6 +106,21 @@ class ConflictSolver
                      const std::vector<Request> &stream,
                      const ModuleId *mods, DeliveryArena *arena,
                      AccessResult &result, bool materialize);
+
+    /**
+     * Steps a P > 1 access whose ports share modules (stream p
+     * premapped to mods[p]) in one P-port pass of the solver's
+     * stepper, materializing deliveries only when @p materialize is
+     * set (see EventStepper::runPorts).  Nothing is claimed or
+     * memoized: the ports' interleaving on the shared modules is not
+     * periodic in any one port's module sequence.  The pass's
+     * makespan counts as stepped cycles.
+     */
+    MultiPortResult
+    stepPorts(const MemConfig &cfg,
+              const std::vector<std::vector<Request>> &streams,
+              const std::vector<std::vector<ModuleId>> &mods,
+              DeliveryArena *arena, bool materialize);
 
     /** Starts a fresh port-disjointness epoch over @p moduleCount
      *  modules. */

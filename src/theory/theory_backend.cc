@@ -4,14 +4,13 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "memsys/event_multi_port.h"
 #include "theory/theory.h"
 
 namespace cfva {
 
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
                              const ModuleMapping &map, MapPath path)
-    : cfg_(cfg), map_(map), path_(path), slicer_(map, path)
+    : cfg_(cfg), slicer_(map, path)
 {
 }
 
@@ -184,10 +183,8 @@ TheoryBackend::tryClaimPorts(
     DeliveryArena *arena, MultiPortResult &out, ResultDetail detail)
 {
     const std::size_t P = streams.size();
-    portMods_.resize(P);
     solver_.beginPortCheck(cfg_.modules());
     for (std::size_t p = 0; p < P; ++p) {
-        premap(streams[p], portMods_[p]);
         if (!solver_.portDisjoint(streams[p].size(),
                                   portMods_[p].data(),
                                   static_cast<unsigned>(p)))
@@ -227,10 +224,10 @@ TheoryBackend::tryClaimPorts(
             lastDelivery = std::max(lastDelivery, r.lastDelivery);
         }
     }
-    // Same assembly detail::assemblePortResults performs: the
-    // makespan is exclusive of the last delivery cycle, 0 when no
-    // element was delivered, and each port's conflict-free flag was
-    // already judged against its own single-stream floor.
+    // Assembled as the stepped engines assemble it: the makespan is
+    // exclusive of the last delivery cycle, 0 when no element was
+    // delivered, and each port's conflict-free flag was already
+    // judged against its own single-stream floor.
     out.makespan = any ? lastDelivery + 1 : 0;
     return true;
 }
@@ -244,19 +241,22 @@ TheoryBackend::runPorts(
     if (streams.size() == 1)
         return detail::wrapSinglePort(
             runSingleHinted(true, streams[0], arena, detail));
+    // Premap every port once: the disjointness proof, the per-port
+    // claims and a stepped answer all read the same premap.
+    portMods_.resize(streams.size());
+    for (std::size_t p = 0; p < streams.size(); ++p)
+        premap(streams[p], portMods_[p]);
     MultiPortResult out;
     if (tryClaimPorts(streams, arena, out, detail)) {
         note(true, FallbackReason::None);
         return out;
     }
     // Ports sharing modules interleave on them; that schedule is
-    // not single-port-decomposable, so it is stepped.
+    // not single-port-decomposable, so it is stepped — one P-port
+    // pass, with deliveries unless the caller wants a summary.
     note(false, FallbackReason::MultiPort);
-    if (!ports_) {
-        ports_ = std::make_unique<EventDrivenMultiPort>(cfg_, map_,
-                                                        path_);
-    }
-    return ports_->run(streams, arena);
+    return solver_.stepPorts(cfg_, streams, portMods_, arena,
+                             detail != ResultDetail::Summary);
 }
 
 MultiPortResult

@@ -38,8 +38,10 @@
  * stream the solver declines is answered by the very stepper pass
  * that looked for its recurrence — one memo lookup and one pass, the
  * pass stepping on to the end of the stream when no state recurs —
- * and ports that share modules go to EventDrivenMultiPort.  Claimed
- * answers are bit-identical to simulation by construction
+ * and ports that share modules are stepped together in one P-port
+ * pass of the same stepper, over the premap the multi-port claim
+ * already made, summary-only when the caller wants aggregates.
+ * Claimed answers are bit-identical to simulation by construction
  * (tests/test_theory_backend.cc and tests/test_conflict_solver.cc
  * audit this across randomized grids; TierPolicy::AuditBoth audits
  * it against the per-cycle oracle on every sweep scenario it runs).
@@ -61,7 +63,6 @@
 #define CFVA_THEORY_THEORY_BACKEND_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "memsys/backend.h"
@@ -153,7 +154,8 @@ class TheoryBackend final : public MemoryBackend
 
     /** Memo, collapse, and stepped-cycle attribution of the solver's
      *  passes — every single-port stream this tier did not claim
-     *  outright went through exactly one of them. */
+     *  outright went through exactly one of them, and every
+     *  module-sharing multi-port access through one P-port pass. */
     FastPathStats
     fastPathStats() const override
     {
@@ -195,13 +197,13 @@ class TheoryBackend final : public MemoryBackend
                            DeliveryArena *arena, AccessResult &out);
 
     /**
-     * The multi-port claim: premaps every port, proves pairwise
-     * module-disjointness, and — since disjoint ports never
-     * interact — synthesizes the MultiPortResult from P independent
-     * single-port answers (port ids patched, makespan assembled
-     * exactly as detail::assemblePortResults would).  False when
-     * any two ports share a module or any port defeats both the
-     * proof and the solver.
+     * The multi-port claim over the ports premapped into portMods_:
+     * proves pairwise module-disjointness, and — since disjoint
+     * ports never interact — synthesizes the MultiPortResult from P
+     * independent single-port answers (port ids patched, makespan
+     * assembled as the stepper assembles it).  False when any two
+     * ports share a module or any port defeats both the proof and
+     * the solver.
      */
     bool tryClaimPorts(
         const std::vector<std::vector<Request>> &streams,
@@ -209,14 +211,8 @@ class TheoryBackend final : public MemoryBackend
         ResultDetail detail);
 
     MemConfig cfg_;
-    const ModuleMapping &map_;
-    MapPath path_;
     BitSlicedMapper slicer_;
     ConflictSolver solver_;
-
-    /** Steps P > 1 accesses whose ports share modules; built on the
-     *  first one. */
-    std::unique_ptr<MemoryBackend> ports_;
 
     std::vector<Cycle> nextFree_; // per-module scratch
     std::vector<ModuleId> mods_;  // premap scratch, reused per run

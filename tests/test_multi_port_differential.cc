@@ -1,18 +1,21 @@
 /**
  * @file
- * Differential testing of the event-driven multi-port backend
- * against the per-cycle multi-port oracle.
+ * Differential testing of the event stepper's P-port pass against
+ * the per-cycle multi-port oracle.
  *
- * The contract (memsys/event_multi_port.h): for every set of
- * request streams on every memory shape, EventDrivenMultiPort::run
+ * The contract (memsys/event_driven.h, EventStepper::runPorts): for
+ * every set of request streams on every memory shape, the pass
  * returns a MultiPortResult bit-identical to PerCycleMultiPort::run
  * — every per-port delivery record with all five timestamps and the
- * port tag, every per-port stall count, every aggregate.  Three
- * layers of evidence:
+ * port tag, every per-port stall count, every aggregate — and a
+ * summary pass returns the same aggregates with no delivery at all.
+ * EventDrivenMultiPort, the `--engine event` backend, is that pass
+ * behind the MemoryBackend interface.  Three layers of evidence:
  *
  * 1. Raw-stream properties: adversarial stream sets (all ports on
- *    one module, uneven and empty streams, permuted orders, tiny
- *    buffers) driven through both backends directly.
+ *    one module, uneven and empty streams, 64 ports on 8 modules,
+ *    tiny buffers) driven through both backends and through one
+ *    shared stepper instance at full and at summary detail.
  * 2. A randomized ScenarioGrid of > 1000 planned multi-port
  *    accesses across every mapping kind, ports in {2, 3, 4}, and
  *    mixed per-port traffic, swept once per engine; the merged
@@ -27,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -34,6 +38,7 @@
 #include "core/access_unit.h"
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
+#include "memsys/event_driven.h"
 #include "memsys/event_multi_port.h"
 #include "memsys/multi_port.h"
 #include "sim/scenario.h"
@@ -43,15 +48,32 @@
 namespace cfva {
 namespace {
 
-/** Runs @p streams through both backends and asserts equality. */
-void
-expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
-                    const std::vector<std::vector<Request>> &streams,
-                    const char *what)
+/**
+ * The one stepper every check in this file drives directly: passes
+ * of different M, q, q' and P run on it back to back, so any state a
+ * reset misses shows up as a divergence.
+ */
+EventStepper &
+sharedStepper()
 {
-    const MultiPortResult oracle = simulateMultiPort(cfg, map, streams);
-    const MultiPortResult event =
-        simulateMultiPortEventDriven(cfg, map, streams);
+    static EventStepper stepper;
+    return stepper;
+}
+
+/** @p r without its delivery records: the aggregates alone. */
+MultiPortResult
+aggregatesOf(MultiPortResult r)
+{
+    for (AccessResult &port : r.ports)
+        port.deliveries.clear();
+    return r;
+}
+
+/** Asserts @p event equals @p oracle record for record. */
+void
+expectSameResult(const MultiPortResult &event,
+                 const MultiPortResult &oracle, const std::string &what)
+{
     ASSERT_EQ(event.ports.size(), oracle.ports.size()) << what;
     for (std::size_t p = 0; p < oracle.ports.size(); ++p) {
         ASSERT_EQ(event.ports[p].deliveries.size(),
@@ -69,6 +91,37 @@ expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
             << what << ": port " << p << " aggregates diverge";
     }
     EXPECT_EQ(event, oracle) << what;
+}
+
+/**
+ * Runs @p streams through both backends, and through the shared
+ * stepper's P-port pass at full and at summary detail, and asserts
+ * all of them equal the per-cycle oracle.
+ */
+void
+expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
+                    const std::vector<std::vector<Request>> &streams,
+                    const char *what)
+{
+    const MultiPortResult oracle = simulateMultiPort(cfg, map, streams);
+    expectSameResult(simulateMultiPortEventDriven(cfg, map, streams),
+                     oracle, std::string(what) + " (backend)");
+
+    std::vector<std::vector<ModuleId>> mods;
+    for (const auto &stream : streams) {
+        mods.emplace_back();
+        for (const Request &r : stream)
+            mods.back().push_back(map.moduleOf(r.addr));
+    }
+    expectSameResult(sharedStepper().runPorts(cfg, streams, mods, true),
+                     oracle, std::string(what) + " (stepper, full)");
+    const MultiPortResult summary =
+        sharedStepper().runPorts(cfg, streams, mods, false);
+    for (const AccessResult &port : summary.ports)
+        EXPECT_TRUE(port.deliveries.empty()) << what;
+    EXPECT_EQ(summary, aggregatesOf(oracle))
+        << what << " (stepper, summary)";
+    EXPECT_EQ(sharedStepper().steppedCycles(), oracle.makespan) << what;
 }
 
 std::vector<Request>
@@ -133,6 +186,34 @@ TEST(MultiPortDifferential, AdversarialSameModulePileup)
                 expectBackendsAgree(cfg, map, streams,
                                     "same-module pileup");
             }
+        }
+    }
+}
+
+TEST(MultiPortDifferential, SixtyFourPortsOnEightModules)
+{
+    // Far more ports than modules: most issue attempts stall, many
+    // ports tie on their issued counts every cycle (the tie goes to
+    // the lower port), and ports drain at different times.
+    Rng rng(0x64A11ull);
+    for (unsigned q : {1u, 2u}) {
+        for (unsigned qp : {1u, 2u}) {
+            MemConfig cfg;
+            cfg.m = 3;
+            cfg.t = 3;
+            cfg.inputBuffers = q;
+            cfg.outputBuffers = qp;
+            const LowOrderInterleave map(3);
+            std::vector<std::vector<Request>> streams;
+            for (unsigned p = 0; p < 64; ++p) {
+                std::vector<Addr> addrs(p % 5 == 0 ? 0 : 4 + p % 7);
+                for (std::size_t i = 0; i < addrs.size(); ++i) {
+                    addrs[i] = p % 3 == 0 ? (i + p) * 8 // module 0
+                                          : rng.below(64);
+                }
+                streams.push_back(sequentialStream(addrs));
+            }
+            expectBackendsAgree(cfg, map, streams, "64 ports");
         }
     }
 }

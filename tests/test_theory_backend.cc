@@ -193,6 +193,54 @@ TEST(TheoryBackend, DeclinedSummaryAccessIsSteppedOnce)
     EXPECT_FALSE(r.conflictFree);
 }
 
+// A multi-port access whose ports share modules costs one premap per
+// port and one P-port stepper pass over those premaps, and a summary
+// caller gets its aggregates without any delivery buffer.
+TEST(TheoryBackend, MultiPortSharedSummaryAccessIsSteppedOnce)
+{
+    const VectorAccessUnit unit(matchedConfig());
+    // Ports 0 and 1 issue the same stream, so the disjointness check
+    // stops at port 1 and never reaches port 2.
+    const AccessPlan shared = unit.plan(0, Stride(1), 64);
+    std::vector<std::vector<Request>> streams = {
+        shared.stream, shared.stream,
+        unit.plan(Addr{1} << 20, Stride(3), 64).stream};
+
+    BackendCache cache;
+    DeliveryArena arena;
+    const auto check = [&](const char *what) {
+        const FastPathStats before = cache.fastPathStats();
+        TierCounters tc;
+        const MultiPortResult r = unit.executePorts(
+            streams, &arena, &cache, TierPolicy::TheoryFirst, &tc,
+            MapPath::BitSliced, CollapseMode::On, ResultDetail::Summary);
+        EXPECT_EQ(tc.fallback, 1u) << what;
+        EXPECT_EQ(tc.lastReason, FallbackReason::MultiPort) << what;
+
+        const FastPathStats fp = cache.fastPathStats();
+        EXPECT_EQ(fp.memoHits + fp.memoMisses, 0u) << what;
+        EXPECT_EQ(fp.collapseHits, 0u) << what;
+        EXPECT_EQ(fp.steppedCycles - before.steppedCycles, r.makespan)
+            << what;
+        EXPECT_EQ(arena.acquires(), 0u) << what;
+        for (const AccessResult &port : r.ports)
+            EXPECT_TRUE(port.deliveries.empty()) << what;
+
+        MultiPortResult ref = oracleOver(unit)->run(streams);
+        for (AccessResult &port : ref.ports)
+            port.deliveries.clear();
+        EXPECT_EQ(r, ref) << what;
+        return r;
+    };
+    const MultiPortResult first = check("stride-3 port 2");
+
+    // Only port 2 changes (same length): its premap must be redone,
+    // not read back from the previous access.
+    streams[2] = unit.plan(Addr{1} << 20, Stride(4), 64).stream;
+    const MultiPortResult second = check("stride-4 port 2");
+    EXPECT_NE(second.ports[2], first.ports[2]);
+}
+
 TEST(TheoryBackend, EmptyStreamIsClaimedTrivially)
 {
     const VectorAccessUnit unit(matchedConfig());
