@@ -24,7 +24,6 @@
 #include "memsys/backend_cache.h"
 #include "memsys/event_driven.h"
 #include "memsys/memory_system.h"
-#include "memsys/multi_port.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "sim/sweep_sink.h"
@@ -113,37 +112,26 @@ BM_OutOfOrderAguStep(benchmark::State &state)
 BENCHMARK(BM_OutOfOrderAguStep);
 
 /**
- * One body per (engine x stream shape): each per-cycle/event pair
- * reads directly as the event-driven speedup on that shape
- * (conflict free = every cycle busy; conflicted = mostly stalls,
- * where the event engine skips the dead cycles).
+ * One planned access on the stepped oracle, per stream shape
+ * (conflict free = every cycle busy; conflicted = mostly stalls).
  */
 void
-BM_SimulateAccess(benchmark::State &state, EngineKind engine,
-                  std::uint64_t stride)
+BM_SimulateAccess(benchmark::State &state, std::uint64_t stride)
 {
-    VectorUnitConfig cfg = paperMatchedExample();
-    cfg.engine = engine;
-    const VectorAccessUnit unit(cfg);
+    const VectorAccessUnit unit(paperMatchedExample());
     const auto plan = unit.plan(16, Stride(stride), 128);
     for (auto _ : state) {
         benchmark::DoNotOptimize(unit.execute(plan));
     }
     state.SetItemsProcessed(state.iterations() * 128);
 }
-BENCHMARK_CAPTURE(BM_SimulateAccess, conflict_free_percycle,
-                  cfva::EngineKind::PerCycle, 12);
-BENCHMARK_CAPTURE(BM_SimulateAccess, conflict_free_event,
-                  cfva::EngineKind::EventDriven, 12);
-BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted_percycle,
-                  cfva::EngineKind::PerCycle, 32);
-BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted_event,
-                  cfva::EngineKind::EventDriven, 32);
+BENCHMARK_CAPTURE(BM_SimulateAccess, conflict_free, 12);
+BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted, 32);
 
 /** Which implementation BM_Step times. */
 enum class StepVariant
 {
-    Oracle,         //!< per-cycle MemorySystem, collapse off
+    Oracle,         //!< the per-cycle MemorySystem
     StepperFull,    //!< EventStepper writing every Delivery
     StepperSummary, //!< EventStepper writing only the aggregates
 };
@@ -155,7 +143,8 @@ enum class StepVariant
  * at summary detail.  The pseudo-random stream is aperiodic, so the
  * stepper steps all of it; the matched stream (family 6, outside the
  * Theorem 1 window) conflicts periodically, so the stepper jumps.
- * Streams are premapped outside the timed loop.
+ * The stepper's streams are premapped outside the timed loop; the
+ * oracle premaps inside its run.
  */
 void
 BM_Step(benchmark::State &state, StepVariant variant, MemoryKind kind)
@@ -173,13 +162,11 @@ BM_Step(benchmark::State &state, StepVariant variant, MemoryKind kind)
     for (std::size_t i = 0; i < mods.size(); ++i)
         mods[i] = unit.mapping().moduleOf(plan.stream[i].addr);
 
-    MemorySystem oracle(unit.memConfig(), unit.mapping(),
-                        MapPath::BitSliced, CollapseMode::Off);
+    MemorySystem oracle(unit.memConfig(), unit.mapping());
     EventStepper stepper;
     for (auto _ : state) {
         if (variant == StepVariant::Oracle) {
-            const AccessResult r =
-                oracle.run(plan.stream, nullptr, mods.data());
+            const AccessResult r = oracle.runSingle(plan.stream);
             benchmark::DoNotOptimize(r.deliveries.data());
             benchmark::ClobberMemory();
             continue;
@@ -230,7 +217,7 @@ BENCHMARK_CAPTURE(BM_Step, matched_stepper_summary,
  * the matched M = T = 8 unit each plan stride 1 from bases 2^20
  * apart (the sweep's default port stagger), so every port visits
  * every module and the ports contend for all of them.  The
- * per-cycle PerCycleMultiPort oracle (which premaps inside its run)
+ * per-cycle MemorySystem oracle (which premaps inside its run)
  * against the event stepper's P-port pass at full and at summary
  * detail, premapped outside the timed loop.
  */
@@ -253,7 +240,7 @@ BM_StepPorts(benchmark::State &state, StepVariant variant)
             mods.back().push_back(unit.mapping().moduleOf(r.addr));
     }
 
-    PerCycleMultiPort oracle(unit.memConfig(), unit.mapping());
+    MemorySystem oracle(unit.memConfig(), unit.mapping());
     EventStepper stepper;
     for (auto _ : state) {
         const MultiPortResult r =
@@ -344,12 +331,9 @@ BENCHMARK(BM_Plan)
  * fresh ratio is the construction overhead at this M.
  */
 void
-BM_ExecuteBackend(benchmark::State &state, EngineKind engine,
-                  bool cached)
+BM_ExecuteBackend(benchmark::State &state, bool cached)
 {
-    VectorUnitConfig cfg = paperSectionedExample(); // M = 64
-    cfg.engine = engine;
-    const VectorAccessUnit unit(cfg);
+    const VectorAccessUnit unit(paperSectionedExample()); // M = 64
     const auto plan = unit.plan(16, Stride(12), 128);
     BackendCache cache;
     for (auto _ : state) {
@@ -358,14 +342,8 @@ BM_ExecuteBackend(benchmark::State &state, EngineKind engine,
     }
     state.SetItemsProcessed(state.iterations() * 128);
 }
-BENCHMARK_CAPTURE(BM_ExecuteBackend, fresh_percycle,
-                  cfva::EngineKind::PerCycle, false);
-BENCHMARK_CAPTURE(BM_ExecuteBackend, cached_percycle,
-                  cfva::EngineKind::PerCycle, true);
-BENCHMARK_CAPTURE(BM_ExecuteBackend, fresh_event,
-                  cfva::EngineKind::EventDriven, false);
-BENCHMARK_CAPTURE(BM_ExecuteBackend, cached_event,
-                  cfva::EngineKind::EventDriven, true);
+BENCHMARK_CAPTURE(BM_ExecuteBackend, fresh, false);
+BENCHMARK_CAPTURE(BM_ExecuteBackend, cached, true);
 
 /**
  * End-to-end streaming sweep: a small grid run through runToSink
@@ -383,7 +361,7 @@ BM_SweepStreamCsv(benchmark::State &state)
 
     sim::SweepOptions opts;
     opts.threads = static_cast<unsigned>(state.range(0));
-    opts.engine = EngineKind::EventDriven;
+    opts.tier = TierPolicy::TheoryFirst;
     const sim::SweepEngine engine(opts);
     for (auto _ : state) {
         std::ostringstream sink_os;

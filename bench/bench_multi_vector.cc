@@ -11,10 +11,11 @@
  *
  * Runs on the batching path: the (system x ports) sweep is a
  * ScenarioGrid with port and port-mix axes executed by the
- * SweepEngine under BOTH engines — the per-cycle multi-port oracle
- * and the event-driven backend — and the reports are cross-checked
- * bit for bit.  Per-port worst latencies for the audit come from
- * the same unified backend via VectorAccessUnit::executePorts.
+ * SweepEngine under the audit tier, which answers every scenario
+ * with both the stepped multi-port oracle and the evaluator and
+ * cross-checks them bit for bit.  Per-port worst latencies for the
+ * audit come from the same unified backend via
+ * VectorAccessUnit::executePorts.
  */
 
 #include <iostream>
@@ -81,17 +82,15 @@ main()
                        "vectors at once");
 
     const sim::ScenarioGrid grid = e15Grid();
-    sim::SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    sim::SweepOptions event;
-    event.engine = EngineKind::EventDriven;
+    sim::SweepOptions audited;
+    audited.tier = TierPolicy::AuditBoth;
+    sim::SweepRunStats stats;
     const sim::SweepReport oracle =
-        sim::SweepEngine(per_cycle).run(grid);
-    const sim::SweepReport fast = sim::SweepEngine(event).run(grid);
+        sim::SweepEngine(audited).run(grid, &stats);
 
-    audit.check("event-driven sweep bit-identical to the per-cycle "
-                "oracle",
-                fast == oracle);
+    audit.check("theory-tier sweep bit-identical to the stepped "
+                "oracle (0 audit divergences)",
+                stats.tierAuditDivergences == 0);
 
     TextTable table({"system", "ports", "makespan", "min makespan",
                      "stalls", "all min-latency"});
@@ -103,7 +102,7 @@ main()
     }
     table.print(std::cout,
                 "In-window vectors (L = 128, minimum 137) issued "
-                "simultaneously [sweep, both engines]");
+                "simultaneously [sweep, audited]");
 
     const VectorAccessUnit matched(paperMatchedExample());
     const VectorAccessUnit sectioned(paperSectionedExample());

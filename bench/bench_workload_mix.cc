@@ -16,11 +16,12 @@
  * The memory-timing comparison runs on the SweepEngine batching
  * path: every (config, kernel, strip) access of the mix becomes an
  * independent sweep job, batched per kernel across all three
- * configurations, and the per-config aggregates are cross-checked
- * against the end-to-end vproc run.
+ * configurations under the audit tier — each access answered by the
+ * stepped oracle and by the evaluator, cross-checked bit for bit —
+ * and the per-config aggregates are cross-checked against the
+ * end-to-end vproc run.
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "bench_util.h"
@@ -128,14 +129,15 @@ runMix(const VectorUnitConfig &cfg, bool chaining = false)
 
 /**
  * The chaining half on the batching path: one kernel's consumed
- * loads as a chain-workload batch streamed through runToSink,
- * returning the total decoupled-vs-chained savings.  The sum over
+ * loads as an audited chain-workload batch streamed through
+ * runToSink, returning the total decoupled-vs-chained savings and
+ * adding the audit's divergences to @p divergences.  The sum over
  * the mix's kernels must equal the end-to-end vproc difference.
  */
 Cycle
 chainKernel(const VectorUnitConfig &cfg, std::uint64_t stride,
             const std::vector<Addr> &bases, std::uint64_t length,
-            EngineKind engine)
+            std::uint64_t &divergences)
 {
     sim::ScenarioGrid grid;
     grid.mappings = {cfg};
@@ -147,10 +149,12 @@ chainKernel(const VectorUnitConfig &cfg, std::uint64_t stride,
     grid.workloads = {chain};
 
     sim::SweepOptions opts;
-    opts.engine = engine;
+    opts.tier = TierPolicy::AuditBoth;
     opts.threads = 1;
     sim::ReportSink sink;
-    sim::SweepEngine(opts).runToSink(grid, sink);
+    sim::SweepRunStats stats;
+    sim::SweepEngine(opts).runToSink(grid, sink, &stats);
+    divergences += stats.tierAuditDivergences;
     const sim::SweepReport report = sink.take();
     cfva_assert(report.jobs() == bases.size(),
                 "chain batch lost jobs");
@@ -197,16 +201,16 @@ struct MixSink final : sim::SweepSink
 
 /**
  * Runs the unique memory accesses of one kernel — one stride, one
- * start address per strip — as a single streamed batch over all
- * configs on the selected simulation engine.  Returns the
- * wall-clock seconds of the sweep so callers can report the engine
- * speedup; accumulates backend-cache counters into @p cache.
+ * start address per strip — as a single streamed, audited batch
+ * over all configs.  Folds the oracle's outcomes into @p mix and
+ * accumulates backend-cache counters into @p cache and the audit's
+ * divergences into @p divergences.
  */
-double
+void
 sweepKernel(const std::vector<VectorUnitConfig> &cfgs,
             std::uint64_t stride, const std::vector<Addr> &bases,
             std::uint64_t length, std::vector<SweepMix> &mix,
-            EngineKind engine, BackendCacheStats &cache)
+            BackendCacheStats &cache, std::uint64_t &divergences)
 {
     sim::ScenarioGrid grid;
     grid.mappings = cfgs;
@@ -215,7 +219,7 @@ sweepKernel(const std::vector<VectorUnitConfig> &cfgs,
     grid.starts = bases;
 
     sim::SweepOptions opts;
-    opts.engine = engine;
+    opts.tier = TierPolicy::AuditBoth;
     // One worker: the kernel batches are tiny (12-36 jobs), so on
     // a many-core host hardware_concurrency workers would each
     // rebuild the per-worker backends and the cache counters the
@@ -230,14 +234,12 @@ sweepKernel(const std::vector<VectorUnitConfig> &cfgs,
     opts.dedup = sim::DedupMode::Audit;
     MixSink sink(mix);
     sim::SweepRunStats stats;
-    const auto start = std::chrono::steady_clock::now();
     sim::SweepEngine(opts).runToSink(grid, sink, &stats);
-    const auto stop = std::chrono::steady_clock::now();
     cfva_assert(sink.seen() == cfgs.size() * bases.size(),
                 "kernel batch lost jobs");
     cache.hits += stats.backendCacheHits;
     cache.misses += stats.backendCacheMisses;
-    return std::chrono::duration<double>(stop - start).count();
+    divergences += stats.tierAuditDivergences;
 }
 
 } // namespace
@@ -285,38 +287,15 @@ main()
         col_bases.push_back(kMBase + 136 * strip.firstElement);
         g_bases.push_back(kGBase + 48 * strip.firstElement);
     }
-    // Every kernel batch runs on BOTH engines: the per-cycle
-    // aggregates feed the tables below, the event-driven ones must
-    // agree bit for bit, and the timing ratio is the speedup.
+    // Every kernel batch runs under the audit tier: the oracle's
+    // aggregates feed the tables below, and the evaluator must
+    // agree with them bit for bit.
     std::vector<SweepMix> sweep(cfgs.size());
-    std::vector<SweepMix> sweep_event(cfgs.size());
-    BackendCacheStats pc_cache, ev_cache;
-    double pc_secs = 0.0, ev_secs = 0.0;
-    pc_secs += sweepKernel(cfgs, 1, unit_bases, l, sweep,
-                           EngineKind::PerCycle, pc_cache);
-    pc_secs += sweepKernel(cfgs, 136, col_bases, l, sweep,
-                           EngineKind::PerCycle, pc_cache);
-    pc_secs += sweepKernel(cfgs, 48, g_bases, l, sweep,
-                           EngineKind::PerCycle, pc_cache);
-    ev_secs += sweepKernel(cfgs, 1, unit_bases, l, sweep_event,
-                           EngineKind::EventDriven, ev_cache);
-    ev_secs += sweepKernel(cfgs, 136, col_bases, l, sweep_event,
-                           EngineKind::EventDriven, ev_cache);
-    ev_secs += sweepKernel(cfgs, 48, g_bases, l, sweep_event,
-                           EngineKind::EventDriven, ev_cache);
-
-    TextTable engine_table({"engine", "seconds", "speedup",
-                            "cache hits", "cache misses"});
-    engine_table.row("per-cycle", fixed(pc_secs, 4), fixed(1.0, 2),
-                     pc_cache.hits, pc_cache.misses);
-    engine_table.row("event-driven", fixed(ev_secs, 4),
-                     fixed(ev_secs > 0.0 ? pc_secs / ev_secs : 0.0,
-                           2),
-                     ev_cache.hits, ev_cache.misses);
-    engine_table.print(std::cout,
-                       "Kernel batches per simulation engine, "
-                       "streamed through runToSink (identical "
-                       "aggregates required)");
+    BackendCacheStats cache;
+    std::uint64_t divergences = 0;
+    sweepKernel(cfgs, 1, unit_bases, l, sweep, cache, divergences);
+    sweepKernel(cfgs, 136, col_bases, l, sweep, cache, divergences);
+    sweepKernel(cfgs, 48, g_bases, l, sweep, cache, divergences);
 
     TextTable mem_table({"system", "memory latency", "CF accesses"});
     mem_table.row("Eq.1 s=3 (narrow window)", sweep[0].latency,
@@ -360,29 +339,12 @@ main()
                 "strides already in the matched window)",
                 r_sect.cycles == r_matched.cycles);
 
-    // The event-driven engine must reproduce the per-cycle batch
-    // exactly, and the full vproc mix must be engine-invariant too.
-    bool engines_agree = true;
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        engines_agree &= sweep[i].accesses == sweep_event[i].accesses
-                         && sweep[i].cf == sweep_event[i].cf
-                         && sweep[i].latency == sweep_event[i].latency;
-    }
-    audit.check("event-driven kernel batches bit-identical to "
-                "per-cycle",
-                engines_agree);
+    audit.check("evaluator bit-identical to the oracle on every "
+                "kernel batch (0 audit divergences)",
+                divergences == 0);
     audit.check("backend cache reused across batched scenarios "
                 "(hits outnumber the per-worker builds)",
-                pc_cache.hits > pc_cache.misses
-                    && ev_cache.hits > ev_cache.misses);
-    VectorUnitConfig matched_event = matched;
-    matched_event.engine = EngineKind::EventDriven;
-    const MixResult r_matched_event = runMix(matched_event);
-    audit.check("end-to-end mix cycles identical on the "
-                "event-driven engine",
-                r_matched_event.cycles == r_matched.cycles
-                    && r_matched_event.cf_accesses
-                           == r_matched.cf_accesses);
+                cache.hits > cache.misses);
 
     // The batched path must agree with the end-to-end run.
     audit.check("sweep: matched batch fully conflict free",
@@ -401,7 +363,7 @@ main()
     // The chaining half, batched: every load of the mix that an
     // arithmetic instruction consumes becomes one chain-workload
     // job (kernel 1 chains on both the x and y loads), run through
-    // runToSink under both engines.  The batch's total savings
+    // runToSink under the audit tier.  The batch's total savings
     // must equal the end-to-end vproc chained-vs-decoupled
     // difference exactly — the two layers share the Sec. 5F model.
     std::vector<Addr> chain1_bases;
@@ -409,28 +371,26 @@ main()
         chain1_bases.push_back(kXBase + strip.firstElement);
         chain1_bases.push_back(kYBase + strip.firstElement);
     }
-    Cycle chain_saved_pc = 0, chain_saved_ev = 0;
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
-        Cycle &saved = engine == EngineKind::PerCycle
-                           ? chain_saved_pc
-                           : chain_saved_ev;
-        saved += chainKernel(matched, 1, chain1_bases, l, engine);
-        saved += chainKernel(matched, 136, col_bases, l, engine);
-        saved += chainKernel(matched, 48, g_bases, l, engine);
-    }
+    std::uint64_t chain_divergences = 0;
+    Cycle chain_saved = 0;
+    chain_saved +=
+        chainKernel(matched, 1, chain1_bases, l, chain_divergences);
+    chain_saved +=
+        chainKernel(matched, 136, col_bases, l, chain_divergences);
+    chain_saved +=
+        chainKernel(matched, 48, g_bases, l, chain_divergences);
     const MixResult r_matched_chained = runMix(matched, true);
     std::cout << "  chaining: " << r_matched_chained.chained_ops
               << " chained ops save "
               << r_matched.cycles - r_matched_chained.cycles
               << " cycles end to end; batched chain workloads save "
-              << chain_saved_pc << "\n";
-    audit.check("chain-workload batches bit-identical across "
-                "engines",
-                chain_saved_pc == chain_saved_ev);
+              << chain_saved << "\n";
+    audit.check("chain-workload batches: evaluator bit-identical "
+                "to the oracle (0 audit divergences)",
+                chain_divergences == 0);
     audit.check("batched chain savings equal the end-to-end vproc "
                 "chained-vs-decoupled difference",
-                chain_saved_pc
+                chain_saved
                     == r_matched.cycles - r_matched_chained.cycles);
     audit.check("vproc chain accounting agrees (chainSavedCycles)",
                 r_matched_chained.chain_saved

@@ -17,7 +17,7 @@
 
 #include "common/table.h"
 #include "core/access_unit.h"
-#include "memsys/multi_port.h"
+#include "memsys/memory_system.h"
 #include "theory/theory.h"
 
 using namespace cfva;

@@ -31,14 +31,12 @@
 #include "mapping/xor_matched.h"
 #include "mapping/xor_sectioned.h"
 
-// Memory-system simulators.
+// Memory system: the stepped oracle and the event stepper.
 #include "memsys/backend.h"
 #include "memsys/backend_cache.h"
 #include "memsys/event_driven.h"
-#include "memsys/event_multi_port.h"
 #include "memsys/event_queue.h"
 #include "memsys/memory_system.h"
-#include "memsys/multi_port.h"
 
 // Orderings and address-generation hardware.
 #include "access/agu.h"

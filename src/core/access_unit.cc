@@ -386,7 +386,7 @@ AccessResult
 VectorAccessUnit::execute(const AccessPlan &plan,
                           DeliveryArena *arena, BackendCache *cache,
                           TierPolicy tier, TierCounters *tiers,
-                          MapPath path, CollapseMode collapse,
+                          MapPath path, CollapseMode,
                           ResultDetail detail) const
 {
     cfva_assert(tier != TierPolicy::AuditBoth,
@@ -422,21 +422,18 @@ VectorAccessUnit::execute(const AccessPlan &plan,
     if (tiers)
         tiers->add(false);
     if (cache) {
-        return cache
-            ->backendFor(cfg_.engine, cfg_.memConfig(), *mapping_,
-                         path, collapse)
+        return cache->backendFor(cfg_.memConfig(), *mapping_, path)
             .runSingle(plan.stream, arena);
     }
-    return makeMemoryBackend(cfg_.engine, cfg_.memConfig(), *mapping_,
-                             path, collapse)
-        ->runSingle(plan.stream, arena);
+    return MemorySystem(cfg_.memConfig(), *mapping_, path)
+        .runSingle(plan.stream, arena);
 }
 
 MultiPortResult
 VectorAccessUnit::executePorts(
     const std::vector<std::vector<Request>> &streams,
     DeliveryArena *arena, BackendCache *cache, TierPolicy tier,
-    TierCounters *tiers, MapPath path, CollapseMode collapse,
+    TierCounters *tiers, MapPath path, CollapseMode,
     ResultDetail detail) const
 {
     cfva_assert(tier != TierPolicy::AuditBoth,
@@ -461,14 +458,11 @@ VectorAccessUnit::executePorts(
     if (tiers)
         tiers->add(false);
     if (cache) {
-        return cache
-            ->backendFor(cfg_.engine, cfg_.memConfig(), *mapping_,
-                         path, collapse)
+        return cache->backendFor(cfg_.memConfig(), *mapping_, path)
             .run(streams, arena);
     }
-    return makeMemoryBackend(cfg_.engine, cfg_.memConfig(), *mapping_,
-                             path, collapse)
-        ->run(streams, arena);
+    return MemorySystem(cfg_.memConfig(), *mapping_, path)
+        .run(streams, arena);
 }
 
 AccessResult

@@ -106,34 +106,31 @@ class VectorAccessUnit
                     bool explain = true) const;
 
     /**
-     * Runs a plan through a memory backend: under SimulateAlways the
-     * reference engine config().engine selects — the per-cycle
-     * oracle or the event-driven engine; both produce identical
-     * results.  When @p arena is given, the result's delivery
-     * buffer is recycled through it.
+     * Runs a plan through a memory backend.  When @p arena is
+     * given, the result's delivery buffer is recycled through it.
      * When @p cache is given, the backend instance is taken from it
      * (and built into it on first use) instead of being rebuilt for
      * this one access — the sweep engine passes each worker's cache
-     * so modules and event heaps are reused across all scenarios.
+     * so modules, heaps and the solver's memo are reused across all
+     * scenarios.
      *
-     * @p tier selects the evaluation tier: SimulateAlways runs the
-     * engine; TheoryFirst hands the plan to the analytic
-     * TheoryBackend, which claims what it can prove and steps the
-     * rest on the event-driven stepper (config().engine and
-     * @p collapse do not apply to it).
+     * @p tier selects the evaluation tier: SimulateAlways steps the
+     * oracle (memsys/memory_system.h); TheoryFirst hands the plan to
+     * the evaluator (theory/theory_backend.h), which claims what it
+     * can prove and steps the rest on the event stepper.
      * AuditBoth is resolved a layer up (runScenario runs both tiers
      * and compares); passing it here is an error.  When @p tiers is
      * given, the access is attributed to it as claimed or fallback
      * (under SimulateAlways: always fallback).
      *
      * @p path selects the backend's stream-premap variant (see
-     * makeMemoryBackend); results are bit-identical either way.
-     * @p collapse gates the single-port periodic fast path (also
-     * bit-identical; Off is the pure stepped oracle).
+     * MapPath); results are bit-identical either way.  The
+     * CollapseMode argument is ignored until ROADMAP item 1 drops
+     * it from the benchmark.
      *
      * @p detail selects how much of a theory-claimed result is
-     * materialized (see ResultDetail; simulated results are always
-     * full).  Under TheoryFirst a plan the planner certified
+     * materialized (see ResultDetail; the oracle's results are
+     * always full).  Under TheoryFirst a plan the planner certified
      * conflict free (AccessPlan::expectConflictFree) is claimed
      * directly from the paper's window theorems — O(1) per access
      * when @p detail skips the deliveries — instead of being
@@ -145,19 +142,17 @@ class VectorAccessUnit
                          TierPolicy tier = TierPolicy::SimulateAlways,
                          TierCounters *tiers = nullptr,
                          MapPath path = MapPath::BitSliced,
-                         CollapseMode collapse = CollapseMode::On,
+                         CollapseMode = CollapseMode::On,
                          ResultDetail detail =
                              ResultDetail::Full) const;
 
     /**
      * Runs P = streams.size() simultaneous request streams through
-     * the port-aware backend selected by config().engine.  The
-     * engine knob is honored for every port count of the simulation
-     * tier; the per-cycle and event-driven backends produce
-     * bit-identical results.  @p cache, @p tier, @p tiers, @p path,
-     * @p detail as in execute(); the theory tier claims P > 1
+     * the port-aware backend of @p tier.  @p cache, @p tiers,
+     * @p path, @p detail as in execute(), and the CollapseMode
+     * argument is ignored likewise; the theory tier claims P > 1
      * accesses whose port streams are provably module-disjoint and
-     * steps the rest on the event-driven multi-port engine.
+     * steps the rest in the event stepper's P-port pass.
      */
     MultiPortResult
     executePorts(const std::vector<std::vector<Request>> &streams,
@@ -166,7 +161,7 @@ class VectorAccessUnit
                  TierPolicy tier = TierPolicy::SimulateAlways,
                  TierCounters *tiers = nullptr,
                  MapPath path = MapPath::BitSliced,
-                 CollapseMode collapse = CollapseMode::On,
+                 CollapseMode = CollapseMode::On,
                  ResultDetail detail = ResultDetail::Full) const;
 
     /** plan() + execute() in one call. */

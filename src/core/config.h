@@ -17,8 +17,7 @@
 #include <string>
 
 #include "common/bits.h"
-#include "memsys/backend.h"
-#include "memsys/memory_system.h"
+#include "memsys/request.h"
 
 namespace cfva {
 
@@ -57,9 +56,6 @@ enum class MemoryKind
 
 const char *to_string(MemoryKind kind);
 
-// EngineKind (per-cycle vs event-driven) lives with the backends it
-// selects: memsys/backend.h, included above.
-
 /** Validated parameters of a vector access unit. */
 struct VectorUnitConfig
 {
@@ -92,12 +88,6 @@ struct VectorUnitConfig
     /** PseudoRandom only: seed of the GF(2) matrix. */
     std::uint64_t prandSeed = 0x52A5ull;
 
-    /** Which reference engine the simulation tier of access() /
-     *  execute() / executePorts() runs on — honored for every port
-     *  count.  The theory tier always steps on the event-driven
-     *  engines. */
-    EngineKind engine = EngineKind::PerCycle;
-
     unsigned m() const;
     unsigned s() const;
     unsigned y() const;
@@ -119,12 +109,8 @@ struct VectorUnitConfig
      */
     void validate() const;
 
-    /**
-     * One-line summary for logs and bench headers.  Deliberately
-     * excludes the engine: both engines produce identical results,
-     * and sweep reports keyed by this label must compare equal
-     * across engines (the cfva_sweep cross-check relies on it).
-     */
+    /** One-line summary for logs, bench headers and report
+     *  mapping labels. */
     std::string describe() const;
 };
 

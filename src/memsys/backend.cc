@@ -3,23 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.h"
-#include "memsys/event_multi_port.h"
-#include "memsys/multi_port.h"
-
 namespace cfva {
-
-const char *
-to_string(EngineKind engine)
-{
-    switch (engine) {
-      case EngineKind::PerCycle:
-        return "per-cycle";
-      case EngineKind::EventDriven:
-        return "event-driven";
-    }
-    return "?";
-}
 
 const char *
 to_string(TierPolicy tier)
@@ -131,34 +115,5 @@ DeliveryArena::pooledBytes() const
         bytes += b.capacity() * sizeof(Request);
     return bytes;
 }
-
-std::unique_ptr<MemoryBackend>
-makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
-                  const ModuleMapping &map, MapPath path,
-                  CollapseMode collapse)
-{
-    switch (engine) {
-      case EngineKind::PerCycle:
-        return std::make_unique<PerCycleMultiPort>(cfg, map, path,
-                                                   collapse);
-      case EngineKind::EventDriven:
-        return std::make_unique<EventDrivenMultiPort>(cfg, map, path,
-                                                      collapse);
-    }
-    cfva_panic("unreachable engine kind");
-}
-
-namespace detail {
-
-MultiPortResult
-wrapSinglePort(AccessResult &&r)
-{
-    MultiPortResult out;
-    out.makespan = r.deliveries.empty() ? 0 : r.lastDelivery + 1;
-    out.ports.push_back(std::move(r));
-    return out;
-}
-
-} // namespace detail
 
 } // namespace cfva

@@ -2,78 +2,55 @@
  * @file
  * The port-aware memory-backend interface.
  *
- * One abstraction covers every simulation path: a MemoryBackend maps
- * (streams, config, mapping) to a MultiPortResult, where the
- * single-port access every earlier layer was built around is simply
- * the P = 1 case.  Two engines implement it:
+ * One abstraction covers every way an access is answered: a
+ * MemoryBackend maps (streams, config, mapping) to a
+ * MultiPortResult, where the single-port access every earlier layer
+ * was built around is simply the P = 1 case.  Two backends
+ * implement it:
  *
- * - PerCycleMultiPort (memsys/multi_port.h): the cycle-stepped
- *   reference, bit-exact with the historical simulateMultiPort loop
- *   and — at P = 1 — with MemorySystem::run.  It remains the oracle
- *   the event-driven engines are differentially tested against.
- * - EventDrivenMultiPort (memsys/event_multi_port.h): the event
- *   stepper (memsys/event_driven.h) jumps straight to the next
- *   state-changing cycle; per-port output heaps replace the O(P*M)
- *   per-cycle return-bus head scan.
+ * - MemorySystem (memsys/memory_system.h): the stepped oracle, every
+ *   cycle of the paper's Fig. 2 machine, for any port count.
+ * - TheoryBackend (theory/theory_backend.h): the evaluator, which
+ *   claims what the paper's windows, an O(L) proof or the
+ *   steady-state solver can answer and steps the rest on the event
+ *   stepper (memsys/event_driven.h).
  *
- * EngineKind lives here (not in core/) so the dispatch is decided at
- * the memsys layer and every consumer — VectorAccessUnit, the sweep
- * engine, tools — honors the knob for all port counts.
+ * TierPolicy, the one switch between them, lives here so the
+ * dispatch is decided at the memsys layer and every consumer —
+ * VectorAccessUnit, the sweep engine, tools — honors it for all
+ * port counts.
  */
 
 #ifndef CFVA_MEMSYS_BACKEND_H
 #define CFVA_MEMSYS_BACKEND_H
 
-#include <memory>
 #include <vector>
 
-#include "mapping/bitslice.h"
-#include "mapping/mapping.h"
-#include "memsys/memory_system.h"
 #include "memsys/request.h"
+#include "memsys/steady_state.h"
 
 namespace cfva {
 
-/** Which memory-system simulation engine executes an access. */
-enum class EngineKind
-{
-    /** The cycle-accurate reference: every cycle is stepped. */
-    PerCycle,
-
-    /**
-     * Event-driven scheduling: time jumps to the next
-     * state-changing instant.  Bit-identical results, measurably
-     * faster — the per-cycle model remains the oracle.
-     */
-    EventDriven,
-};
-
-const char *to_string(EngineKind engine);
-
 /**
- * Which evaluation tier answers an access: the analytic theory
- * fast path (theory/theory_backend.h), the simulation engines, or
- * both with a bit-for-bit cross-check.  Lives here for the same
- * reason as EngineKind: the dispatch is decided where the backends
- * are, and every consumer honors one knob.
+ * Which evaluation tier answers an access: the stepped oracle, the
+ * evaluator (theory/theory_backend.h), or both with a bit-for-bit
+ * cross-check.
  */
 enum class TierPolicy
 {
-    /** Always simulate — the historical behavior and the default. */
+    /** Step the oracle (memsys/memory_system.h) — the library
+     *  default. */
     SimulateAlways,
 
     /**
-     * Try the analytic TheoryBackend first; accesses it cannot
-     * claim are stepped on the event-driven engines.  Claimed
-     * results are bit-identical to simulation by construction (the
-     * audit tier enforces it).
+     * The evaluator: claim with the paper's windows, the O(L)
+     * proof or the steady-state solver, and step what no claim
+     * covers on the event stepper.  Bit-identical to the oracle by
+     * construction (the audit tier enforces it).
      */
     TheoryFirst,
 
-    /**
-     * Run both tiers on every scenario and flag any divergence —
-     * the --engine both idiom, across abstraction levels.
-     */
+    /** Run both tiers on every scenario and flag any divergence. */
     AuditBoth,
 };
 
@@ -81,7 +58,7 @@ const char *to_string(TierPolicy tier);
 
 /**
  * How much of a theory-tier AccessResult the caller needs.  The
- * simulation-tier engines always materialize every Delivery; the
+ * oracle always materializes every Delivery; the
  * theory tier can answer in O(1) when the caller only folds
  * aggregates (latency, stalls, conflict-free), which is what the
  * sweep hot path does with every access whose delivery stream it
@@ -106,7 +83,7 @@ enum class ResultDetail
 };
 
 /**
- * Why the theory tier handed an access to the simulation engine.
+ * Why the theory tier stepped an access instead of claiming it.
  * None means the access was answered analytically (or the theory
  * tier was not active at all).  The reason is a deterministic
  * function of the mapping and the planned module sequence — the same
@@ -142,7 +119,7 @@ const char *to_string(FallbackReason reason);
 struct TierCounters
 {
     std::uint64_t claimed = 0;  //!< accesses answered analytically
-    std::uint64_t fallback = 0; //!< accesses that simulated
+    std::uint64_t fallback = 0; //!< accesses that were stepped
 
     /** Reason of the most recent fallback (None after a claim);
      *  callers that need per-access taxonomy read it after each
@@ -165,8 +142,8 @@ struct TierCounters
  * Per-worker bump arena for the sweep hot path: freelists of
  * Delivery result buffers and Request stream buffers, recycled
  * across accesses so tight sweeps stop paying heap allocations
- * (plus growth doublings) per simulated access.  Engines acquire()
- * their result buffers from it when one is supplied; the caller
+ * (plus growth doublings) per access.  Backends acquire() their
+ * result buffers from it when one is supplied; the caller
  * release()s the buffers once the records have been consumed.
  * Stream builders use acquireRequests()/releaseRequests() the same
  * way.  Not thread-safe: use one arena per worker thread (the sweep
@@ -238,10 +215,9 @@ class DeliveryArena
 };
 
 /**
- * A simulation engine for P simultaneous request streams sharing
- * one set of memory modules.  Implementations are constructed per
- * (config, mapping) pair via makeMemoryBackend and are stateless
- * across run() calls.
+ * A backend for P simultaneous request streams sharing one set of
+ * memory modules.  Implementations are constructed per (config,
+ * mapping) pair and reset themselves on every run.
  */
 class MemoryBackend
 {
@@ -249,7 +225,7 @@ class MemoryBackend
     virtual ~MemoryBackend() = default;
 
     /**
-     * Simulates @p streams issued simultaneously, one request per
+     * Answers @p streams issued simultaneously, one request per
      * port per cycle (P = streams.size() >= 1).  Issue priority is
      * least-issued-port-first each cycle; each port has a private
      * return bus delivering at most one of its elements per cycle.
@@ -266,9 +242,8 @@ class MemoryBackend
 
     /**
      * The P = 1 case without wrapping the stream: returns the
-     * port's AccessResult directly.  Bit-identical to the
-     * corresponding single-port engine (MemorySystem::run or
-     * EventDrivenMemorySystem::run).
+     * port's AccessResult directly, bit-identical to
+     * run({stream}).ports[0].
      */
     virtual AccessResult
     runSingle(const std::vector<Request> &stream,
@@ -284,37 +259,7 @@ class MemoryBackend
     {
         return {};
     }
-
-    /** Engine name for logs and diagnostics. */
-    virtual const char *name() const = 0;
 };
-
-/**
- * Builds the backend implementing @p engine over @p cfg and @p map.
- * The mapping must outlive the returned backend.  @p path selects
- * how the engines premap their streams: BitSliced (the default)
- * uses transposed GF(2) bit-matrix multiplies when the mapping
- * exposes fixed rows, Scalar forces per-element moduleOf() — the
- * differential tests and benches use the knob to compare the two.
- * @p collapse gates the single-port periodic fast path
- * (steady-state collapse + memo replay, bit-identical): On here —
- * production callers want the speed and the result is contractually
- * identical — while the raw engine constructors default to Off so a
- * directly built engine stays a pure stepped oracle.
- */
-std::unique_ptr<MemoryBackend>
-makeMemoryBackend(EngineKind engine, const MemConfig &cfg,
-                  const ModuleMapping &map,
-                  MapPath path = MapPath::BitSliced,
-                  CollapseMode collapse = CollapseMode::On);
-
-namespace detail {
-
-/** Lifts a single-port AccessResult into the P = 1 MultiPortResult
- *  the generic loops would produce for the same stream. */
-MultiPortResult wrapSinglePort(AccessResult &&r);
-
-} // namespace detail
 
 } // namespace cfva
 

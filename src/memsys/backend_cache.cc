@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "memsys/memory_system.h"
 #include "theory/theory_backend.h"
 
 namespace cfva {
@@ -24,15 +25,14 @@ BackendCache::lookup(const Key &key, Make &&make)
 }
 
 MemoryBackend &
-BackendCache::backendFor(EngineKind engine, const MemConfig &cfg,
-                         const ModuleMapping &map, MapPath path,
-                         CollapseMode collapse)
+BackendCache::backendFor(const MemConfig &cfg, const ModuleMapping &map,
+                         MapPath path)
 {
-    const Key key{engine,           cfg.m, cfg.t, cfg.inputBuffers,
-                  cfg.outputBuffers, &map, false, path,
-                  collapse};
+    const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
+                  &map, /*theory=*/false, path};
     return lookup(key, [&] {
-        return makeMemoryBackend(engine, cfg, map, path, collapse);
+        return std::unique_ptr<MemoryBackend>(
+            std::make_unique<MemorySystem>(cfg, map, path));
     });
 }
 
@@ -40,9 +40,8 @@ TheoryBackend &
 BackendCache::theoryBackendFor(const MemConfig &cfg,
                                const ModuleMapping &map, MapPath path)
 {
-    const Key key{EngineKind::EventDriven, cfg.m, cfg.t,
-                  cfg.inputBuffers, cfg.outputBuffers, &map,
-                  /*theory=*/true, path, CollapseMode::On};
+    const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
+                  &map, /*theory=*/true, path};
     return static_cast<TheoryBackend &>(lookup(key, [&] {
         return std::unique_ptr<MemoryBackend>(
             std::make_unique<TheoryBackend>(cfg, map, path));

@@ -3,12 +3,13 @@
  * Per-worker cache of MemoryBackend instances.
  *
  * The sweep hot path used to rebuild a backend — modules with their
- * buffer deques, event heaps, issue scratch — for every simulated
- * access.  The backends are stateless across run() calls (they
- * self-reset), so one instance per (engine, memory shape, mapping)
- * can serve every scenario a worker executes.  The cache owns those
- * instances and hands out references; hit/miss counters make the
- * saved setup cost observable (cfva_sweep --bench reports them).
+ * buffers, the stepper's heaps, the solver's memo, issue scratch —
+ * for every access.  The backends are stateless across run() calls
+ * (they self-reset), so one instance per (tier, memory shape,
+ * mapping) can serve every scenario a worker executes.  The cache
+ * owns those instances and hands out references; hit/miss counters
+ * make the saved setup cost observable (SweepRunStats reports
+ * them).
  *
  * Not thread-safe: use one cache per worker thread, exactly like
  * DeliveryArena.  The mappings passed in must outlive the cache —
@@ -18,7 +19,7 @@
  * The port count is deliberately NOT part of the key: the backends
  * size their per-port scratch in place on each run, so a single
  * instance serves every port count of a mapping — strictly more
- * reuse than a (engine, ports, config) key would allow.
+ * reuse than a (tier, ports, config) key would allow.
  */
 
 #ifndef CFVA_MEMSYS_BACKEND_CACHE_H
@@ -28,6 +29,8 @@
 #include <memory>
 #include <vector>
 
+#include "mapping/bitslice.h"
+#include "mapping/mapping.h"
 #include "memsys/backend.h"
 
 namespace cfva {
@@ -56,26 +59,21 @@ class BackendCache
 {
   public:
     /**
-     * The backend implementing @p engine over @p cfg and @p map,
-     * built on first use and reused afterwards.  @p map must
-     * outlive the cache.  @p path is part of the key: a bit-sliced
-     * and a scalar-premap variant of the same shape never alias one
-     * entry (the differential harness holds both live at once).
-     * @p collapse is part of the key for the same reason: the
-     * collapse-off oracle and the collapse-on fast path must never
-     * alias (AuditBoth holds both live at once).
+     * The stepped oracle (memsys/memory_system.h) over @p cfg and
+     * @p map, built on first use and reused afterwards.  @p map
+     * must outlive the cache.  @p path is part of the key: a
+     * bit-sliced and a scalar-premap variant of the same shape
+     * never alias one entry (the differential harness holds both
+     * live at once).
      */
-    MemoryBackend &backendFor(EngineKind engine, const MemConfig &cfg,
+    MemoryBackend &backendFor(const MemConfig &cfg,
                               const ModuleMapping &map,
-                              MapPath path = MapPath::BitSliced,
-                              CollapseMode collapse = CollapseMode::On);
+                              MapPath path = MapPath::BitSliced);
 
     /**
-     * The analytic tier over the same shape.  It steps what it
-     * cannot claim on the event-driven engines, so neither the
-     * engine nor the collapse knob is part of its key.  Cached
-     * separately from the plain simulation backend (the key carries
-     * a tier bit) so TierPolicy::AuditBoth can hold both at once.
+     * The evaluator over the same shape.  Cached separately from
+     * the oracle (the key carries a tier bit) so
+     * TierPolicy::AuditBoth can hold both at once.
      */
     TheoryBackend &theoryBackendFor(const MemConfig &cfg,
                                     const ModuleMapping &map,
@@ -95,16 +93,13 @@ class BackendCache
   private:
     struct Key
     {
-        EngineKind engine = EngineKind::PerCycle;
         unsigned m = 0;
         unsigned t = 0;
         unsigned inputBuffers = 0;
         unsigned outputBuffers = 0;
         const ModuleMapping *map = nullptr;
-        bool theory = false; //!< analytic tier (engine and
-                             //!< collapse fixed)
+        bool theory = false; //!< the evaluator, not the oracle
         MapPath path = MapPath::BitSliced; //!< premap variant
-        CollapseMode collapse = CollapseMode::On; //!< fast-path gate
 
         bool operator==(const Key &o) const = default;
     };
@@ -120,7 +115,7 @@ class BackendCache
     MemoryBackend &lookup(const Key &key, Make &&make);
 
     // Linear scan with move-to-front: a worker touches a handful
-    // of (engine, mapping) pairs per sweep, and the hot lookups
+    // of (tier, mapping) pairs per sweep, and the hot lookups
     // repeat the front entry, so a hash map would only add cost.
     std::vector<Entry> entries_;
     BackendCacheStats stats_;

@@ -203,15 +203,11 @@ EventStepper::run(const MemConfig &cfg,
 
     // Recurrence detection needs a period short enough to snapshot
     // and two snapshot positions below the stream's end.
-    std::size_t period = 0;
-    bool snapping = false;
-    if (mode != Recurrence::Off) {
-        period = smallestPeriod(length, mods);
-        snapping = period < length && period <= kMaxPeriod
-                   && (length - 1) / period >= 2;
-        if (!snapping && mode == Recurrence::JumpOrAbandon)
-            return false;
-    }
+    const std::size_t period = smallestPeriod(length, mods);
+    bool snapping = period < length && period <= kMaxPeriod
+                    && (length - 1) / period >= 2;
+    if (!snapping && mode == Recurrence::JumpOrAbandon)
+        return false;
 
     reset(cfg, 1);
     std::vector<Delivery> &out = result.deliveries;
@@ -693,65 +689,6 @@ EventStepper::runPorts(const MemConfig &cfg,
     result.makespan = total == 0 ? 0 : now + 1;
     stepped_ = result.makespan;
     return result;
-}
-
-EventDrivenMemorySystem::EventDrivenMemorySystem(
-    const MemConfig &cfg, const ModuleMapping &map, MapPath path,
-    CollapseMode collapse)
-    : cfg_(cfg), slicer_(map, path), collapse_(collapse)
-{
-    cfva_assert(map.moduleBits() == cfg.m,
-                "mapping has 2^", map.moduleBits(),
-                " modules but config expects 2^", cfg.m);
-}
-
-AccessResult
-EventDrivenMemorySystem::run(const std::vector<Request> &stream,
-                             DeliveryArena *arena,
-                             const ModuleId *premapped)
-{
-    AccessResult result;
-    if (arena)
-        result.deliveries = arena->acquire(stream.size());
-    else
-        result.deliveries.reserve(stream.size());
-    if (stream.empty()) {
-        result.conflictFree = true;
-        return result;
-    }
-
-    // Premap the whole stream before stepping: bit-sliced for linear
-    // mappings, scalar otherwise.
-    const ModuleId *mods = premapped;
-    if (!mods) {
-        mods_.resize(stream.size());
-        slicer_.mapWith(
-            [&stream](std::size_t i) { return stream[i].addr; },
-            stream.size(), mods_.data());
-        mods = mods_.data();
-    }
-
-    // One pass answers every stream: memo replay, or the stepper
-    // with the recurrence jump on (stepping on to the end when the
-    // state never recurs), or plain stepping with collapse off.
-    if (collapse_ == CollapseMode::On) {
-        tryFastPath(cfg_, stream, mods, stepper_, memo_, fast_, result,
-                    true, Recurrence::JumpOrFinish);
-    } else {
-        stepper_.run(cfg_, stream, mods, Recurrence::Off, true, false,
-                     result);
-    }
-    return result;
-}
-
-AccessResult
-simulateAccessEventDriven(const MemConfig &cfg,
-                          const ModuleMapping &map,
-                          const std::vector<Request> &stream,
-                          DeliveryArena *arena)
-{
-    EventDrivenMemorySystem sys(cfg, map);
-    return sys.run(stream, arena);
 }
 
 } // namespace cfva

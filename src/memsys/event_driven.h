@@ -1,17 +1,18 @@
 /**
  * @file
- * Event-driven engine: the one fast stepper, for one port or many.
+ * The event stepper: the one fast stepped model, for one port or
+ * many.
  *
  * Simulates exactly the model of memsys/memory_system.h — same
  * modules, same buffers, same per-cycle step order (retire, return
- * bus, service start, processor issue) — but advances simulated
+ * buses, service start, processor issue) — but advances simulated
  * time directly to the next instant at which any state can change
  * instead of ticking every cycle.  Between events the only activity
  * is the processor retrying a stalled issue against an unchanged
  * input buffer, which the stepper accounts for in one subtraction.
  *
  * EventStepper is that loop over premapped module sequences, with
- * three properties every fast caller relies on:
+ * three properties every caller relies on:
  *
  * - Compact per-element state: an element in flight is its stream
  *   position, its port, and the two timestamps the model reads
@@ -22,33 +23,30 @@
  * - Output on request: Delivery records are written only when the
  *   caller materializes; summary callers get the aggregates and no
  *   O(L) buffer at all.
- * - Recurrence in its own loop (one port): with recurrence
- *   detection on, the stepper snapshots the relative machine state
- *   at issue positions one module-sequence period apart and, once a
- *   snapshot recurs, takes the affine jump over the remaining whole
- *   periods (memsys/steady_state.h).  A stream that never recurs
- *   keeps stepping from where it is, so every stream costs one pass.
+ * - Recurrence in its own loop (one port): the stepper snapshots the
+ *   relative machine state at issue positions one module-sequence
+ *   period apart and, once a snapshot recurs, takes the affine jump
+ *   over the remaining whole periods (memsys/steady_state.h).  A
+ *   stream that never recurs keeps stepping from where it is, so
+ *   every stream costs one pass.
  *
- * runPorts() is the P-port pass of memsys/multi_port.h's model on
- * the same modules, rings and retire heap: P streams share the
- * modules, each port has its own return bus (one output heap per
- * port, arbitrated in port order each cycle), and each cycle the
- * ports issue least-issued first.  It takes no jump.
+ * runPorts() is the P-port pass on the same modules, rings and
+ * retire heap: P streams share the modules, each port has its own
+ * return bus (one output heap per port, arbitrated in port order
+ * each cycle), and each cycle the ports issue least-issued first.
+ * It takes no jump.
  *
- * EventDrivenMemorySystem wraps the single-port pass into the
- * mapping-aware engine (premap, memo, attribution), and
- * EventDrivenMultiPort (memsys/event_multi_port.h) the P-port pass.
- * Results are bit-identical to the per-cycle models on every
- * stream: identical delivery records (all five timestamps and the
- * port tag), identical stall counts, identical aggregates.  The
- * per-cycle models stay in-tree as the oracles;
+ * The stepper runs only inside the evaluator: ConflictSolver
+ * (theory/conflict_solver.h) drives both passes for TheoryBackend.
+ * Its results are bit-identical to the oracle on every stream:
+ * identical delivery records (all five timestamps and the port
+ * tag), identical stall counts, identical aggregates.
  * tests/test_engine_differential.cc, tests/test_collapse.cc and
- * tests/test_multi_port_differential.cc hold the stepper to that
- * contract.
+ * tests/test_multi_port_differential.cc hold it to that contract.
  *
  * Why it is faster: the per-cycle loop scans all M modules two to
  * three times per cycle (once per port for the return buses).  This
- * engine touches only the modules named by an event (O(log M) heap
+ * stepper touches only the modules named by an event (O(log M) heap
  * work each), and skips the dead cycles entirely — on heavily
  * conflicting streams, where the per-cycle model burns ~L*T
  * iterations, the event count stays O(L).
@@ -60,8 +58,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mapping/bitslice.h"
-#include "mapping/mapping.h"
 #include "memsys/event_queue.h"
 #include "memsys/request.h"
 #include "memsys/steady_state.h"
@@ -90,11 +86,11 @@ class EventStepper
      * Steps an access of @p stream, premapped to @p mods, on the
      * shape @p cfg, issuing one request per cycle from cycle 0.
      *
-     * @p mode selects recurrence detection: snapshots at every
-     * multiple of the module sequence's smallest period (when that
-     * period is at most kMaxPeriod and fits twice), the affine jump
-     * on the first match, and — under JumpOrAbandon — an early stop
-     * once no match is possible.
+     * The pass snapshots at every multiple of the module sequence's
+     * smallest period (when that period is at most kMaxPeriod and
+     * fits twice) and takes the affine jump on the first match;
+     * @p mode says whether a pass with no possible match steps on
+     * to the end (JumpOrFinish) or stops early (JumpOrAbandon).
      *
      * Unless the pass was abandoned, @p result receives the scalar
      * aggregates and, when @p materialize is set, every Delivery in
@@ -246,70 +242,6 @@ class EventStepper
     EmitSummary summary_;
     Cycle stepped_ = 0;
 };
-
-/**
- * Event-driven twin of MemorySystem.  Same construction contract,
- * same run() semantics, bit-identical results.
- */
-class EventDrivenMemorySystem
-{
-  public:
-    /**
-     * @param cfg   subsystem shape
-     * @param map   address mapping; must produce module numbers
-     *              < cfg.modules()
-     * @param path  stream premap strategy (see makeMemoryBackend)
-     * @param collapse  On lets run() answer periodic streams via
-     *              memo replay and the stepper's recurrence jump
-     *              (bit-identical); Off keeps the engine a pure
-     *              stepped model (see MemorySystem)
-     */
-    EventDrivenMemorySystem(const MemConfig &cfg,
-                            const ModuleMapping &map,
-                            MapPath path = MapPath::BitSliced,
-                            CollapseMode collapse = CollapseMode::Off);
-
-    /**
-     * Simulates the access of @p stream issued one request per
-     * cycle starting at cycle 0; see MemorySystem::run.  One
-     * stepper pass answers every stream: with collapse on it jumps
-     * when the state recurs and otherwise steps to the end.
-     *
-     * When @p arena is given, the result's delivery buffer is
-     * acquired from it instead of freshly allocated — tight sweeps
-     * recycle buffers by releasing them back after consumption.
-     * @p premapped optionally supplies caller-computed module
-     * assignments (premapped[i] = mapping of stream[i].addr);
-     * otherwise the stream is premapped here, bit-sliced when the
-     * mapping exposes GF(2) rows.
-     */
-    AccessResult run(const std::vector<Request> &stream,
-                     DeliveryArena *arena = nullptr,
-                     const ModuleId *premapped = nullptr);
-
-    const MemConfig &config() const { return cfg_; }
-
-    /** Collapse/memo attribution since construction. */
-    const FastPathStats &fastPathStats() const { return fast_; }
-
-  private:
-    MemConfig cfg_;
-    BitSlicedMapper slicer_;
-    CollapseMode collapse_;
-    std::vector<ModuleId> mods_; //!< premap scratch, reused per run
-    EventStepper stepper_;
-    OutcomeMemo memo_;
-    FastPathStats fast_;
-};
-
-/**
- * Convenience wrapper: build an EventDrivenMemorySystem and run
- * @p stream through @p map in one call.
- */
-AccessResult simulateAccessEventDriven(const MemConfig &cfg,
-                                       const ModuleMapping &map,
-                                       const std::vector<Request> &stream,
-                                       DeliveryArena *arena = nullptr);
 
 } // namespace cfva
 

@@ -1,113 +1,97 @@
 #include "memsys/memory_system.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
-#include "memsys/backend.h"
+#include "memsys/steady_state.h"
 
 namespace cfva {
 
 MemorySystem::MemorySystem(const MemConfig &cfg,
-                           const ModuleMapping &map, MapPath path,
-                           CollapseMode collapse)
-    : cfg_(cfg), slicer_(map, path), collapse_(collapse)
+                           const ModuleMapping &map, MapPath path)
+    : cfg_(cfg), slicer_(map, path)
 {
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),
                 " modules but config expects 2^", cfg.m);
     modules_.reserve(cfg.modules());
     for (ModuleId i = 0; i < cfg.modules(); ++i)
-        modules_.emplace_back(i, cfg.serviceCycles(), cfg.inputBuffers,
-                              cfg.outputBuffers);
+        modules_.emplace_back(i, cfg.serviceCycles(),
+                              cfg.inputBuffers, cfg.outputBuffers);
 }
 
-bool
-MemorySystem::deliverOne(Cycle now, AccessResult &result)
+MultiPortResult
+MemorySystem::run(const std::vector<std::vector<Request>> &streams,
+                  DeliveryArena *arena)
 {
-    // Oldest-ready-first arbitration, lowest module id on ties.
-    MemoryModule *best = nullptr;
-    Cycle bestReady = std::numeric_limits<Cycle>::max();
-    for (auto &mod : modules_) {
-        const Delivery *head = mod.outputHead();
-        if (head && head->ready < bestReady) {
-            best = &mod;
-            bestReady = head->ready;
-        }
-    }
-    if (!best)
-        return false;
-
-    Delivery d = best->popOutput();
-    d.delivered = now;
-    result.lastDelivery = now;
-    result.deliveries.push_back(d);
-    return true;
+    cfva_assert(!streams.empty(), "need at least one port");
+    return step(streams.data(), static_cast<unsigned>(streams.size()),
+                arena);
 }
 
 AccessResult
-MemorySystem::run(const std::vector<Request> &stream,
-                  DeliveryArena *arena, const ModuleId *premapped)
+MemorySystem::runSingle(const std::vector<Request> &stream,
+                        DeliveryArena *arena)
 {
-    // Self-resetting: one instance serves many accesses (the
-    // backend cache reuses engines across a whole sweep), so any
-    // residue from a previous run is cleared up front.
-    for (auto &mod : modules_)
+    return std::move(step(&stream, 1, arena).ports.front());
+}
+
+MultiPortResult
+MemorySystem::step(const std::vector<Request> *streams, unsigned count,
+                   DeliveryArena *arena)
+{
+    std::vector<MemoryModule> &modules = modules_;
+    for (auto &mod : modules)
         mod.reset();
+    order_.resize(count);
+    std::vector<unsigned> &order = order_;
 
-    AccessResult result;
-    if (arena)
-        result.deliveries = arena->acquire(stream.size());
-    else
-        result.deliveries.reserve(stream.size());
-    if (stream.empty()) {
-        result.conflictFree = true;
-        return result;
-    }
+    // Member scratch: clear() + resize() value-initializes the
+    // Ports while keeping the vector's own capacity.
+    ports_.clear();
+    ports_.resize(count);
+    std::vector<Port> &ports = ports_;
+    MultiPortResult result;
+    result.ports.resize(count);
 
-    // Premap the whole stream once, before the cycle loop: bit-
-    // sliced for linear mappings, scalar otherwise.  This also
-    // removes the historical re-map on every stall retry (moduleOf
-    // is pure, so the timing is unchanged).
-    const ModuleId *mods = premapped;
-    if (!mods) {
-        mods_.resize(stream.size());
+    // Premap every stream before the cycle loop (bit-sliced for
+    // linear mappings); issue attempts below just index the result.
+    while (portMods_.size() < count)
+        portMods_.emplace_back();
+    std::size_t total = 0;
+    for (unsigned p = 0; p < count; ++p) {
+        const std::vector<Request> &stream = streams[p];
+        total += stream.size();
+        portMods_[p].resize(stream.size());
         slicer_.mapWith(
             [&stream](std::size_t i) { return stream[i].addr; },
-            stream.size(), mods_.data());
-        mods = mods_.data();
+            stream.size(), portMods_[p].data());
+        std::vector<Delivery> &buf = result.ports[p].deliveries;
+        if (arena)
+            buf = arena->acquire(stream.size());
+        buf.reserve(stream.size());
     }
+    std::size_t delivered_total = 0;
 
-    // Periodic fast path: memo replay or one event-stepper pass that
-    // jumps once the machine state recurs, abandoned as soon as no
-    // recurrence is possible.  Bit-identical to the cycle loop below
-    // (tests/test_collapse.cc holds it to that differentially).
-    if (collapse_ == CollapseMode::On
-        && tryFastPath(cfg_, stream, mods, stepper_, memo_, fast_,
-                       result)) {
-        return result;
-    }
-
-    const Cycle t_cycles = cfg_.serviceCycles();
-    std::size_t next = 0;     // next request to issue
-    bool stalled_attempt = false;
+    // Hard cap: a stream of L requests on one module with all
+    // buffering degenerates to ~L*T cycles; anything far beyond that
+    // means the model wedged, which is a simulator bug.
+    const Cycle limit = cfg_.wedgeLimit(total, count);
 
     // Aggregate occupancy, maintained from the modules' returns so
     // the whole-array scans below can be skipped on quiet cycles.
     unsigned busy = 0;     // modules with a service in flight
     unsigned queued = 0;   // accepted requests not yet in service
-    unsigned inOutput = 0; // serviced elements awaiting the bus
+    unsigned inOutput = 0; // serviced elements awaiting a bus
 
-    // Hard cap: a stream of L requests on one module with all
-    // buffering degenerates to ~L*T cycles; anything far beyond that
-    // means the model wedged, which is a simulator bug.
-    const Cycle limit = cfg_.wedgeLimit(stream.size(), 1);
-
-    for (Cycle now = 0;; ++now) {
+    Cycle makespan = 0;
+    for (Cycle now = 0; delivered_total < total; ++now) {
         cfva_assert(now <= limit, "simulation wedged at cycle ", now);
 
         // 1. Retire finished services into output buffers.
         if (busy != 0) {
-            for (auto &mod : modules_) {
+            for (auto &mod : modules) {
                 if (mod.retire(now)) {
                     --busy;
                     ++inOutput;
@@ -115,14 +99,37 @@ MemorySystem::run(const std::vector<Request> &stream,
             }
         }
 
-        // 2. Return bus: at most one delivery per cycle.
-        if (inOutput != 0 && deliverOne(now, result))
-            --inOutput;
+        // 2. Per-port return buses: each delivers its own oldest
+        //    ready element, lowest module on ties.  Scanning output
+        //    heads only is correct because module outputs drain in
+        //    completion order.
+        if (inOutput != 0) {
+            for (unsigned p = 0; p < count; ++p) {
+                MemoryModule *best = nullptr;
+                Cycle best_ready = std::numeric_limits<Cycle>::max();
+                for (auto &mod : modules) {
+                    const Delivery *head = mod.outputHead();
+                    if (head && head->port == p
+                        && head->ready < best_ready) {
+                        best = &mod;
+                        best_ready = head->ready;
+                    }
+                }
+                if (best) {
+                    Delivery d = best->popOutput();
+                    --inOutput;
+                    d.delivered = now;
+                    result.ports[p].deliveries.push_back(d);
+                    ++delivered_total;
+                    makespan = now;
+                }
+            }
+        }
 
         // 3. Start new services (same cycle a module retired is OK:
         //    the module was busy [start, start+T-1]).
         if (queued != 0) {
-            for (auto &mod : modules_) {
+            for (auto &mod : modules) {
                 if (mod.tryStart(now)) {
                     --queued;
                     ++busy;
@@ -130,49 +137,57 @@ MemorySystem::run(const std::vector<Request> &stream,
             }
         }
 
-        // 4. Processor: attempt to issue one request.
-        if (next < stream.size()) {
-            const Request &req = stream[next];
-            const ModuleId target = mods[next];
+        // 4. Issue: at most one request per port, least-issued port
+        //    first.
+        for (unsigned p = 0; p < count; ++p)
+            order[p] = p;
+        std::sort(order.begin(), order.end(),
+                  [&](unsigned a, unsigned b) {
+                      return ports[a].next != ports[b].next
+                                 ? ports[a].next < ports[b].next
+                                 : a < b;
+                  });
+        for (unsigned k = 0; k < count; ++k) {
+            const unsigned p = order[k];
+            Port &ps = ports[p];
+            if (ps.next >= streams[p].size())
+                continue;
+            const Request &req = streams[p][ps.next];
+            const ModuleId target = portMods_[p][ps.next];
             cfva_assert(target < cfg_.modules(),
                         "mapping produced module ", target,
                         " outside 2^", cfg_.m);
-            MemoryModule &mod = modules_[target];
+            MemoryModule &mod = modules[target];
             if (mod.canAccept()) {
                 Delivery d;
                 d.addr = req.addr;
                 d.element = req.element;
                 d.module = target;
+                d.port = p;
                 d.issued = now;
                 d.arrived = now + 1; // 1-cycle request bus
                 mod.accept(d);
                 ++queued;
-                if (next == 0)
-                    result.firstIssue = now;
-                ++next;
-                stalled_attempt = false;
+                if (ps.next == 0)
+                    ps.firstIssue = now;
+                ++ps.next;
             } else {
-                ++result.stallCycles;
-                stalled_attempt = true;
+                ++ps.stalls;
             }
-        }
-
-        if (next == stream.size() && !stalled_attempt
-            && result.deliveries.size() == stream.size()) {
-            break;
         }
     }
 
-    result.latency = result.lastDelivery - result.firstIssue + 1;
-
-    const Cycle min_latency =
-        static_cast<Cycle>(stream.size()) + t_cycles + 1;
-    result.conflictFree =
-        result.stallCycles == 0 && result.latency == min_latency;
-    // The loop is the fast path's fallback: it stepped every cycle
-    // up to the last delivery.
-    if (collapse_ == CollapseMode::On)
-        fast_.steppedCycles += result.lastDelivery + 1;
+    for (unsigned p = 0; p < count; ++p) {
+        AccessResult &r = result.ports[p];
+        const Cycle last =
+            r.deliveries.empty() ? 0 : r.deliveries.back().delivered;
+        applyEmitSummary(summarizePort(streams[p].size(),
+                                       cfg_.serviceCycles(),
+                                       ports[p].firstIssue, last,
+                                       ports[p].stalls),
+                         r);
+    }
+    result.makespan = total == 0 ? 0 : makespan + 1;
     return result;
 }
 
@@ -182,7 +197,15 @@ simulateAccess(const MemConfig &cfg, const ModuleMapping &map,
                DeliveryArena *arena)
 {
     MemorySystem sys(cfg, map);
-    return sys.run(stream, arena);
+    return sys.runSingle(stream, arena);
+}
+
+MultiPortResult
+simulateMultiPort(const MemConfig &cfg, const ModuleMapping &map,
+                  const std::vector<std::vector<Request>> &streams)
+{
+    MemorySystem sys(cfg, map);
+    return sys.run(streams);
 }
 
 std::vector<std::uint64_t>

@@ -1,40 +1,55 @@
 /**
  * @file
- * Cycle-accurate multi-module memory system (paper Figure 2).
+ * The stepped oracle: the cycle-accurate multi-module memory system
+ * of the paper's Figure 2, for one port or several.
  *
- * M = 2^m modules behind a 1-cycle request bus and a single return
- * bus that delivers at most one element per cycle.  The processor
- * issues one request per cycle unless the target module's input
- * buffer is full, in which case it stalls and retries — exactly the
- * processor model the paper's latency arithmetic assumes.
+ * M = 2^m modules behind a 1-cycle request bus.  Each port issues
+ * one request per cycle from its own stream (any ordering) unless
+ * the target module's input buffer is full, in which case it stalls
+ * and retries — exactly the processor model the paper's latency
+ * arithmetic assumes — and each port has its own return bus that
+ * delivers at most one of its elements per cycle.  One port is the
+ * paper's machine.  Several ports are the extension its conclusions
+ * name as future work ("several vectors ... accessed
+ * simultaneously, either in a single processor with several memory
+ * ports or in a multiprocessor"): the modules and their buffers are
+ * shared, so inter-port interference emerges naturally — and the
+ * Sec. 5E remark that extra modules "can be justified by ...
+ * simultaneous access to several vectors" becomes measurable
+ * (bench_multi_vector).
+ *
+ * Every cycle is stepped, so the semantics are auditable line by
+ * line.  This is the one reference model: the event stepper
+ * (memsys/event_driven.h) is held bit-identical to it by
+ * tests/test_engine_differential.cc, tests/test_collapse.cc and
+ * tests/test_multi_port_differential.cc, and the theory tier by
+ * `cfva_sweep --tier audit`.
  */
 
 #ifndef CFVA_MEMSYS_MEMORY_SYSTEM_H
 #define CFVA_MEMSYS_MEMORY_SYSTEM_H
 
-#include <cstdint>
 #include <vector>
 
 #include "mapping/bitslice.h"
 #include "mapping/mapping.h"
-#include "memsys/event_driven.h"
+#include "memsys/backend.h"
 #include "memsys/module.h"
 #include "memsys/request.h"
-#include "memsys/steady_state.h"
 
 namespace cfva {
 
-class DeliveryArena;
-
 /**
- * The memory subsystem simulator.
- *
- * One instance simulates one vector access: construct, call run()
- * with the request stream (any ordering), read the AccessResult.
- * The simulator is deterministic; ties on the return bus resolve to
- * the oldest-ready element, then the lowest module number.
+ * The memory-system simulator.  Each cycle: retire finished
+ * services, drive every port's return bus (oldest ready head of that
+ * port, lowest module on ties), start new services, then issue at
+ * most one request per port — least-issued port first, so contention
+ * for an input-buffer slot alternates among the contenders (a
+ * cycle-parity rotation would alias with the service period and
+ * starve one port).  Deterministic, and reusable across accesses:
+ * every run resets what it uses.
  */
-class MemorySystem
+class MemorySystem final : public MemoryBackend
 {
   public:
     /**
@@ -44,58 +59,44 @@ class MemorySystem
      * @param path  BitSliced premaps whole streams via the mapping's
      *              GF(2) rows when available; Scalar forces
      *              per-element moduleOf() (for differential tests)
-     * @param collapse  On lets run() answer periodic streams via
-     *              memo replay or the event stepper's recurrence
-     *              jump (bit-identical); Off keeps the engine a pure
-     *              stepped oracle.  Raw engines default to Off; the
-     *              backend factories default to On.
      */
     MemorySystem(const MemConfig &cfg, const ModuleMapping &map,
-                 MapPath path = MapPath::BitSliced,
-                 CollapseMode collapse = CollapseMode::Off);
+                 MapPath path = MapPath::BitSliced);
 
-    /**
-     * Simulates the access of @p stream issued one request per
-     * cycle starting at cycle 0.
-     *
-     * The whole stream is premapped to module numbers before the
-     * cycle loop (bit-sliced for linear mappings); pass
-     * @p premapped to supply assignments computed by the caller
-     * instead (premapped[i] must equal the mapping of
-     * stream[i].addr).
-     *
-     * @param stream     requests in the desired temporal order
-     * @param arena      optional recycler the result's delivery
-     *                   buffer is acquired from (timing-neutral; the
-     *                   records are identical either way)
-     * @param premapped  optional caller-computed module assignments
-     * @return timing of every element plus aggregate metrics
-     */
-    AccessResult run(const std::vector<Request> &stream,
-                     DeliveryArena *arena = nullptr,
-                     const ModuleId *premapped = nullptr);
+    MultiPortResult
+    run(const std::vector<std::vector<Request>> &streams,
+        DeliveryArena *arena = nullptr) override;
+
+    /** The one-port access: run({stream}).ports[0]. */
+    AccessResult
+    runSingle(const std::vector<Request> &stream,
+              DeliveryArena *arena = nullptr) override;
 
     const MemConfig &config() const { return cfg_; }
 
-    /** Collapse/memo attribution since construction. */
-    const FastPathStats &fastPathStats() const { return fast_; }
-
   private:
-    /** Delivers the oldest ready output entry over the return bus. */
-    bool deliverOne(Cycle now, AccessResult &result);
+    /** Per-port issue bookkeeping. */
+    struct Port
+    {
+        std::size_t next = 0; //!< next request (= requests issued)
+        Cycle firstIssue = 0;
+        std::uint64_t stalls = 0;
+    };
+
+    /** Steps the @p count streams at @p streams together. */
+    MultiPortResult step(const std::vector<Request> *streams,
+                         unsigned count, DeliveryArena *arena);
 
     MemConfig cfg_;
     BitSlicedMapper slicer_;
-    CollapseMode collapse_;
-    std::vector<MemoryModule> modules_;
-    std::vector<ModuleId> mods_; //!< premap scratch, reused per run
 
-    /** The collapse fast path: memo replay, or one event-stepper
-     *  pass that is abandoned when no recurrence is possible (the
-     *  cycle loop then steps the stream as the oracle does). */
-    EventStepper stepper_;
-    OutcomeMemo memo_;
-    FastPathStats fast_;
+    // Persistent across runs so a cached oracle stops paying the
+    // per-access construction cost (module array with its buffers,
+    // issue and premap scratch).
+    std::vector<MemoryModule> modules_;
+    std::vector<unsigned> order_; //!< issue-priority scratch
+    std::vector<Port> ports_;     //!< per-port scratch
+    std::vector<std::vector<ModuleId>> portMods_; //!< premap scratch
 };
 
 /**
@@ -106,6 +107,14 @@ AccessResult simulateAccess(const MemConfig &cfg,
                             const ModuleMapping &map,
                             const std::vector<Request> &stream,
                             DeliveryArena *arena = nullptr);
+
+/**
+ * Convenience wrapper: build a MemorySystem and run @p streams, one
+ * per port (P = streams.size()), through @p map in one call.
+ */
+MultiPortResult
+simulateMultiPort(const MemConfig &cfg, const ModuleMapping &map,
+                  const std::vector<std::vector<Request>> &streams);
 
 } // namespace cfva
 

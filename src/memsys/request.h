@@ -114,7 +114,7 @@ struct AccessResult
 
     /**
      * Full bitwise equality, including every per-element timing
-     * record — the contract the event-driven engine is held to
+     * record — the contract the event stepper is held to
      * against the per-cycle reference.
      */
     bool operator==(const AccessResult &o) const = default;

@@ -2,15 +2,8 @@
 
 #include "common/logging.h"
 #include "memsys/event_driven.h"
-#include "memsys/memory_system.h"
 
 namespace cfva {
-
-const char *
-to_string(CollapseMode mode)
-{
-    return mode == CollapseMode::On ? "on" : "off";
-}
 
 void
 materializeEmits(const EmitSummary &summary,

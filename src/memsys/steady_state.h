@@ -1,12 +1,12 @@
 /**
  * @file
  * Periodic steady-state collapse and base-invariant outcome
- * memoization for the single-port stepper.
+ * memoization for the evaluator's single-port stepper.
  *
  * The paper's whole analysis rests on constant-stride conflict
  * patterns being *periodic* (Theorems 1 and 3 compute the period in
  * closed form).  Two fast paths exploit the periodicity while
- * staying bit-identical to the full simulation:
+ * staying bit-identical to the stepped oracle:
  *
  * - Steady-state collapse, taken inside the event-driven stepper's
  *   own loop (memsys/event_driven.h, EventStepper): the stepper
@@ -34,9 +34,9 @@
  *   reorders modules (XOR mappings do) correctly misses.
  *
  * tryFastPath() is the one orchestration of the two (memo lookup,
- * then one stepper pass) shared by both single-port engines and the
- * theory tier's ConflictSolver, differentially tested against the
- * pure stepped oracle (tests/test_collapse.cc, --collapse off).
+ * then one stepper pass), run by the theory tier's ConflictSolver
+ * and differentially tested against the stepped oracle
+ * (tests/test_collapse.cc, and `cfva_sweep --tier audit`).
  */
 
 #ifndef CFVA_MEMSYS_STEADY_STATE_H
@@ -54,24 +54,17 @@ namespace cfva {
 struct MemConfig;
 class EventStepper;
 
-/** Whether the single-port engines may answer periodic
- *  constant-stride accesses via steady-state collapse + memo
- *  replay.  Off is the pure stepped oracle; On is bit-identical by
- *  contract (the differential tests and --tier audit enforce it). */
+/** Ignored everywhere; the name stays only until ROADMAP item 1
+ *  drops it from the benchmark. */
 enum class CollapseMode
 {
     Off,
     On,
 };
 
-const char *to_string(CollapseMode mode);
-
-/** What one stepper pass does about machine-state recurrence. */
+/** What one stepper pass does when no jump is possible. */
 enum class Recurrence
 {
-    /** Plain stepping: no snapshots, no jump. */
-    Off,
-
     /** Snapshot and jump; a stream that never recurs steps on from
      *  where it is to its end, so the pass always answers. */
     JumpOrFinish,
@@ -182,8 +175,8 @@ EmitSummary summarizePort(std::size_t length, Cycle T,
 /**
  * Bounded cache of collapsed outcomes keyed on the
  * rank-canonicalized module sequence (distinct modules used, sorted
- * ascending, rewritten as ranks 0..k-1).  Not thread-safe; the
- * engines hold one per instance, exactly like their other scratch.
+ * ascending, rewritten as ranks 0..k-1).  Not thread-safe; each
+ * ConflictSolver holds one, exactly like its other scratch.
  */
 class OutcomeMemo
 {
@@ -241,8 +234,8 @@ class OutcomeMemo
 };
 
 /**
- * The periodic fast path shared by both single-port engines and the
- * theory tier: memo replay if the canonical sequence is cached, else
+ * The periodic fast path of the theory tier's solver: memo replay if
+ * the canonical sequence is cached, else
  * one stepper pass with recurrence detection in mode @p mode (and a
  * memo insert when it jumped).  Streams up to OutcomeMemo::kMaxLen
  * make exactly one memo lookup; longer ones none.

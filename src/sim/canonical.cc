@@ -197,9 +197,9 @@ canonicalKey(const ScenarioGrid &grid, const Scenario &sc,
     auto &w = scratch.words;
 
     // Header: every outcome-determining scalar.  describe() covers
-    // the mapping shape (kind, M, T, L, s, y, p, seed, q, q') and
-    // deliberately excludes the engine; the tier changes the
-    // attribution columns of the report row, so it is identity too.
+    // the mapping shape (kind, M, T, L, s, y, p, seed, q, q'); the
+    // tier changes the attribution columns of the report row, so it
+    // is identity too.
     // The string is memoized per mapping index: it only varies
     // along the grid's mapping axis, and canonicalKey requires
     // @p unit to be that axis entry's unit.

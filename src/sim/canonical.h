@@ -9,12 +9,11 @@
  * tie-break compares module numbers, and an order-preserving
  * relabeling preserves every comparison (memsys/steady_state.h).
  * A CanonicalKey lifts that argument from one access to a whole
- * scenario: it encodes the mapping shape (describe(), which already
- * excludes the engine on purpose), the evaluation tier, the workload
- * program, the stride-family/length/port geometry, the per-port
- * effective mix multipliers, and — per access the workload will
- * execute, with
- * the same variant units the execution path uses — the plan policy
+ * scenario: it encodes the mapping shape (describe()), the
+ * evaluation tier, the workload program, the stride-family/length/
+ * port geometry, the per-port effective mix multipliers, and — per
+ * access the workload will execute, with the same variant units the
+ * execution path uses — the plan policy
  * plus the jointly rank-canonicalized per-port module sequences of
  * the POST-plan streams.  Two scenarios with equal keys drive the
  * engines through identical decisions, so one execution's
@@ -22,11 +21,11 @@
  * columns rewritten (SweepEngine::replayOutcome).
  *
  * Deliberately excluded, because the differential harnesses prove
- * them outcome-invariant: the engine (per-cycle vs event), the map
- * path (bit-sliced vs scalar), the collapse mode, and the run shape
- * (threads/grain/shard).  Base addresses are not in the key either —
- * a shifted base that yields order-isomorphic module sequences lands
- * in the same class, exactly the OutcomeMemo soundness argument.
+ * them outcome-invariant: the map path (bit-sliced vs scalar) and
+ * the run shape (threads/grain/shard).  Base addresses are not in
+ * the key either — a shifted base that yields order-isomorphic
+ * module sequences lands in the same class, exactly the OutcomeMemo
+ * soundness argument.
  *
  * The key keeps the full encoded word sequence next to its digest:
  * classing compares the words, so hash collisions cannot merge
@@ -136,13 +135,12 @@ struct CanonicalScratch
 /**
  * Computes the canonical key of @p sc as expanded from @p grid.
  * @p unit must be the access unit of the scenario's mapping
- * configuration (any engine — the key ignores it), @p workloads the
- * caller's variant-unit scratch for Retune programs (nullptr builds
- * ephemeral variants, exactly like runScenario), @p tier the
- * evaluation tier the run will use (it changes the report's
- * attribution columns, so it is part of outcome identity), and
- * @p arena an optional request-buffer recycler for the planning
- * pass.
+ * configuration, @p workloads the caller's variant-unit scratch for
+ * Retune programs (nullptr builds ephemeral variants, exactly like
+ * runScenario), @p tier the evaluation tier the run will use (it
+ * changes the report's attribution columns, so it is part of
+ * outcome identity), and @p arena an optional request-buffer
+ * recycler for the planning pass.
  */
 CanonicalKey canonicalKey(const ScenarioGrid &grid,
                           const Scenario &sc,

@@ -207,117 +207,4 @@ mergeJson(std::ostream &out,
     out << "\n]\n";
 }
 
-namespace {
-
-std::string
-readAll(std::istream &in)
-{
-    std::string text;
-    char buf[1 << 16];
-    while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
-        text.append(buf, static_cast<std::size_t>(in.gcount()));
-    return text;
-}
-
-/**
- * The trimmed body of the JSON array at @p key in @p text, located
- * by balanced-bracket scan (string literals skipped, so quoted
- * values may contain brackets).  Empty when the array is empty or
- * — for an optional key — absent; fatal when a required key is
- * missing or its array never closes.
- */
-std::string
-extractArrayBody(const std::string &text, const std::string &key,
-                 std::size_t index, bool required)
-{
-    const std::size_t at = text.find(key);
-    if (at == std::string::npos) {
-        if (required)
-            cfva_fatal("bench file ", index, " has no ", key,
-                       " section — is it a cfva_sweep --bench "
-                       "output?");
-        return {};
-    }
-    const std::size_t open = text.find('[', at);
-    if (open == std::string::npos)
-        cfva_fatal("bench file ", index, " ", key,
-                   " is not an array");
-    int depth = 0;
-    bool inString = false;
-    for (std::size_t i = open; i < text.size(); ++i) {
-        const char c = text[i];
-        if (inString) {
-            if (c == '\\')
-                ++i;
-            else if (c == '"')
-                inString = false;
-            continue;
-        }
-        if (c == '"') {
-            inString = true;
-        } else if (c == '[') {
-            ++depth;
-        } else if (c == ']' && --depth == 0) {
-            std::size_t first = open + 1, last = i;
-            while (first < last
-                   && std::isspace(
-                       static_cast<unsigned char>(text[first])))
-                ++first;
-            while (last > first
-                   && std::isspace(
-                       static_cast<unsigned char>(text[last - 1])))
-                --last;
-            return text.substr(first, last - first);
-        }
-    }
-    cfva_fatal("bench file ", index, " ", key,
-               " array never closes");
-}
-
-/** Splices pre-trimmed array bodies back into one indented array
- *  (the writeBenchJson layout). */
-void
-writeSplicedArray(std::ostream &out,
-                  const std::vector<std::string> &bodies)
-{
-    bool first = true;
-    for (const auto &body : bodies) {
-        if (body.empty())
-            continue;
-        out << (first ? "\n    " : ",\n    ") << body;
-        first = false;
-    }
-    out << "\n  ]";
-}
-
-} // namespace
-
-void
-mergeBench(std::ostream &out,
-           const std::vector<std::istream *> &shards)
-{
-    cfva_assert(!shards.empty(), "nothing to merge");
-    std::string header;
-    std::vector<std::string> runs, workloads;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        const std::string text = readAll(*shards[i]);
-        if (i == 0) {
-            const std::size_t runsAt = text.find("\"runs\"");
-            if (runsAt == std::string::npos)
-                cfva_fatal("bench file 0 has no \"runs\" section "
-                           "— is it a cfva_sweep --bench output?");
-            header = text.substr(0, runsAt);
-        }
-        runs.push_back(
-            extractArrayBody(text, "\"runs\"", i, true));
-        workloads.push_back(
-            extractArrayBody(text, "\"workloads\"", i, false));
-    }
-    out << header << "\"runs\": [";
-    writeSplicedArray(out, runs);
-    out << ",\n  \"workloads\": [";
-    writeSplicedArray(out, workloads);
-    out << "\n}\n";
-}
-
 } // namespace cfva::sim

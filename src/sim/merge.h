@@ -44,20 +44,6 @@ void mergeCsv(std::ostream &out,
 void mergeJson(std::ostream &out,
                const std::vector<std::istream *> &shards);
 
-/**
- * Merges cfva_sweep --bench outputs (BENCH_sweep.json files from
- * sharded or repeated runs) into one document: the header scalars
- * (grid_jobs, tier, map_path, ...) are kept from the first file,
- * and the "runs" and "workloads" arrays are concatenated in input
- * order.  Rows are spliced as opaque text, so files written by
- * builds before and after a row field was added — e.g. the
- * per-(workload, tier) rows that replaced the single-workload
- * summary — merge without a schema conflict; a file with no
- * "workloads" section at all contributes an empty one.
- */
-void mergeBench(std::ostream &out,
-                const std::vector<std::istream *> &shards);
-
 } // namespace cfva::sim
 
 #endif // CFVA_SIM_MERGE_H

@@ -64,6 +64,14 @@ ScenarioGrid::expand() const
         cfg.validate();
     for (std::uint64_t s : strides)
         cfva_assert(s != 0, "stride 0 is not a vector access");
+    for (std::uint64_t len : lengths) {
+        // The event stepper indexes stream positions in 32 bits.
+        if (len > kMaxLength) {
+            cfva_fatal("--lengths ", len, " is longer than the ",
+                       kMaxLength, " (2^32 - 1) elements an access "
+                       "may have");
+        }
+    }
     for (unsigned p : ports)
         cfva_assert(p >= 1, "port count must be positive");
     cfva_assert(!portMixes.empty(),

@@ -94,11 +94,14 @@ struct ScenarioGrid
     /** Raw stride values; use addFamilies() for (sigma, x) sets. */
     std::vector<std::uint64_t> strides;
 
+    /** Longest access length expand() accepts. */
+    static constexpr std::uint64_t kMaxLength = 0xFFFFFFFFull;
+
     /**
-     * Access lengths in elements.  The value 0 means "the full
-     * register length of the mapping under test" and is resolved
-     * per mapping during expansion.  Defaults to one full-register
-     * access.
+     * Access lengths in elements, at most kMaxLength.  The value 0
+     * means "the full register length of the mapping under test"
+     * and is resolved per mapping during expansion.  Defaults to one
+     * full-register access.
      */
     std::vector<std::uint64_t> lengths = {0};
 
@@ -151,7 +154,8 @@ struct ScenarioGrid
     /**
      * Flattens the grid into jobs in deterministic order and
      * resolves randomized starts.  Calls validate() on every
-     * mapping configuration first.
+     * mapping configuration first, and fails on a length above
+     * kMaxLength.
      */
     std::vector<Scenario> expand() const;
 };

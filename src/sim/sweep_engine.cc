@@ -284,8 +284,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
                   const VectorAccessUnit &unit, Addr a1,
                   std::uint64_t baseStride, DeliveryArena *arena,
                   BackendCache *cache, AccessResult *loadOut,
-                  TierPolicy tier, MapPath path,
-                  CollapseMode collapse)
+                  TierPolicy tier, MapPath path)
 {
     AccessStats out;
     // Attribution only runs while the theory tier is active, so
@@ -306,7 +305,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
                                         ? ResultDetail::SummaryIfUniform
                                         : ResultDetail::Summary;
         AccessResult r = unit.execute(p, arena, cache, tier, tcp,
-                                      path, collapse, detail);
+                                      path, CollapseMode::On, detail);
         out.latency = r.latency;
         out.stalls = r.stallCycles;
         out.conflictFree = r.conflictFree;
@@ -326,8 +325,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
     // Multi-port: one access per port issued simultaneously at
     // staggered base addresses — the "several vectors accessed
     // simultaneously" extension — with per-port strides drawn from
-    // the scenario's port mix.  Dispatches to the backend selected
-    // by the unit's engine knob.
+    // the scenario's port mix.
     std::vector<std::vector<Request>> streams;
     streams.reserve(sc.ports);
     for (unsigned p = 0; p < sc.ports; ++p) {
@@ -337,7 +335,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
     }
     MultiPortResult r =
         unit.executePorts(streams, arena, cache, tier, tcp, path,
-                          collapse, ResultDetail::Summary);
+                          CollapseMode::On, ResultDetail::Summary);
     if (arena) {
         for (auto &s : streams)
             arena->releaseRequests(std::move(s));
@@ -446,7 +444,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                          const VectorAccessUnit &unit,
                          DeliveryArena *arena, BackendCache *cache,
                          WorkloadUnits *workloads, TierPolicy tier,
-                         MapPath path, CollapseMode collapse)
+                         MapPath path)
 {
     if (tier == TierPolicy::AuditBoth) {
         // Run the scenario under each tier and compare field for
@@ -456,16 +454,13 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         // latency, stalls, chaining, retune charges — must match
         // exactly.  The simulated outcome is returned as ground
         // truth, wearing the theory run's attribution so audit rows
-        // still report the claim rate.  The sim arm also pins the
-        // collapse fast path Off so it is the pure stepped oracle;
-        // the theory arm keeps the requested mode — audit therefore
-        // cross-checks collapse + memo end to end as well.
-        ScenarioOutcome simOut = runScenario(
-            grid, sc, unit, arena, cache, workloads,
-            TierPolicy::SimulateAlways, path, CollapseMode::Off);
+        // still report the claim rate.
+        ScenarioOutcome simOut =
+            runScenario(grid, sc, unit, arena, cache, workloads,
+                        TierPolicy::SimulateAlways, path);
         ScenarioOutcome thOut =
             runScenario(grid, sc, unit, arena, cache, workloads,
-                        TierPolicy::TheoryFirst, path, collapse);
+                        TierPolicy::TheoryFirst, path);
         ScenarioOutcome cmp = thOut;
         cmp.theoryClaimed = 0;
         cmp.theoryFallback = 0;
@@ -509,8 +504,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         out.minLatency = floor1;
         foldAccess(out, runWorkloadAccess(grid, sc, unit, sc.a1,
                                           sc.stride, arena, cache,
-                                          nullptr, tier, path,
-                                          collapse));
+                                          nullptr, tier, path));
         return out;
       }
 
@@ -524,7 +518,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                    runWorkloadAccess(grid, sc, unit, sc.a1,
                                      sc.stride, arena, cache,
                                      capture ? &load : nullptr,
-                                     tier, path, collapse));
+                                     tier, path));
         out.decoupledCycles = out.latency;
         out.chainedCycles = out.latency;
         applyExecuteStep(out, sc, wl, std::move(load), arena);
@@ -545,7 +539,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                            sc.a1 + Addr{tap} * sc.stride, sc.stride,
                            arena, cache,
                            capture ? &lastLoad : nullptr, tier,
-                           path, collapse));
+                           path));
         }
         const Cycle loadTotal = out.latency;
         out.decoupledCycles = loadTotal;
@@ -553,7 +547,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         applyExecuteStep(out, sc, wl, std::move(lastLoad), arena);
         const AccessStats store = runWorkloadAccess(
             grid, sc, unit, sc.a1, sc.stride, arena, cache, nullptr,
-            tier, path, collapse);
+            tier, path);
         foldAccess(out, store);
         out.decoupledCycles += store.latency;
         out.chainedCycles += store.latency;
@@ -620,7 +614,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                 foldAccess(out, runWorkloadAccess(
                                     grid, sc, *phaseUnit, sc.a1,
                                     phaseStride, arena, phaseCache,
-                                    nullptr, tier, path, collapse));
+                                    nullptr, tier, path));
             }
         }
         // The relayout charge is part of the program's memory time:
@@ -679,7 +673,7 @@ struct WorkerArena
     WorkloadUnits workloads;
 
     // Reuses one MemoryBackend (modules, event heaps, scratch) per
-    // (engine, mapping) across all of this worker's scenarios
+    // (tier, mapping) across all of this worker's scenarios
     // instead of rebuilding it per access.  Declared after the unit
     // holders: the cached backends reference their mappings and
     // must be destroyed first.
@@ -700,17 +694,14 @@ struct WorkerArena
     std::uint64_t fallbackDynamic = 0;
 
     const VectorAccessUnit &
-    unitFor(const ScenarioGrid &grid, std::size_t mappingIndex,
-            const std::optional<EngineKind> &engine)
+    unitFor(const ScenarioGrid &grid, std::size_t mappingIndex)
     {
         if (units.empty())
             units.resize(grid.mappings.size());
         auto &slot = units[mappingIndex];
         if (!slot) {
-            VectorUnitConfig cfg = grid.mappings[mappingIndex];
-            if (engine)
-                cfg.engine = *engine;
-            slot = std::make_unique<VectorAccessUnit>(cfg);
+            slot = std::make_unique<VectorAccessUnit>(
+                grid.mappings[mappingIndex]);
         }
         return *slot;
     }
@@ -1122,12 +1113,9 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
                     const Scenario &sc =
                         jobs[dedup ? execJobs[i] : i];
                     buf.push_back(runScenario(
-                        grid, sc,
-                        mine.unitFor(grid, sc.mappingIndex,
-                                     opts_.engine),
+                        grid, sc, mine.unitFor(grid, sc.mappingIndex),
                         &mine.deliveries, &mine.backends,
-                        &mine.workloads, opts_.tier, opts_.mapPath,
-                        opts_.collapse));
+                        &mine.workloads, opts_.tier, opts_.mapPath));
                     const ScenarioOutcome &o = buf.back();
                     mine.theoryClaims += o.theoryClaimed;
                     mine.theoryFallbacks += o.theoryFallback;

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,8 +111,8 @@ struct ScenarioOutcome
      *  without simulating (0 under TierPolicy::SimulateAlways). */
     std::uint64_t theoryClaimed = 0;
 
-    /** Accesses that fell back to the simulation engine while the
-     *  theory tier was active (0 under SimulateAlways). */
+    /** Accesses the theory tier stepped instead of claiming (0
+     *  under SimulateAlways). */
     std::uint64_t theoryFallback = 0;
 
     /** TierPolicy::AuditBoth found the tiers disagreeing on this
@@ -344,8 +343,8 @@ struct SweepRunStats
      *  passes that did not jump (streams stepped to their end,
      *  abandoned attempts, and the makespan of every P-port pass
      *  over ports that share modules), so the stepped work adds up.
-     *  The simulation tier reports 0 under CollapseMode::Off; the
-     *  theory tier always steps through its solver. */
+     *  Only the theory tier counts here: the oracle has no fast
+     *  path, so the simulation tier reports 0. */
     std::uint64_t collapseHits = 0;
     std::uint64_t collapsePrefixCycles = 0;
     std::uint64_t memoHits = 0;
@@ -397,23 +396,11 @@ struct SweepOptions
     ShardSpec shard;
 
     /**
-     * When set, overrides the simulation engine of every mapping
-     * configuration in the grid — the sweep's engine axis.  Both
-     * engines produce bit-identical reports (the cfva_sweep
-     * cross-check mode runs the same grid under each and compares).
-     * Honored for every port count of the simulation tier:
-     * multi-port scenarios dispatch to the matching port-aware
-     * backend.  The theory tier steps on the event engines
-     * regardless.
-     */
-    std::optional<EngineKind> engine;
-
-    /**
-     * Evaluation tier for every scenario: simulate (default),
-     * analytic theory fast path stepping what it cannot claim, or both
-     * with a bit-for-bit cross-check (SweepRunStats counts the
-     * divergences).  Reports are identical across tiers by
-     * construction except for the tier-attribution columns.
+     * Evaluation tier for every scenario: the stepped oracle
+     * (default), the evaluator that claims what it can and steps the
+     * rest, or both with a bit-for-bit cross-check (SweepRunStats
+     * counts the divergences).  Reports are identical across tiers
+     * by construction except for the tier-attribution columns.
      */
     TierPolicy tier = TierPolicy::SimulateAlways;
 
@@ -426,13 +413,8 @@ struct SweepOptions
      */
     MapPath mapPath = MapPath::BitSliced;
 
-    /**
-     * Whether the single-port engines may answer periodic streams
-     * via steady-state collapse + memo replay.  On (the default) is
-     * bit-identical to Off by contract — Off exists as the pure
-     * stepped oracle for audits and differential tests
-     * (cfva_sweep --collapse off).
-     */
+    /** Ignored; the field stays only until ROADMAP item 1 drops it
+     *  from the benchmark. */
     CollapseMode collapse = CollapseMode::On;
 
     /**
@@ -526,9 +508,7 @@ class SweepEngine
                                        TierPolicy tier =
                                            TierPolicy::SimulateAlways,
                                        MapPath path =
-                                           MapPath::BitSliced,
-                                       CollapseMode collapse =
-                                           CollapseMode::On);
+                                           MapPath::BitSliced);
 
     /**
      * Rewrites the identity columns of a class representative's

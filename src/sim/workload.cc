@@ -71,7 +71,7 @@ const VectorAccessUnit &
 WorkloadUnits::retuned(const VectorUnitConfig &cfg,
                        std::size_t mappingIndex, unsigned tune)
 {
-    const UnitKey key{mappingIndex, tune, cfg.engine};
+    const UnitKey key{mappingIndex, tune};
     for (auto &entry : units_) {
         if (entry.first == key)
             return *entry.second;

@@ -29,9 +29,9 @@
  *
  * Every access of a workload dispatches through the unified
  * MemoryBackend (single- or multi-port), so program-level results
- * are bit-identical across the per-cycle and event engines by the
- * same differential argument as raw accesses; the retune relayout
- * charge is analytic and engine-independent by construction.
+ * are bit-identical across the oracle and the evaluator by the same
+ * differential argument as raw accesses; the retune relayout charge
+ * is analytic and tier-independent by construction.
  */
 
 #ifndef CFVA_SIM_WORKLOAD_H
@@ -104,10 +104,9 @@ class WorkloadUnits
 {
   public:
     /**
-     * The variant of @p cfg re-tuned to field position @p tune,
-     * built on first use and reused afterwards.  @p cfg must
-     * already carry the engine override the worker runs under (the
-     * variant clones it).
+     * The variant of @p cfg (the grid's mapping @p mappingIndex)
+     * re-tuned to field position @p tune, built on first use and
+     * reused afterwards.
      */
     const VectorAccessUnit &retuned(const VectorUnitConfig &cfg,
                                     std::size_t mappingIndex,
@@ -127,7 +126,6 @@ class WorkloadUnits
     {
         std::size_t mapping = 0;
         unsigned tune = 0;
-        EngineKind engine = EngineKind::PerCycle;
 
         bool operator==(const UnitKey &o) const = default;
     };

@@ -1,7 +1,6 @@
 #include "theory/conflict_solver.h"
 
 #include "memsys/backend.h"
-#include "memsys/memory_system.h"
 
 namespace cfva {
 

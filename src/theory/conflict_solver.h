@@ -20,8 +20,8 @@
  * This class packages that closed form as a *claiming* tier rather
  * than a simulation accelerator:
  *
- *  - solve() answers a single premapped stream without invoking any
- *    engine: memo replay when the rank-canonicalized module
+ *  - solve() answers a single premapped stream without stepping it
+ *    to the end: memo replay when the rank-canonicalized module
  *    sequence was solved before, otherwise one event-stepper pass
  *    that establishes the O(period) transient and jumps over the
  *    rest, abandoned as soon as no recurrence is possible.
@@ -44,11 +44,12 @@
  *    stepPorts() answers the ports that share modules with one
  *    P-port pass of the same stepper.
  *
- * Bit-identity with the stepped engines is by construction: the
- * transient is established by the same event stepper the engines run
- * (memsys/event_driven.h), and the extrapolation is its recurrence
- * jump under differential test.  --tier audit cross-checks every
- * claimed answer against the pure stepped oracle end to end.
+ * Bit-identity with the stepped oracle (memsys/memory_system.h) is
+ * by construction: the transient is established by the event
+ * stepper (memsys/event_driven.h), which is held to the oracle under
+ * differential test, and the extrapolation is its recurrence jump.
+ * --tier audit cross-checks every claimed answer against the oracle
+ * end to end.
  */
 
 #ifndef CFVA_THEORY_CONFLICT_SOLVER_H
@@ -72,7 +73,7 @@ class DeliveryArena;
  * every access; the per-worker BackendCache keeps the backend — and
  * with it this memo — alive across a whole sweep, which is what
  * stops retune/stencil workloads re-proving the same claim per
- * access.  Not thread-safe (per-worker, like all engine scratch).
+ * access.  Not thread-safe (per-worker, like all backend scratch).
  */
 class ConflictSolver
 {
@@ -81,7 +82,7 @@ class ConflictSolver
      * Attempts to answer @p stream (premapped to @p mods) on
      * @p cfg without simulating: memo replay, else steady-state
      * solve + memo insert.  On success fills @p result —
-     * bit-identical to the engine's stepped loop — and returns
+     * bit-identical to the stepped oracle — and returns
      * true; on failure returns false with @p result untouched (its
      * delivery buffer, if one was acquired, is released back to
      * @p arena).  When @p materialize is false only the scalar

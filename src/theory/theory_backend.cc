@@ -8,6 +8,21 @@
 
 namespace cfva {
 
+namespace {
+
+/** Lifts a single-port AccessResult into the P = 1 MultiPortResult
+ *  the stepped models produce for the same stream. */
+MultiPortResult
+wrapSinglePort(AccessResult &&r)
+{
+    MultiPortResult out;
+    out.makespan = r.deliveries.empty() ? 0 : r.lastDelivery + 1;
+    out.ports.push_back(std::move(r));
+    return out;
+}
+
+} // namespace
+
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
                              const ModuleMapping &map, MapPath path)
     : cfg_(cfg), slicer_(map, path)
@@ -224,7 +239,7 @@ TheoryBackend::tryClaimPorts(
             lastDelivery = std::max(lastDelivery, r.lastDelivery);
         }
     }
-    // Assembled as the stepped engines assemble it: the makespan is
+    // Assembled as the stepped models assemble it: the makespan is
     // exclusive of the last delivery cycle, 0 when no element was
     // delivered, and each port's conflict-free flag was already
     // judged against its own single-stream floor.
@@ -239,7 +254,7 @@ TheoryBackend::runPorts(
 {
     cfva_assert(!streams.empty(), "need at least one port");
     if (streams.size() == 1)
-        return detail::wrapSinglePort(
+        return wrapSinglePort(
             runSingleHinted(true, streams[0], arena, detail));
     // Premap every port once: the disjointness proof, the per-port
     // claims and a stepped answer all read the same premap.

@@ -16,7 +16,7 @@
  *    ResultDetail::Summary; for every other stream a one-pass O(L)
  *    proof over per-module next-free times is tried first, and it
  *    stops at the first request that would queue.  Either way the
- *    exact AccessResult the simulation engines would produce is
+ *    exact AccessResult the stepped oracle would produce is
  *    synthesized from the timing contract (request issued at cycle i
  *    arrives at i+1, starts service immediately, retires and crosses
  *    the return bus at i+1+T).
@@ -32,19 +32,19 @@
  *    MultiPortResult is synthesized from P independent single-port
  *    answers.
  *
- * What no claim covers is stepped, always on the event-driven
- * engines whatever VectorUnitConfig::engine says (that knob selects
- * the reference engine of the simulation tier only): a single-port
- * stream the solver declines is answered by the very stepper pass
- * that looked for its recurrence — one memo lookup and one pass, the
- * pass stepping on to the end of the stream when no state recurs —
- * and ports that share modules are stepped together in one P-port
- * pass of the same stepper, over the premap the multi-port claim
- * already made, summary-only when the caller wants aggregates.
- * Claimed answers are bit-identical to simulation by construction
- * (tests/test_theory_backend.cc and tests/test_conflict_solver.cc
- * audit this across randomized grids; TierPolicy::AuditBoth audits
- * it against the per-cycle oracle on every sweep scenario it runs).
+ * What no claim covers is stepped on the event stepper
+ * (memsys/event_driven.h): a single-port stream the solver declines
+ * is answered by the very stepper pass that looked for its
+ * recurrence — one memo lookup and one pass, the pass stepping on to
+ * the end of the stream when no state recurs — and ports that share
+ * modules are stepped together in one P-port pass of the same
+ * stepper, over the premap the multi-port claim already made,
+ * summary-only when the caller wants aggregates.  Every answer is
+ * bit-identical to the stepped oracle (memsys/memory_system.h) by
+ * construction: tests/test_theory_backend.cc and
+ * tests/test_conflict_solver.cc audit this across randomized grids,
+ * and TierPolicy::AuditBoth audits it on every sweep scenario it
+ * runs.
  * Every fallback is attributed a FallbackReason; claim/fallback
  * attribution is a deterministic function of (config, mapping,
  * planned streams) — never of memo state — which is what keeps the
@@ -65,6 +65,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "mapping/bitslice.h"
+#include "mapping/mapping.h"
 #include "memsys/backend.h"
 #include "theory/conflict_solver.h"
 
@@ -73,9 +75,9 @@ namespace cfva {
 /**
  * MemoryBackend that answers provably conflict-free, periodic
  * conflicted, and module-disjoint multi-port streams analytically
- * and steps everything else on the event-driven engines.  Like the
- * engines, it is reusable across run() calls and cacheable per
- * (config, mapping); the mapping must outlive the backend.
+ * and steps everything else on the event stepper.  Like the oracle,
+ * it is reusable across run() calls and cacheable per (config,
+ * mapping); the mapping must outlive the backend.
  */
 class TheoryBackend final : public MemoryBackend
 {
@@ -83,7 +85,7 @@ class TheoryBackend final : public MemoryBackend
     /**
      * @param cfg   memory shape the claims are proved against
      * @param map   address mapping (must outlive the backend)
-     * @param path  stream premap strategy (see makeMemoryBackend)
+     * @param path  stream premap strategy (see MapPath)
      */
     TheoryBackend(const MemConfig &cfg, const ModuleMapping &map,
                   MapPath path = MapPath::BitSliced);
@@ -95,8 +97,6 @@ class TheoryBackend final : public MemoryBackend
     AccessResult
     runSingle(const std::vector<Request> &stream,
               DeliveryArena *arena = nullptr) override;
-
-    const char *name() const override { return "theory"; }
 
     /**
      * runSingle with the planner's window classification: the O(L)

@@ -16,9 +16,9 @@ VectorProcessor::VectorProcessor(const VectorUnitConfig &cfg,
 AccessResult
 VectorProcessor::execMemory(const AccessPlan &plan)
 {
-    // Through the unified backend: the engine knob selects the
-    // simulator, the cache reuses it across instructions, the arena
-    // recycles delivery buffers — the sweep engine's exact path.
+    // Through the unified backend: the cache reuses the oracle
+    // across instructions, the arena recycles delivery buffers —
+    // the sweep engine's exact path.
     AccessResult result = unit_.execute(plan, &arena_, &backends_);
 
     stats_.memoryAccesses += 1;

@@ -11,12 +11,12 @@
  * by the Sec. 5F model (core/chaining.h) fed from the load's
  * simulated delivery stream.
  *
- * Every LOAD/STORE dispatches through the unified MemoryBackend
- * selected by VectorUnitConfig::engine, reusing one backend per
- * processor via a private BackendCache and recycling delivery
- * buffers through a DeliveryArena — the same hot path the sweep
- * engine runs, so program timings are engine-invariant and
- * identical to the sweep's `single`/`chain` workload outcomes.
+ * Every LOAD/STORE steps the memory system's oracle
+ * (memsys/memory_system.h) through the unified MemoryBackend,
+ * reusing one backend per processor via a private BackendCache and
+ * recycling delivery buffers through a DeliveryArena — the same
+ * path the sweep engine's simulation tier runs, so program timings
+ * are identical to the sweep's `single`/`chain` workload outcomes.
  */
 
 #ifndef CFVA_VPROC_PROCESSOR_H
@@ -103,8 +103,8 @@ class VectorProcessor
     std::uint64_t vl_;
     ExecStats stats_;
 
-    // The unified-backend hot path: one MemoryBackend per
-    // (engine, mapping) reused across every instruction, delivery
+    // The unified-backend hot path: one MemoryBackend per mapping
+    // reused across every instruction, delivery
     // buffers recycled across accesses.  Declared after unit_ —
     // cached backends reference its mapping and are destroyed
     // first.

@@ -219,10 +219,9 @@ TEST(BitSlice, BackendCacheNeverAliasesMapPaths)
     const XorMatchedMapping map(3, 4);
     const MemConfig cfg{3, 3, 1, 1};
 
-    MemoryBackend &sliced = cache.backendFor(
-        EngineKind::EventDriven, cfg, map, MapPath::BitSliced);
-    MemoryBackend &scalar = cache.backendFor(
-        EngineKind::EventDriven, cfg, map, MapPath::Scalar);
+    MemoryBackend &sliced =
+        cache.backendFor(cfg, map, MapPath::BitSliced);
+    MemoryBackend &scalar = cache.backendFor(cfg, map, MapPath::Scalar);
     EXPECT_NE(&sliced, &scalar)
         << "bit-sliced and scalar variants must not share a backend";
     EXPECT_EQ(cache.stats().misses, 2u);
@@ -230,12 +229,8 @@ TEST(BitSlice, BackendCacheNeverAliasesMapPaths)
     EXPECT_EQ(cache.size(), 2u);
 
     // Repeat lookups hit their own entries.
-    EXPECT_EQ(&cache.backendFor(EngineKind::EventDriven, cfg, map,
-                                MapPath::BitSliced),
-              &sliced);
-    EXPECT_EQ(&cache.backendFor(EngineKind::EventDriven, cfg, map,
-                                MapPath::Scalar),
-              &scalar);
+    EXPECT_EQ(&cache.backendFor(cfg, map, MapPath::BitSliced), &sliced);
+    EXPECT_EQ(&cache.backendFor(cfg, map, MapPath::Scalar), &scalar);
     EXPECT_EQ(cache.stats().hits, 2u);
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.size(), 2u);

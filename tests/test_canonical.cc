@@ -335,21 +335,20 @@ TEST(CanonicalDedup, OnOffAuditStreamByteIdentical)
     }
 }
 
-TEST(CanonicalDedup, MaterializedReportsEqualUnderBothEngines)
+TEST(CanonicalDedup, MaterializedReportsEqualUnderBothTiers)
 {
     const ScenarioGrid grid = richGrid();
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
+    for (TierPolicy tier :
+         {TierPolicy::SimulateAlways, TierPolicy::TheoryFirst}) {
         SweepOptions off;
-        off.engine = engine;
+        off.tier = tier;
         off.dedup = DedupMode::Off;
         SweepOptions on;
-        on.engine = engine;
+        on.tier = tier;
         on.dedup = DedupMode::On;
         const SweepReport base = SweepEngine(off).run(grid);
         const SweepReport deduped = SweepEngine(on).run(grid);
-        EXPECT_EQ(deduped, base)
-            << "engine " << to_string(engine);
+        EXPECT_EQ(deduped, base) << "tier " << to_string(tier);
     }
 }
 

@@ -6,13 +6,14 @@
  * stepped oracle, outcome-memo rank canonicalization, and the
  * arity-templated module event heap.
  *
- * The contract under test is absolute: with CollapseMode::On both
- * single-port engines must return AccessResults bit-identical to
- * their CollapseMode::Off selves — every delivery record with all
- * five timestamps, every stall, every aggregate — on every mapping
- * kind, both premap paths, and lengths on both sides of the module
- * sequence's period (including L < one period and L = k * period
- * exactly).  The StepperEdges suite drives the stepper itself along
+ * The contract under test is absolute: the theory tier's
+ * ConflictSolver::solveOrStep — memo replay, recurrence jump, or
+ * stepping to the end — must return AccessResults bit-identical to
+ * the oracle's (memsys/memory_system.h) — every delivery record with
+ * all five timestamps, every stall, every aggregate — on every
+ * mapping kind, both premap paths, and lengths on both sides of the
+ * module sequence's period (including L < one period and L = k *
+ * period exactly).  The StepperEdges suite drives the stepper itself along
  * the edges of its recurrence logic: lengths around the first
  * snapshot pair, periods around kMaxPeriod, an exhausted snapshot
  * budget, buffer-depth and service-time extremes, and a 10^6-element
@@ -38,6 +39,7 @@
 #include "memsys/memory_system.h"
 #include "memsys/steady_state.h"
 #include "test_util.h"
+#include "theory/conflict_solver.h"
 
 namespace cfva {
 namespace {
@@ -52,34 +54,60 @@ strideStream(Addr a1, std::uint64_t stride, std::size_t length)
     return stream;
 }
 
-/** Runs @p stream collapse-on vs collapse-off through both engines
- *  and both premap paths and asserts bit-identity. */
+/** Premaps @p stream through @p map, element by element. */
+std::vector<ModuleId>
+premapped(const ModuleMapping &map, const std::vector<Request> &stream)
+{
+    std::vector<ModuleId> mods(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        mods[i] = map.moduleOf(stream[i].addr);
+    return mods;
+}
+
+/** The solver's full-detail answer for @p stream (premapped to
+ *  @p mods), claimed or stepped. */
+AccessResult
+solveFull(ConflictSolver &solver, const MemConfig &cfg,
+          const std::vector<Request> &stream,
+          const std::vector<ModuleId> &mods)
+{
+    AccessResult r;
+    solver.solveOrStep(cfg, stream, mods.data(), nullptr, r, true);
+    return r;
+}
+
+/**
+ * Answers @p stream with the theory tier's solver over both premap
+ * paths, twice per path (the second answer replays the memo when the
+ * first one collapsed), and asserts every answer is bit-identical to
+ * the oracle on the same path.
+ */
 void
-expectCollapseIdentical(const MemConfig &cfg,
-                        const ModuleMapping &map,
-                        const std::vector<Request> &stream,
-                        const std::string &what)
+expectSolverMatchesOracle(const MemConfig &cfg,
+                          const ModuleMapping &map,
+                          const std::vector<Request> &stream,
+                          const std::string &what)
 {
     for (MapPath path : {MapPath::BitSliced, MapPath::Scalar}) {
-        MemorySystem oracle(cfg, map, path, CollapseMode::Off);
-        MemorySystem fast(cfg, map, path, CollapseMode::On);
-        const AccessResult expect = oracle.run(stream);
-        const AccessResult got = fast.run(stream);
-        ASSERT_EQ(got.deliveries.size(), expect.deliveries.size())
-            << what;
-        for (std::size_t i = 0; i < expect.deliveries.size(); ++i) {
-            ASSERT_EQ(got.deliveries[i], expect.deliveries[i])
-                << what << ": delivery " << i
-                << " diverges (element "
-                << expect.deliveries[i].element << ")";
+        const AccessResult expect =
+            MemorySystem(cfg, map, path).runSingle(stream);
+        std::vector<ModuleId> mods(stream.size());
+        BitSlicedMapper(map, path).mapWith(
+            [&stream](std::size_t i) { return stream[i].addr; },
+            stream.size(), mods.data());
+        ConflictSolver solver;
+        for (const char *pass : {"first", "repeat"}) {
+            const AccessResult got = solveFull(solver, cfg, stream, mods);
+            ASSERT_EQ(got.deliveries.size(), expect.deliveries.size())
+                << what << " (" << pass << ")";
+            for (std::size_t i = 0; i < expect.deliveries.size(); ++i) {
+                ASSERT_EQ(got.deliveries[i], expect.deliveries[i])
+                    << what << " (" << pass << "): delivery " << i
+                    << " diverges (element "
+                    << expect.deliveries[i].element << ")";
+            }
+            EXPECT_EQ(got, expect) << what << " (" << pass << ")";
         }
-        EXPECT_EQ(got, expect) << what;
-
-        EventDrivenMemorySystem eventFast(cfg, map, path,
-                                          CollapseMode::On);
-        const AccessResult eventGot = eventFast.run(stream);
-        EXPECT_EQ(eventGot, expect)
-            << what << " (event-driven engine)";
     }
 }
 
@@ -97,7 +125,7 @@ TEST(CollapseDifferential, MatchedAllStrideFamilies)
         for (std::uint64_t sigma : {1, 3, 5}) {
             const std::uint64_t s = sigma << x;
             for (std::size_t len : kLengths) {
-                expectCollapseIdentical(
+                expectSolverMatchesOracle(
                     cfg, map, strideStream(3, s, len),
                     "matched s=" + std::to_string(s)
                         + " L=" + std::to_string(len));
@@ -115,7 +143,7 @@ TEST(CollapseDifferential, SectionedInAndOutOfWindow)
     // Families inside the Theorem 3 window and far outside it.
     for (std::uint64_t s : {1, 8, 16, 48, 512, 1536}) {
         for (std::size_t len : kLengths) {
-            expectCollapseIdentical(
+            expectSolverMatchesOracle(
                 cfg, map, strideStream(1, s, len),
                 "sectioned s=" + std::to_string(s)
                     + " L=" + std::to_string(len));
@@ -144,9 +172,8 @@ TEST(CollapseDifferential, SimpleDynamicAndPseudoRandom)
         for (int round = 0; round < 24; ++round) {
             const std::uint64_t s = 1 + rng() % 96;
             const Addr a1 = rng() % 1024;
-            const std::size_t len =
-                kLengths[rng() % std::size(kLengths)];
-            expectCollapseIdentical(
+            const std::size_t len = kLengths[round % std::size(kLengths)];
+            expectSolverMatchesOracle(
                 cfg, *c.map, strideStream(a1, s, len),
                 std::string(c.name) + " a1=" + std::to_string(a1)
                     + " s=" + std::to_string(s)
@@ -170,7 +197,7 @@ TEST(CollapseDifferential, RandomizedShapesAndBuffers)
         const Addr a1 = rng() % 4096;
         const std::size_t len =
             kLengths[rng() % std::size(kLengths)];
-        expectCollapseIdentical(
+        expectSolverMatchesOracle(
             cfg, map, strideStream(a1, stride, len),
             "shape t=" + std::to_string(cfg.t) + " q="
                 + std::to_string(cfg.inputBuffers) + " q'="
@@ -193,28 +220,28 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
     MemConfig cfg;
     cfg.m = 2;
     cfg.t = 2;
-    MemorySystem fast(cfg, map, MapPath::BitSliced,
-                      CollapseMode::On);
-    MemorySystem oracle(cfg, map, MapPath::BitSliced,
-                        CollapseMode::Off);
+    ConflictSolver solver;
 
     const auto base0 = strideStream(0, 2, 32);
     const auto base1 = strideStream(1, 2, 32);
 
-    const AccessResult first = fast.run(base0);
-    EXPECT_EQ(fast.fastPathStats().memoMisses, 1u);
-    EXPECT_EQ(fast.fastPathStats().collapseHits, 1u);
-    EXPECT_EQ(first, oracle.run(base0));
+    const AccessResult first =
+        solveFull(solver, cfg, base0, premapped(map, base0));
+    EXPECT_EQ(solver.stats().memoMisses, 1u);
+    EXPECT_EQ(solver.stats().collapseHits, 1u);
+    EXPECT_EQ(first, simulateAccess(cfg, map, base0));
     EXPECT_GT(first.stallCycles, 0u) << "stream should conflict";
 
-    const AccessResult shifted = fast.run(base1);
-    EXPECT_EQ(fast.fastPathStats().memoHits, 1u)
+    const AccessResult shifted =
+        solveFull(solver, cfg, base1, premapped(map, base1));
+    EXPECT_EQ(solver.stats().memoHits, 1u)
         << "base-shifted rank-isomorphic stream must replay";
-    EXPECT_EQ(shifted, oracle.run(base1));
+    EXPECT_EQ(shifted, simulateAccess(cfg, map, base1));
 
     // Same stream again: the identity relabeling also hits.
-    const AccessResult again = fast.run(base0);
-    EXPECT_EQ(fast.fastPathStats().memoHits, 2u);
+    const AccessResult again =
+        solveFull(solver, cfg, base0, premapped(map, base0));
+    EXPECT_EQ(solver.stats().memoHits, 2u);
     EXPECT_EQ(again, first);
 }
 
@@ -227,17 +254,16 @@ TEST(OutcomeMemo, XorBaseShiftReordersModulesAndMisses)
     // checked against the oracle).
     const XorMatchedMapping map(3, 4);
     const MemConfig cfg;
-    MemorySystem fast(cfg, map, MapPath::BitSliced,
-                      CollapseMode::On);
-    MemorySystem oracle(cfg, map, MapPath::BitSliced,
-                        CollapseMode::Off);
+    ConflictSolver solver;
 
     const auto base0 = strideStream(0, 2, 64);
     const auto base3 = strideStream(3, 2, 64);
-    EXPECT_EQ(fast.run(base0), oracle.run(base0));
-    const std::uint64_t hitsBefore = fast.fastPathStats().memoHits;
-    EXPECT_EQ(fast.run(base3), oracle.run(base3));
-    EXPECT_EQ(fast.fastPathStats().memoHits, hitsBefore)
+    EXPECT_EQ(solveFull(solver, cfg, base0, premapped(map, base0)),
+              simulateAccess(cfg, map, base0));
+    const std::uint64_t hitsBefore = solver.stats().memoHits;
+    EXPECT_EQ(solveFull(solver, cfg, base3, premapped(map, base3)),
+              simulateAccess(cfg, map, base3));
+    EXPECT_EQ(solver.stats().memoHits, hitsBefore)
         << "XOR-reordered module sequence must not hit the memo";
 }
 
@@ -251,9 +277,7 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     cfg.t = 3;
     const auto stream =
         strideStream(0, 1, OutcomeMemo::kMaxLen + 64);
-    std::vector<ModuleId> mods(stream.size());
-    for (std::size_t i = 0; i < stream.size(); ++i)
-        mods[i] = map.moduleOf(stream[i].addr);
+    const std::vector<ModuleId> mods = premapped(map, stream);
 
     EventStepper stepper;
     OutcomeMemo memo;
@@ -264,20 +288,7 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
     EXPECT_EQ(stats.collapseHits, 1u);
     EXPECT_EQ(stats.memoMisses, 0u);
     EXPECT_EQ(memo.size(), 0u);
-
-    MemorySystem oracle(cfg, map, MapPath::BitSliced,
-                        CollapseMode::Off);
-    EXPECT_EQ(result, oracle.run(stream));
-}
-
-/** Premaps @p stream through @p map, element by element. */
-std::vector<ModuleId>
-premapped(const ModuleMapping &map, const std::vector<Request> &stream)
-{
-    std::vector<ModuleId> mods(stream.size());
-    for (std::size_t i = 0; i < stream.size(); ++i)
-        mods[i] = map.moduleOf(stream[i].addr);
-    return mods;
+    EXPECT_EQ(result, simulateAccess(cfg, map, stream));
 }
 
 /**
@@ -294,9 +305,7 @@ expectStepperMatchesOracle(const MemConfig &cfg,
                            const std::vector<ModuleId> &mods,
                            const std::string &what)
 {
-    MemorySystem oracle(cfg, map, MapPath::BitSliced,
-                        CollapseMode::Off);
-    const AccessResult expect = oracle.run(stream, nullptr, mods.data());
+    const AccessResult expect = simulateAccess(cfg, map, stream);
 
     EventStepper stepper;
     AccessResult full;
@@ -576,9 +585,8 @@ TEST(StepperEdges, MillionElementConflictedSummary)
     EXPECT_TRUE(brief.deliveries.empty());
     EXPECT_LT(stepper.steppedCycles(), brief.latency / 100);
 
-    MemorySystem oracle(unit.memConfig(), unit.mapping(),
-                        MapPath::BitSliced, CollapseMode::Off);
-    AccessResult expect = oracle.run(plan.stream, nullptr, mods.data());
+    AccessResult expect =
+        simulateAccess(unit.memConfig(), unit.mapping(), plan.stream);
     EXPECT_FALSE(expect.conflictFree);
     expect.deliveries.clear();
     EXPECT_EQ(brief, expect);

@@ -10,17 +10,19 @@
  * length) — never of memo state.  The randomized grid here spans
  * all five mapping kinds, strides inside and outside each paper
  * window, input/output buffer depths, and 1-3 ports, checking the
- * closed form bit for bit against CollapseMode::Off simulation.
+ * closed form bit for bit against the stepped oracle.
  * Labeled slow: the oracle steps every cycle of every scenario.
  */
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
 #include "core/access_unit.h"
+#include "memsys/memory_system.h"
 #include "theory/conflict_solver.h"
 #include "theory/theory_backend.h"
 
@@ -64,13 +66,12 @@ solverConfigs(unsigned q, unsigned qOut)
     return cfgs;
 }
 
-/** The pure stepped per-cycle oracle: no collapse, no memo. */
+/** The stepped per-cycle oracle. */
 std::unique_ptr<MemoryBackend>
 steppedOracle(const VectorAccessUnit &unit)
 {
-    return makeMemoryBackend(EngineKind::PerCycle, unit.memConfig(),
-                             unit.mapping(), MapPath::BitSliced,
-                             CollapseMode::Off);
+    return std::make_unique<MemorySystem>(unit.memConfig(),
+                                          unit.mapping());
 }
 
 std::vector<ModuleId>

@@ -1,21 +1,24 @@
 /**
  * @file
- * Differential testing of the event-driven memory-system engine
- * against the cycle-accurate per-cycle oracle.
+ * Differential testing of the event stepper and the evaluator
+ * against the cycle-accurate oracle.
  *
  * The contract (memsys/event_driven.h): for every request stream on
- * every memory shape, EventDrivenMemorySystem::run returns an
- * AccessResult bit-identical to MemorySystem::run — every delivery
- * record with all five timestamps, every stall, every aggregate.
- * Two layers of evidence:
+ * every memory shape, EventStepper::run returns an AccessResult
+ * bit-identical to the oracle's (memsys/memory_system.h) — every
+ * delivery record with all five timestamps, every stall, every
+ * aggregate — and a summary pass carries the same aggregates with no
+ * delivery at all.  Two layers of evidence:
  *
  * 1. Raw-stream properties: randomized and adversarial request
  *    streams (single-module pileups, clustered addresses, permuted
- *    orders, tiny buffers) driven through both engines directly.
+ *    orders, tiny buffers) driven through the oracle and through the
+ *    stepper as the theory tier runs it (recurrence jump on,
+ *    stepping on to the end when nothing recurs).
  * 2. A randomized ScenarioGrid of > 1000 planned accesses across
- *    every mapping kind, swept once per engine; the merged
- *    SweepReports must compare equal, and each scenario's direct
- *    AccessResults must compare equal.
+ *    every mapping kind, swept once per tier; the SweepReports must
+ *    compare equal outside the tier-attribution columns, and each
+ *    scenario's direct AccessResults must compare equal.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include "mapping/xor_matched.h"
 #include "memsys/event_driven.h"
 #include "memsys/memory_system.h"
+#include "memsys/steady_state.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "test_util.h"
@@ -35,15 +39,25 @@
 namespace cfva {
 namespace {
 
-/** Runs @p stream through both engines and asserts equality. */
+/**
+ * Runs @p stream through the oracle and through the stepper at full
+ * and at summary detail, and asserts the stepper agrees: the full
+ * pass record for record, the summary pass on every aggregate.
+ */
 void
 expectEnginesAgree(const MemConfig &cfg, const ModuleMapping &map,
                    const std::vector<Request> &stream,
                    const char *what)
 {
     const AccessResult oracle = simulateAccess(cfg, map, stream);
-    const AccessResult event =
-        simulateAccessEventDriven(cfg, map, stream);
+    std::vector<ModuleId> mods(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        mods[i] = map.moduleOf(stream[i].addr);
+
+    EventStepper stepper;
+    AccessResult event;
+    stepper.run(cfg, stream, mods.data(), Recurrence::JumpOrFinish,
+                true, false, event);
     ASSERT_EQ(event.deliveries.size(), oracle.deliveries.size())
         << what;
     for (std::size_t i = 0; i < oracle.deliveries.size(); ++i) {
@@ -52,6 +66,13 @@ expectEnginesAgree(const MemConfig &cfg, const ModuleMapping &map,
             << oracle.deliveries[i].element << ")";
     }
     EXPECT_EQ(event, oracle) << what;
+
+    AccessResult summary;
+    stepper.run(cfg, stream, mods.data(), Recurrence::JumpOrFinish,
+                false, false, summary);
+    EXPECT_TRUE(summary.deliveries.empty()) << what;
+    summary.deliveries = oracle.deliveries;
+    EXPECT_EQ(summary, oracle) << what << " (summary aggregates)";
 }
 
 std::vector<Request>
@@ -82,7 +103,7 @@ TEST(EngineDifferential, SingleElement)
 TEST(EngineDifferential, SingleModulePileup)
 {
     // Every request lands on module 0: the maximally conflicting
-    // stream, where the event engine must batch ~T stall cycles per
+    // stream, where the stepper must batch ~T stall cycles per
     // element and the blocked-retire path is hit constantly.
     for (unsigned q : {1u, 2u, 4u}) {
         for (unsigned qp : {1u, 2u}) {
@@ -170,7 +191,7 @@ TEST(EngineDifferential, PermutedElementOrder)
 
 /**
  * The randomized grid: every mapping kind x strides x lengths x
- * starts, > 1000 scenarios, swept under both engines.
+ * starts, > 1000 scenarios, swept under both tiers.
  */
 sim::ScenarioGrid
 randomizedGrid(std::uint64_t seed)
@@ -237,18 +258,17 @@ TEST(EngineDifferential, RandomizedGridOver1000Scenarios)
     // Dedup audit executes every member (full differential
     // coverage, nothing replayed) and cross-checks each against
     // the canonical-class replay on the side.
-    sim::SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    per_cycle.dedup = sim::DedupMode::Audit;
-    sim::SweepOptions event;
-    event.engine = EngineKind::EventDriven;
-    event.dedup = sim::DedupMode::Audit;
+    sim::SweepOptions stepped;
+    stepped.dedup = sim::DedupMode::Audit;
+    sim::SweepOptions theory;
+    theory.tier = TierPolicy::TheoryFirst;
+    theory.dedup = sim::DedupMode::Audit;
 
     sim::SweepRunStats oracleStats, testedStats;
     const sim::SweepReport oracle =
-        sim::SweepEngine(per_cycle).run(grid, &oracleStats);
-    const sim::SweepReport tested =
-        sim::SweepEngine(event).run(grid, &testedStats);
+        sim::SweepEngine(stepped).run(grid, &oracleStats);
+    const sim::SweepReport tested = test::withoutAttribution(
+        sim::SweepEngine(theory).run(grid, &testedStats));
     EXPECT_EQ(oracleStats.dedupAuditDivergences, 0u);
     EXPECT_EQ(testedStats.dedupAuditDivergences, 0u);
 
@@ -268,17 +288,13 @@ TEST(EngineDifferential, RandomizedGridOver1000Scenarios)
 TEST(EngineDifferential, PlannedAccessesFullResultEquality)
 {
     // Beyond the report fields: the complete AccessResult — every
-    // delivery timestamp — for planned accesses of each kind.
+    // delivery timestamp — for planned accesses of each kind, from
+    // the oracle and from the evaluator at full detail.
     Rng rng(0xACCE55ull);
     const sim::ScenarioGrid grid = randomizedGrid(0xF00D5EEDull);
     unsigned checked = 0;
     for (const auto &mapping : grid.mappings) {
-        VectorUnitConfig pc_cfg = mapping;
-        pc_cfg.engine = EngineKind::PerCycle;
-        VectorUnitConfig ev_cfg = mapping;
-        ev_cfg.engine = EngineKind::EventDriven;
-        const VectorAccessUnit pc(pc_cfg);
-        const VectorAccessUnit ev(ev_cfg);
+        const VectorAccessUnit unit(mapping);
         for (unsigned rep = 0; rep < 6; ++rep) {
             const Stride stride = Stride::fromFamily(
                 rng.oddBelow(32),
@@ -287,26 +303,17 @@ TEST(EngineDifferential, PlannedAccessesFullResultEquality)
                 rep < 3 ? mapping.registerLength()
                         : 1 + rng.below(2 * mapping.registerLength());
             const Addr a1 = rng.below(Addr{1} << 20);
-            const AccessResult a = pc.access(a1, stride, length);
-            const AccessResult b = ev.access(a1, stride, length);
+            const AccessPlan plan = unit.plan(a1, stride, length);
+            const AccessResult a = unit.execute(plan);
+            const AccessResult b = unit.execute(
+                plan, nullptr, nullptr, TierPolicy::TheoryFirst);
             EXPECT_EQ(b, a)
-                << pc_cfg.describe() << " stride " << stride.value()
+                << mapping.describe() << " stride " << stride.value()
                 << " length " << length << " a1 " << a1;
             ++checked;
         }
     }
     EXPECT_GE(checked, 60u);
-}
-
-TEST(EngineDifferential, EngineKnobDoesNotLeakIntoLabels)
-{
-    // Reports are keyed by describe(); the engine must not appear,
-    // or cross-engine report comparison would trivially fail.
-    VectorUnitConfig a = paperMatchedExample();
-    a.engine = EngineKind::PerCycle;
-    VectorUnitConfig b = paperMatchedExample();
-    b.engine = EngineKind::EventDriven;
-    EXPECT_EQ(a.describe(), b.describe());
 }
 
 } // namespace

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "access/ordering.h"
+#include "common/stats.h"
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
 #include "memsys/memory_system.h"
@@ -183,6 +186,53 @@ TEST(MemorySystem, MismatchedMappingRejected)
     const MemConfig cfg{3, 3, 1, 1};
     const LowOrderInterleave map(2);
     EXPECT_THROW(MemorySystem(cfg, map), std::runtime_error);
+}
+
+TEST(MemorySystem, OnePortPathsAgree)
+{
+    // One port is the P = 1 case of the one cycle loop: runSingle,
+    // run with one stream, and port 0 of run with an empty second
+    // port must agree record for record, and so must the makespans.
+    Rng rng(0x0E1F0125ull);
+    unsigned checked = 0;
+    for (unsigned m = 1; m <= 4; ++m) {
+        for (unsigned t = 1; t <= 3; ++t) {
+            for (unsigned q = 1; q <= 3; ++q) {
+                for (unsigned qOut = 1; qOut <= 2; ++qOut) {
+                    const MemConfig cfg{m, t, q, qOut};
+                    const LowOrderInterleave map(m);
+                    MemorySystem sys(cfg, map);
+                    for (unsigned shape = 0; shape < 3; ++shape) {
+                        const std::size_t len = rng.below(120);
+                        std::vector<Request> s(len);
+                        for (std::size_t i = 0; i < len; ++i) {
+                            // Random, single-module pileup, and
+                            // sequential addresses.
+                            const Addr a = shape == 0 ? rng.below(1024)
+                                           : shape == 1 ? i << m
+                                                        : i;
+                            s[i] = {a, i};
+                        }
+                        const AccessResult single = sys.runSingle(s);
+                        const MultiPortResult one = sys.run({s});
+                        const MultiPortResult two = sys.run({s, {}});
+                        ASSERT_EQ(one.ports.size(), 1u);
+                        ASSERT_EQ(two.ports.size(), 2u);
+                        EXPECT_EQ(one.ports[0], single);
+                        EXPECT_EQ(two.ports[0], single);
+                        EXPECT_TRUE(two.ports[1].deliveries.empty());
+                        EXPECT_TRUE(two.ports[1].conflictFree);
+                        const Cycle makespan =
+                            len == 0 ? 0 : single.lastDelivery + 1;
+                        EXPECT_EQ(one.makespan, makespan);
+                        EXPECT_EQ(two.makespan, makespan);
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 216u);
 }
 
 TEST(MemorySystem, UnmatchedMemoryMoreModulesNoSlower)

@@ -8,7 +8,7 @@
 #include "access/ordering.h"
 #include "core/access_unit.h"
 #include "mapping/interleave.h"
-#include "memsys/multi_port.h"
+#include "memsys/memory_system.h"
 #include "test_util.h"
 #include "theory/theory.h"
 

@@ -1,30 +1,29 @@
 /**
  * @file
  * Differential testing of the event stepper's P-port pass against
- * the per-cycle multi-port oracle.
+ * the stepped multi-port oracle.
  *
  * The contract (memsys/event_driven.h, EventStepper::runPorts): for
  * every set of request streams on every memory shape, the pass
- * returns a MultiPortResult bit-identical to PerCycleMultiPort::run
+ * returns a MultiPortResult bit-identical to MemorySystem::run
  * — every per-port delivery record with all five timestamps and the
  * port tag, every per-port stall count, every aggregate — and a
  * summary pass returns the same aggregates with no delivery at all.
- * EventDrivenMultiPort, the `--engine event` backend, is that pass
- * behind the MemoryBackend interface.  Three layers of evidence:
+ * Three layers of evidence:
  *
  * 1. Raw-stream properties: adversarial stream sets (all ports on
  *    one module, uneven and empty streams, 64 ports on 8 modules,
- *    tiny buffers) driven through both backends and through one
- *    shared stepper instance at full and at summary detail.
+ *    tiny buffers) driven through the oracle and through one shared
+ *    stepper instance at full and at summary detail.
  * 2. A randomized ScenarioGrid of > 1000 planned multi-port
  *    accesses across every mapping kind, ports in {2, 3, 4}, and
- *    mixed per-port traffic, swept once per engine; the merged
- *    SweepReports must compare equal, and sampled scenarios'
- *    direct MultiPortResults must compare equal.
- * 3. Physical invariants on the event backend alone: per-port
- *    delivery counts are conserved (every issued element delivered
- *    exactly once to its own port), and the makespan is monotone
- *    in added streams.
+ *    mixed per-port traffic, swept once per tier; the SweepReports
+ *    must compare equal outside the tier-attribution columns, and
+ *    sampled scenarios' direct MultiPortResults must compare equal.
+ * 3. Physical invariants on the stepper alone: per-port delivery
+ *    counts are conserved (every issued element delivered exactly
+ *    once to its own port), and the makespan is monotone in added
+ *    streams.
  */
 
 #include <gtest/gtest.h>
@@ -39,8 +38,7 @@
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
 #include "memsys/event_driven.h"
-#include "memsys/event_multi_port.h"
-#include "memsys/multi_port.h"
+#include "memsys/memory_system.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
 #include "test_util.h"
@@ -69,6 +67,20 @@ aggregatesOf(MultiPortResult r)
     return r;
 }
 
+/** Premaps every stream of @p streams through @p map. */
+std::vector<std::vector<ModuleId>>
+premapPorts(const ModuleMapping &map,
+            const std::vector<std::vector<Request>> &streams)
+{
+    std::vector<std::vector<ModuleId>> mods;
+    for (const auto &stream : streams) {
+        mods.emplace_back();
+        for (const Request &r : stream)
+            mods.back().push_back(map.moduleOf(r.addr));
+    }
+    return mods;
+}
+
 /** Asserts @p event equals @p oracle record for record. */
 void
 expectSameResult(const MultiPortResult &event,
@@ -94,9 +106,9 @@ expectSameResult(const MultiPortResult &event,
 }
 
 /**
- * Runs @p streams through both backends, and through the shared
+ * Runs @p streams through the oracle and through the shared
  * stepper's P-port pass at full and at summary detail, and asserts
- * all of them equal the per-cycle oracle.
+ * the stepper agrees with the oracle.
  */
 void
 expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
@@ -104,15 +116,8 @@ expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
                     const char *what)
 {
     const MultiPortResult oracle = simulateMultiPort(cfg, map, streams);
-    expectSameResult(simulateMultiPortEventDriven(cfg, map, streams),
-                     oracle, std::string(what) + " (backend)");
-
-    std::vector<std::vector<ModuleId>> mods;
-    for (const auto &stream : streams) {
-        mods.emplace_back();
-        for (const Request &r : stream)
-            mods.back().push_back(map.moduleOf(r.addr));
-    }
+    const std::vector<std::vector<ModuleId>> mods =
+        premapPorts(map, streams);
     expectSameResult(sharedStepper().runPorts(cfg, streams, mods, true),
                      oracle, std::string(what) + " (stepper, full)");
     const MultiPortResult summary =
@@ -281,7 +286,7 @@ TEST(MultiPortDifferential, RandomStreamsAllShapes)
 /**
  * The randomized grid: every mapping kind x strides x lengths x
  * starts x ports {2, 3, 4} x mixed per-port traffic, > 1000
- * scenarios, swept under both engines.
+ * scenarios, swept under both tiers.
  */
 sim::ScenarioGrid
 randomizedMultiPortGrid(std::uint64_t seed)
@@ -350,18 +355,17 @@ TEST(MultiPortDifferential, RandomizedGridOver1000Scenarios)
     // Dedup audit executes every member (full differential
     // coverage, nothing replayed) and cross-checks each against
     // the canonical-class replay on the side.
-    sim::SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    per_cycle.dedup = sim::DedupMode::Audit;
-    sim::SweepOptions event;
-    event.engine = EngineKind::EventDriven;
-    event.dedup = sim::DedupMode::Audit;
+    sim::SweepOptions stepped;
+    stepped.dedup = sim::DedupMode::Audit;
+    sim::SweepOptions theory;
+    theory.tier = TierPolicy::TheoryFirst;
+    theory.dedup = sim::DedupMode::Audit;
 
     sim::SweepRunStats oracleStats, testedStats;
     const sim::SweepReport oracle =
-        sim::SweepEngine(per_cycle).run(grid, &oracleStats);
-    const sim::SweepReport tested =
-        sim::SweepEngine(event).run(grid, &testedStats);
+        sim::SweepEngine(stepped).run(grid, &oracleStats);
+    const sim::SweepReport tested = test::withoutAttribution(
+        sim::SweepEngine(theory).run(grid, &testedStats));
     EXPECT_EQ(oracleStats.dedupAuditDivergences, 0u);
     EXPECT_EQ(testedStats.dedupAuditDivergences, 0u);
 
@@ -384,18 +388,14 @@ TEST(MultiPortDifferential, PlannedAccessesFullResultEquality)
 {
     // Beyond the report fields: the complete MultiPortResult —
     // every per-port delivery timestamp — for planned multi-port
-    // accesses of each kind under both backends.
+    // accesses of each kind from the oracle and from the evaluator
+    // at full detail.
     Rng rng(0xACCE551ull);
     const sim::ScenarioGrid grid =
         randomizedMultiPortGrid(0xF00D1234ull);
     unsigned checked = 0;
     for (const auto &mapping : grid.mappings) {
-        VectorUnitConfig pc_cfg = mapping;
-        pc_cfg.engine = EngineKind::PerCycle;
-        VectorUnitConfig ev_cfg = mapping;
-        ev_cfg.engine = EngineKind::EventDriven;
-        const VectorAccessUnit pc(pc_cfg);
-        const VectorAccessUnit ev(ev_cfg);
+        const VectorAccessUnit unit(mapping);
         for (unsigned rep = 0; rep < 6; ++rep) {
             const unsigned n_ports = 2 + rng.below(3);
             std::vector<std::vector<Request>> streams;
@@ -409,12 +409,13 @@ TEST(MultiPortDifferential, PlannedAccessesFullResultEquality)
                 const Addr a1 =
                     rng.below(Addr{1} << 18) + (Addr{p} << 20);
                 streams.push_back(
-                    pc.plan(a1, stride, length).stream);
+                    unit.plan(a1, stride, length).stream);
             }
-            const MultiPortResult a = pc.executePorts(streams);
-            const MultiPortResult b = ev.executePorts(streams);
+            const MultiPortResult a = unit.executePorts(streams);
+            const MultiPortResult b = unit.executePorts(
+                streams, nullptr, nullptr, TierPolicy::TheoryFirst);
             EXPECT_EQ(b, a)
-                << pc_cfg.describe() << " ports " << n_ports;
+                << mapping.describe() << " ports " << n_ports;
             ++checked;
         }
     }
@@ -440,8 +441,8 @@ TEST(MultiPortProperty, DeliveryCountsConserved)
                 a = rng.below(1 << 10);
             streams.push_back(sequentialStream(addrs));
         }
-        const MultiPortResult r =
-            simulateMultiPortEventDriven(cfg, map, streams);
+        const MultiPortResult r = sharedStepper().runPorts(
+            cfg, streams, premapPorts(map, streams), true);
         ASSERT_EQ(r.ports.size(), n_ports);
         for (unsigned p = 0; p < n_ports; ++p) {
             ASSERT_EQ(r.ports[p].deliveries.size(),
@@ -479,8 +480,8 @@ TEST(MultiPortProperty, MakespanMonotoneInAddedStreams)
             for (auto &a : addrs)
                 a = rng.below(1 << 8);
             streams.push_back(sequentialStream(addrs));
-            const MultiPortResult r =
-                simulateMultiPortEventDriven(cfg, map, streams);
+            const MultiPortResult r = sharedStepper().runPorts(
+                cfg, streams, premapPorts(map, streams), false);
             EXPECT_GE(r.makespan, prev)
                 << "adding stream " << p << " shrank the makespan";
             prev = r.makespan;
@@ -503,21 +504,25 @@ TEST(MultiPortDifferential, ArenaDoesNotChangeResults)
     }
 
     DeliveryArena arena;
-    EventDrivenMultiPort backend(cfg, map);
-    const MultiPortResult plain = backend.run(streams);
-    MultiPortResult pooled = backend.run(streams, &arena);
+    const std::vector<std::vector<ModuleId>> mods =
+        premapPorts(map, streams);
+    EventStepper &stepper = sharedStepper();
+    const MultiPortResult plain = stepper.runPorts(cfg, streams, mods, true);
+    MultiPortResult pooled =
+        stepper.runPorts(cfg, streams, mods, true, &arena);
     EXPECT_EQ(pooled, plain);
     for (auto &port : pooled.ports)
         arena.release(std::move(port.deliveries));
     EXPECT_EQ(arena.pooled(), 3u);
-    const MultiPortResult reused = backend.run(streams, &arena);
+    const MultiPortResult reused =
+        stepper.runPorts(cfg, streams, mods, true, &arena);
     EXPECT_EQ(reused, plain);
     EXPECT_EQ(arena.pooled(), 0u); // buffers handed back out
 
-    // The per-cycle P = 1 path recycles too: a released buffer is
+    // The oracle's P = 1 path recycles too: a released buffer is
     // handed back out on the next runSingle, so the sweep's
     // release-after-consume loop cannot grow the pool unboundedly.
-    PerCycleMultiPort oracle(cfg, map);
+    MemorySystem oracle(cfg, map);
     AccessResult first = oracle.runSingle(streams[0], &arena);
     const AccessResult bare = oracle.runSingle(streams[0]);
     EXPECT_EQ(first, bare);
@@ -578,7 +583,8 @@ TEST(MultiPortDifferential, RejectsEmptyPortList)
     test::ScopedPanicThrow guard;
     const MemConfig cfg{2, 2, 1, 1};
     const LowOrderInterleave map(2);
-    EXPECT_THROW(simulateMultiPortEventDriven(cfg, map, {}),
+    EXPECT_THROW(simulateMultiPort(cfg, map, {}), std::runtime_error);
+    EXPECT_THROW(sharedStepper().runPorts(cfg, {}, {}, true),
                  std::runtime_error);
 }
 

@@ -4,7 +4,7 @@
  * workloads" axis): the dynamic field scheme of [11]
  * (MemoryKind::DynamicTuned) and pseudo-random interleaving of [12]
  * (MemoryKind::PseudoRandom) as first-class grid configurations,
- * cross-checked under both simulation engines.
+ * cross-checked between the oracle and the evaluator.
  */
 
 #include <gtest/gtest.h>
@@ -125,17 +125,17 @@ TEST(SweepDynamic, PseudoRandomAvoidsPathologicalSerialization)
     }
 }
 
-TEST(SweepDynamic, EnginesAgreeOnPriorArtMappings)
+TEST(SweepDynamic, TheoryTierAgreesOnPriorArtMappings)
 {
-    // The differential contract extends to the new workload kinds.
+    // The differential contract extends to the prior-art mappings:
+    // the evaluator's report equals the oracle's outside the
+    // attribution columns.
     const ScenarioGrid grid = priorArtGrid();
-    SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    SweepOptions event;
-    event.engine = EngineKind::EventDriven;
-    const SweepReport a = SweepEngine(per_cycle).run(grid);
-    const SweepReport b = SweepEngine(event).run(grid);
-    EXPECT_EQ(a, b);
+    SweepOptions theory;
+    theory.tier = TierPolicy::TheoryFirst;
+    const SweepReport oracle = SweepEngine().run(grid);
+    const SweepReport evaluated = SweepEngine(theory).run(grid);
+    EXPECT_EQ(test::withoutAttribution(evaluated), oracle);
 }
 
 TEST(SweepDynamic, ReportIdenticalAcrossThreadCounts)

@@ -239,6 +239,17 @@ TEST(SweepEngine, RejectsInvalidGrids)
     zero_ports.ports = {0};
     EXPECT_THROW(SweepEngine().run(zero_ports),
                  std::runtime_error);
+
+    // The stepper indexes stream positions in 32 bits; a longer
+    // access is refused before any stream is allocated.
+    ScenarioGrid too_long;
+    too_long.mappings.push_back(paperMatchedExample());
+    too_long.strides = {1};
+    too_long.lengths = {ScenarioGrid::kMaxLength + 1};
+    SweepOptions theory;
+    theory.tier = TierPolicy::TheoryFirst;
+    EXPECT_THROW(SweepEngine(theory).run(too_long),
+                 std::runtime_error);
 }
 
 // The strict list parsers behind cfva_sweep's --kinds/--workloads/

@@ -148,25 +148,5 @@ TEST(SweepGolden, JsonSchemaIsFrozen)
     checkGolden("sweep_schema.json", os.str());
 }
 
-TEST(SweepGolden, EngineAxisDoesNotChangeTheReport)
-{
-    // The golden files hold for BOTH engines: the cross-check mode
-    // of cfva_sweep depends on byte-identical emission.
-    SweepOptions event;
-    event.engine = EngineKind::EventDriven;
-    const SweepReport report =
-        SweepEngine(event).run(goldenGrid());
-    std::ostringstream csv, json;
-    report.writeCsv(csv);
-    report.writeJson(json);
-    if (std::getenv("CFVA_UPDATE_GOLDEN"))
-        GTEST_SKIP() << "golden files being regenerated";
-    expectSameText(csv.str(), readFile(goldenPath("sweep_schema.csv")),
-                   "sweep_schema.csv (event-driven)");
-    expectSameText(json.str(),
-                   readFile(goldenPath("sweep_schema.json")),
-                   "sweep_schema.json (event-driven)");
-}
-
 } // namespace
 } // namespace cfva::sim

@@ -6,7 +6,7 @@
  *
  *  - Streamed CSV/JSON output is byte-identical to the
  *    materialized SweepReport::writeCsv/writeJson at any thread
- *    count, grain, engine, and shard split.
+ *    count, grain, tier, and shard split.
  *  - ShardSpec slices partition the job list into disjoint,
  *    contiguous, covering ranges, and the merged output of N
  *    shards (via sim/merge.h — the exact code cfva_merge runs) is
@@ -112,10 +112,10 @@ streamRun(const ScenarioGrid &grid, SweepOptions opts)
 TEST(SweepStream, ByteIdenticalToMaterializedAtAnyConfig)
 {
     const ScenarioGrid grid = pipelineGrid();
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
+    for (TierPolicy tier :
+         {TierPolicy::SimulateAlways, TierPolicy::TheoryFirst}) {
         SweepOptions base;
-        base.engine = engine;
+        base.tier = tier;
         const SweepReport report = SweepEngine(base).run(grid);
         const std::string wantCsv = csvOf(report);
         const std::string wantJson = jsonOf(report);
@@ -124,15 +124,15 @@ TEST(SweepStream, ByteIdenticalToMaterializedAtAnyConfig)
             for (std::size_t grain : {std::size_t{0}, std::size_t{3},
                                       std::size_t{1000}}) {
                 SweepOptions opts;
-                opts.engine = engine;
+                opts.tier = tier;
                 opts.threads = threads;
                 opts.grain = grain;
                 const Streamed got = streamRun(grid, opts);
                 EXPECT_EQ(got.csv, wantCsv)
-                    << "engine " << to_string(engine) << " threads "
+                    << "tier " << to_string(tier) << " threads "
                     << threads << " grain " << grain;
                 EXPECT_EQ(got.json, wantJson)
-                    << "engine " << to_string(engine) << " threads "
+                    << "tier " << to_string(tier) << " threads "
                     << threads << " grain " << grain;
             }
         }
@@ -162,10 +162,10 @@ TEST(SweepStream, ShardSlicesPartitionTheJobs)
 TEST(SweepStream, MergedShardsBitIdenticalToUnsharded)
 {
     const ScenarioGrid grid = pipelineGrid();
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
+    for (TierPolicy tier :
+         {TierPolicy::SimulateAlways, TierPolicy::TheoryFirst}) {
         SweepOptions base;
-        base.engine = engine;
+        base.tier = tier;
         const SweepReport full = SweepEngine(base).run(grid);
         const std::string wantCsv = csvOf(full);
         const std::string wantJson = jsonOf(full);
@@ -175,7 +175,7 @@ TEST(SweepStream, MergedShardsBitIdenticalToUnsharded)
             std::size_t jobsSeen = 0;
             for (std::size_t i = 0; i < count; ++i) {
                 SweepOptions opts;
-                opts.engine = engine;
+                opts.tier = tier;
                 opts.threads = 2;
                 opts.shard = {i, count};
                 const Streamed s = streamRun(grid, opts);
@@ -199,9 +199,9 @@ TEST(SweepStream, MergedShardsBitIdenticalToUnsharded)
             mergeCsv(mergedCsv, csvPtrs);
             mergeJson(mergedJson, jsonPtrs);
             EXPECT_EQ(mergedCsv.str(), wantCsv)
-                << "engine " << to_string(engine) << " N=" << count;
+                << "tier " << to_string(tier) << " N=" << count;
             EXPECT_EQ(mergedJson.str(), wantJson)
-                << "engine " << to_string(engine) << " N=" << count;
+                << "tier " << to_string(tier) << " N=" << count;
         }
     }
 }
@@ -284,7 +284,7 @@ TEST(SweepStream, BackendCacheMatchesFreshBackends)
             grid, sc, unit, nullptr, &cache);
         EXPECT_EQ(fresh, cached) << "job " << sc.index;
     }
-    // One backend per mapping (single engine), everything else hits.
+    // One backend per mapping (the oracle), everything else hits.
     EXPECT_EQ(cache.stats().misses, grid.mappings.size());
     EXPECT_EQ(cache.stats().hits + cache.stats().misses,
               jobs.size());
@@ -573,58 +573,6 @@ TEST(SweepStream, MergeHandlesEmptyShards)
     mergeJson(mergedJson, jsonPtrs);
     EXPECT_EQ(mergedCsv.str(), csvOf(full));
     EXPECT_EQ(mergedJson.str(), jsonOf(full));
-}
-
-TEST(SweepStream, MergeBenchToleratesExtendedWorkloadRows)
-{
-    // cfva_merge --bench splices rows as opaque text, so BENCH
-    // files written before the per-(workload, tier) extension —
-    // rows without a "tier" field, or no "workloads" section at
-    // all — merge with current ones instead of failing a schema
-    // check.
-    std::istringstream current(
-        "{\n  \"grid_jobs\": 1024,\n  \"map_path\": "
-        "\"bitsliced\",\n  \"runs\": [\n    {\"engine\": \"event\", "
-        "\"threads\": 1, \"scenarios_per_s\": 20000}\n  ],\n"
-        "  \"workloads\": [\n    {\"workload\": \"single\", "
-        "\"tier\": \"sim\", \"scenarios_per_s\": 20000}\n  ]\n}\n");
-    std::istringstream old(
-        "{\n  \"grid_jobs\": 1024,\n  \"runs\": [\n    "
-        "{\"engine\": \"event\", \"threads\": 2, "
-        "\"scenarios_per_s\": 30000}\n  ],\n  \"workloads\": [\n"
-        "    {\"workload\": \"single\", \"scenarios_per_s\": "
-        "29000}\n  ]\n}\n");
-    std::istringstream ancient(
-        "{\n  \"grid_jobs\": 1024,\n  \"runs\": [\n    "
-        "{\"engine\": \"percycle\", \"threads\": 1, "
-        "\"scenarios_per_s\": 9000}\n  ]\n}\n");
-    std::vector<std::istream *> in{&current, &old, &ancient};
-    std::ostringstream out;
-    mergeBench(out, in);
-    const std::string merged = out.str();
-
-    // Header scalars come from the first file only.
-    EXPECT_NE(merged.find("\"map_path\": \"bitsliced\""),
-              std::string::npos);
-    // All three runs rows survive, in input order.
-    EXPECT_NE(merged.find("\"threads\": 2"), std::string::npos);
-    EXPECT_NE(merged.find("\"percycle\""), std::string::npos);
-    // Both workloads rows survive — with and without "tier" — and
-    // the ancient file (no workloads section) contributes nothing.
-    EXPECT_NE(merged.find("\"tier\": \"sim\""), std::string::npos);
-    EXPECT_NE(merged.find("\"scenarios_per_s\": 29000"),
-              std::string::npos);
-    EXPECT_LT(merged.find("\"threads\": 2"),
-              merged.find("\"percycle\""));
-}
-
-TEST(SweepStream, MergeBenchRejectsNonBenchInput)
-{
-    test::ScopedPanicThrow guard;
-    std::istringstream notBench("[\n  {\"job\": 0}\n]\n");
-    std::vector<std::istream *> in{&notBench};
-    std::ostringstream out;
-    EXPECT_THROW(mergeBench(out, in), std::runtime_error);
 }
 
 } // namespace

@@ -41,14 +41,12 @@ matchedConfig()
     return cfg;
 }
 
-/** The pure stepped reference over @p unit's mapping: collapse off,
- *  on the engine @p engine. */
+/** The stepped oracle over @p unit's mapping. */
 std::unique_ptr<MemoryBackend>
-oracleOver(const VectorAccessUnit &unit,
-           EngineKind engine = EngineKind::PerCycle)
+oracleOver(const VectorAccessUnit &unit)
 {
-    return makeMemoryBackend(engine, unit.memConfig(), unit.mapping(),
-                             MapPath::BitSliced, CollapseMode::Off);
+    return std::make_unique<MemorySystem>(unit.memConfig(),
+                                          unit.mapping());
 }
 
 TEST(TheoryBackend, ClaimedStreamIsBitIdenticalToSimulation)
@@ -68,12 +66,8 @@ TEST(TheoryBackend, ClaimedStreamIsBitIdenticalToSimulation)
     EXPECT_EQ(claimed.latency,
               theory::minimumLatency(
                   64, unit.memConfig().serviceCycles()));
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
-        EXPECT_EQ(claimed, oracleOver(unit, engine)->runSingle(
-                               plan.stream))
-            << "claimed result diverges from " << to_string(engine);
-    }
+    EXPECT_EQ(claimed, oracleOver(unit)->runSingle(plan.stream))
+        << "claimed result diverges from the oracle";
 }
 
 TEST(TheoryBackend, ConflictedStreamIsSolvedAnalytically)
@@ -325,8 +319,8 @@ TEST(TheoryBackend, CacheKeepsTiersSeparate)
 {
     const VectorAccessUnit unit(matchedConfig());
     BackendCache cache;
-    MemoryBackend &sim = cache.backendFor(
-        EngineKind::EventDriven, unit.memConfig(), unit.mapping());
+    MemoryBackend &sim =
+        cache.backendFor(unit.memConfig(), unit.mapping());
     TheoryBackend &tb =
         cache.theoryBackendFor(unit.memConfig(), unit.mapping());
     EXPECT_NE(&sim, static_cast<MemoryBackend *>(&tb));
@@ -336,8 +330,7 @@ TEST(TheoryBackend, CacheKeepsTiersSeparate)
     EXPECT_EQ(&cache.theoryBackendFor(unit.memConfig(),
                                       unit.mapping()),
               &tb);
-    EXPECT_EQ(&cache.backendFor(EngineKind::EventDriven,
-                                unit.memConfig(), unit.mapping()),
+    EXPECT_EQ(&cache.backendFor(unit.memConfig(), unit.mapping()),
               &sim);
     EXPECT_EQ(cache.size(), 2u);
 }
@@ -379,66 +372,59 @@ auditConfigs()
 // The acceptance audit: every mapping kind x strides spanning
 // in- and out-of-window families x lengths around the register
 // size x randomized starts x both port counts.  Every access the
-// theory tier claims must be bit-identical to the simulation
-// engines, and the tier must claim a nonzero share of the grid.
+// theory tier claims must be bit-identical to the stepped oracle,
+// and the tier must claim a nonzero share of the grid.
 TEST(TheoryBackendAudit, RandomizedGridIsBitIdenticalOnClaims)
 {
     Rng rng(0xA0D17ull);
     std::uint64_t claimed = 0;
     std::uint64_t fallback = 0;
 
-    for (const VectorUnitConfig &baseCfg : auditConfigs()) {
-        for (EngineKind engine :
-             {EngineKind::PerCycle, EngineKind::EventDriven}) {
-            VectorUnitConfig cfg = baseCfg;
-            cfg.engine = engine;
-            const VectorAccessUnit unit(cfg);
-            const std::uint64_t reg = cfg.registerLength();
+    for (const VectorUnitConfig &cfg : auditConfigs()) {
+        const VectorAccessUnit unit(cfg);
+        const std::uint64_t reg = cfg.registerLength();
 
-            BackendCache theoryCache;
-            BackendCache simCache;
+        BackendCache theoryCache;
+        BackendCache simCache;
 
-            for (unsigned family = 0; family <= 7; ++family) {
-                for (std::uint64_t sigma : {1ull, 3ull}) {
-                    const std::uint64_t stride = sigma << family;
-                    for (std::uint64_t length :
-                         {reg, reg / 2, reg * 2, std::uint64_t{5}}) {
-                        const Addr a1 =
-                            rng.below(2) ? 0 : rng.below(1u << 16);
+        for (unsigned family = 0; family <= 7; ++family) {
+            for (std::uint64_t sigma : {1ull, 3ull}) {
+                const std::uint64_t stride = sigma << family;
+                for (std::uint64_t length :
+                     {reg, reg / 2, reg * 2, std::uint64_t{5}}) {
+                    const Addr a1 =
+                        rng.below(2) ? 0 : rng.below(1u << 16);
 
-                        // Single port: plan once, execute under
-                        // each tier, compare bit for bit.
-                        const AccessPlan plan =
-                            unit.plan(a1, Stride(stride), length);
-                        TierCounters tc;
-                        const AccessResult viaTier = unit.execute(
-                            plan, nullptr, &theoryCache,
+                    // Single port: plan once, execute under
+                    // each tier, compare bit for bit.
+                    const AccessPlan plan =
+                        unit.plan(a1, Stride(stride), length);
+                    TierCounters tc;
+                    const AccessResult viaTier = unit.execute(
+                        plan, nullptr, &theoryCache,
+                        TierPolicy::TheoryFirst, &tc);
+                    const AccessResult simulated = unit.execute(
+                        plan, nullptr, &simCache);
+                    EXPECT_EQ(viaTier, simulated)
+                        << cfg.describe() << " stride=" << stride
+                        << " length=" << length << " a1=" << a1;
+                    claimed += tc.claimed;
+                    fallback += tc.fallback;
+
+                    // Two ports: the tier must fall back, and
+                    // falling back must not disturb results.
+                    const std::vector<std::vector<Request>>
+                        streams = {plan.stream, plan.stream};
+                    const MultiPortResult tierPorts =
+                        unit.executePorts(
+                            streams, nullptr, &theoryCache,
                             TierPolicy::TheoryFirst, &tc);
-                        const AccessResult simulated = unit.execute(
-                            plan, nullptr, &simCache);
-                        EXPECT_EQ(viaTier, simulated)
-                            << cfg.describe() << " engine="
-                            << to_string(engine) << " stride="
-                            << stride << " length=" << length
-                            << " a1=" << a1;
-                        claimed += tc.claimed;
-                        fallback += tc.fallback;
-
-                        // Two ports: the tier must fall back, and
-                        // falling back must not disturb results.
-                        const std::vector<std::vector<Request>>
-                            streams = {plan.stream, plan.stream};
-                        const MultiPortResult tierPorts =
-                            unit.executePorts(
-                                streams, nullptr, &theoryCache,
-                                TierPolicy::TheoryFirst, &tc);
-                        const MultiPortResult simPorts =
-                            unit.executePorts(streams, nullptr,
-                                              &simCache);
-                        EXPECT_EQ(tierPorts, simPorts)
-                            << cfg.describe() << " ports=2 stride="
-                            << stride << " length=" << length;
-                    }
+                    const MultiPortResult simPorts =
+                        unit.executePorts(streams, nullptr,
+                                          &simCache);
+                    EXPECT_EQ(tierPorts, simPorts)
+                        << cfg.describe() << " ports=2 stride="
+                        << stride << " length=" << length;
                 }
             }
         }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "sim/sweep_engine.h"
 
 namespace cfva::test {
 
@@ -26,6 +27,22 @@ class ScopedPanicThrow
     ScopedPanicThrow(const ScopedPanicThrow &) = delete;
     ScopedPanicThrow &operator=(const ScopedPanicThrow &) = delete;
 };
+
+/**
+ * @p report with the tier-attribution columns (theory_claimed,
+ * theory_fallback, fallback_reason) cleared: the only columns in
+ * which the theory tier's report may differ from the oracle's.
+ */
+inline sim::SweepReport
+withoutAttribution(sim::SweepReport report)
+{
+    for (sim::ScenarioOutcome &o : report.outcomes) {
+        o.theoryClaimed = 0;
+        o.theoryFallback = 0;
+        o.fallbackReason = FallbackReason::None;
+    }
+    return report;
+}
 
 } // namespace cfva::test
 

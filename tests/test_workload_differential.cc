@@ -4,10 +4,11 @@
  *
  * Three unification contracts, each enforced bit for bit:
  *
- *  1. Engine identity: chained/decoupled totals, retune relayout
+ *  1. Tier identity: chained/decoupled totals, retune relayout
  *     cycles, and every other workload outcome are identical under
- *     the per-cycle and event-driven engines over a randomized grid
- *     of every mapping kind x every workload x 1-2 ports.
+ *     the stepped oracle and the evaluator (attribution columns
+ *     aside) over a randomized grid of every mapping kind x every
+ *     workload x 1-2 ports.
  *  2. vproc identity: the VectorProcessor — now running on the same
  *     MemoryBackend/BackendCache path — produces program timings
  *     that match the sweep's `single` and `chain` workload outcomes
@@ -92,23 +93,23 @@ differentialGrid()
     return grid;
 }
 
-TEST(WorkloadDifferential, EnginesBitIdenticalOnRandomizedGrid)
+TEST(WorkloadDifferential, TiersBitIdenticalOnRandomizedGrid)
 {
     const ScenarioGrid grid = differentialGrid();
     // Dedup audit executes every member (full differential
     // coverage, nothing replayed) and cross-checks each against
     // the canonical-class replay on the side.
-    SweepOptions per_cycle;
-    per_cycle.engine = EngineKind::PerCycle;
-    per_cycle.dedup = DedupMode::Audit;
-    SweepOptions event;
-    event.engine = EngineKind::EventDriven;
-    event.dedup = DedupMode::Audit;
+    SweepOptions stepped;
+    stepped.dedup = DedupMode::Audit;
+    SweepOptions theory;
+    theory.tier = TierPolicy::TheoryFirst;
+    theory.dedup = DedupMode::Audit;
 
     SweepRunStats oracleStats, fastStats;
     const SweepReport oracle =
-        SweepEngine(per_cycle).run(grid, &oracleStats);
-    const SweepReport fast = SweepEngine(event).run(grid, &fastStats);
+        SweepEngine(stepped).run(grid, &oracleStats);
+    const SweepReport fast = test::withoutAttribution(
+        SweepEngine(theory).run(grid, &fastStats));
     EXPECT_EQ(oracleStats.dedupAuditDivergences, 0u);
     EXPECT_EQ(fastStats.dedupAuditDivergences, 0u);
 
@@ -205,38 +206,33 @@ TEST(WorkloadDifferential, VprocMatchesChainWorkloadTotals)
 {
     // Program totals: vproc with chaining off = the chain
     // workload's decoupled total; chaining on = the chained total
-    // when the load chains, the decoupled total otherwise.  Both
-    // engines, in- and out-of-window strides.
-    const VectorUnitConfig base = paperMatchedExample();
-    for (EngineKind engine :
-         {EngineKind::PerCycle, EngineKind::EventDriven}) {
-        VectorUnitConfig cfg = base;
-        cfg.engine = engine;
-        for (std::uint64_t stride : {1ull, 12ull, 32ull}) {
-            ScenarioGrid grid;
-            grid.mappings = {cfg};
-            grid.strides = {stride};
-            grid.randomStarts = 0;
-            grid.workloads = {makeWorkload(WorkloadKind::Chain)};
-            const SweepReport report = SweepEngine().run(grid);
-            ASSERT_EQ(report.jobs(), 1u);
-            const ScenarioOutcome &o = report.outcomes.front();
+    // when the load chains, the decoupled total otherwise.  In- and
+    // out-of-window strides.
+    const VectorUnitConfig cfg = paperMatchedExample();
+    for (std::uint64_t stride : {1ull, 12ull, 32ull}) {
+        ScenarioGrid grid;
+        grid.mappings = {cfg};
+        grid.strides = {stride};
+        grid.randomStarts = 0;
+        grid.workloads = {makeWorkload(WorkloadKind::Chain)};
+        const SweepReport report = SweepEngine().run(grid);
+        ASSERT_EQ(report.jobs(), 1u);
+        const ScenarioOutcome &o = report.outcomes.front();
 
-            VectorProcessor decoupled(cfg);
-            decoupled.run(loadThenMul(stride));
-            EXPECT_EQ(decoupled.stats().cycles, o.decoupledCycles)
-                << "S=" << stride;
+        VectorProcessor decoupled(cfg);
+        decoupled.run(loadThenMul(stride));
+        EXPECT_EQ(decoupled.stats().cycles, o.decoupledCycles)
+            << "S=" << stride;
 
-            VectorProcessor chained(cfg);
-            chained.enableChaining(true);
-            chained.run(loadThenMul(stride));
-            EXPECT_EQ(chained.stats().cycles,
-                      o.chainable ? o.chainedCycles
-                                  : o.decoupledCycles)
-                << "S=" << stride;
-            EXPECT_EQ(chained.stats().chainedOps,
-                      o.chainable ? 1u : 0u);
-        }
+        VectorProcessor chained(cfg);
+        chained.enableChaining(true);
+        chained.run(loadThenMul(stride));
+        EXPECT_EQ(chained.stats().cycles,
+                  o.chainable ? o.chainedCycles
+                              : o.decoupledCycles)
+            << "S=" << stride;
+        EXPECT_EQ(chained.stats().chainedOps,
+                  o.chainable ? 1u : 0u);
     }
 }
 

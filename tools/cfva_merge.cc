@@ -32,21 +32,14 @@ namespace {
 void
 usage(std::ostream &os)
 {
-    os << "usage: cfva_merge --csv|--json|--bench OUT IN0 IN1 ...\n"
+    os << "usage: cfva_merge --csv|--json OUT IN0 IN1 ...\n"
           "\n"
           "Concatenates cfva_sweep shard outputs (given in shard\n"
           "order) into the canonical unsharded report.  OUT may be\n"
           "'-' for stdout.  Shards are schema-checked against each\n"
           "other (CSV header line / JSON field names) and the merge\n"
           "fails with a diagnostic rather than silently\n"
-          "concatenating mixed schemas.\n"
-          "\n"
-          "--bench merges cfva_sweep --bench outputs\n"
-          "(BENCH_sweep.json): header scalars from the first file,\n"
-          "\"runs\" and \"workloads\" arrays concatenated.  Rows\n"
-          "are spliced as opaque text, so old and\n"
-          "extended row formats (e.g. per-(workload, tier) rows)\n"
-          "coexist.\n";
+          "concatenating mixed schemas.\n";
 }
 
 } // namespace
@@ -54,7 +47,7 @@ usage(std::ostream &os)
 int
 main(int argc, char **argv)
 {
-    bool csv = false, json = false, bench = false;
+    bool csv = false, json = false;
     std::string outPath;
     std::vector<std::string> shardPaths;
     for (int i = 1; i < argc; ++i) {
@@ -66,17 +59,15 @@ main(int argc, char **argv)
             csv = true;
         } else if (a == "--json") {
             json = true;
-        } else if (a == "--bench") {
-            bench = true;
         } else if (outPath.empty()) {
             outPath = a;
         } else {
             shardPaths.push_back(a);
         }
     }
-    if ((csv ? 1 : 0) + (json ? 1 : 0) + (bench ? 1 : 0) != 1) {
+    if (csv == json) {
         usage(std::cerr);
-        cfva_fatal("pick exactly one of --csv / --json / --bench");
+        cfva_fatal("pick exactly one of --csv / --json");
     }
     if (outPath.empty() || shardPaths.empty()) {
         usage(std::cerr);
@@ -104,8 +95,6 @@ main(int argc, char **argv)
 
     if (csv)
         sim::mergeCsv(*out, shards);
-    else if (bench)
-        sim::mergeBench(*out, shards);
     else
         sim::mergeJson(*out, shards);
     return 0;

@@ -9,13 +9,12 @@
  * run to the i-th of N deterministic, disjoint job slices (combine
  * the outputs with cfva_merge); --stream pipes outcomes straight
  * through the CSV/JSON sinks so peak memory stays O(threads x
- * grain) instead of O(jobs).  --bench times the same grid at
- * several thread counts, reports the speedup and the backend-cache
- * effect, and drops a machine-readable BENCH_sweep.json so the
- * perf trajectory is tracked across PRs.
+ * grain) instead of O(jobs).  --tier picks who answers each
+ * scenario: the evaluator (the default), the stepped oracle, or
+ * both with a bit-for-bit audit.  Throughput is measured by the
+ * repository's benchmark, perfbench/.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -24,7 +23,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cfva/cfva.h"
@@ -94,33 +92,22 @@ usage(std::ostream &os)
           "  --seed S           seed for random starts\n"
           "\n"
           "Execution and output:\n"
-          "  --engine E         percycle | event | both (default\n"
-          "                     percycle): the simulation tier's\n"
-          "                     reference engine; 'both' runs the\n"
-          "                     grid on each engine, cross-checks\n"
-          "                     the reports bit for bit, and exits\n"
-          "                     non-zero on any mismatch\n"
-          "  --tier T           sim | theory | audit (default sim):\n"
-          "                     'theory' answers provable and\n"
-          "                     periodic accesses analytically and\n"
-          "                     steps the rest on the event engines\n"
-          "                     (any --engine); 'audit' runs both\n"
-          "                     tiers on every scenario,\n"
-          "                     cross-checks them bit for bit, and\n"
-          "                     exits non-zero on any divergence\n"
+          "  --tier T           theory | sim | audit (default\n"
+          "                     theory): 'theory' answers provable\n"
+          "                     and periodic accesses analytically\n"
+          "                     and steps the rest on the event\n"
+          "                     stepper; 'sim' steps every cycle of\n"
+          "                     the oracle; 'audit' runs both on\n"
+          "                     every scenario, cross-checks them\n"
+          "                     bit for bit, and exits non-zero on\n"
+          "                     any divergence\n"
           "  --map-path P       bitsliced | scalar (default\n"
           "                     bitsliced): premap request streams\n"
           "                     with the GF(2) bit-matrix kernel\n"
           "                     (64 elements per multiply) or the\n"
           "                     per-element walk; reports are bit-\n"
           "                     identical either way\n"
-          "  --collapse C       on | off (default on): collapse\n"
-          "                     single-port constant-stride streams\n"
-          "                     to one steady-state period plus a\n"
-          "                     closed-form extrapolation, with a\n"
-          "                     base-invariant outcome memo on top;\n"
-          "                     results are bit-identical either\n"
-          "                     way (off = pure stepped oracle)\n"
+
           "  --threads N        worker threads (0 = all cores;\n"
           "                     clamped to the hardware)\n"
           "  --grain N          jobs per work item (0 = adaptive,\n"
@@ -130,22 +117,10 @@ usage(std::ostream &os)
           "                     merge shard outputs with cfva_merge\n"
           "  --stream           stream CSV/JSON while the sweep\n"
           "                     runs (peak memory O(threads x\n"
-          "                     grain), byte-identical output);\n"
-          "                     incompatible with --engine both\n"
+          "                     grain), byte-identical output)\n"
           "  --csv FILE         per-scenario CSV ('-' = stdout)\n"
           "  --json FILE        per-scenario JSON ('-' = stdout)\n"
           "  --no-summary       skip the summary table\n"
-          "  --bench T1,T2,...  time the grid at each thread count\n"
-          "                     (x each engine with --engine both)\n"
-          "  --bench-reps N     timed repetitions per --bench row\n"
-          "                     (default 0 = adaptive: at least 3\n"
-          "                     reps and 0.25 s of cumulative wall\n"
-          "                     time, at most 15); every row\n"
-          "                     reports the median rep and records\n"
-          "                     the rep count in BENCH_sweep.json\n"
-          "  --bench-json FILE  machine-readable --bench results\n"
-          "                     (default BENCH_sweep.json; 'none'\n"
-          "                     disables)\n"
           "  --help\n";
 }
 
@@ -274,17 +249,6 @@ parseMapPath(const std::string &name)
                " (expected bitsliced|scalar)");
 }
 
-CollapseMode
-parseCollapse(const std::string &name)
-{
-    if (name == "on")
-        return CollapseMode::On;
-    if (name == "off")
-        return CollapseMode::Off;
-    cfva_fatal("unknown collapse mode: ", name,
-               " (expected on|off)");
-}
-
 TierPolicy
 parseTier(const std::string &name)
 {
@@ -296,19 +260,6 @@ parseTier(const std::string &name)
         return TierPolicy::AuditBoth;
     cfva_fatal("unknown tier: ", name,
                " (expected sim|theory|audit)");
-}
-
-std::vector<EngineKind>
-parseEngines(const std::string &name)
-{
-    if (name == "percycle")
-        return {EngineKind::PerCycle};
-    if (name == "event")
-        return {EngineKind::EventDriven};
-    if (name == "both")
-        return {EngineKind::PerCycle, EngineKind::EventDriven};
-    cfva_fatal("unknown engine: ", name,
-               " (expected percycle|event|both)");
 }
 
 std::ostream *
@@ -365,16 +316,11 @@ struct Options
     std::size_t grain = 0; // 0 = adaptive
     sim::ShardSpec shard;
     bool stream = false;
-    std::vector<EngineKind> engines = {EngineKind::PerCycle};
-    TierPolicy tier = TierPolicy::SimulateAlways;
+    TierPolicy tier = TierPolicy::TheoryFirst;
     MapPath mapPath = MapPath::BitSliced;
-    CollapseMode collapse = CollapseMode::On;
     std::string csvPath;
     std::string jsonPath;
     bool summary = true;
-    std::vector<std::uint64_t> benchThreads;
-    unsigned benchReps = 0; // 0 = adaptive
-    std::string benchJsonPath = "BENCH_sweep.json";
 };
 
 Options
@@ -443,14 +389,10 @@ parseArgs(int argc, char **argv)
                 cfva_fatal("--retune-period must be >= 1");
         } else if (a == "--seed") {
             o.seed = parseU64(need(i, "--seed"), "--seed");
-        } else if (a == "--engine") {
-            o.engines = parseEngines(need(i, "--engine"));
         } else if (a == "--tier") {
             o.tier = parseTier(need(i, "--tier"));
         } else if (a == "--map-path") {
             o.mapPath = parseMapPath(need(i, "--map-path"));
-        } else if (a == "--collapse") {
-            o.collapse = parseCollapse(need(i, "--collapse"));
         } else if (a == "--threads") {
             o.threads = parseU32(need(i, "--threads"),
                                  "--threads");
@@ -460,20 +402,12 @@ parseArgs(int argc, char **argv)
             o.shard = parseShard(need(i, "--shard"));
         } else if (a == "--stream") {
             o.stream = true;
-        } else if (a == "--bench-reps") {
-            o.benchReps = parseU32(need(i, "--bench-reps"),
-                                   "--bench-reps");
-        } else if (a == "--bench-json") {
-            o.benchJsonPath = need(i, "--bench-json");
         } else if (a == "--csv") {
             o.csvPath = need(i, "--csv");
         } else if (a == "--json") {
             o.jsonPath = need(i, "--json");
         } else if (a == "--no-summary") {
             o.summary = false;
-        } else if (a == "--bench") {
-            o.benchThreads =
-                parseU64List(need(i, "--bench"), "--bench");
         } else {
             usage(std::cerr);
             cfva_fatal("unknown option: ", a);
@@ -610,13 +544,13 @@ printTierStats(std::ostream &info, TierPolicy tier,
     }
 }
 
-/** Prints the collapse/memo fast-path counters of a run; silent
- *  when the fast path is disabled (every counter is 0 there). */
+/** Prints the theory tier's collapse/memo counters of a run;
+ *  silent under the sim tier (the oracle has no fast path). */
 void
-printFastPathStats(std::ostream &info, CollapseMode collapse,
+printFastPathStats(std::ostream &info, TierPolicy tier,
                    const sim::SweepRunStats &stats)
 {
-    if (collapse == CollapseMode::Off)
+    if (tier == TierPolicy::SimulateAlways)
         return;
     info << "fast path: " << stats.collapseHits
          << " steady-state collapses ("
@@ -625,179 +559,6 @@ printFastPathStats(std::ostream &info, CollapseMode collapse,
          << " memo hits / " << stats.memoMisses << " misses, "
          << stats.steppedCycles
          << " cycles stepped without a jump\n";
-}
-
-double
-timedRun(const sim::SweepEngine &engine,
-         const sim::ScenarioGrid &grid, sim::SweepReport &report,
-         sim::SweepRunStats *stats = nullptr)
-{
-    const auto start = std::chrono::steady_clock::now();
-    report = engine.run(grid, stats);
-    const auto stop = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(stop - start).count();
-}
-
-/**
- * Times one --bench leg over repeated runs and keeps the
- * median-time rep's report and stats.  @p benchReps fixes the rep
- * count; 0 repeats adaptively — at least kMinReps reps, continuing
- * until kMinWallSeconds of cumulative wall time or kMaxReps, so
- * sub-millisecond legs still get a stable median without slow legs
- * paying 15x.
- */
-struct RepTiming
-{
-    double seconds = 0.0; //!< the median rep's wall time
-    unsigned reps = 0;    //!< timed reps behind the median
-};
-
-RepTiming
-timedReps(const sim::SweepOptions &opts,
-          const sim::ScenarioGrid &grid, unsigned benchReps,
-          sim::SweepReport &report, sim::SweepRunStats &stats)
-{
-    constexpr unsigned kMinReps = 3;
-    constexpr unsigned kMaxReps = 15;
-    constexpr double kMinWallSeconds = 0.25;
-    std::vector<double> times;
-    std::vector<sim::SweepReport> reports;
-    std::vector<sim::SweepRunStats> allStats;
-    double total = 0.0;
-    for (unsigned rep = 0;; ++rep) {
-        if (benchReps) {
-            if (rep >= benchReps)
-                break;
-        } else if (rep >= kMinReps
-                   && (total >= kMinWallSeconds
-                       || rep >= kMaxReps)) {
-            break;
-        }
-        sim::SweepReport r;
-        sim::SweepRunStats s;
-        const double secs =
-            timedRun(sim::SweepEngine(opts), grid, r, &s);
-        total += secs;
-        times.push_back(secs);
-        reports.push_back(std::move(r));
-        allStats.push_back(s);
-    }
-    std::vector<std::size_t> order(times.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  return times[a] < times[b];
-              });
-    const std::size_t mid = order[(order.size() - 1) / 2];
-    report = std::move(reports[mid]);
-    stats = allStats[mid];
-    return {times[mid], static_cast<unsigned>(times.size())};
-}
-
-/** One timed --bench row, kept for the BENCH_sweep.json emission. */
-struct BenchRun
-{
-    EngineKind engine = EngineKind::PerCycle;
-    TierPolicy tier = TierPolicy::SimulateAlways;
-    CollapseMode collapse = CollapseMode::On;
-    std::uint64_t threads = 0;
-    unsigned reps = 0;
-    double seconds = 0.0;
-    double scenariosPerSec = 0.0;
-    double speedup = 0.0;
-    sim::SweepRunStats stats;
-};
-
-/** One per-(workload, tier) --bench timing row: the grid narrowed
- *  to a single workload program under one evaluation tier, so the
- *  perf trajectory tracks program-level scenarios, not just raw
- *  accesses, for every tier the bench actually ran. */
-struct WorkloadBenchRun
-{
-    std::string label;
-    TierPolicy tier = TierPolicy::SimulateAlways;
-    CollapseMode collapse = CollapseMode::On;
-    std::size_t jobs = 0;
-    unsigned reps = 0;
-    double seconds = 0.0;
-    double scenariosPerSec = 0.0;
-};
-
-void
-writeBenchJson(const std::string &path, const Options &o,
-               const sim::ScenarioGrid &grid,
-               const std::vector<BenchRun> &runs,
-               const std::vector<WorkloadBenchRun> &workloadRuns,
-               bool identical)
-{
-    if (path == "none")
-        return;
-    std::ofstream out(path);
-    if (!out)
-        cfva_fatal("cannot open ", path, " for writing");
-    out << "{\n  \"grid_jobs\": " << grid.jobCount()
-        << ",\n  \"shard\": \"" << o.shard.index << "/"
-        << o.shard.count << "\",\n  \"grain\": " << o.grain
-        << ",\n  \"tier\": \"" << to_string(o.tier)
-        << "\",\n  \"map_path\": \"" << to_string(o.mapPath)
-        << "\",\n  \"collapse\": \"" << to_string(o.collapse)
-        << "\",\n  \"reports_identical\": "
-        << (identical ? "true" : "false") << ",\n  \"runs\": [";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const BenchRun &r = runs[i];
-        out << (i ? ",\n" : "\n") << "    {\"engine\": \""
-            << to_string(r.engine) << "\", \"tier\": \""
-            << to_string(r.tier) << "\", \"collapse\": \""
-            << to_string(r.collapse) << "\", \"threads\": "
-            << r.threads << ", \"reps\": " << r.reps
-            << ", \"seconds\": " << fixed(r.seconds, 6)
-            << ", \"scenarios_per_s\": "
-            << fixed(r.scenariosPerSec, 0) << ", \"speedup\": "
-            << fixed(r.speedup, 3) << ", \"effective_grain\": "
-            << r.stats.grain << ", \"chunks\": " << r.stats.chunks
-            << ", \"backend_cache_hits\": "
-            << r.stats.backendCacheHits
-            << ", \"backend_cache_misses\": "
-            << r.stats.backendCacheMisses
-            << ", \"theory_claimed\": " << r.stats.theoryClaims
-            << ", \"theory_fallback\": " << r.stats.theoryFallbacks
-            << ", \"fallback_conflicted\": "
-            << r.stats.fallbackConflicted
-            << ", \"fallback_multiport\": "
-            << r.stats.fallbackMultiport
-            << ", \"fallback_unproven\": "
-            << r.stats.fallbackUnproven
-            << ", \"fallback_dynamic\": "
-            << r.stats.fallbackDynamic
-            << ", \"tier_audit_divergences\": "
-            << r.stats.tierAuditDivergences
-            << ", \"collapse_hits\": " << r.stats.collapseHits
-            << ", \"collapse_prefix_cycles\": "
-            << r.stats.collapsePrefixCycles
-            << ", \"memo_hits\": " << r.stats.memoHits
-            << ", \"memo_misses\": " << r.stats.memoMisses
-            << ", \"stepped_cycles\": " << r.stats.steppedCycles
-            << ", \"peak_pending_outcomes\": "
-            << r.stats.peakPendingOutcomes
-            << ", \"arena_acquires\": " << r.stats.arenaAcquires
-            << ", \"arena_reuses\": " << r.stats.arenaReuses
-            << ", \"arena_peak_bytes\": " << r.stats.arenaPeakBytes
-            << "}";
-    }
-    out << "\n  ],\n  \"workloads\": [";
-    for (std::size_t i = 0; i < workloadRuns.size(); ++i) {
-        const WorkloadBenchRun &w = workloadRuns[i];
-        out << (i ? ",\n" : "\n") << "    {\"workload\": \""
-            << w.label << "\", \"tier\": \"" << to_string(w.tier)
-            << "\", \"collapse\": \"" << to_string(w.collapse)
-            << "\", \"jobs\": " << w.jobs
-            << ", \"reps\": " << w.reps
-            << ", \"seconds\": " << fixed(w.seconds, 6)
-            << ", \"scenarios_per_s\": "
-            << fixed(w.scenariosPerSec, 0) << "}";
-    }
-    out << "\n  ]\n}\n";
 }
 
 } // namespace
@@ -829,321 +590,21 @@ main(int argc, char **argv)
              << " covering jobs [" << first << ", " << last
              << ") = " << (last - first) << " scenarios\n";
     }
-    if (o.stream && o.engines.size() > 1)
-        cfva_fatal("--stream cannot cross-check: the comparison "
-                   "needs the materialized reports (drop --stream "
-                   "or pick one engine)");
-    if (o.stream && !o.benchThreads.empty())
-        cfva_fatal("--bench times materialized runs; it cannot "
-                   "honor --stream (drop one of the two)");
-
-    std::string engineNames = to_string(o.engines.front());
-    for (std::size_t e = 1; e < o.engines.size(); ++e)
-        engineNames += std::string(" + ") + to_string(o.engines[e]);
-    info << "engine: " << engineNames << "\n";
-    if (o.tier != TierPolicy::SimulateAlways)
-        info << "tier: " << to_string(o.tier) << "\n";
+    info << "tier: " << to_string(o.tier) << "\n";
     if (o.mapPath != MapPath::BitSliced)
         info << "map path: " << to_string(o.mapPath) << "\n";
-    if (o.collapse != CollapseMode::On)
-        info << "collapse: " << to_string(o.collapse) << "\n";
 
-    if (!o.benchThreads.empty()) {
-        TextTable t({"engine", "tier", "collapse", "threads", "reps",
-                     "seconds", "scenarios/s", "speedup"});
-        // Under --tier theory the bench times the simulation
-        // baseline too — with the collapse fast path off (the pure
-        // stepped oracle) and on — so BENCH_sweep.json records what
-        // each fast-path tier buys next to what it replaced.
-        struct Leg
-        {
-            TierPolicy tier;
-            CollapseMode collapse;
-        };
-        std::vector<Leg> legs;
-        if (o.tier == TierPolicy::TheoryFirst) {
-            if (o.collapse == CollapseMode::On)
-                legs = {{TierPolicy::SimulateAlways,
-                         CollapseMode::Off},
-                        {TierPolicy::SimulateAlways,
-                         CollapseMode::On},
-                        {TierPolicy::TheoryFirst,
-                         CollapseMode::On}};
-            else
-                legs = {{TierPolicy::SimulateAlways,
-                         CollapseMode::Off},
-                        {TierPolicy::TheoryFirst,
-                         CollapseMode::Off}};
-        } else {
-            legs = {{o.tier, o.collapse}};
-        }
-        double base = 0.0;
-        sim::SweepReport first;
-        bool allIdentical = true;
-        std::vector<BenchRun> runs;
-        {
-            // Discarded warm-up run so one-time costs (page
-            // faults, allocator growth) don't skew the baseline.
-            sim::SweepOptions warm;
-            warm.threads =
-                static_cast<unsigned>(o.benchThreads.front());
-            warm.grain = o.grain;
-            warm.shard = o.shard;
-            warm.engine = o.engines.front();
-            warm.tier = o.tier;
-            warm.mapPath = o.mapPath;
-            warm.collapse = o.collapse;
-            sim::SweepReport scratch;
-            timedRun(sim::SweepEngine(warm), grid, scratch);
-        }
-        // The engine clamps workers to the hardware, so on a host
-        // with fewer cores than the requested counts the surplus
-        // rows would time the identical clamped run again — skip
-        // them instead of recording misleading "scaling" numbers.
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        std::vector<std::uint64_t> benchThreads;
-        for (std::uint64_t threads : o.benchThreads) {
-            const std::uint64_t clamped =
-                threads ? std::min<std::uint64_t>(threads, hw) : hw;
-            if (std::find(benchThreads.begin(), benchThreads.end(),
-                          clamped)
-                != benchThreads.end()) {
-                info << "bench: skipping threads=" << threads
-                     << " (clamps to " << clamped << " on " << hw
-                     << "-core host, already timed)\n";
-                continue;
-            }
-            benchThreads.push_back(clamped);
-        }
-        // Tier attribution legitimately differs between tiers;
-        // identity across runs is judged on everything else.
-        const auto stripTier = [](sim::SweepReport r) {
-            for (auto &outcome : r.outcomes) {
-                outcome.theoryClaimed = 0;
-                outcome.theoryFallback = 0;
-                outcome.fallbackReason = FallbackReason::None;
-            }
-            return r;
-        };
-        sim::SweepReport firstStripped;
-        bool haveBase = false;
-        for (EngineKind engine : o.engines) {
-            for (const Leg &leg : legs) {
-                for (std::uint64_t threads : benchThreads) {
-                    sim::SweepOptions opts;
-                    opts.threads = static_cast<unsigned>(threads);
-                    opts.grain = o.grain;
-                    opts.shard = o.shard;
-                    opts.engine = engine;
-                    opts.tier = leg.tier;
-                    opts.mapPath = o.mapPath;
-                    opts.collapse = leg.collapse;
-                    sim::SweepReport report;
-                    sim::SweepRunStats stats;
-                    const RepTiming timing = timedReps(
-                        opts, grid, o.benchReps, report, stats);
-                    const double secs = timing.seconds;
-                    if (!haveBase) {
-                        base = secs;
-                        first = report;
-                        firstStripped = stripTier(report);
-                        haveBase = true;
-                    } else {
-                        allIdentical &=
-                            stripTier(report) == firstStripped;
-                    }
-                    BenchRun row;
-                    row.engine = engine;
-                    row.tier = leg.tier;
-                    row.collapse = leg.collapse;
-                    row.threads = threads;
-                    row.reps = timing.reps;
-                    row.seconds = secs;
-                    row.scenariosPerSec =
-                        static_cast<double>(report.jobs()) / secs;
-                    row.speedup = base / secs;
-                    row.stats = stats;
-                    runs.push_back(row);
-                    t.row(to_string(engine), to_string(leg.tier),
-                          to_string(leg.collapse), threads,
-                          timing.reps, fixed(secs, 3),
-                          fixed(row.scenariosPerSec, 0),
-                          fixed(row.speedup, 2));
-                }
-            }
-        }
-        t.print(info, "SweepEngine scaling [engine: " + engineNames
-                          + "]");
-
-        // Per-workload timing rows: the same grid narrowed to each
-        // workload program in turn (first engine, first thread
-        // count), one row per evaluation tier the scaling bench
-        // actually ran, so BENCH_sweep.json tracks program-level
-        // scenarios — chain/retune/stencil sequences — under every
-        // tier instead of recording only the leading run.  A
-        // single-workload grid reuses the matching scaling rows:
-        // the narrowed grid would be the grid already timed.
-        std::vector<WorkloadBenchRun> workloadRuns;
-        {
-            TextTable wt({"workload", "tier", "collapse", "jobs",
-                          "reps", "seconds", "scenarios/s"});
-            // The committed BENCH artifact should track every
-            // workload program even when the grid itself runs only
-            // the default single-access job: widen the bench-only
-            // workload list to all four kinds in that case (the
-            // extra kinds inherit the grid workload's tuning).
-            std::vector<sim::Workload> benchWorkloads(
-                grid.workloads.begin(), grid.workloads.end());
-            if (grid.workloads.size() == 1
-                && grid.workloads.front().kind
-                       == sim::WorkloadKind::Single) {
-                for (sim::WorkloadKind kind :
-                     {sim::WorkloadKind::Chain,
-                      sim::WorkloadKind::Retune,
-                      sim::WorkloadKind::Stencil}) {
-                    sim::Workload wl = grid.workloads.front();
-                    wl.kind = kind;
-                    benchWorkloads.push_back(wl);
-                }
-            }
-            for (const auto &wl : benchWorkloads) {
-                // Reuse is only sound when the narrowed grid IS
-                // the grid already timed by the scaling rows.
-                const bool sameAsGrid =
-                    grid.workloads.size() == 1
-                    && wl.kind == grid.workloads.front().kind;
-                for (const Leg &leg : legs) {
-                    WorkloadBenchRun row;
-                    row.label = wl.label();
-                    row.tier = leg.tier;
-                    row.collapse = leg.collapse;
-                    const BenchRun *reuse = nullptr;
-                    if (sameAsGrid) {
-                        for (const auto &r : runs) {
-                            if (r.engine == o.engines.front()
-                                && r.tier == leg.tier
-                                && r.collapse == leg.collapse
-                                && r.threads
-                                       == benchThreads.front()) {
-                                reuse = &r;
-                                break;
-                            }
-                        }
-                    }
-                    if (reuse) {
-                        row.jobs = first.jobs();
-                        row.reps = reuse->reps;
-                        row.seconds = reuse->seconds;
-                        row.scenariosPerSec = reuse->scenariosPerSec;
-                    } else {
-                        sim::ScenarioGrid sub = grid;
-                        sub.workloads = {wl};
-                        sim::SweepOptions opts;
-                        opts.threads = static_cast<unsigned>(
-                            benchThreads.front());
-                        opts.grain = o.grain;
-                        opts.shard = o.shard;
-                        opts.engine = o.engines.front();
-                        opts.tier = leg.tier;
-                        opts.mapPath = o.mapPath;
-                        opts.collapse = leg.collapse;
-                        sim::SweepReport r;
-                        sim::SweepRunStats s;
-                        const RepTiming timing =
-                            timedReps(opts, sub, o.benchReps, r, s);
-                        row.reps = timing.reps;
-                        row.seconds = timing.seconds;
-                        row.jobs = r.jobs();
-                        row.scenariosPerSec =
-                            static_cast<double>(r.jobs())
-                            / row.seconds;
-                    }
-                    workloadRuns.push_back(row);
-                    wt.row(row.label, to_string(row.tier),
-                           to_string(row.collapse), row.jobs, row.reps,
-                           fixed(row.seconds, 3),
-                           fixed(row.scenariosPerSec, 0));
-                }
-            }
-            wt.print(info, "Per-workload timing [engine: "
-                               + std::string(to_string(
-                                   o.engines.front()))
-                               + ", threads: "
-                               + std::to_string(benchThreads.front())
-                               + "]");
-        }
-        info << (allIdentical
-                     ? "reports identical across thread counts, "
-                       "engines, and tiers\n"
-                     : "REPORT MISMATCH across thread counts, "
-                       "engines, or tiers\n");
-        if (!runs.empty()) {
-            // The backend cache turns all but the first touch of
-            // each (engine, mapping) per worker into reuse; the
-            // hit fraction is the setup cost removed at large M.
-            const auto &s = runs.front().stats;
-            info << "backend cache: " << s.backendCacheHits
-                 << " hits / " << s.backendCacheMisses
-                 << " misses ("
-                 << fixed(s.backendCacheHits + s.backendCacheMisses
-                              ? 100.0
-                                    * static_cast<double>(
-                                        s.backendCacheHits)
-                                    / static_cast<double>(
-                                        s.backendCacheHits
-                                        + s.backendCacheMisses)
-                              : 0.0,
-                          1)
-                 << "% of backend lookups reused)\n";
-            info << "worker arena: " << s.arenaReuses << " of "
-                 << s.arenaAcquires
-                 << " buffer acquires served from pools, peak "
-                 << s.arenaPeakBytes << " bytes retained\n";
-            // The first row with the requested tier and collapse
-            // mode carries the attribution (under --tier theory
-            // the leading rows are the oracle baselines and count
-            // nothing, or only the sim-tier share).
-            const BenchRun *tierRow = &runs.front();
-            for (const auto &r : runs) {
-                if (r.tier == o.tier && r.collapse == o.collapse) {
-                    tierRow = &r;
-                    break;
-                }
-            }
-            printFastPathStats(info, o.collapse, tierRow->stats);
-            printTierStats(info, o.tier, tierRow->stats);
-        }
-        std::uint64_t auditDivergences = 0;
-        for (const auto &r : runs)
-            auditDivergences += r.stats.tierAuditDivergences;
-        writeBenchJson(o.benchJsonPath, o, grid, runs, workloadRuns,
-                       allIdentical);
-        if (!o.csvPath.empty()) {
-            std::ofstream file;
-            first.writeCsv(*openSink(o.csvPath, file));
-        }
-        if (!o.jsonPath.empty()) {
-            std::ofstream file;
-            first.writeJson(*openSink(o.jsonPath, file));
-        }
-        return (allIdentical && auditDivergences == 0) ? 0 : 1;
-    }
+    sim::SweepOptions opts;
+    opts.threads = o.threads;
+    opts.grain = o.grain;
+    opts.shard = o.shard;
+    opts.tier = o.tier;
+    opts.mapPath = o.mapPath;
 
     if (o.stream) {
         // Streaming mode: outcomes flow straight through the
         // CSV/JSON sinks (and an O(1)-memory summary accumulator)
-        // in job order; nothing is materialized.  Exactly one
-        // engine runs here (checked above).
-        sim::SweepOptions opts;
-        opts.threads = o.threads;
-        opts.grain = o.grain;
-        opts.shard = o.shard;
-        opts.engine = o.engines.front();
-        opts.tier = o.tier;
-        opts.mapPath = o.mapPath;
-        opts.collapse = o.collapse;
-
+        // in job order; nothing is materialized.
         std::ofstream csvFile, jsonFile;
         std::optional<sim::CsvStreamSink> csvSink;
         std::optional<sim::JsonStreamSink> jsonSink;
@@ -1169,8 +630,7 @@ main(int argc, char **argv)
             std::chrono::duration<double>(stop - start).count();
 
         if (o.summary) {
-            info << to_string(o.engines.front()) << ": "
-                 << stats.jobs << " scenarios streamed in "
+            info << stats.jobs << " scenarios streamed in "
                  << fixed(secs, 3) << " s ("
                  << fixed(static_cast<double>(stats.jobs) / secs, 0)
                  << " scenarios/s, peak "
@@ -1186,55 +646,25 @@ main(int argc, char **argv)
             info << "backend cache: " << stats.backendCacheHits
                  << " hits / " << stats.backendCacheMisses
                  << " misses\n";
-            printFastPathStats(info, o.collapse, stats);
+            printFastPathStats(info, o.tier, stats);
             printTierStats(info, o.tier, stats);
         }
         return stats.tierAuditDivergences == 0 ? 0 : 1;
     }
 
-    // One timed run per requested engine; with --engine both the
-    // second report is cross-checked bit for bit against the first.
-    sim::SweepReport report;
-    sim::SweepRunStats firstStats;
-    bool crossChecked = false;
-    bool crossIdentical = true;
-    std::uint64_t auditDivergences = 0;
-    double firstSecs = 0.0;
-    for (std::size_t e = 0; e < o.engines.size(); ++e) {
-        sim::SweepOptions opts;
-        opts.threads = o.threads;
-        opts.grain = o.grain;
-        opts.shard = o.shard;
-        opts.engine = o.engines[e];
-        opts.tier = o.tier;
-        opts.mapPath = o.mapPath;
-        opts.collapse = o.collapse;
-        sim::SweepReport r;
-        sim::SweepRunStats stats;
-        const double secs =
-            timedRun(sim::SweepEngine(opts), grid, r, &stats);
-        auditDivergences += stats.tierAuditDivergences;
-        if (o.summary) {
-            info << to_string(o.engines[e]) << ": " << r.jobs()
-                 << " scenarios in " << fixed(secs, 3) << " s ("
-                 << fixed(static_cast<double>(r.jobs()) / secs, 0)
-                 << " scenarios/s)";
-            if (e > 0 && secs > 0.0)
-                info << ", " << fixed(firstSecs / secs, 2)
-                     << "x vs " << to_string(o.engines.front());
-            info << "\n";
-        }
-        if (e == 0) {
-            report = std::move(r);
-            firstSecs = secs;
-            firstStats = stats;
-        } else {
-            crossChecked = true;
-            crossIdentical &= r == report;
-        }
-    }
+    sim::SweepRunStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    const sim::SweepReport report =
+        sim::SweepEngine(opts).run(grid, &stats);
+    const auto stop = std::chrono::steady_clock::now();
+    const double secs =
+        std::chrono::duration<double>(stop - start).count();
 
     if (o.summary) {
+        info << report.jobs() << " scenarios in " << fixed(secs, 3)
+             << " s ("
+             << fixed(static_cast<double>(report.jobs()) / secs, 0)
+             << " scenarios/s)\n";
         report.summaryTable().print(info, "Sweep summary");
         if (wantsWorkloadSummary(grid)) {
             sim::workloadSummaryTable(report.perWorkload())
@@ -1242,16 +672,11 @@ main(int argc, char **argv)
         }
         info << report.conflictFreeJobs() << " of " << report.jobs()
              << " scenarios conflict free\n";
-        info << "backend cache: " << firstStats.backendCacheHits
-             << " hits / " << firstStats.backendCacheMisses
+        info << "backend cache: " << stats.backendCacheHits
+             << " hits / " << stats.backendCacheMisses
              << " misses\n";
-        printFastPathStats(info, o.collapse, firstStats);
-        printTierStats(info, o.tier, firstStats);
-    }
-    if (crossChecked) {
-        info << (crossIdentical
-                     ? "cross-engine reports identical\n"
-                     : "CROSS-ENGINE REPORT MISMATCH\n");
+        printFastPathStats(info, o.tier, stats);
+        printTierStats(info, o.tier, stats);
     }
     if (!o.csvPath.empty()) {
         std::ofstream file;
@@ -1261,5 +686,5 @@ main(int argc, char **argv)
         std::ofstream file;
         report.writeJson(*openSink(o.jsonPath, file));
     }
-    return (crossIdentical && auditDivergences == 0) ? 0 : 1;
+    return stats.tierAuditDivergences == 0 ? 0 : 1;
 }
