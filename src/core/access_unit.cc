@@ -50,9 +50,6 @@ VectorAccessUnit::VectorAccessUnit(const VectorUnitConfig &cfg)
       case MemoryKind::SimpleUnmatched: {
         const unsigned s = cfg_.s();
         const unsigned m = cfg_.m();
-        cfva_assert(s >= m,
-                    "Eq. 1 with t replaced by m needs s >= m (s=",
-                    s, ", m=", m, ")");
         auto map = std::make_unique<XorMatchedMapping>(m, s);
         matched_ = map.get();
         mapping_ = std::move(map);
@@ -386,7 +383,7 @@ AccessResult
 VectorAccessUnit::execute(const AccessPlan &plan,
                           DeliveryArena *arena, BackendCache *cache,
                           TierPolicy tier, TierCounters *tiers,
-                          MapPath path, CollapseMode,
+                          MapPath, CollapseMode,
                           ResultDetail detail) const
 {
     cfva_assert(tier != TierPolicy::AuditBoth,
@@ -414,18 +411,18 @@ VectorAccessUnit::execute(const AccessPlan &plan,
         };
         if (cache) {
             return answer(cache->theoryBackendFor(cfg_.memConfig(),
-                                                  *mapping_, path));
+                                                  *mapping_));
         }
-        TheoryBackend tb(cfg_.memConfig(), *mapping_, path);
+        TheoryBackend tb(cfg_.memConfig(), *mapping_);
         return answer(tb);
     }
     if (tiers)
         tiers->add(false);
     if (cache) {
-        return cache->backendFor(cfg_.memConfig(), *mapping_, path)
+        return cache->backendFor(cfg_.memConfig(), *mapping_)
             .runSingle(plan.stream, arena);
     }
-    return MemorySystem(cfg_.memConfig(), *mapping_, path)
+    return MemorySystem(cfg_.memConfig(), *mapping_)
         .runSingle(plan.stream, arena);
 }
 
@@ -433,7 +430,7 @@ MultiPortResult
 VectorAccessUnit::executePorts(
     const std::vector<std::vector<Request>> &streams,
     DeliveryArena *arena, BackendCache *cache, TierPolicy tier,
-    TierCounters *tiers, MapPath path, CollapseMode,
+    TierCounters *tiers, MapPath, CollapseMode,
     ResultDetail detail) const
 {
     cfva_assert(tier != TierPolicy::AuditBoth,
@@ -450,18 +447,18 @@ VectorAccessUnit::executePorts(
         };
         if (cache) {
             return answer(cache->theoryBackendFor(cfg_.memConfig(),
-                                                  *mapping_, path));
+                                                  *mapping_));
         }
-        TheoryBackend tb(cfg_.memConfig(), *mapping_, path);
+        TheoryBackend tb(cfg_.memConfig(), *mapping_);
         return answer(tb);
     }
     if (tiers)
         tiers->add(false);
     if (cache) {
-        return cache->backendFor(cfg_.memConfig(), *mapping_, path)
+        return cache->backendFor(cfg_.memConfig(), *mapping_)
             .run(streams, arena);
     }
-    return MemorySystem(cfg_.memConfig(), *mapping_, path)
+    return MemorySystem(cfg_.memConfig(), *mapping_)
         .run(streams, arena);
 }
 

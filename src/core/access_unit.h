@@ -20,6 +20,7 @@
 #include "access/ordering.h"
 #include "access/short_vector.h"
 #include "core/config.h"
+#include "mapping/bitslice.h"
 #include "mapping/mapping.h"
 #include "memsys/memory_system.h"
 #include "theory/theory.h"
@@ -123,10 +124,8 @@ class VectorAccessUnit
      * given, the access is attributed to it as claimed or fallback
      * (under SimulateAlways: always fallback).
      *
-     * @p path selects the backend's stream-premap variant (see
-     * MapPath); results are bit-identical either way.  The
-     * CollapseMode argument is ignored until ROADMAP item 1 drops
-     * it from the benchmark.
+     * The MapPath and CollapseMode arguments are ignored; they stay
+     * only until ROADMAP item 1 drops them from the benchmark.
      *
      * @p detail selects how much of a theory-claimed result is
      * materialized (see ResultDetail; the oracle's results are
@@ -141,16 +140,16 @@ class VectorAccessUnit
                          BackendCache *cache = nullptr,
                          TierPolicy tier = TierPolicy::SimulateAlways,
                          TierCounters *tiers = nullptr,
-                         MapPath path = MapPath::BitSliced,
+                         MapPath = MapPath::BitSliced,
                          CollapseMode = CollapseMode::On,
                          ResultDetail detail =
                              ResultDetail::Full) const;
 
     /**
      * Runs P = streams.size() simultaneous request streams through
-     * the port-aware backend of @p tier.  @p cache, @p tiers,
-     * @p path, @p detail as in execute(), and the CollapseMode
-     * argument is ignored likewise; the theory tier claims P > 1
+     * the port-aware backend of @p tier.  @p cache, @p tiers and
+     * @p detail as in execute(), and the MapPath and CollapseMode
+     * arguments are ignored likewise; the theory tier claims P > 1
      * accesses whose port streams are provably module-disjoint and
      * steps the rest in the event stepper's P-port pass.
      */
@@ -160,7 +159,7 @@ class VectorAccessUnit
                  BackendCache *cache = nullptr,
                  TierPolicy tier = TierPolicy::SimulateAlways,
                  TierCounters *tiers = nullptr,
-                 MapPath path = MapPath::BitSliced,
+                 MapPath = MapPath::BitSliced,
                  CollapseMode = CollapseMode::On,
                  ResultDetail detail = ResultDetail::Full) const;
 

@@ -115,9 +115,22 @@ VectorUnitConfig::validate() const
             cfva_fatal("matched memory requires m == t, got m=", mm);
         checkS();
         break;
-      case MemoryKind::SimpleUnmatched:
-        checkS();
+      case MemoryKind::SimpleUnmatched: {
+        // Eq. 1 with t replaced by m: XorMatchedMapping(m, s)'s
+        // bounds.
+        if (mm > 12)
+            cfva_fatal("simple-unmatched memory supports m <= 12, "
+                       "got m=", mm);
+        const unsigned ss = checkS();
+        if (ss < mm)
+            cfva_fatal("simple-unmatched memory (Eq. 1 with t "
+                       "replaced by m) requires s >= m (s=", ss,
+                       ", m=", mm, "; s defaults to lambda-t)");
+        if (ss + mm > 56)
+            cfva_fatal("simple-unmatched memory requires s+m <= 56 "
+                       "(s=", ss, ", m=", mm, ")");
         break;
+      }
       case MemoryKind::Sectioned: {
         if (mm != 2 * t)
             cfva_fatal("sectioned memory (Sec. 4.1) is defined for "

@@ -75,11 +75,6 @@ class DynamicFieldMapping : public ModuleMapping
     unsigned moduleBits() const override { return m_; }
     std::string name() const override;
 
-    // Deliberately no gf2Rows() override: the rows of the current
-    // tuning change whenever retune() moves the field, violating the
-    // fixed-rows contract bit-sliced bulk mapping depends on.  Bulk
-    // mapModules() therefore takes the scalar fallback path here.
-
   private:
     unsigned m_;
     unsigned p_;

@@ -103,13 +103,6 @@ GF2LinearMapping::name() const
     return os.str();
 }
 
-bool
-GF2LinearMapping::gf2Rows(std::vector<std::uint64_t> &rows) const
-{
-    rows = rows_;
-    return true;
-}
-
 std::uint64_t
 GF2LinearMapping::row(unsigned i) const
 {

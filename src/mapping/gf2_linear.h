@@ -49,11 +49,6 @@ class GF2LinearMapping : public ModuleMapping
     unsigned moduleBits() const override;
     std::string name() const override;
 
-    /** The matrix rows themselves: always available (and fixed),
-     *  so every GF2LinearMapping — including the pseudo-random
-     *  prior-art matrices — takes the bit-sliced bulk path. */
-    bool gf2Rows(std::vector<std::uint64_t> &rows) const override;
-
     /** Row mask for module bit @p i. */
     std::uint64_t row(unsigned i) const;
 

@@ -30,17 +30,6 @@ LowOrderInterleave::addressOf(ModuleId module, Addr displacement) const
     return (displacement << m_) | module;
 }
 
-bool
-LowOrderInterleave::gf2Rows(std::vector<std::uint64_t> &rows) const
-{
-    if (m_ == 0)
-        return false;
-    rows.resize(m_);
-    for (unsigned i = 0; i < m_; ++i)
-        rows[i] = std::uint64_t{1} << i;
-    return true;
-}
-
 std::string
 LowOrderInterleave::name() const
 {
@@ -77,17 +66,6 @@ FieldInterleave::addressOf(ModuleId module, Addr displacement) const
     const Addr low = displacement & lowMask(p_);
     const Addr high = displacement >> p_;
     return (high << (p_ + m_)) | (Addr{module} << p_) | low;
-}
-
-bool
-FieldInterleave::gf2Rows(std::vector<std::uint64_t> &rows) const
-{
-    if (m_ == 0)
-        return false;
-    rows.resize(m_);
-    for (unsigned i = 0; i < m_; ++i)
-        rows[i] = std::uint64_t{1} << (p_ + i);
-    return true;
 }
 
 std::string

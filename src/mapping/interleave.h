@@ -29,9 +29,6 @@ class LowOrderInterleave : public ModuleMapping
     unsigned moduleBits() const override { return m_; }
     std::string name() const override;
 
-    /** A mod M as GF(2) rows: rows[i] = 2^i. */
-    bool gf2Rows(std::vector<std::uint64_t> &rows) const override;
-
   private:
     unsigned m_;
 };
@@ -57,11 +54,6 @@ class FieldInterleave : public ModuleMapping
     Addr addressOf(ModuleId module, Addr displacement) const override;
     unsigned moduleBits() const override { return m_; }
     std::string name() const override;
-
-    /** The field as GF(2) rows: rows[i] = 2^{p+i}.  Note this is
-     *  the mapping of one FIXED p; DynamicFieldMapping deliberately
-     *  does NOT forward these rows (its p changes on retune). */
-    bool gf2Rows(std::vector<std::uint64_t> &rows) const override;
 
     /** The field position p. */
     unsigned fieldPos() const { return p_; }

@@ -14,11 +14,9 @@
 #ifndef CFVA_MAPPING_MAPPING_H
 #define CFVA_MAPPING_MAPPING_H
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/bits.h"
 
@@ -65,35 +63,6 @@ class ModuleMapping
 
     /** Human-readable mapping name for tables and traces. */
     virtual std::string name() const = 0;
-
-    /**
-     * When the module component is a FIXED GF(2) linear map — b_i =
-     * parity(A AND rows[i]) with rows that never change for the
-     * lifetime of this object — fills @p rows (rows.size() =
-     * moduleBits()) and returns true.  Mappings whose rows can
-     * change (the dynamic retunable scheme) must return false so
-     * consumers that cache the rows (mapping/bitslice.h) take the
-     * scalar path and stay exact across retunes.
-     */
-    virtual bool
-    gf2Rows(std::vector<std::uint64_t> &rows) const
-    {
-        (void)rows;
-        return false;
-    }
-
-    /**
-     * Bulk entry point: out[i] = moduleOf(addrs[i]) for @p n
-     * elements in one call.  The default maps GF(2)-linear
-     * mappings (gf2Rows) through the bit-sliced packed-lane path —
-     * 64 elements per machine word — and everything else through a
-     * scalar loop; results are bit-identical either way
-     * (tests/test_bitslice.cc).  Hot callers that premap many
-     * streams should hold a BitSlicedMapper instead, which hoists
-     * the row capture out of the call.
-     */
-    virtual void mapModules(const Addr *addrs, std::size_t n,
-                            ModuleId *out) const;
 
     /** The full two-dimensional location of @p a. */
     MappedLocation

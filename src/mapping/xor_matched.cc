@@ -32,15 +32,6 @@ XorMatchedMapping::addressOf(ModuleId module, Addr displacement) const
     return (displacement << t_) | low;
 }
 
-bool
-XorMatchedMapping::gf2Rows(std::vector<std::uint64_t> &rows) const
-{
-    rows.resize(t_);
-    for (unsigned i = 0; i < t_; ++i)
-        rows[i] = (std::uint64_t{1} << i) | (std::uint64_t{1} << (s_ + i));
-    return true;
-}
-
 std::string
 XorMatchedMapping::name() const
 {

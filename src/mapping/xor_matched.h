@@ -46,9 +46,6 @@ class XorMatchedMapping final : public ModuleMapping
     unsigned moduleBits() const override { return t_; }
     std::string name() const override;
 
-    /** Eq. 1 as GF(2) rows: rows[i] = 2^i | 2^{s+i}. */
-    bool gf2Rows(std::vector<std::uint64_t> &rows) const override;
-
     /** The XOR distance s of Eq. 1. */
     unsigned xorDistance() const { return s_; }
 

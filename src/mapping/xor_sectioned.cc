@@ -42,17 +42,6 @@ XorSectionedMapping::addressOf(ModuleId module, Addr displacement) const
     return (displacement << t_) | low;
 }
 
-bool
-XorSectionedMapping::gf2Rows(std::vector<std::uint64_t> &rows) const
-{
-    rows.resize(t_ + u_);
-    for (unsigned i = 0; i < t_; ++i)
-        rows[i] = (std::uint64_t{1} << i) | (std::uint64_t{1} << (s_ + i));
-    for (unsigned i = 0; i < u_; ++i)
-        rows[t_ + i] = std::uint64_t{1} << (y_ + i);
-    return true;
-}
-
 std::string
 XorSectionedMapping::name() const
 {

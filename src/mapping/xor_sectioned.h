@@ -57,9 +57,6 @@ class XorSectionedMapping final : public ModuleMapping
     unsigned moduleBits() const override { return t_ + u_; }
     std::string name() const override;
 
-    /** Eq. 2 as GF(2) rows: the Eq. 1 core plus section bits. */
-    bool gf2Rows(std::vector<std::uint64_t> &rows) const override;
-
     unsigned t() const { return t_; }
     unsigned xorDistance() const { return s_; }
     unsigned sectionPos() const { return y_; }

@@ -25,26 +25,25 @@ BackendCache::lookup(const Key &key, Make &&make)
 }
 
 MemoryBackend &
-BackendCache::backendFor(const MemConfig &cfg, const ModuleMapping &map,
-                         MapPath path)
+BackendCache::backendFor(const MemConfig &cfg, const ModuleMapping &map)
 {
     const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
-                  &map, /*theory=*/false, path};
+                  &map, /*theory=*/false};
     return lookup(key, [&] {
         return std::unique_ptr<MemoryBackend>(
-            std::make_unique<MemorySystem>(cfg, map, path));
+            std::make_unique<MemorySystem>(cfg, map));
     });
 }
 
 TheoryBackend &
 BackendCache::theoryBackendFor(const MemConfig &cfg,
-                               const ModuleMapping &map, MapPath path)
+                               const ModuleMapping &map)
 {
     const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
-                  &map, /*theory=*/true, path};
+                  &map, /*theory=*/true};
     return static_cast<TheoryBackend &>(lookup(key, [&] {
         return std::unique_ptr<MemoryBackend>(
-            std::make_unique<TheoryBackend>(cfg, map, path));
+            std::make_unique<TheoryBackend>(cfg, map));
     }));
 }
 

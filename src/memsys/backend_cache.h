@@ -29,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "mapping/bitslice.h"
 #include "mapping/mapping.h"
 #include "memsys/backend.h"
 
@@ -61,14 +60,10 @@ class BackendCache
     /**
      * The stepped oracle (memsys/memory_system.h) over @p cfg and
      * @p map, built on first use and reused afterwards.  @p map
-     * must outlive the cache.  @p path is part of the key: a
-     * bit-sliced and a scalar-premap variant of the same shape
-     * never alias one entry (the differential harness holds both
-     * live at once).
+     * must outlive the cache.
      */
     MemoryBackend &backendFor(const MemConfig &cfg,
-                              const ModuleMapping &map,
-                              MapPath path = MapPath::BitSliced);
+                              const ModuleMapping &map);
 
     /**
      * The evaluator over the same shape.  Cached separately from
@@ -76,8 +71,7 @@ class BackendCache
      * TierPolicy::AuditBoth can hold both at once.
      */
     TheoryBackend &theoryBackendFor(const MemConfig &cfg,
-                                    const ModuleMapping &map,
-                                    MapPath path = MapPath::BitSliced);
+                                    const ModuleMapping &map);
 
     const BackendCacheStats &stats() const { return stats_; }
 
@@ -99,7 +93,6 @@ class BackendCache
         unsigned outputBuffers = 0;
         const ModuleMapping *map = nullptr;
         bool theory = false; //!< the evaluator, not the oracle
-        MapPath path = MapPath::BitSliced; //!< premap variant
 
         bool operator==(const Key &o) const = default;
     };

@@ -9,8 +9,8 @@
 namespace cfva {
 
 MemorySystem::MemorySystem(const MemConfig &cfg,
-                           const ModuleMapping &map, MapPath path)
-    : cfg_(cfg), slicer_(map, path)
+                           const ModuleMapping &map)
+    : cfg_(cfg), map_(&map)
 {
     cfva_assert(map.moduleBits() == cfg.m,
                 "mapping has 2^", map.moduleBits(),
@@ -55,18 +55,18 @@ MemorySystem::step(const std::vector<Request> *streams, unsigned count,
     MultiPortResult result;
     result.ports.resize(count);
 
-    // Premap every stream before the cycle loop (bit-sliced for
-    // linear mappings); issue attempts below just index the result.
+    // Premap every stream before the cycle loop; issue attempts
+    // below just index the result.
     while (portMods_.size() < count)
         portMods_.emplace_back();
     std::size_t total = 0;
     for (unsigned p = 0; p < count; ++p) {
         const std::vector<Request> &stream = streams[p];
         total += stream.size();
-        portMods_[p].resize(stream.size());
-        slicer_.mapWith(
-            [&stream](std::size_t i) { return stream[i].addr; },
-            stream.size(), portMods_[p].data());
+        std::vector<ModuleId> &mods = portMods_[p];
+        mods.resize(stream.size());
+        for (std::size_t i = 0; i < stream.size(); ++i)
+            mods[i] = map_->moduleOf(stream[i].addr);
         std::vector<Delivery> &buf = result.ports[p].deliveries;
         if (arena)
             buf = arena->acquire(stream.size());

@@ -31,7 +31,6 @@
 
 #include <vector>
 
-#include "mapping/bitslice.h"
 #include "mapping/mapping.h"
 #include "memsys/backend.h"
 #include "memsys/module.h"
@@ -55,13 +54,9 @@ class MemorySystem final : public MemoryBackend
     /**
      * @param cfg   subsystem shape
      * @param map   address mapping; must produce module numbers
-     *              < cfg.modules()
-     * @param path  BitSliced premaps whole streams via the mapping's
-     *              GF(2) rows when available; Scalar forces
-     *              per-element moduleOf() (for differential tests)
+     *              < cfg.modules() and outlive the oracle
      */
-    MemorySystem(const MemConfig &cfg, const ModuleMapping &map,
-                 MapPath path = MapPath::BitSliced);
+    MemorySystem(const MemConfig &cfg, const ModuleMapping &map);
 
     MultiPortResult
     run(const std::vector<std::vector<Request>> &streams,
@@ -88,7 +83,7 @@ class MemorySystem final : public MemoryBackend
                          unsigned count, DeliveryArena *arena);
 
     MemConfig cfg_;
-    BitSlicedMapper slicer_;
+    const ModuleMapping *map_;
 
     // Persistent across runs so a cached oracle stops paying the
     // per-access construction cost (module array with its buffers,

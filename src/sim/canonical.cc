@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/stride.h"
-#include "mapping/bitslice.h"
 
 namespace cfva::sim {
 
@@ -119,8 +118,8 @@ encodeAccess(CanonicalScratch &s, const ScenarioGrid &grid,
              const Scenario &sc, const VectorAccessUnit &unit,
              Addr a1, std::uint64_t baseStride, DeliveryArena *arena)
 {
-    const ModuleId modules = unit.mapping().modules();
-    const BitSlicedMapper mapper(unit.mapping());
+    const ModuleMapping &map = unit.mapping();
+    const ModuleId modules = map.modules();
 
     if (s.portMods.size() < sc.ports)
         s.portMods.resize(sc.ports);
@@ -133,9 +132,8 @@ encodeAccess(CanonicalScratch &s, const ScenarioGrid &grid,
             | (plan.expectConflictFree ? 1u : 0u));
         auto &mods = s.portMods[p];
         mods.resize(plan.stream.size());
-        mapper.mapWith(
-            [&](std::size_t i) { return plan.stream[i].addr; },
-            plan.stream.size(), mods.data());
+        for (std::size_t i = 0; i < plan.stream.size(); ++i)
+            mods[i] = map.moduleOf(plan.stream[i].addr);
         if (arena)
             arena->releaseRequests(std::move(plan.stream));
     }

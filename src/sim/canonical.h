@@ -21,11 +21,10 @@
  * columns rewritten (SweepEngine::replayOutcome).
  *
  * Deliberately excluded, because the differential harnesses prove
- * them outcome-invariant: the map path (bit-sliced vs scalar) and
- * the run shape (threads/grain/shard).  Base addresses are not in
- * the key either — a shifted base that yields order-isomorphic
- * module sequences lands in the same class, exactly the OutcomeMemo
- * soundness argument.
+ * it outcome-invariant: the run shape (threads/grain/shard).  Base
+ * addresses are not in the key either — a shifted base that yields
+ * order-isomorphic module sequences lands in the same class,
+ * exactly the OutcomeMemo soundness argument.
  *
  * The key keeps the full encoded word sequence next to its digest:
  * classing compares the words, so hash collisions cannot merge

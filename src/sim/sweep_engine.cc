@@ -284,7 +284,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
                   const VectorAccessUnit &unit, Addr a1,
                   std::uint64_t baseStride, DeliveryArena *arena,
                   BackendCache *cache, AccessResult *loadOut,
-                  TierPolicy tier, MapPath path)
+                  TierPolicy tier)
 {
     AccessStats out;
     // Attribution only runs while the theory tier is active, so
@@ -304,8 +304,9 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
         const ResultDetail detail = loadOut
                                         ? ResultDetail::SummaryIfUniform
                                         : ResultDetail::Summary;
-        AccessResult r = unit.execute(p, arena, cache, tier, tcp,
-                                      path, CollapseMode::On, detail);
+        AccessResult r =
+            unit.execute(p, arena, cache, tier, tcp, MapPath::BitSliced,
+                         CollapseMode::On, detail);
         out.latency = r.latency;
         out.stalls = r.stallCycles;
         out.conflictFree = r.conflictFree;
@@ -334,8 +335,9 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
                 .stream);
     }
     MultiPortResult r =
-        unit.executePorts(streams, arena, cache, tier, tcp, path,
-                          CollapseMode::On, ResultDetail::Summary);
+        unit.executePorts(streams, arena, cache, tier, tcp,
+                          MapPath::BitSliced, CollapseMode::On,
+                          ResultDetail::Summary);
     if (arena) {
         for (auto &s : streams)
             arena->releaseRequests(std::move(s));
@@ -443,8 +445,7 @@ ScenarioOutcome
 SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                          const VectorAccessUnit &unit,
                          DeliveryArena *arena, BackendCache *cache,
-                         WorkloadUnits *workloads, TierPolicy tier,
-                         MapPath path)
+                         WorkloadUnits *workloads, TierPolicy tier)
 {
     if (tier == TierPolicy::AuditBoth) {
         // Run the scenario under each tier and compare field for
@@ -457,10 +458,10 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         // still report the claim rate.
         ScenarioOutcome simOut =
             runScenario(grid, sc, unit, arena, cache, workloads,
-                        TierPolicy::SimulateAlways, path);
+                        TierPolicy::SimulateAlways);
         ScenarioOutcome thOut =
             runScenario(grid, sc, unit, arena, cache, workloads,
-                        TierPolicy::TheoryFirst, path);
+                        TierPolicy::TheoryFirst);
         ScenarioOutcome cmp = thOut;
         cmp.theoryClaimed = 0;
         cmp.theoryFallback = 0;
@@ -504,7 +505,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         out.minLatency = floor1;
         foldAccess(out, runWorkloadAccess(grid, sc, unit, sc.a1,
                                           sc.stride, arena, cache,
-                                          nullptr, tier, path));
+                                          nullptr, tier));
         return out;
       }
 
@@ -518,7 +519,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                    runWorkloadAccess(grid, sc, unit, sc.a1,
                                      sc.stride, arena, cache,
                                      capture ? &load : nullptr,
-                                     tier, path));
+                                     tier));
         out.decoupledCycles = out.latency;
         out.chainedCycles = out.latency;
         applyExecuteStep(out, sc, wl, std::move(load), arena);
@@ -538,8 +539,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                            grid, sc, unit,
                            sc.a1 + Addr{tap} * sc.stride, sc.stride,
                            arena, cache,
-                           capture ? &lastLoad : nullptr, tier,
-                           path));
+                           capture ? &lastLoad : nullptr, tier));
         }
         const Cycle loadTotal = out.latency;
         out.decoupledCycles = loadTotal;
@@ -547,7 +547,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         applyExecuteStep(out, sc, wl, std::move(lastLoad), arena);
         const AccessStats store = runWorkloadAccess(
             grid, sc, unit, sc.a1, sc.stride, arena, cache, nullptr,
-            tier, path);
+            tier);
         foldAccess(out, store);
         out.decoupledCycles += store.latency;
         out.chainedCycles += store.latency;
@@ -614,7 +614,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                 foldAccess(out, runWorkloadAccess(
                                     grid, sc, *phaseUnit, sc.a1,
                                     phaseStride, arena, phaseCache,
-                                    nullptr, tier, path));
+                                    nullptr, tier));
             }
         }
         // The relayout charge is part of the program's memory time:
@@ -1115,7 +1115,7 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
                     buf.push_back(runScenario(
                         grid, sc, mine.unitFor(grid, sc.mappingIndex),
                         &mine.deliveries, &mine.backends,
-                        &mine.workloads, opts_.tier, opts_.mapPath));
+                        &mine.workloads, opts_.tier));
                     const ScenarioOutcome &o = buf.back();
                     mine.theoryClaims += o.theoryClaimed;
                     mine.theoryFallbacks += o.theoryFallback;

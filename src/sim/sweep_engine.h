@@ -404,15 +404,6 @@ struct SweepOptions
      */
     TierPolicy tier = TierPolicy::SimulateAlways;
 
-    /**
-     * Address-to-module mapping path of every backend: the default
-     * bit-sliced GF(2) premap (64 elements per bit-matrix multiply)
-     * or the scalar per-element walk.  Reports are bit-identical
-     * either way (tests diff them); the knob exists to measure the
-     * bit-slice speedup and to debug with the simple path.
-     */
-    MapPath mapPath = MapPath::BitSliced;
-
     /** Ignored; the field stays only until ROADMAP item 1 drops it
      *  from the benchmark. */
     CollapseMode collapse = CollapseMode::On;
@@ -506,9 +497,7 @@ class SweepEngine
                                        WorkloadUnits *workloads =
                                            nullptr,
                                        TierPolicy tier =
-                                           TierPolicy::SimulateAlways,
-                                       MapPath path =
-                                           MapPath::BitSliced);
+                                           TierPolicy::SimulateAlways);
 
     /**
      * Rewrites the identity columns of a class representative's

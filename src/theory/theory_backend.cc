@@ -24,8 +24,8 @@ wrapSinglePort(AccessResult &&r)
 } // namespace
 
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
-                             const ModuleMapping &map, MapPath path)
-    : cfg_(cfg), slicer_(map, path)
+                             const ModuleMapping &map)
+    : cfg_(cfg), map_(&map)
 {
 }
 
@@ -34,9 +34,8 @@ TheoryBackend::premap(const std::vector<Request> &stream,
                       std::vector<ModuleId> &mods)
 {
     mods.resize(stream.size());
-    slicer_.mapWith(
-        [&stream](std::size_t i) { return stream[i].addr; },
-        stream.size(), mods.data());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        mods[i] = map_->moduleOf(stream[i].addr);
 }
 
 void
@@ -139,8 +138,7 @@ TheoryBackend::runSingleHinted(bool expectConflictFree,
                                DeliveryArena *arena,
                                ResultDetail detail)
 {
-    // Premap once (bit-sliced when the mapping exposes GF(2) rows);
-    // the proof and the solver's pass both reuse it.
+    // Premap once; the proof and the solver's pass both reuse it.
     premap(stream, mods_);
     AccessResult out;
     // The proof is tried even when the planner's windows say the

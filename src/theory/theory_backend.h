@@ -65,7 +65,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mapping/bitslice.h"
 #include "mapping/mapping.h"
 #include "memsys/backend.h"
 #include "theory/conflict_solver.h"
@@ -85,10 +84,8 @@ class TheoryBackend final : public MemoryBackend
     /**
      * @param cfg   memory shape the claims are proved against
      * @param map   address mapping (must outlive the backend)
-     * @param path  stream premap strategy (see MapPath)
      */
-    TheoryBackend(const MemConfig &cfg, const ModuleMapping &map,
-                  MapPath path = MapPath::BitSliced);
+    TheoryBackend(const MemConfig &cfg, const ModuleMapping &map);
 
     MultiPortResult
     run(const std::vector<std::vector<Request>> &streams,
@@ -163,8 +160,8 @@ class TheoryBackend final : public MemoryBackend
     }
 
   private:
-    /** Premaps @p stream into @p mods (bit-sliced for linear
-     *  mappings). */
+    /** Premaps @p stream into @p mods through the mapping's
+     *  moduleOf(). */
     void premap(const std::vector<Request> &stream,
                 std::vector<ModuleId> &mods);
 
@@ -211,7 +208,7 @@ class TheoryBackend final : public MemoryBackend
         ResultDetail detail);
 
     MemConfig cfg_;
-    BitSlicedMapper slicer_;
+    const ModuleMapping *map_;
     ConflictSolver solver_;
 
     std::vector<Cycle> nextFree_; // per-module scratch

@@ -11,9 +11,9 @@
  * stepping to the end — must return AccessResults bit-identical to
  * the oracle's (memsys/memory_system.h) — every delivery record with
  * all five timestamps, every stall, every aggregate — on every
- * mapping kind, both premap paths, and lengths on both sides of the
- * module sequence's period (including L < one period and L = k *
- * period exactly).  The StepperEdges suite drives the stepper itself along
+ * mapping kind and lengths on both sides of the module sequence's
+ * period (including L < one period and L = k * period exactly).
+ * The StepperEdges suite drives the stepper itself along
  * the edges of its recurrence logic: lengths around the first
  * snapshot pair, periods around kMaxPeriod, an exhausted snapshot
  * budget, buffer-depth and service-time extremes, and a 10^6-element
@@ -77,10 +77,9 @@ solveFull(ConflictSolver &solver, const MemConfig &cfg,
 }
 
 /**
- * Answers @p stream with the theory tier's solver over both premap
- * paths, twice per path (the second answer replays the memo when the
- * first one collapsed), and asserts every answer is bit-identical to
- * the oracle on the same path.
+ * Answers @p stream with the theory tier's solver twice (the second
+ * answer replays the memo when the first one collapsed), and asserts
+ * every answer is bit-identical to the oracle.
  */
 void
 expectSolverMatchesOracle(const MemConfig &cfg,
@@ -88,26 +87,20 @@ expectSolverMatchesOracle(const MemConfig &cfg,
                           const std::vector<Request> &stream,
                           const std::string &what)
 {
-    for (MapPath path : {MapPath::BitSliced, MapPath::Scalar}) {
-        const AccessResult expect =
-            MemorySystem(cfg, map, path).runSingle(stream);
-        std::vector<ModuleId> mods(stream.size());
-        BitSlicedMapper(map, path).mapWith(
-            [&stream](std::size_t i) { return stream[i].addr; },
-            stream.size(), mods.data());
-        ConflictSolver solver;
-        for (const char *pass : {"first", "repeat"}) {
-            const AccessResult got = solveFull(solver, cfg, stream, mods);
-            ASSERT_EQ(got.deliveries.size(), expect.deliveries.size())
-                << what << " (" << pass << ")";
-            for (std::size_t i = 0; i < expect.deliveries.size(); ++i) {
-                ASSERT_EQ(got.deliveries[i], expect.deliveries[i])
-                    << what << " (" << pass << "): delivery " << i
-                    << " diverges (element "
-                    << expect.deliveries[i].element << ")";
-            }
-            EXPECT_EQ(got, expect) << what << " (" << pass << ")";
+    const AccessResult expect = MemorySystem(cfg, map).runSingle(stream);
+    const std::vector<ModuleId> mods = premapped(map, stream);
+    ConflictSolver solver;
+    for (const char *pass : {"first", "repeat"}) {
+        const AccessResult got = solveFull(solver, cfg, stream, mods);
+        ASSERT_EQ(got.deliveries.size(), expect.deliveries.size())
+            << what << " (" << pass << ")";
+        for (std::size_t i = 0; i < expect.deliveries.size(); ++i) {
+            ASSERT_EQ(got.deliveries[i], expect.deliveries[i])
+                << what << " (" << pass << "): delivery " << i
+                << " diverges (element "
+                << expect.deliveries[i].element << ")";
         }
+        EXPECT_EQ(got, expect) << what << " (" << pass << ")";
     }
 }
 

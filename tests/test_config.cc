@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/config.h"
 #include "test_util.h"
 
@@ -118,6 +121,58 @@ TEST(Config, RejectsUnmatchedWithoutM)
     cfg.t = 2;
     cfg.lambda = 8;
     EXPECT_THROW(cfg.validate(), std::runtime_error);
+}
+
+/** The message validate() raises for @p cfg, or "" if it passes. */
+std::string
+rejection(const VectorUnitConfig &cfg)
+{
+    test::ScopedPanicThrow guard;
+    try {
+        cfg.validate();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Config, RejectsUnmatchedMAboveMappingBound)
+{
+    // cfva_sweep --kinds simple --t 2 --lambda 16 --m 13: the
+    // mapping supports at most 12 module bits.
+    VectorUnitConfig cfg;
+    cfg.kind = MemoryKind::SimpleUnmatched;
+    cfg.t = 2;
+    cfg.lambda = 16;
+    cfg.mOverride = 13;
+    EXPECT_NE(rejection(cfg).find("m <= 12"), std::string::npos)
+        << rejection(cfg);
+}
+
+TEST(Config, RejectsUnmatchedSBelowM)
+{
+    // cfva_sweep --kinds simple --t 2 --lambda 12 --m 12: the
+    // default s = lambda - t = 10 is below m.
+    VectorUnitConfig cfg;
+    cfg.kind = MemoryKind::SimpleUnmatched;
+    cfg.t = 2;
+    cfg.lambda = 12;
+    cfg.mOverride = 12;
+    EXPECT_NE(rejection(cfg).find("s >= m"), std::string::npos)
+        << rejection(cfg);
+}
+
+TEST(Config, RejectsUnmatchedSPlusMAboveMappingBound)
+{
+    // An explicit s past the mapping's 56-bit address field.
+    VectorUnitConfig cfg;
+    cfg.kind = MemoryKind::SimpleUnmatched;
+    cfg.t = 2;
+    cfg.lambda = 12;
+    cfg.mOverride = 12;
+    cfg.sOverride = 45;
+    EXPECT_NE(rejection(cfg).find("s+m <= 56"), std::string::npos)
+        << rejection(cfg);
 }
 
 TEST(Config, RejectsZeroBuffers)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the cycle-accurate multi-module memory simulator.
+ * Tests for the cycle-accurate multi-module memory simulator, the
+ * per-worker backend cache, and the delivery arena's request pool.
  */
 
 #include <gtest/gtest.h>
@@ -9,10 +10,13 @@
 
 #include "access/ordering.h"
 #include "common/stats.h"
+#include "mapping/dynamic.h"
 #include "mapping/interleave.h"
 #include "mapping/xor_matched.h"
+#include "memsys/backend_cache.h"
 #include "memsys/memory_system.h"
 #include "test_util.h"
+#include "theory/theory_backend.h"
 
 namespace cfva {
 namespace {
@@ -278,6 +282,71 @@ TEST(MemorySystem, DeliveryOrderHelper)
     ASSERT_EQ(order.size(), 8u);
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
+}
+
+TEST(BackendCache, CachedBackendsSeeRetunesBetweenAccesses)
+{
+    // Backends premap every stream through the mapping's moduleOf()
+    // on each run, so a cached oracle and a cached evaluator follow
+    // a retune() made between two accesses.
+    DynamicFieldMapping dyn(3, 4);
+    const MemConfig cfg{3, 3, 1, 1};
+    BackendCache cache;
+    Rng rng(0xD1Aull);
+    std::vector<Request> stream(97);
+    for (unsigned tune : {4u, 6u, 2u}) {
+        dyn.retune(tune);
+        for (std::size_t i = 0; i < stream.size(); ++i)
+            stream[i] = Request{rng.below(Addr{1} << 40), i};
+        MemoryBackend *backends[] = {
+            &cache.backendFor(cfg, dyn),
+            &cache.theoryBackendFor(cfg, dyn)};
+        for (MemoryBackend *backend : backends) {
+            const AccessResult r = backend->runSingle(stream);
+            ASSERT_EQ(r.deliveries.size(), stream.size());
+            for (const Delivery &d : r.deliveries) {
+                ASSERT_EQ(d.module,
+                          dyn.moduleOf(stream[d.element].addr))
+                    << "tune " << tune << " element " << d.element;
+            }
+        }
+    }
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 4u);
+}
+
+TEST(DeliveryArena, RequestPoolAccounting)
+{
+    DeliveryArena arena;
+    EXPECT_EQ(arena.acquires(), 0u);
+    EXPECT_EQ(arena.reuses(), 0u);
+
+    std::vector<Request> buf = arena.acquireRequests(100);
+    EXPECT_GE(buf.capacity(), 100u);
+    EXPECT_EQ(arena.acquires(), 1u);
+    EXPECT_EQ(arena.reuses(), 0u);
+
+    arena.releaseRequests(std::move(buf));
+    EXPECT_EQ(arena.pooledRequests(), 1u);
+    EXPECT_GT(arena.peakBytes(), 0u);
+
+    // The second acquire is served from the pool, keeping the
+    // original capacity (no allocator round trip).
+    std::vector<Request> again = arena.acquireRequests(50);
+    EXPECT_GE(again.capacity(), 100u);
+    EXPECT_TRUE(again.empty());
+    EXPECT_EQ(arena.acquires(), 2u);
+    EXPECT_EQ(arena.reuses(), 1u);
+    arena.releaseRequests(std::move(again));
+
+    // An oversize buffer (grown past kMaxPooledCapacity) is freed
+    // on release instead of pinning peak-sized capacity forever.
+    std::vector<Request> big =
+        arena.acquireRequests(DeliveryArena::kMaxPooledCapacity + 1);
+    EXPECT_EQ(arena.reuses(), 2u);
+    arena.releaseRequests(std::move(big));
+    EXPECT_EQ(arena.pooledRequests(), 0u);
 }
 
 } // namespace

@@ -11,6 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
+#include "common/stats.h"
+#include "common/stride.h"
 #include "core/access_unit.h"
 #include "sim/cli.h"
 #include "sim/scenario.h"
@@ -32,6 +38,46 @@ smallGrid()
     grid.starts = {0, 13};
     grid.randomStarts = 2;
     grid.seed = 0xC0FFEEull;
+    return grid;
+}
+
+/** A small randomized grid covering every mapping kind, one and
+ *  two ports, and lengths on both sides of the register length. */
+ScenarioGrid
+everyKindGrid(std::uint64_t seed)
+{
+    Rng rng(seed);
+    ScenarioGrid grid;
+    for (MemoryKind kind :
+         {MemoryKind::Matched, MemoryKind::SimpleUnmatched,
+          MemoryKind::Sectioned, MemoryKind::DynamicTuned,
+          MemoryKind::PseudoRandom}) {
+        VectorUnitConfig cfg;
+        cfg.kind = kind;
+        cfg.t = 2 + static_cast<unsigned>(rng.below(2));
+        cfg.lambda = 2 * cfg.t + 1 + static_cast<unsigned>(rng.below(2));
+        cfg.inputBuffers = 1 + static_cast<unsigned>(rng.below(3));
+        cfg.outputBuffers = 1 + static_cast<unsigned>(rng.below(2));
+        if (kind == MemoryKind::SimpleUnmatched) {
+            cfg.mOverride =
+                cfg.t + static_cast<unsigned>(
+                            rng.below(cfg.lambda - 2 * cfg.t + 1));
+        }
+        if (kind == MemoryKind::DynamicTuned)
+            cfg.dynamicTune = static_cast<unsigned>(rng.below(6));
+        if (kind == MemoryKind::PseudoRandom)
+            cfg.prandSeed = rng.next();
+        grid.mappings.push_back(cfg);
+    }
+    for (unsigned x = 0; x <= 5; ++x)
+        grid.strides.push_back(
+            Stride::fromFamily(rng.oddBelow(64), x).value());
+    // Full register, a short vector, and a chunked multi-register
+    // length.
+    grid.lengths = {0, 1 + rng.below(31), 512};
+    grid.randomStarts = 1;
+    grid.ports = {1, 2};
+    grid.seed = rng.next();
     return grid;
 }
 
@@ -137,6 +183,67 @@ TEST(SweepEngine, DefaultRunExecutesEveryJobWithoutKeying)
     EXPECT_EQ(stats.dedupClasses, 0u);
     EXPECT_EQ(stats.dedupReplays, 0u);
     EXPECT_EQ(stats.dedupKeySeconds, 0.0);
+}
+
+TEST(SweepEngine, WorkerArenasAreWarmOnTheHotPath)
+{
+    const ScenarioGrid grid = everyKindGrid(0xB175EEDull);
+    ASSERT_GE(grid.jobCount(), 200u);
+    SweepRunStats stats;
+    const SweepReport report = SweepEngine().run(grid, &stats);
+    EXPECT_EQ(report.jobs(), grid.jobCount());
+    EXPECT_GT(stats.arenaAcquires, 0u);
+    EXPECT_GT(stats.arenaReuses, 0u);
+    EXPECT_GT(stats.arenaPeakBytes, 0u);
+    EXPECT_GE(stats.arenaAcquires, stats.arenaReuses);
+}
+
+TEST(SweepEngine, WorkerCountClampsToHardware)
+{
+    const ScenarioGrid grid = everyKindGrid(0xC1A3Dull);
+    SweepOptions opts;
+    opts.threads = 4096; // absurd request: must clamp, not spawn
+    SweepRunStats stats;
+    const SweepReport report = SweepEngine(opts).run(grid, &stats);
+    EXPECT_EQ(report.jobs(), grid.jobCount());
+    const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_LE(stats.threads, hw);
+    EXPECT_GE(stats.threads, 1u);
+}
+
+TEST(SweepEngine, MultiThreadThroughputNoWorseThanSingle)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (hw < 2)
+        GTEST_SKIP() << "single-CPU host: scaling check needs >= 2 "
+                        "hardware threads";
+
+    const ScenarioGrid grid = everyKindGrid(0x5CA1EDull);
+    auto timeRun = [&](unsigned threads) {
+        SweepOptions opts;
+        opts.threads = threads;
+        const auto t0 = std::chrono::steady_clock::now();
+        const SweepReport r = SweepEngine(opts).run(grid);
+        const auto t1 = std::chrono::steady_clock::now();
+        EXPECT_EQ(r.jobs(), grid.jobCount());
+        return std::chrono::duration<double>(t1 - t0).count();
+    };
+
+    // Warm up allocators and caches, then take the best of three —
+    // wall-clock scaling on shared CI hosts is noisy and the check
+    // is a regression guard (threads must not make it slower), not
+    // a speedup assertion.
+    timeRun(1);
+    double single = 1e9, multi = 1e9;
+    for (int rep = 0; rep < 3; ++rep) {
+        single = std::min(single, timeRun(1));
+        multi = std::min(multi, timeRun(hw));
+    }
+    EXPECT_LE(multi, single / 0.95 + 0.010)
+        << "threads=" << hw << " took " << multi
+        << "s vs threads=1 at " << single
+        << "s — multi-thread sweep regressed below 0.95x";
 }
 
 TEST(SweepEngine, ReportIdenticalAtAnyThreadCount)

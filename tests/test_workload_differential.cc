@@ -93,9 +93,11 @@ differentialGrid()
     return grid;
 }
 
-TEST(WorkloadDifferential, TiersBitIdenticalOnRandomizedGrid)
+/** Sweeps @p grid under both tiers and asserts the reports are
+ *  bit-identical, attribution columns aside. */
+void
+expectTiersAgree(const ScenarioGrid &grid)
 {
-    const ScenarioGrid grid = differentialGrid();
     // Dedup audit executes every member (full differential
     // coverage, nothing replayed) and cross-checks each against
     // the canonical-class replay on the side.
@@ -122,9 +124,26 @@ TEST(WorkloadDifferential, TiersBitIdenticalOnRandomizedGrid)
             << ", workload "
             << oracle
                    .workloadLabels[oracle.outcomes[i].workloadIndex]
-            << ")";
+            << ", a1 " << oracle.outcomes[i].a1 << ")";
     }
     EXPECT_EQ(oracle, fast);
+}
+
+TEST(WorkloadDifferential, TiersBitIdenticalOnRandomizedGrid)
+{
+    expectTiersAgree(differentialGrid());
+}
+
+TEST(WorkloadDifferential, TiersBitIdenticalOnStartsNearTwoToThe64)
+{
+    // Every kind's moduleOf() on streams that start within 4096 of
+    // 2^64, where the high address bits are set and the element
+    // addresses wrap past 2^64.
+    ScenarioGrid grid = differentialGrid();
+    grid.starts = {~Addr{0}, ~Addr{0} - 4095};
+    grid.randomStarts = 0;
+    grid.lengths = {0, 63, 64, 200};
+    expectTiersAgree(grid);
 }
 
 TEST(WorkloadDifferential, SingleWorkloadFieldsMatchLegacyShape)

@@ -101,13 +101,6 @@ usage(std::ostream &os)
           "                     every scenario, cross-checks them\n"
           "                     bit for bit, and exits non-zero on\n"
           "                     any divergence\n"
-          "  --map-path P       bitsliced | scalar (default\n"
-          "                     bitsliced): premap request streams\n"
-          "                     with the GF(2) bit-matrix kernel\n"
-          "                     (64 elements per multiply) or the\n"
-          "                     per-element walk; reports are bit-\n"
-          "                     identical either way\n"
-
           "  --threads N        worker threads (0 = all cores;\n"
           "                     clamped to the hardware)\n"
           "  --grain N          jobs per work item (0 = adaptive,\n"
@@ -238,17 +231,6 @@ parseWorkloadKind(const std::string &name)
                " (expected single|chain|retune|stencil)");
 }
 
-MapPath
-parseMapPath(const std::string &name)
-{
-    if (name == "bitsliced")
-        return MapPath::BitSliced;
-    if (name == "scalar")
-        return MapPath::Scalar;
-    cfva_fatal("unknown map path: ", name,
-               " (expected bitsliced|scalar)");
-}
-
 TierPolicy
 parseTier(const std::string &name)
 {
@@ -317,7 +299,6 @@ struct Options
     sim::ShardSpec shard;
     bool stream = false;
     TierPolicy tier = TierPolicy::TheoryFirst;
-    MapPath mapPath = MapPath::BitSliced;
     std::string csvPath;
     std::string jsonPath;
     bool summary = true;
@@ -391,8 +372,6 @@ parseArgs(int argc, char **argv)
             o.seed = parseU64(need(i, "--seed"), "--seed");
         } else if (a == "--tier") {
             o.tier = parseTier(need(i, "--tier"));
-        } else if (a == "--map-path") {
-            o.mapPath = parseMapPath(need(i, "--map-path"));
         } else if (a == "--threads") {
             o.threads = parseU32(need(i, "--threads"),
                                  "--threads");
@@ -591,15 +570,12 @@ main(int argc, char **argv)
              << ") = " << (last - first) << " scenarios\n";
     }
     info << "tier: " << to_string(o.tier) << "\n";
-    if (o.mapPath != MapPath::BitSliced)
-        info << "map path: " << to_string(o.mapPath) << "\n";
 
     sim::SweepOptions opts;
     opts.threads = o.threads;
     opts.grain = o.grain;
     opts.shard = o.shard;
     opts.tier = o.tier;
-    opts.mapPath = o.mapPath;
 
     if (o.stream) {
         // Streaming mode: outcomes flow straight through the
