@@ -60,7 +60,6 @@
 #include "vproc/stripmine.h"
 
 // Batch scenario sweeps.
-#include "sim/canonical.h"
 #include "sim/merge.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"

@@ -86,9 +86,9 @@ enum class ResultDetail
  * Why the theory tier stepped an access instead of claiming it.
  * None means the access was answered analytically (or the theory
  * tier was not active at all).  The reason is a deterministic
- * function of the mapping and the planned module sequence — the same
- * inputs the scenario CanonicalKey encodes — so dedup replays carry
- * it soundly.
+ * function of the mapping and the planned module sequence, never of
+ * which worker's cache or memo answered, so reports stay identical at
+ * any thread count, grain and shard.
  */
 enum class FallbackReason : std::uint8_t
 {

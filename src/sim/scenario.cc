@@ -1,5 +1,6 @@
 #include "sim/scenario.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
@@ -82,17 +83,44 @@ ScenarioGrid::expand() const
     cfva_assert(!workloads.empty(),
                 "the workload axis needs at least one workload (the "
                 "default-constructed Workload is a single access)");
+    bool retune = false;
     for (const auto &wl : workloads) {
         wl.validate();
+        retune = retune || wl.kind == WorkloadKind::Retune;
         if (wl.kind == WorkloadKind::Retune
             || wl.kind == WorkloadKind::Stencil) {
             // Both derive shifted/doubled strides from the base.
             for (std::uint64_t s : strides) {
-                cfva_assert(s <= (~std::uint64_t{0} >> 2),
-                            "stride ", s, " overflows the ",
-                            to_string(wl.kind), " workload's "
-                            "derived strides");
+                if (s > (~std::uint64_t{0} >> 2)) {
+                    cfva_fatal("--workloads ", to_string(wl.kind),
+                               " shifts or doubles the base stride, "
+                               "so --strides (or --families/--sigmas) "
+                               "must be at most 2^62 - 1, got ", s);
+                }
             }
+        }
+    }
+
+    // Each port plans its base stride times its --port-mix
+    // multiplier as a signed stride, and Retune's second phase plans
+    // twice the base: every such stride must fit in 2^63 - 1.
+    const unsigned maxPorts =
+        ports.empty() ? 0 : *std::max_element(ports.begin(), ports.end());
+    std::uint64_t mag = 1; // largest |multiplier| any port runs
+    for (const auto &mix : portMixes) {
+        for (std::size_t p = 0;
+             p < maxPorts && p < mix.multipliers.size(); ++p) {
+            const std::int64_t m = mix.multipliers[p];
+            mag = std::max<std::uint64_t>(mag, m < 0 ? -m : m);
+        }
+    }
+    const std::uint64_t phases = retune ? 2 : 1;
+    for (std::uint64_t s : strides) {
+        if (s > (~std::uint64_t{0} >> 1) / (phases * mag)) {
+            cfva_fatal("--strides (or --families/--sigmas) ", s,
+                       retune ? " times 2 for --workloads retune" : "",
+                       " times --port-mix multiplier ", mag,
+                       " exceeds the largest signed stride 2^63 - 1");
         }
     }
 

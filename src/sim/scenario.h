@@ -155,7 +155,8 @@ struct ScenarioGrid
      * Flattens the grid into jobs in deterministic order and
      * resolves randomized starts.  Calls validate() on every
      * mapping configuration first, and fails on a length above
-     * kMaxLength.
+     * kMaxLength or on a stride that, times a port's mix multiplier
+     * (and twice that for Retune), exceeds 2^63 - 1.
      */
     std::vector<Scenario> expand() const;
 };

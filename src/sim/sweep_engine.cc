@@ -1,17 +1,13 @@
 #include "sim/sweep_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <numeric>
-#include <optional>
 #include <ostream>
 #include <thread>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/stride.h"
@@ -237,9 +233,23 @@ SweepEngine::SweepEngine(SweepOptions opts) : opts_(opts)
 
 namespace {
 
-// mixedStride and planPortStream live in sim/canonical.{h,cc} now:
-// the canonicalizer must plan exactly the streams the engine runs,
-// so both paths share one definition.
+/** Port @p p's signed stride under @p mix.  ScenarioGrid::expand
+ *  rejects strides whose mixed value overflows, so this only
+ *  asserts. */
+std::int64_t
+mixedStride(std::uint64_t baseStride, const PortMix &mix, unsigned p)
+{
+    const std::int64_t mult = mix.multiplierFor(p);
+    const std::uint64_t mag =
+        static_cast<std::uint64_t>(mult < 0 ? -mult : mult);
+    cfva_assert(baseStride
+                    <= (~std::uint64_t{0} >> 1) / (mag ? mag : 1),
+                "port-mix stride ", baseStride, " * ", mult,
+                " overflows");
+    const std::int64_t scaled =
+        static_cast<std::int64_t>(baseStride * mag);
+    return mult < 0 ? -scaled : scaled;
+}
 
 /** Scalar outcome of one access within a workload sequence. */
 struct AccessStats
@@ -441,6 +451,24 @@ clampedTune(unsigned family, unsigned m)
 
 } // namespace
 
+AccessPlan
+planPortStream(const ScenarioGrid &grid, const Scenario &sc,
+               const VectorAccessUnit &unit, unsigned p, Addr a1,
+               std::uint64_t baseStride, DeliveryArena *arena)
+{
+    const PortMix &mix = grid.portMixes[sc.portMixIndex];
+    const std::int64_t stride = mixedStride(baseStride, mix, p);
+    Addr start = a1 + Addr{p} * grid.portStagger;
+    if (stride < 0) {
+        start += (sc.length - 1)
+                 * static_cast<std::uint64_t>(-stride);
+    }
+    return unit.plan(start, stride, sc.length,
+                     arena ? arena->acquireRequests(sc.length)
+                           : std::vector<Request>{},
+                     /*explain=*/false);
+}
+
 ScenarioOutcome
 SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                          const VectorAccessUnit &unit,
@@ -627,23 +655,6 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
     cfva_panic("unreachable workload kind");
 }
 
-ScenarioOutcome
-SweepEngine::replayOutcome(const ScenarioOutcome &rep,
-                           const Scenario &member)
-{
-    ScenarioOutcome out = rep;
-    out.index = member.index;
-    out.mappingIndex = member.mappingIndex;
-    out.portMixIndex = member.portMixIndex;
-    out.workloadIndex = member.workloadIndex;
-    out.stride = member.stride;
-    out.family = Stride(member.stride).family();
-    out.length = member.length;
-    out.a1 = member.a1;
-    out.ports = member.ports;
-    return out;
-}
-
 namespace {
 
 /** A contiguous range of job indices, the unit of stealing. */
@@ -824,116 +835,6 @@ class OrderedFlush
     bool delivering_ = false;
 };
 
-/** One canonical equivalence class of the dedup pre-pass. */
-struct DedupClass
-{
-    CanonicalKey key;
-
-    /** The outcome of the class's executed representative; measured
-     *  fields only matter — replayOutcome rewrites every identity
-     *  column. */
-    std::optional<ScenarioOutcome> outcome;
-};
-
-/**
- * The adapter between the ordered flush and the real sink when
- * dedup is active.  The flush delivers EXECUTED outcomes (one per
- * class under DedupMode::On; every member under Audit)
- * in ascending order; this sink resolves their classes and emits
- * the full job stream — replays included — to the real sink in
- * strictly increasing job order.  Representatives are chosen in
- * ascending job order, so by the time job j stalls the drain, its
- * class's representative (some job <= j) has always already been
- * delivered or is the next execution the flush is waiting on:
- * the drain never deadlocks and always finishes at lastJob.
- * Calls are serialized by the flush.
- */
-class DedupReplaySink final : public SweepSink
-{
-  public:
-    DedupReplaySink(SweepSink &sink,
-                    const std::vector<Scenario> &jobs,
-                    std::size_t firstJob, std::size_t lastJob,
-                    const std::vector<std::uint32_t> &classOf,
-                    std::vector<DedupClass> &classes, DedupMode mode)
-        : sink_(sink), jobs_(jobs), firstJob_(firstJob),
-          lastJob_(lastJob), classOf_(classOf), classes_(classes),
-          mode_(mode), next_(firstJob)
-    {
-    }
-
-    void
-    consume(const ScenarioOutcome &o) override
-    {
-        DedupClass &cls = classes_[classOf_[o.index - firstJob_]];
-        if (!cls.outcome) {
-            cls.outcome = o;
-        } else if (mode_ == DedupMode::Audit) {
-            const ScenarioOutcome replay =
-                SweepEngine::replayOutcome(*cls.outcome,
-                                           jobs_[o.index]);
-            if (!(replay == o)) {
-                ++auditDivergences_;
-                cfva_warn("dedup audit divergence at job ", o.index,
-                          ": stride=", o.stride,
-                          " length=", o.length, " a1=", o.a1,
-                          " ports=", o.ports,
-                          " (executed latency=", o.latency,
-                          ", replayed latency=", replay.latency,
-                          ")");
-            }
-        }
-        if (mode_ == DedupMode::Audit) {
-            // Audit executes every member in job order; the
-            // executed outcome is the ground truth that reaches
-            // the sink.
-            cfva_assert(o.index == next_,
-                        "dedup audit stream out of order at job ",
-                        o.index);
-            sink_.consume(o);
-            ++next_;
-            return;
-        }
-        drain();
-    }
-
-    /** Lowest job index not yet delivered to the real sink. */
-    std::size_t delivered() const { return next_; }
-
-    std::uint64_t
-    auditDivergences() const
-    {
-        return auditDivergences_;
-    }
-
-  private:
-    /** Emits replays for every job whose class is resolved, in job
-     *  order, until the stream stalls on an unexecuted class. */
-    void
-    drain()
-    {
-        while (next_ < lastJob_) {
-            const DedupClass &cls =
-                classes_[classOf_[next_ - firstJob_]];
-            if (!cls.outcome)
-                return;
-            sink_.consume(SweepEngine::replayOutcome(
-                *cls.outcome, jobs_[next_]));
-            ++next_;
-        }
-    }
-
-    SweepSink &sink_;
-    const std::vector<Scenario> &jobs_;
-    std::size_t firstJob_;
-    std::size_t lastJob_;
-    const std::vector<std::uint32_t> &classOf_;
-    std::vector<DedupClass> &classes_;
-    DedupMode mode_;
-    std::size_t next_;
-    std::uint64_t auditDivergences_ = 0;
-};
-
 } // namespace
 
 void
@@ -969,227 +870,118 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
         return;
     }
 
-    // Dedup pre-pass: canonicalize every job of the slice, group
-    // equal keys into classes, and reduce the execution list to one
-    // representative per class (Audit keeps every job — it executes
-    // the members to check the replays against them).
-    const DedupMode mode = opts_.dedup;
-    const bool dedup = mode != DedupMode::Off;
-    std::vector<std::uint32_t> classOf;
-    std::vector<DedupClass> classes;
-    std::vector<std::size_t> execJobs;
-    DeliveryArena keyArena;
-    if (dedup) {
-        // The keying pre-pass runs sequentially before any worker
-        // starts, so its cost is invisible in the parallel-phase
-        // timings; stats report it separately.
-        const auto keyStart = std::chrono::steady_clock::now();
-        std::vector<std::unique_ptr<VectorAccessUnit>> units(
-            grid.mappings.size());
-        WorkloadUnits keyWorkloads;
-        CanonicalScratch scratch;
-        // (hi ^ lo) -> candidate class ids; membership is decided
-        // on the full word encoding, so a digest collision cannot
-        // merge two distinct classes.
-        std::unordered_map<std::uint64_t,
-                           std::vector<std::uint32_t>>
-            byHash;
-        byHash.reserve(run.jobs);
-        classOf.reserve(run.jobs);
-        for (std::size_t i = firstJob; i < lastJob; ++i) {
-            const Scenario &sc = jobs[i];
-            auto &slot = units[sc.mappingIndex];
-            if (!slot) {
-                slot = std::make_unique<VectorAccessUnit>(
-                    grid.mappings[sc.mappingIndex]);
+    // Clamp explicit thread counts to the hardware: oversubscribed
+    // workers only contend for cores (and for each other's stolen
+    // chunks), so --threads 8 on a 1-CPU host silently degenerates
+    // to serial execution with extra scheduling cost.  The report is
+    // identical at any worker count, so clamping is safe.
+    const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    unsigned threads =
+        opts_.threads ? std::min(opts_.threads, hw) : hw;
+    const std::size_t grain = opts_.effectiveGrain(run.jobs, threads);
+    const std::size_t chunkCount = (run.jobs + grain - 1) / grain;
+    threads = static_cast<unsigned>(
+        std::min<std::size_t>(threads, chunkCount));
+    run.threads = threads;
+    run.grain = grain;
+    run.chunks = chunkCount;
+
+    std::vector<WorkerArena> arenas(threads);
+    for (std::size_t c = 0; c < chunkCount; ++c) {
+        const std::size_t first = firstJob + c * grain;
+        const std::size_t last = std::min(first + grain, lastJob);
+        arenas[c % threads].chunks.push_back({first, last});
+    }
+
+    // Admission window of the ordered flush: workers may run at most
+    // this many jobs ahead of the stream, which bounds the outcomes
+    // in flight to O(threads x grain) regardless of the grid size.
+    const std::size_t window = 4 * threads * grain;
+    run.pendingWindow = window;
+    OrderedFlush flush(sink, firstJob, window);
+
+    auto work = [&](unsigned self) {
+        WorkerArena &mine = arenas[self];
+        std::vector<ScenarioOutcome> buf;
+        Chunk chunk;
+        for (;;) {
+            bool have = popOwn(mine, chunk);
+            for (unsigned v = 1; !have && v < threads; ++v) {
+                have = stealFrom(arenas[(self + v) % threads], chunk);
             }
-            CanonicalKey key =
-                canonicalKey(grid, sc, *slot, &keyWorkloads,
-                             opts_.tier, &keyArena, scratch);
-            auto &bucket = byHash[key.hi ^ (key.lo << 1)];
-            std::uint32_t id = 0;
-            bool found = false;
-            for (std::uint32_t cand : bucket) {
-                if (classes[cand].key == key) {
-                    id = cand;
-                    found = true;
+            if (!have)
+                return; // no producer: empty = done
+            buf.clear();
+            buf.reserve(chunk.last - chunk.first);
+            for (std::size_t i = chunk.first; i < chunk.last; ++i) {
+                const Scenario &sc = jobs[i];
+                buf.push_back(runScenario(
+                    grid, sc, mine.unitFor(grid, sc.mappingIndex),
+                    &mine.deliveries, &mine.backends,
+                    &mine.workloads, opts_.tier));
+                const ScenarioOutcome &o = buf.back();
+                mine.theoryClaims += o.theoryClaimed;
+                mine.theoryFallbacks += o.theoryFallback;
+                mine.auditDivergences += o.tierAuditDiverged ? 1 : 0;
+                switch (o.fallbackReason) {
+                  case FallbackReason::None:
+                    break;
+                  case FallbackReason::Conflicted:
+                    ++mine.fallbackConflicted;
+                    break;
+                  case FallbackReason::MultiPort:
+                    ++mine.fallbackMultiport;
+                    break;
+                  case FallbackReason::Unproven:
+                    ++mine.fallbackUnproven;
+                    break;
+                  case FallbackReason::Dynamic:
+                    ++mine.fallbackDynamic;
                     break;
                 }
             }
-            if (!found) {
-                id = static_cast<std::uint32_t>(classes.size());
-                classes.push_back({std::move(key), std::nullopt});
-                bucket.push_back(id);
-            }
-            classOf.push_back(id);
+            flush.push(chunk.first, std::move(buf));
+            buf = {};
         }
-        run.dedupClasses = classes.size();
+    };
 
-        if (mode == DedupMode::Audit) {
-            execJobs.resize(run.jobs);
-            std::iota(execJobs.begin(), execJobs.end(), firstJob);
-        } else {
-            std::vector<char> claimed(classes.size(), 0);
-            for (std::size_t i = firstJob; i < lastJob; ++i) {
-                const std::uint32_t id = classOf[i - firstJob];
-                if (claimed[id])
-                    continue;
-                claimed[id] = 1;
-                execJobs.push_back(i);
-            }
-            run.dedupReplays = run.jobs - execJobs.size();
-        }
-        run.dedupKeySeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - keyStart)
-                .count();
+    if (threads == 1) {
+        work(0);
+    } else {
+        std::vector<std::jthread> pool;
+        pool.reserve(threads);
+        for (unsigned i = 0; i < threads; ++i)
+            pool.emplace_back(work, i);
     }
 
-    // With dedup active the flush delivers executed outcomes to the
-    // replay adapter over DENSE positions [0, execCount) — the
-    // chunks below range over positions in execJobs, not raw job
-    // indices — and the adapter re-expands them into the full job
-    // stream.  Off keeps the historical direct path, bit for bit.
-    DedupReplaySink replay(sink, jobs, firstJob, lastJob, classOf,
-                           classes, mode);
-    SweepSink &flushSink =
-        dedup ? static_cast<SweepSink &>(replay) : sink;
-    const std::size_t execCount = dedup ? execJobs.size() : run.jobs;
-    const std::size_t execFirst = dedup ? 0 : firstJob;
+    cfva_assert(flush.delivered() == lastJob,
+                "sweep lost jobs: delivered up to ",
+                flush.delivered(), " of [", firstJob, ", ", lastJob,
+                ")");
 
-    if (execCount) {
-        // Clamp explicit thread counts to the hardware:
-        // oversubscribed workers only contend for cores (and for
-        // each other's stolen chunks), so --threads 8 on a 1-CPU
-        // host silently degenerates to serial execution with extra
-        // scheduling cost.  The report is identical at any worker
-        // count, so clamping is safe.
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        unsigned threads =
-            opts_.threads ? std::min(opts_.threads, hw) : hw;
-        const std::size_t grain =
-            opts_.effectiveGrain(execCount, threads);
-        const std::size_t chunkCount =
-            (execCount + grain - 1) / grain;
-        threads = static_cast<unsigned>(
-            std::min<std::size_t>(threads, chunkCount));
-        run.threads = threads;
-        run.grain = grain;
-        run.chunks = chunkCount;
-
-        std::vector<WorkerArena> arenas(threads);
-        for (std::size_t c = 0; c < chunkCount; ++c) {
-            const std::size_t first = execFirst + c * grain;
-            const std::size_t last = std::min(
-                first + grain, execFirst + execCount);
-            arenas[c % threads].chunks.push_back({first, last});
-        }
-
-        // Admission window of the ordered flush: workers may run
-        // at most this many jobs ahead of the stream, which bounds
-        // the outcomes in flight to O(threads x grain) regardless
-        // of the grid size.
-        const std::size_t window = 4 * threads * grain;
-        run.pendingWindow = window;
-        OrderedFlush flush(flushSink, execFirst, window);
-
-        auto work = [&](unsigned self) {
-            WorkerArena &mine = arenas[self];
-            std::vector<ScenarioOutcome> buf;
-            Chunk chunk;
-            for (;;) {
-                bool have = popOwn(mine, chunk);
-                for (unsigned v = 1; !have && v < threads; ++v) {
-                    have = stealFrom(arenas[(self + v) % threads],
-                                     chunk);
-                }
-                if (!have)
-                    return; // no producer: empty = done
-                buf.clear();
-                buf.reserve(chunk.last - chunk.first);
-                for (std::size_t i = chunk.first; i < chunk.last;
-                     ++i) {
-                    const Scenario &sc =
-                        jobs[dedup ? execJobs[i] : i];
-                    buf.push_back(runScenario(
-                        grid, sc, mine.unitFor(grid, sc.mappingIndex),
-                        &mine.deliveries, &mine.backends,
-                        &mine.workloads, opts_.tier));
-                    const ScenarioOutcome &o = buf.back();
-                    mine.theoryClaims += o.theoryClaimed;
-                    mine.theoryFallbacks += o.theoryFallback;
-                    mine.auditDivergences +=
-                        o.tierAuditDiverged ? 1 : 0;
-                    switch (o.fallbackReason) {
-                      case FallbackReason::None:
-                        break;
-                      case FallbackReason::Conflicted:
-                        ++mine.fallbackConflicted;
-                        break;
-                      case FallbackReason::MultiPort:
-                        ++mine.fallbackMultiport;
-                        break;
-                      case FallbackReason::Unproven:
-                        ++mine.fallbackUnproven;
-                        break;
-                      case FallbackReason::Dynamic:
-                        ++mine.fallbackDynamic;
-                        break;
-                    }
-                }
-                flush.push(chunk.first, std::move(buf));
-                buf = {};
-            }
-        };
-
-        if (threads == 1) {
-            work(0);
-        } else {
-            std::vector<std::jthread> pool;
-            pool.reserve(threads);
-            for (unsigned i = 0; i < threads; ++i)
-                pool.emplace_back(work, i);
-        }
-
-        cfva_assert(flush.delivered() == execFirst + execCount,
-                    "sweep lost jobs: delivered up to ",
-                    flush.delivered(), " of [", execFirst, ", ",
-                    execFirst + execCount, ")");
-
-        run.peakPendingOutcomes = flush.peakPending();
-        for (const auto &arena : arenas) {
-            run.backendCacheHits += arena.backends.stats().hits;
-            run.backendCacheMisses += arena.backends.stats().misses;
-            run.theoryClaims += arena.theoryClaims;
-            run.theoryFallbacks += arena.theoryFallbacks;
-            run.tierAuditDivergences += arena.auditDivergences;
-            run.fallbackConflicted += arena.fallbackConflicted;
-            run.fallbackMultiport += arena.fallbackMultiport;
-            run.fallbackUnproven += arena.fallbackUnproven;
-            run.fallbackDynamic += arena.fallbackDynamic;
-            run.arenaAcquires += arena.deliveries.acquires();
-            run.arenaReuses += arena.deliveries.reuses();
-            run.arenaPeakBytes += arena.deliveries.peakBytes();
-            const FastPathStats fp = arena.backends.fastPathStats();
-            run.collapseHits += fp.collapseHits;
-            run.collapsePrefixCycles += fp.collapsePrefixCycles;
-            run.memoHits += fp.memoHits;
-            run.memoMisses += fp.memoMisses;
-            run.steppedCycles += fp.steppedCycles;
-        }
+    run.peakPendingOutcomes = flush.peakPending();
+    for (const auto &arena : arenas) {
+        run.backendCacheHits += arena.backends.stats().hits;
+        run.backendCacheMisses += arena.backends.stats().misses;
+        run.theoryClaims += arena.theoryClaims;
+        run.theoryFallbacks += arena.theoryFallbacks;
+        run.tierAuditDivergences += arena.auditDivergences;
+        run.fallbackConflicted += arena.fallbackConflicted;
+        run.fallbackMultiport += arena.fallbackMultiport;
+        run.fallbackUnproven += arena.fallbackUnproven;
+        run.fallbackDynamic += arena.fallbackDynamic;
+        run.arenaAcquires += arena.deliveries.acquires();
+        run.arenaReuses += arena.deliveries.reuses();
+        run.arenaPeakBytes += arena.deliveries.peakBytes();
+        const FastPathStats fp = arena.backends.fastPathStats();
+        run.collapseHits += fp.collapseHits;
+        run.collapsePrefixCycles += fp.collapsePrefixCycles;
+        run.memoHits += fp.memoHits;
+        run.memoMisses += fp.memoMisses;
+        run.steppedCycles += fp.steppedCycles;
     }
 
-    if (dedup) {
-        cfva_assert(replay.delivered() == lastJob,
-                    "dedup replay lost jobs: delivered up to ",
-                    replay.delivered(), " of [", firstJob, ", ",
-                    lastJob, ")");
-        run.dedupAuditDivergences = replay.auditDivergences();
-        run.arenaAcquires += keyArena.acquires();
-        run.arenaReuses += keyArena.reuses();
-        run.arenaPeakBytes += keyArena.peakBytes();
-    }
     sink.end();
 
     if (stats)

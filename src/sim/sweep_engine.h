@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/bits.h"
+#include "common/logging.h"
 #include "common/table.h"
 #include "core/access_unit.h"
 #include "sim/canonical.h"
@@ -126,8 +127,8 @@ struct ScenarioOutcome
      * every access was claimed, and always None under
      * SimulateAlways).  Any fallback on a dynamically re-tuned
      * mapping reads Dynamic — the scheme, not the stream, defeats
-     * the analysis.  Deterministic per canonical class, so dedup
-     * replays and cached results carry it soundly.
+     * the analysis.  Deterministic per scenario, so reports stay
+     * identical at any thread count, grain and shard.
      */
     FallbackReason fallbackReason = FallbackReason::None;
 
@@ -304,9 +305,8 @@ struct SweepRunStats
      *  this is nonzero). */
     std::uint64_t tierAuditDivergences = 0;
 
-    /** Fallback taxonomy over this run's EXECUTED scenarios (dedup
-     *  replays, like the claim counters, are not re-counted):
-     *  scenarios whose first fallback was a conflicted stream, a
+    /** Fallback taxonomy over this run's scenarios: scenarios
+     *  whose first fallback was a conflicted stream, a
      *  module-sharing multi-port access, an unproven conflict-free
      *  expectation, or a dynamically re-tuned mapping.  All 0 when
      *  the theory tier never fell back (or was inactive). */
@@ -314,12 +314,6 @@ struct SweepRunStats
     std::uint64_t fallbackMultiport = 0;
     std::uint64_t fallbackUnproven = 0;
     std::uint64_t fallbackDynamic = 0;
-
-    /** Wall seconds the sequential dedup keying pre-pass spent
-     *  canonicalizing this run's slice (0 under DedupMode::Off) —
-     *  it runs before any worker starts, so it is invisible in the
-     *  parallel-phase timings. */
-    double dedupKeySeconds = 0.0;
 
     /** High-water mark of outcomes parked in the ordered flush
      *  queue, and the admission window that bounds it — the
@@ -351,18 +345,9 @@ struct SweepRunStats
     std::uint64_t memoMisses = 0;
     std::uint64_t steppedCycles = 0;
 
-    /** Scenario-dedup attribution (sim/canonical.h): equivalence
-     *  classes this run's slice partitioned into, and outcomes
-     *  delivered by replaying a class result (representative
-     *  executions are jobs - dedupReplays).  classes = 0 under
-     *  DedupMode::Off; replays = 0 under Off and Audit (audit
-     *  executes every member). */
+    /** Always 0: scenario dedup was deleted (sim/canonical.h).
+     *  ROADMAP item 1 deletes it. */
     std::uint64_t dedupClasses = 0;
-    std::uint64_t dedupReplays = 0;
-
-    /** Members whose executed outcome differed from the class
-     *  replay under DedupMode::Audit. */
-    std::uint64_t dedupAuditDivergences = 0;
 };
 
 /** Engine tuning knobs. */
@@ -408,20 +393,8 @@ struct SweepOptions
      *  from the benchmark. */
     CollapseMode collapse = CollapseMode::On;
 
-    /**
-     * Whether the run groups its jobs into canonical equivalence
-     * classes (sim/canonical.h), executes one representative per
-     * class, and replays its outcome to the other members.  Off (the
-     * default) runs every job directly: the serial keying pre-pass
-     * costs more than the executions it saves on every benchmark
-     * grid.  On is byte-identical to Off by construction — replays
-     * flow through the same ordered flush and sinks with only the
-     * identity columns rewritten; Audit executes every member too
-     * and counts divergences from the replay
-     * (SweepRunStats::dedupAuditDivergences).  A library-only
-     * switch: cfva_sweep has no flag for it; tests and audits set
-     * it.
-     */
+    /** Ignored; its one value runs every job.  ROADMAP item 1
+     *  deletes it with DedupMode (sim/canonical.h). */
     DedupMode dedup = DedupMode::Off;
 
     /** Panics on an impossible shard spec.  Any grain (including
@@ -433,6 +406,21 @@ struct SweepOptions
     std::size_t effectiveGrain(std::size_t jobs,
                                unsigned threads) const;
 };
+
+/**
+ * Plans port @p p's stream of one workload access: stride scaled by
+ * the mix, base address staggered per port, descending accesses
+ * anchored at the top of their block so no address underflows.
+ * @p a1 and @p baseStride are the access's own values — workloads
+ * shift/scale them between accesses of a sequence.  With @p arena
+ * the stream buffer is drawn from the worker's request pool; the
+ * caller releases it back after use.
+ */
+AccessPlan planPortStream(const ScenarioGrid &grid,
+                          const Scenario &sc,
+                          const VectorAccessUnit &unit, unsigned p,
+                          Addr a1, std::uint64_t baseStride,
+                          DeliveryArena *arena);
 
 /**
  * Expands grids and runs their jobs on a work-stealing thread pool.
@@ -499,17 +487,13 @@ class SweepEngine
                                        TierPolicy tier =
                                            TierPolicy::SimulateAlways);
 
-    /**
-     * Rewrites the identity columns of a class representative's
-     * outcome (@p rep) for another member of the same canonical
-     * class: job index, mapping/port-mix/workload indices, stride,
-     * family, length, start address, and port count come from
-     * @p member; every measured field is copied unchanged — which is
-     * exactly what makes a dedup-on report byte-identical to
-     * dedup-off when the members' keys match.
-     */
-    static ScenarioOutcome replayOutcome(const ScenarioOutcome &rep,
-                                         const Scenario &member);
+    /** Panics: no sweep replays outcomes since scenario dedup was
+     *  deleted.  ROADMAP item 1 deletes it. */
+    static ScenarioOutcome
+    replayOutcome(const ScenarioOutcome &, const Scenario &)
+    {
+        cfva_panic("replayOutcome: scenario dedup was deleted");
+    }
 
     const SweepOptions &options() const { return opts_; }
 

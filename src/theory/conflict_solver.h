@@ -27,9 +27,9 @@
  *    rest, abandoned as soon as no recurrence is possible.
  *    Success/failure is a deterministic function of (config, module
  *    sequence, length) — memo state only changes the speed, never
- *    the answer or the claim attribution, which is what makes
- *    claimed/fallback columns sound under scenario dedup
- *    (sim/canonical.h).
+ *    the answer or the claim attribution, which is what keeps the
+ *    claimed/fallback columns identical at any thread count, grain
+ *    and shard.
  *  - solveOrStep() is solve() for a caller that needs the answer
  *    either way: the same memo lookup and the same pass, but a pass
  *    that finds no recurrence steps on from where it is to the end of

@@ -48,7 +48,8 @@
  * Every fallback is attributed a FallbackReason; claim/fallback
  * attribution is a deterministic function of (config, mapping,
  * planned streams) — never of memo state — which is what keeps the
- * attribution columns sound under scenario dedup.
+ * attribution columns identical at any thread count, grain and
+ * shard.
  *
  * The window classification itself (mapping kind + stride family
  * against matchedWindow / sectionedWindows / ...) lives in the

@@ -218,7 +218,8 @@ TEST(ConflictSolverProperty, TailGapsArePeriodic)
 // Claim attribution must be memo-invariant: the same stream solved
 // on a warm solver (memo hit), again on the same solver, and on a
 // cold one must agree on the claim bit and on every byte of the
-// result.  Scenario dedup keys on exactly this determinism.
+// result.  Reports identical at any thread count, grain and shard
+// rest on exactly this determinism.
 TEST(ConflictSolverProperty, ClaimDecisionIsMemoInvariant)
 {
     Rng rng(0xDE7E12ull);

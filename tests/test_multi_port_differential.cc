@@ -352,22 +352,12 @@ TEST(MultiPortDifferential, RandomizedGridOver1000Scenarios)
     ASSERT_GE(grid.jobCount(), 1000u)
         << "property budget: the grid must cover >= 1000 scenarios";
 
-    // Dedup audit executes every member (full differential
-    // coverage, nothing replayed) and cross-checks each against
-    // the canonical-class replay on the side.
-    sim::SweepOptions stepped;
-    stepped.dedup = sim::DedupMode::Audit;
     sim::SweepOptions theory;
     theory.tier = TierPolicy::TheoryFirst;
-    theory.dedup = sim::DedupMode::Audit;
 
-    sim::SweepRunStats oracleStats, testedStats;
-    const sim::SweepReport oracle =
-        sim::SweepEngine(stepped).run(grid, &oracleStats);
+    const sim::SweepReport oracle = sim::SweepEngine().run(grid);
     const sim::SweepReport tested = test::withoutAttribution(
-        sim::SweepEngine(theory).run(grid, &testedStats));
-    EXPECT_EQ(oracleStats.dedupAuditDivergences, 0u);
-    EXPECT_EQ(testedStats.dedupAuditDivergences, 0u);
+        sim::SweepEngine(theory).run(grid));
 
     ASSERT_EQ(oracle.jobs(), grid.jobCount());
     ASSERT_EQ(tested.jobs(), oracle.jobs());

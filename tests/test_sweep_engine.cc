@@ -13,6 +13,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <initializer_list>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/stats.h"
@@ -169,22 +172,6 @@ TEST(SweepEngine, SingleJobMatchesDirectSimulation)
     EXPECT_TRUE(o.inWindow);
 }
 
-TEST(SweepEngine, DefaultRunExecutesEveryJobWithoutKeying)
-{
-    // Keying every job costs more than the executions dedup saves on
-    // every benchmark grid, so a default engine runs its whole slice
-    // directly: no classes, no replays, no keying pre-pass.
-    EXPECT_EQ(SweepOptions{}.dedup, DedupMode::Off);
-    const ScenarioGrid grid = smallGrid();
-    SweepRunStats stats;
-    const SweepReport report = SweepEngine().run(grid, &stats);
-    EXPECT_EQ(report.jobs(), grid.jobCount());
-    EXPECT_EQ(stats.jobs, grid.jobCount());
-    EXPECT_EQ(stats.dedupClasses, 0u);
-    EXPECT_EQ(stats.dedupReplays, 0u);
-    EXPECT_EQ(stats.dedupKeySeconds, 0.0);
-}
-
 TEST(SweepEngine, WorkerArenasAreWarmOnTheHotPath)
 {
     const ScenarioGrid grid = everyKindGrid(0xB175EEDull);
@@ -192,6 +179,7 @@ TEST(SweepEngine, WorkerArenasAreWarmOnTheHotPath)
     SweepRunStats stats;
     const SweepReport report = SweepEngine().run(grid, &stats);
     EXPECT_EQ(report.jobs(), grid.jobCount());
+    EXPECT_EQ(stats.jobs, grid.jobCount());
     EXPECT_GT(stats.arenaAcquires, 0u);
     EXPECT_GT(stats.arenaReuses, 0u);
     EXPECT_GT(stats.arenaPeakBytes, 0u);
@@ -330,6 +318,46 @@ TEST(SweepEngine, ReportAggregatesAreConsistent)
     EXPECT_EQ(report.table().columns(), 26u);
 }
 
+/** The message expanding @p grid fails with, or "" if it expands.
+ *  Call with a test::ScopedPanicThrow in scope. */
+std::string
+expandRejection(const ScenarioGrid &grid)
+{
+    try {
+        grid.expand();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Expects expanding @p grid to fail with a fatal (bad input)
+ *  message that names each of @p words. */
+void
+expectFatalNaming(const ScenarioGrid &grid,
+                  std::initializer_list<const char *> words)
+{
+    const std::string msg = expandRejection(grid);
+    EXPECT_EQ(msg.rfind("fatal: ", 0), 0u) << msg;
+    for (const char *w : words)
+        EXPECT_NE(msg.find(w), std::string::npos) << msg;
+}
+
+/** A one-stride grid on cfva_sweep --kinds matched --t 2 --lambda 4
+ *  --random-starts 0. */
+ScenarioGrid
+strideGrid(std::uint64_t stride)
+{
+    VectorUnitConfig matched;
+    matched.kind = MemoryKind::Matched;
+    matched.t = 2;
+    matched.lambda = 4;
+    ScenarioGrid grid;
+    grid.mappings = {matched};
+    grid.strides = {stride};
+    return grid;
+}
+
 TEST(SweepEngine, RejectsInvalidGrids)
 {
     test::ScopedPanicThrow guard;
@@ -357,6 +385,42 @@ TEST(SweepEngine, RejectsInvalidGrids)
     theory.tier = TierPolicy::TheoryFirst;
     EXPECT_THROW(SweepEngine(theory).run(too_long),
                  std::runtime_error);
+
+    // Every port plans base stride x mix multiplier (x 2 in Retune's
+    // second phase) as a signed stride; one past 2^63 - 1 is refused
+    // at expansion, naming the flags, not asserted inside a worker.
+
+    // --strides 9223372036854775808
+    expectFatalNaming(strideGrid(std::uint64_t{1} << 63),
+                      {"--strides", "2^63 - 1"});
+
+    // --families 62..62 --sigmas 3
+    expectFatalNaming(strideGrid(std::uint64_t{3} << 62),
+                      {"--families", "2^63 - 1"});
+
+    // --strides 4611686018427387904 --ports 2 --port-mix 1,-3
+    ScenarioGrid mixed = strideGrid(std::uint64_t{1} << 62);
+    mixed.ports = {2};
+    mixed.portMixes = {PortMix{{1, -3}}};
+    expectFatalNaming(mixed, {"--strides", "--port-mix", "2^63 - 1"});
+
+    // One port of the same mix only runs multiplier 1, which fits.
+    mixed.ports = {1};
+    EXPECT_EQ(expandRejection(mixed), "");
+
+    // --strides 3074457345618258602 --workloads retune --ports 2
+    // --port-mix 1,3: 3s fits, but the second phase plans 6s.
+    ScenarioGrid retune = strideGrid(3074457345618258602ull);
+    retune.workloads = {{WorkloadKind::Retune}};
+    retune.ports = {2};
+    retune.portMixes = {PortMix{{1, 3}}};
+    expectFatalNaming(retune,
+                      {"--workloads retune", "--port-mix", "2^63 - 1"});
+
+    // --strides 4611686018427387904 --workloads stencil
+    ScenarioGrid stencil = strideGrid(std::uint64_t{1} << 62);
+    stencil.workloads = {{WorkloadKind::Stencil}};
+    expectFatalNaming(stencil, {"--workloads stencil", "2^62 - 1"});
 }
 
 // The strict list parsers behind cfva_sweep's --kinds/--workloads/

@@ -296,9 +296,6 @@ TEST(SweepStream, RunStatsCountCacheTraffic)
     const ScenarioGrid grid = pipelineGrid();
     SweepOptions opts;
     opts.threads = 2;
-    // Dedup executes one representative per class, so the
-    // one-lookup-per-scenario accounting below needs it off.
-    opts.dedup = DedupMode::Off;
     SweepRunStats stats;
     const SweepReport report = SweepEngine(opts).run(grid, &stats);
     EXPECT_EQ(stats.jobs, report.jobs());
