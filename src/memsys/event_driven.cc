@@ -10,9 +10,6 @@ namespace cfva {
 
 namespace {
 
-/** "No module" for the pending-arrival slot. */
-constexpr ModuleId kNoModule = ~ModuleId{0};
-
 unsigned
 wrap(unsigned i, unsigned depth)
 {
@@ -20,27 +17,24 @@ wrap(unsigned i, unsigned depth)
 }
 
 /**
- * Appends @p extra copies of records[from, to) — the segment between
+ * Appends @p extra copies of emits[from, to) — the segment between
  * two matching snapshots — with repetition r's five timestamps
- * shifted by r * @p dC; @p rebind(record, r, i) then renames the copy
- * of records[i] for repetition r.  Deliveries and position-form
- * emits share the timestamp fields this touches.
+ * shifted by r * @p dC and its stream positions by r * @p dPos.
  */
-template <typename Record, typename Rebind>
 void
-replicate(std::vector<Record> &records, std::size_t from, std::size_t to,
-          std::size_t extra, Cycle dC, Rebind rebind)
+replicate(std::vector<Emit> &emits, std::size_t from, std::size_t to,
+          std::size_t extra, Cycle dC, std::size_t dPos)
 {
     for (std::size_t r = 1; r <= extra; ++r) {
         for (std::size_t i = from; i < to; ++i) {
-            Record rec = records[i];
-            rec.issued += r * dC;
-            rec.arrived += r * dC;
-            rec.serviceStart += r * dC;
-            rec.ready += r * dC;
-            rec.delivered += r * dC;
-            rebind(rec, r, i);
-            records.push_back(rec);
+            Emit e = emits[i];
+            e.pos += static_cast<std::uint32_t>(r * dPos);
+            e.issued += r * dC;
+            e.arrived += r * dC;
+            e.serviceStart += r * dC;
+            e.ready += r * dC;
+            e.delivered += r * dC;
+            emits.push_back(e);
         }
     }
 }
@@ -48,9 +42,10 @@ replicate(std::vector<Record> &records, std::size_t from, std::size_t to,
 } // namespace
 
 void
-EventStepper::reset(const MemConfig &cfg, unsigned ports)
+EventStepper::reset(const MemConfig &cfg, bool record)
 {
     const ModuleId count = cfg.modules();
+    const std::size_t nPorts = ports_.size();
     if (count != moduleCount_) {
         moduleCount_ = count;
         retire_ = ModuleEventHeap(count);
@@ -60,7 +55,7 @@ EventStepper::reset(const MemConfig &cfg, unsigned ports)
         for (ModuleEventHeap &bus : outputs_)
             bus.clear();
     }
-    while (outputs_.size() < ports)
+    while (outputs_.size() < nPorts)
         outputs_.emplace_back(count);
     q_ = cfg.inputBuffers;
     qOut_ = cfg.outputBuffers;
@@ -68,6 +63,23 @@ EventStepper::reset(const MemConfig &cfg, unsigned ports)
     modules_.assign(count, Module{});
     in_.resize(static_cast<std::size_t>(count) * q_);
     out_.resize(static_cast<std::size_t>(count) * qOut_);
+    arriving_.clear();
+
+    // Every count is 0: the issue order starts in port order.
+    order_.clear();
+    if (emits_.size() < nPorts)
+        emits_.resize(nPorts);
+    for (unsigned p = 0; p < nPorts; ++p) {
+        const std::size_t length = ports_[p].length;
+        cfva_assert(length <= std::numeric_limits<std::uint32_t>::max(),
+                    "a stream of ", length, " requests is longer than "
+                    "the stepper's 32-bit stream positions");
+        if (length != 0)
+            order_.push_back(p);
+        emits_[p].clear();
+        if (record)
+            emits_[p].reserve(length);
+    }
 }
 
 std::size_t
@@ -95,12 +107,8 @@ EventStepper::smallestPeriod(std::size_t length, const ModuleId *mods)
     // q <= kMaxPeriod, the prefix (length >= 2 * kMaxPeriod >= q + p)
     // also has period gcd(p, q), so p divides q and p is a period of
     // the whole sequence too — the prefix's p is the only candidate.
-    if (p > kMaxPeriod)
+    if (p > kMaxPeriod || !std::equal(mods + n, mods + length, mods + n - p))
         return length;
-    for (std::size_t i = n; i < length; ++i) {
-        if (mods[i] != mods[i - p])
-            return length;
-    }
     return p;
 }
 
@@ -179,296 +187,6 @@ EventStepper::shiftState(Cycle tShift, std::uint32_t pShift)
     outputs_.front().shiftTimes(tShift);
 }
 
-bool
-EventStepper::run(const MemConfig &cfg,
-                  const std::vector<Request> &stream,
-                  const ModuleId *mods, Recurrence mode,
-                  bool materialize, bool trace, AccessResult &result)
-{
-    const std::size_t length = stream.size();
-    stepped_ = 0;
-    summary_ = {};
-    emits_.clear();
-    if (length == 0) {
-        if (mode == Recurrence::JumpOrAbandon)
-            return false;
-        summary_.conflictFree = true; // vacuously at the minimum
-        applyEmitSummary(summary_, result);
-        return false;
-    }
-
-    cfva_assert(length <= std::numeric_limits<std::uint32_t>::max(),
-                "a stream of ", length, " requests is longer than the "
-                "stepper's 32-bit stream positions");
-
-    // Recurrence detection needs a period short enough to snapshot
-    // and two snapshot positions below the stream's end.
-    const std::size_t period = smallestPeriod(length, mods);
-    bool snapping = period < length && period <= kMaxPeriod
-                    && (length - 1) / period >= 2;
-    if (!snapping && mode == Recurrence::JumpOrAbandon)
-        return false;
-
-    reset(cfg, 1);
-    std::vector<Delivery> &out = result.deliveries;
-    if (trace)
-        emits_.reserve(length);
-    // While snapshots are live, the stream position of every
-    // materialized delivery, so a jump can replicate the segment
-    // against the right requests.  Snapshotting ends within
-    // kMaxSnapshots periods, which bounds this scratch.
-    positions_.clear();
-
-    const Cycle T = t_;
-    const auto target = [&](std::size_t i) {
-        cfva_assert(mods[i] < moduleCount_, "mapping produced module ",
-                    mods[i], " outside 2^", cfg.m);
-        return mods[i];
-    };
-
-    std::size_t next = 0;      // next request to issue
-    std::size_t delivered = 0; // elements over the return bus
-    std::uint64_t stalls = 0;
-    Cycle firstIssue = 0;
-    Cycle lastDelivery = 0;
-    // The processor issues at most one request per cycle and every
-    // issue wakes the very next cycle, so at most one request-bus
-    // arrival is ever pending: the one issued on the previous cycle.
-    ModuleId arriving = kNoModule;
-
-    std::size_t nextSnapPos = period;
-    std::size_t snapCount = 0;
-    bool jumped = false;
-    Cycle jumpedSpan = 0;
-
-    // Same wedge guard as the per-cycle model; a jump assigns true
-    // cycle numbers, so the bound stays meaningful after it.
-    const Cycle limit = cfg.wedgeLimit(length, 1);
-    const Cycle never = std::numeric_limits<Cycle>::max();
-    ModuleEventHeap &bus = outputs_.front();
-
-    // Starts the input-buffer head's service on an idle module if
-    // it has crossed the request bus.
-    const auto tryStart = [&](ModuleId id, Cycle now) {
-        Module &m = modules_[id];
-        if (m.busy || m.inCount == 0)
-            return;
-        const Flight &head = inAt(id, m.inHead);
-        if (head.issued + 1 > now)
-            return; // still on the request bus
-        m.svc = head;
-        m.svc.serviceStart = now;
-        m.inHead = wrap(m.inHead + 1, q_);
-        --m.inCount;
-        m.busy = true;
-        retire_.push(id, now + T);
-    };
-
-    Cycle now = 0;
-    for (;;) {
-        cfva_assert(now <= limit, "simulation wedged at cycle ", now);
-
-        // 1. Retire finished services into output buffers.  A full
-        //    output buffer parks the module until a delivery from it
-        //    frees a slot.  A module that retires may start its next
-        //    service in the same cycle (it was busy [start,
-        //    start+T-1]); starting it right here is the model's step
-        //    3, since neither the return bus nor another module's
-        //    retirement reads this module's input side.
-        while (!retire_.empty() && retire_.top().time <= now) {
-            const ModuleId id = retire_.pop().module;
-            Module &m = modules_[id];
-            if (m.outCount >= qOut_) {
-                m.retireBlocked = true;
-                continue;
-            }
-            outAt(id, m.outHead + m.outCount) = m.svc;
-            if (m.outCount++ == 0)
-                bus.push(id, m.svc.serviceStart + T);
-            m.busy = false;
-            tryStart(id, now);
-        }
-
-        // 2. Return bus: at most one delivery per cycle, oldest
-        //    ready first, lowest module number on ties — the heap
-        //    order of `bus`.
-        if (!bus.empty() && bus.top().time <= now) {
-            const ModuleId id = bus.pop().module;
-            Module &m = modules_[id];
-            const Flight f = outAt(id, m.outHead);
-            if (materialize) {
-                const Request &req = stream[f.pos];
-                out.push_back({req.addr, req.element, id, 0, f.issued,
-                               f.issued + 1, f.serviceStart,
-                               f.serviceStart + T, now});
-                if (snapping)
-                    positions_.push_back(f.pos);
-            }
-            if (trace) {
-                emits_.push_back({f.pos, f.issued, f.issued + 1,
-                                  f.serviceStart, f.serviceStart + T,
-                                  now});
-            }
-            m.outHead = wrap(m.outHead + 1, qOut_);
-            if (--m.outCount != 0)
-                bus.push(id, outAt(id, m.outHead).serviceStart + T);
-            ++delivered;
-            lastDelivery = now;
-            if (m.retireBlocked) {
-                // The freed slot lets the parked service retire at
-                // the next cycle's step 1 (this cycle's retire step
-                // has already passed, exactly as in the per-cycle
-                // model).
-                m.retireBlocked = false;
-                retire_.push(id, now + 1);
-            }
-        }
-
-        // 3. Start new services.  Besides a retirement (step 1),
-        //    only the request-bus arrival can make one possible.
-        if (arriving != kNoModule) {
-            tryStart(arriving, now);
-            arriving = kNoModule;
-        }
-
-        // 4. Processor: attempt to issue one request.
-        if (next < length) {
-            const ModuleId id = target(next);
-            Module &m = modules_[id];
-            if (m.inCount < q_) {
-                Flight &f = inAt(id, m.inHead + m.inCount);
-                f.pos = static_cast<std::uint32_t>(next);
-                f.issued = now;
-                ++m.inCount;
-                arriving = id;
-                if (next == 0)
-                    firstIssue = now;
-                ++next;
-            } else {
-                ++stalls;
-            }
-        }
-
-        // Snapshot the relative state at the top of the first cycle
-        // where the issue position reaches each multiple of the
-        // module-sequence period (the cycle after that issue).  A
-        // match against an earlier snapshot proves the steady state:
-        // everything between the two cycle-tops repeats verbatim,
-        // shifted by (dC cycles, dPos positions) per repetition,
-        // until the stream runs out — so jump over the whole
-        // repetitions and step the tail from there.
-        if (snapping && next == nextSnapPos) {
-            const Cycle top = now + 1;
-            const std::uint64_t h = encodeState(top, next);
-            const Snapshot *match = nullptr;
-            for (std::size_t i = 0; i < snapCount; ++i) {
-                if (snapshots_[i].hash == h && snapshots_[i].sig == sig_) {
-                    match = &snapshots_[i];
-                    break;
-                }
-            }
-            bool givingUp = false;
-            if (match) {
-                snapping = false;
-                jumped = true;
-                const Cycle dC = top - match->now;
-                const std::size_t dPos = next - match->next;
-                const std::size_t extra =
-                    (length - match->next) / dPos - 1;
-                if (extra > 0) {
-                    const std::size_t from = match->delivered;
-                    if (materialize) {
-                        replicate(out, from, delivered, extra, dC,
-                                  [&](Delivery &d, std::size_t r,
-                                      std::size_t i) {
-                                      const std::size_t pos =
-                                          positions_[i] + r * dPos;
-                                      d.addr = stream[pos].addr;
-                                      d.element = stream[pos].element;
-                                      d.module = mods[pos];
-                                  });
-                    }
-                    if (trace) {
-                        replicate(emits_, from, delivered, extra, dC,
-                                  [dPos](Emit &e, std::size_t r,
-                                         std::size_t) {
-                                      e.pos += static_cast<std::uint32_t>(
-                                          r * dPos);
-                                  });
-                    }
-                    const Cycle tShift = extra * dC;
-                    stalls += extra * (stalls - match->stalls);
-                    delivered += extra * (delivered - match->delivered);
-                    shiftState(tShift,
-                               static_cast<std::uint32_t>(extra * dPos));
-                    lastDelivery += tShift;
-                    now += tShift;
-                    next += extra * dPos;
-                    jumpedSpan = tShift;
-                }
-            } else if (snapCount >= kMaxSnapshots) {
-                givingUp = true;
-            } else {
-                if (snapCount == snapshots_.size())
-                    snapshots_.emplace_back();
-                Snapshot &s = snapshots_[snapCount++];
-                s.hash = h;
-                s.sig.assign(sig_.begin(), sig_.end());
-                s.now = top;
-                s.next = next;
-                s.delivered = delivered;
-                s.stalls = stalls;
-                nextSnapPos += period;
-                givingUp = nextSnapPos >= length;
-            }
-            if (givingUp) {
-                // No recurrence before the stream ends (or within the
-                // snapshot budget).  Abandon, or keep stepping from
-                // here: the work so far is the answer's prefix.
-                snapping = false;
-                if (mode == Recurrence::JumpOrAbandon) {
-                    stepped_ = top;
-                    out.clear();
-                    return false;
-                }
-            }
-        }
-
-        if (next == length && delivered == length)
-            break;
-
-        // Advance to the next cycle at which any state can change.
-        Cycle wake = never;
-        if (!bus.empty() || arriving != kNoModule) {
-            // A pending output delivers, or the arrival lands, next
-            // cycle.
-            wake = now + 1;
-        } else if (!retire_.empty()) {
-            wake = std::max(retire_.top().time, now + 1);
-        }
-        if (next < length && modules_[target(next)].inCount < q_) {
-            // The pending issue succeeds next cycle.
-            wake = now + 1;
-        }
-        cfva_assert(wake != never,
-                    "no pending events but the access has not "
-                    "drained (next=", next, ", delivered=", delivered,
-                    ")");
-
-        // Every skipped cycle is a processor retry against an
-        // unchanged (full) input buffer: account the stalls in bulk.
-        if (next < length)
-            stalls += wake - now - 1;
-        now = wake;
-    }
-
-    summary_ =
-        summarizePort(length, T, firstIssue, lastDelivery, stalls);
-    stepped_ = now + 1 - jumpedSpan;
-    applyEmitSummary(summary_, result);
-    return jumped;
-}
-
 void
 EventStepper::reorderPorts()
 {
@@ -494,42 +212,34 @@ EventStepper::reorderPorts()
     order_.resize(n);
 }
 
-MultiPortResult
-EventStepper::runPorts(const MemConfig &cfg,
-                       const std::vector<std::vector<Request>> &streams,
-                       const std::vector<std::vector<ModuleId>> &mods,
-                       bool materialize, DeliveryArena *arena)
+void
+EventStepper::tryStart(ModuleId id, Cycle now)
 {
-    const auto nPorts = static_cast<unsigned>(streams.size());
-    cfva_assert(nPorts > 0 && mods.size() >= nPorts,
-                "need a premapped stream per port");
-    reset(cfg, nPorts);
-    MultiPortResult result;
-    result.ports.resize(nPorts);
-    ports_.assign(nPorts, Port{});
-    order_.clear();
+    Module &m = modules_[id];
+    if (m.busy || m.inCount == 0)
+        return;
+    const Flight &head = inAt(id, m.inHead);
+    if (head.issued + 1 > now)
+        return; // still on the request bus
+    m.svc = head;
+    m.svc.serviceStart = now;
+    m.inHead = wrap(m.inHead + 1, q_);
+    --m.inCount;
+    m.busy = true;
+    retire_.push(id, now + t_);
+}
+
+template <bool kOnePort>
+EventStepper::PassEnd
+EventStepper::step(const MemConfig &cfg, std::size_t period,
+                   Recurrence mode, bool record)
+{
+    reset(cfg, record);
+    const unsigned nPorts =
+        kOnePort ? 1 : static_cast<unsigned>(ports_.size());
     std::size_t total = 0;
-    for (unsigned p = 0; p < nPorts; ++p) {
-        const std::size_t length = streams[p].size();
-        cfva_assert(mods[p].size() == length, "port ", p, " has ",
-                    length, " requests but ", mods[p].size(),
-                    " premapped modules");
-        cfva_assert(length <= std::numeric_limits<std::uint32_t>::max(),
-                    "a stream of ", length, " requests is longer than "
-                    "the stepper's 32-bit stream positions");
-        ports_[p].mods = mods[p].data();
-        ports_[p].length = length;
-        total += length;
-        if (length != 0)
-            order_.push_back(p); // every count is 0: port order
-        if (materialize) {
-            std::vector<Delivery> &buf = result.ports[p].deliveries;
-            if (arena)
-                buf = arena->acquire(length);
-            buf.reserve(length);
-        }
-    }
-    arriving_.clear();
+    for (const Port &ps : ports_)
+        total += ps.length;
 
     const Cycle T = t_;
     const auto target = [&](const Port &ps) {
@@ -538,34 +248,31 @@ EventStepper::runPorts(const MemConfig &cfg,
                     " outside 2^", cfg.m);
         return id;
     };
+    // Same wedge guard as the per-cycle model; a jump assigns true
+    // cycle numbers, so the bound stays meaningful after it.
     const Cycle limit = cfg.wedgeLimit(total, nPorts);
     const Cycle never = std::numeric_limits<Cycle>::max();
 
-    // Starts the input-buffer head's service on an idle module if
-    // it has crossed the request bus.
-    const auto tryStart = [&](ModuleId id, Cycle now) {
-        Module &m = modules_[id];
-        if (m.busy || m.inCount == 0)
-            return;
-        const Flight &head = inAt(id, m.inHead);
-        if (head.issued + 1 > now)
-            return; // still on the request bus
-        m.svc = head;
-        m.svc.serviceStart = now;
-        m.inHead = wrap(m.inHead + 1, q_);
-        --m.inCount;
-        m.busy = true;
-        retire_.push(id, now + T);
-    };
+    // Recurrence state, one-port passes only.
+    Port &first = ports_.front();
+    bool snapping = period != 0;
+    std::size_t nextSnapPos = period;
+    std::size_t snapCount = 0;
+    bool jumped = false;
+    Cycle jumpedSpan = 0;
 
-    std::size_t delivered = 0;
+    std::size_t delivered = 0; // elements over the return buses
     Cycle now = 0;
     while (delivered < total) {
-        cfva_assert(now <= limit, "multi-port simulation wedged at "
-                    "cycle ", now);
+        cfva_assert(now <= limit, "simulation wedged at cycle ", now);
 
-        // 1. Retire finished services into output buffers, parking a
-        //    module on a full one, and start the next service.
+        // 1. Retire finished services into output buffers.  A full
+        //    output buffer parks the module until a delivery from it
+        //    frees a slot.  A module that retires may start its next
+        //    service in the same cycle (it was busy [start,
+        //    start+T-1]); starting it right here is the model's step
+        //    3, since neither the return buses nor another module's
+        //    retirement reads this module's input side.
         while (!retire_.empty() && retire_.top().time <= now) {
             const ModuleId id = retire_.pop().module;
             Module &m = modules_[id];
@@ -580,23 +287,23 @@ EventStepper::runPorts(const MemConfig &cfg,
             tryStart(id, now);
         }
 
-        // 2. Return buses, in port order: each delivers its own
-        //    oldest ready element.  The head a delivery reveals joins
-        //    its own port's bus, so a later port can still take it
-        //    this cycle — the per-cycle model's port-by-port scan.
+        // 2. Return buses, in port order: each delivers at most its
+        //    own oldest ready element, lowest module on ties — the
+        //    heap order of its bus.  The head a delivery reveals
+        //    joins its own port's bus, so a later port can still
+        //    take it this cycle — the per-cycle model's port-by-port
+        //    scan.
         for (unsigned p = 0; p < nPorts; ++p) {
             ModuleEventHeap &bus = outputs_[p];
             if (bus.empty() || bus.top().time > now)
                 continue;
             const ModuleId id = bus.pop().module;
             Module &m = modules_[id];
-            const Flight f = outAt(id, m.outHead);
-            if (materialize) {
-                const Request &req = streams[p][f.pos];
-                result.ports[p].deliveries.push_back(
-                    {req.addr, req.element, id, p, f.issued,
-                     f.issued + 1, f.serviceStart, f.serviceStart + T,
-                     now});
+            if (record) {
+                const Flight &f = outAt(id, m.outHead);
+                emits_[p].push_back({f.pos, f.issued, f.issued + 1,
+                                     f.serviceStart,
+                                     f.serviceStart + T, now});
             }
             m.outHead = wrap(m.outHead + 1, qOut_);
             if (--m.outCount != 0) {
@@ -606,8 +313,10 @@ EventStepper::runPorts(const MemConfig &cfg,
             ports_[p].lastDelivery = now;
             ++delivered;
             if (m.retireBlocked) {
-                // The parked service retires at the next cycle's
-                // step 1, as in the single-port pass.
+                // The freed slot lets the parked service retire at
+                // the next cycle's step 1 (this cycle's retire step
+                // has already passed, exactly as in the per-cycle
+                // model).
                 m.retireBlocked = false;
                 retire_.push(id, now + 1);
             }
@@ -642,8 +351,82 @@ EventStepper::runPorts(const MemConfig &cfg,
                 ++ps.stalls;
             }
         }
-        if (issued)
+        if constexpr (kOnePort) {
+            if (first.next == first.length)
+                order_.clear(); // issued everything
+        } else if (issued) {
             reorderPorts();
+        }
+
+        // Snapshot the relative state at the top of the first cycle
+        // where the issue position reaches each multiple of the
+        // module-sequence period (the cycle after that issue).  A
+        // match against an earlier snapshot proves the steady state:
+        // everything between the two cycle-tops repeats verbatim,
+        // shifted by (dC cycles, dPos positions) per repetition,
+        // until the stream runs out — so jump over the whole
+        // repetitions and step the tail from there.
+        if (snapping && first.next == nextSnapPos) {
+            const Cycle top = now + 1;
+            const std::uint64_t h = encodeState(top, first.next);
+            const Snapshot *match = nullptr;
+            for (std::size_t i = 0; i < snapCount; ++i) {
+                if (snapshots_[i].hash == h && snapshots_[i].sig == sig_) {
+                    match = &snapshots_[i];
+                    break;
+                }
+            }
+            bool givingUp = false;
+            if (match) {
+                snapping = false;
+                jumped = true;
+                const Cycle dC = top - match->now;
+                const std::size_t dPos = first.next - match->next;
+                const std::size_t extra =
+                    (first.length - match->next) / dPos - 1;
+                if (extra > 0) {
+                    if (record) {
+                        replicate(emits_.front(), match->delivered,
+                                  delivered, extra, dC, dPos);
+                    }
+                    const Cycle tShift = extra * dC;
+                    first.stalls += extra * (first.stalls - match->stalls);
+                    delivered += extra * (delivered - match->delivered);
+                    shiftState(tShift,
+                               static_cast<std::uint32_t>(extra * dPos));
+                    first.lastDelivery += tShift;
+                    now += tShift;
+                    first.next += extra * dPos;
+                    jumpedSpan = tShift;
+                    if (first.next == first.length)
+                        order_.clear(); // the jump issued everything
+                }
+            } else if (snapCount >= kMaxSnapshots) {
+                givingUp = true;
+            } else {
+                if (snapCount == snapshots_.size())
+                    snapshots_.emplace_back();
+                Snapshot &s = snapshots_[snapCount++];
+                s.hash = h;
+                s.sig.assign(sig_.begin(), sig_.end());
+                s.now = top;
+                s.next = first.next;
+                s.delivered = delivered;
+                s.stalls = first.stalls;
+                nextSnapPos += period;
+                givingUp = nextSnapPos >= first.length;
+            }
+            if (givingUp) {
+                // No recurrence before the stream ends (or within the
+                // snapshot budget).  Abandon, or keep stepping from
+                // here: the work so far is the answer's prefix.
+                snapping = false;
+                if (mode == Recurrence::JumpOrAbandon) {
+                    stepped_ = top;
+                    return PassEnd::Abandoned;
+                }
+            }
+        }
 
         if (delivered == total)
             break;
@@ -674,20 +457,87 @@ EventStepper::runPorts(const MemConfig &cfg,
                     ")");
 
         // Every skipped cycle is, for each unfinished port, one
-        // issue retry against an unchanged (full) input buffer.
+        // issue retry against an unchanged (full) input buffer:
+        // account the stalls in bulk.
         for (unsigned p : order_)
             ports_[p].stalls += wake - now - 1;
         now = wake;
     }
 
+    stepped_ = total == 0 ? 0 : now + 1 - jumpedSpan;
+    return jumped ? PassEnd::Jumped : PassEnd::Stepped;
+}
+
+bool
+EventStepper::run(const MemConfig &cfg,
+                  const std::vector<Request> &stream,
+                  const ModuleId *mods, Recurrence mode,
+                  bool materialize, bool trace, AccessResult &result)
+{
+    const std::size_t length = stream.size();
+    stepped_ = 0;
+    summary_ = {};
+    emits_.front().clear();
+
+    // Recurrence detection needs a period short enough to snapshot
+    // and two snapshot positions below the stream's end.
+    std::size_t period = length == 0 ? 0 : smallestPeriod(length, mods);
+    if (period > kMaxPeriod || length <= 2 * period)
+        period = 0;
+    if (period == 0 && mode == Recurrence::JumpOrAbandon)
+        return false;
+
+    ports_.assign(1, Port{mods, length});
+    const PassEnd end =
+        step<true>(cfg, period, mode, materialize || trace);
+    if (end == PassEnd::Abandoned)
+        return false;
+    const Port &ps = ports_.front();
+    summary_ = summarizePort(length, t_, ps.firstIssue, ps.lastDelivery,
+                             ps.stalls);
+    if (materialize)
+        materializeEmits(summary_, emits_.front(), stream, mods, 0, result);
+    else
+        applyEmitSummary(summary_, result);
+    return end == PassEnd::Jumped;
+}
+
+MultiPortResult
+EventStepper::runPorts(const MemConfig &cfg,
+                       const std::vector<std::vector<Request>> &streams,
+                       const std::vector<std::vector<ModuleId>> &mods,
+                       bool materialize, DeliveryArena *arena)
+{
+    const auto nPorts = static_cast<unsigned>(streams.size());
+    cfva_assert(nPorts > 0 && mods.size() >= nPorts,
+                "need a premapped stream per port");
+    ports_.clear();
+    for (unsigned p = 0; p < nPorts; ++p) {
+        const std::size_t length = streams[p].size();
+        cfva_assert(mods[p].size() == length, "port ", p, " has ",
+                    length, " requests but ", mods[p].size(),
+                    " premapped modules");
+        ports_.push_back(Port{mods[p].data(), length});
+    }
+    step<false>(cfg, 0, Recurrence::JumpOrFinish, materialize);
+
+    MultiPortResult result;
+    result.ports.resize(nPorts);
     for (unsigned p = 0; p < nPorts; ++p) {
         const Port &ps = ports_[p];
-        applyEmitSummary(summarizePort(ps.length, T, ps.firstIssue,
-                                       ps.lastDelivery, ps.stalls),
-                         result.ports[p]);
+        const EmitSummary summary = summarizePort(
+            ps.length, t_, ps.firstIssue, ps.lastDelivery, ps.stalls);
+        AccessResult &port = result.ports[p];
+        if (!materialize) {
+            applyEmitSummary(summary, port);
+            continue;
+        }
+        if (arena)
+            port.deliveries = arena->acquire(ps.length);
+        port.deliveries.reserve(ps.length);
+        materializeEmits(summary, emits_[p], streams[p], ps.mods, p, port);
     }
-    result.makespan = total == 0 ? 0 : now + 1;
-    stepped_ = result.makespan;
+    result.makespan = stepped_;
     return result;
 }
 

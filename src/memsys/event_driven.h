@@ -8,36 +8,36 @@
  * buses, service start, processor issue) — but advances simulated
  * time directly to the next instant at which any state can change
  * instead of ticking every cycle.  Between events the only activity
- * is the processor retrying a stalled issue against an unchanged
- * input buffer, which the stepper accounts for in one subtraction.
+ * is the processors retrying stalled issues against unchanged input
+ * buffers, which the stepper accounts for in one subtraction.
  *
- * EventStepper is that loop over premapped module sequences, with
- * three properties every caller relies on:
+ * EventStepper is one cycle loop over premapped module sequences;
+ * run() (one port) and runPorts() (P ports) only set it up and read
+ * its answer.  Three properties every caller relies on:
  *
  * - Compact per-element state: an element in flight is its stream
  *   position, its port, and the two timestamps the model reads
  *   (issue and service start; arrival and ready follow from the
- *   1-cycle bus and the T-cycle service).  Addresses and element
- *   numbers are looked up from the stream only when a Delivery is
- *   written.
- * - Output on request: Delivery records are written only when the
- *   caller materializes; summary callers get the aggregates and no
- *   O(L) buffer at all.
- * - Recurrence in its own loop (one port): the stepper snapshots the
+ *   1-cycle bus and the T-cycle service).
+ * - Output on request: the loop records each delivery only as a
+ *   position-form Emit per port, and only when the caller
+ *   materializes or traces; materializeEmits()
+ *   (memsys/steady_state.h) writes the Delivery records after the
+ *   pass.  Summary callers get the aggregates and no O(L) buffer.
+ * - Recurrence inside the loop (one port): the stepper snapshots the
  *   relative machine state at issue positions one module-sequence
  *   period apart and, once a snapshot recurs, takes the affine jump
  *   over the remaining whole periods (memsys/steady_state.h).  A
  *   stream that never recurs keeps stepping from where it is, so
- *   every stream costs one pass.
+ *   every stream costs one pass.  A P-port pass takes no jump.
  *
- * runPorts() is the P-port pass on the same modules, rings and
- * retire heap: P streams share the modules, each port has its own
- * return bus (one output heap per port, arbitrated in port order
- * each cycle), and each cycle the ports issue least-issued first.
- * It takes no jump.
+ * The P ports of a pass share the modules; each has its own return
+ * bus (one output heap per port, arbitrated in port order each
+ * cycle), and each cycle the ports issue least-issued first.  One
+ * port is the P = 1 case of the same loop.
  *
  * The stepper runs only inside the evaluator: ConflictSolver
- * (theory/conflict_solver.h) drives both passes for TheoryBackend.
+ * (theory/conflict_solver.h) drives both set-ups for TheoryBackend.
  * Its results are bit-identical to the oracle on every stream:
  * identical delivery records (all five timestamps and the port
  * tag), identical stall counts, identical aggregates.
@@ -94,10 +94,10 @@ class EventStepper
      *
      * Unless the pass was abandoned, @p result receives the scalar
      * aggregates and, when @p materialize is set, every Delivery in
-     * delivery order, written as it is decided (result.deliveries
-     * must be empty; capacity may be reserved; an abandoned pass
-     * leaves it empty).  @p trace keeps the position-form trace
-     * readable through emits() after the pass.
+     * delivery order, written from the trace after the pass
+     * (result.deliveries must be empty; capacity may be reserved; an
+     * abandoned pass leaves it empty).  @p trace keeps the
+     * position-form trace readable through emits() after the pass.
      *
      * @return true iff the pass jumped (a snapshot recurred)
      */
@@ -116,7 +116,8 @@ class EventStepper
      * @p materialize is set are the port-tagged Delivery records
      * written, in each port's delivery order, into buffers acquired
      * from @p arena (or freshly allocated); otherwise no buffer is
-     * acquired at all.
+     * acquired at all.  It is the loop of run() with P ports and no
+     * snapshots.
      */
     MultiPortResult
     runPorts(const MemConfig &cfg,
@@ -130,8 +131,9 @@ class EventStepper
      *  before it stopped). */
     Cycle steppedCycles() const { return stepped_; }
 
-    /** Position-form trace of the last pass run with @p trace. */
-    const std::vector<Emit> &emits() const { return emits_; }
+    /** Position-form trace of the last run() made with @p trace
+     *  (or @p materialize). */
+    const std::vector<Emit> &emits() const { return emits_.front(); }
 
     /** Scalar aggregates of the last pass that finished. */
     const EmitSummary &summary() const { return summary_; }
@@ -147,7 +149,7 @@ class EventStepper
                                 //!< meaningful once in service
     };
 
-    /** One port of a P-port pass: its stream and its aggregates. */
+    /** One port of a pass: its stream and its aggregates. */
     struct Port
     {
         const ModuleId *mods = nullptr;
@@ -180,9 +182,35 @@ class EventStepper
         std::uint64_t stalls = 0;
     };
 
-    /** Sizes the module array and event heaps for @p cfg and
-     *  @p ports return buses, and empties them. */
-    void reset(const MemConfig &cfg, unsigned ports);
+    /** How a pass of the cycle loop ended. */
+    enum class PassEnd
+    {
+        Stepped,   //!< stepped to the end, no jump
+        Jumped,    //!< a snapshot recurred and the loop jumped
+        Abandoned, //!< JumpOrAbandon, and no jump was possible
+    };
+
+    /**
+     * The cycle loop: steps the ports in ports_ from cycle 0 until
+     * every element is delivered, recording each port's Emits when
+     * @p record is set.  A nonzero @p period (one port only) turns
+     * on the snapshots at its multiples and the jump; @p mode then
+     * says whether a pass that can no longer jump finishes or is
+     * abandoned.  Leaves each port's aggregates in ports_ and sets
+     * stepped_.  Compiled once for one port (@p kOnePort, which
+     * skips the per-issue reorder) and once for P.
+     */
+    template <bool kOnePort>
+    PassEnd step(const MemConfig &cfg, std::size_t period,
+                 Recurrence mode, bool record);
+
+    /** Sizes the module array, event heaps, issue order and trace
+     *  buffers for @p cfg and ports_, and empties them. */
+    void reset(const MemConfig &cfg, bool record);
+
+    /** Starts the input-buffer head's service on idle module @p id
+     *  if it has crossed the request bus. */
+    void tryStart(ModuleId id, Cycle now);
 
     /** Restores the least-issued-first order of order_ after an
      *  issue step and drops the ports that have issued everything. */
@@ -228,17 +256,19 @@ class EventStepper
      *  ties). */
     std::vector<ModuleEventHeap> outputs_;
 
-    std::vector<Port> ports_;        //!< P-port pass state
+    std::vector<Port> ports_;        //!< the pass's ports
     std::vector<unsigned> order_;    //!< unfinished ports, least
                                      //!< issued (then lowest) first
     std::vector<ModuleId> arriving_; //!< modules this cycle's issues
                                      //!< reach next cycle
 
-    std::vector<std::uint32_t> fail_;  //!< KMP scratch
-    std::vector<std::uint32_t> positions_; //!< see run()
-    std::vector<std::int64_t> sig_;    //!< snapshot-encoding scratch
-    std::vector<Snapshot> snapshots_;  //!< storage, reused per pass
-    std::vector<Emit> emits_;
+    std::vector<std::uint32_t> fail_; //!< KMP scratch
+    std::vector<std::int64_t> sig_;   //!< snapshot-encoding scratch
+    std::vector<Snapshot> snapshots_; //!< storage, reused per pass
+
+    /** Each port's position-form trace, when the pass records. */
+    std::vector<std::vector<Emit>> emits_ =
+        std::vector<std::vector<Emit>>(1);
     EmitSummary summary_;
     Cycle stepped_ = 0;
 };

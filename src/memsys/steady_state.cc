@@ -9,13 +9,15 @@ void
 materializeEmits(const EmitSummary &summary,
                  const std::vector<Emit> &emits,
                  const std::vector<Request> &stream,
-                 const ModuleId *mods, AccessResult &result)
+                 const ModuleId *mods, unsigned port,
+                 AccessResult &result)
 {
     for (const Emit &e : emits) {
         Delivery d;
         d.addr = stream[e.pos].addr;
         d.element = stream[e.pos].element;
         d.module = mods[e.pos];
+        d.port = port;
         d.issued = e.issued;
         d.arrived = e.arrived;
         d.serviceStart = e.serviceStart;
@@ -140,7 +142,7 @@ tryFastPath(const MemConfig &cfg, const std::vector<Request> &stream,
             ++stats.memoHits;
             if (materialize) {
                 materializeEmits(memo.cachedSummary(),
-                                 memo.cachedEmits(), stream, mods,
+                                 memo.cachedEmits(), stream, mods, 0,
                                  result);
             } else {
                 applyEmitSummary(memo.cachedSummary(), result);

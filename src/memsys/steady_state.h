@@ -142,16 +142,20 @@ struct EmitSummary
 };
 
 /**
- * Fills @p result from a position-form outcome and the concrete
- * stream it is being replayed against: addresses, element indices,
+ * Fills @p result from a position-form outcome — a memo entry
+ * replayed against a new stream, or the trace of a stepper pass —
+ * and the concrete stream it answers: addresses, element indices,
  * and module numbers come from (@p stream, @p mods) at the stored
- * positions, every timing field from the cached trace.
- * result.deliveries must be empty (capacity may be reserved).
+ * positions, every timing field from the trace, and each record is
+ * tagged with @p port.  This is the evaluator's one writer of
+ * non-uniform Delivery records.  result.deliveries must be empty
+ * (capacity may be reserved).
  */
 void materializeEmits(const EmitSummary &summary,
                       const std::vector<Emit> &emits,
                       const std::vector<Request> &stream,
-                      const ModuleId *mods, AccessResult &result);
+                      const ModuleId *mods, unsigned port,
+                      AccessResult &result);
 
 /** Copies only the scalar aggregates of a position-form outcome
  *  into @p result, leaving result.deliveries untouched — the

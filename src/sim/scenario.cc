@@ -86,6 +86,13 @@ ScenarioGrid::expand() const
     bool retune = false;
     for (const auto &wl : workloads) {
         wl.validate();
+        // Program totals add the execute latency to cycle counts;
+        // the --lengths bound keeps those sums from wrapping.
+        if (wl.execLatency > kMaxLength) {
+            cfva_fatal("--exec-latency ", wl.execLatency,
+                       " is above the ", kMaxLength,
+                       " (2^32 - 1) cycles an execute step may take");
+        }
         retune = retune || wl.kind == WorkloadKind::Retune;
         if (wl.kind == WorkloadKind::Retune
             || wl.kind == WorkloadKind::Stencil) {

@@ -41,8 +41,9 @@
  *    bit-identical to its single-port trace — so a P > 1 access
  *    decomposes into P independent single-port answers
  *    (theory/theory_backend.cc synthesizes the MultiPortResult).
- *    stepPorts() answers the ports that share modules with one
- *    P-port pass of the same stepper.
+ *    stepPorts() answers the ports that share modules with one pass
+ *    of the same stepper: EventStepper::runPorts sets up the loop
+ *    that run() sets up for solve(), with P ports and no snapshots.
  *
  * Bit-identity with the stepped oracle (memsys/memory_system.h) is
  * by construction: the transient is established by the event
@@ -110,12 +111,12 @@ class ConflictSolver
 
     /**
      * Steps a P > 1 access whose ports share modules (stream p
-     * premapped to mods[p]) in one P-port pass of the solver's
-     * stepper, materializing deliveries only when @p materialize is
-     * set (see EventStepper::runPorts).  Nothing is claimed or
-     * memoized: the ports' interleaving on the shared modules is not
-     * periodic in any one port's module sequence.  The pass's
-     * makespan counts as stepped cycles.
+     * premapped to mods[p]) in one pass of the solver's stepper set
+     * up for P ports (EventStepper::runPorts), materializing
+     * deliveries only when @p materialize is set.  Nothing is
+     * claimed or memoized: the ports' interleaving on the shared
+     * modules is not periodic in any one port's module sequence.
+     * The pass's makespan counts as stepped cycles.
      */
     MultiPortResult
     stepPorts(const MemConfig &cfg,

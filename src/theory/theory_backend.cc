@@ -10,13 +10,15 @@ namespace cfva {
 
 namespace {
 
-/** Lifts a single-port AccessResult into the P = 1 MultiPortResult
- *  the stepped models produce for the same stream. */
+/** Lifts the AccessResult of a @p length-element stream into the
+ *  P = 1 MultiPortResult the stepped models produce for it.  The
+ *  makespan comes from the stream, since a summary carries no
+ *  deliveries to read it from. */
 MultiPortResult
-wrapSinglePort(AccessResult &&r)
+wrapSinglePort(AccessResult &&r, std::size_t length)
 {
     MultiPortResult out;
-    out.makespan = r.deliveries.empty() ? 0 : r.lastDelivery + 1;
+    out.makespan = length == 0 ? 0 : r.lastDelivery + 1;
     out.ports.push_back(std::move(r));
     return out;
 }
@@ -253,7 +255,8 @@ TheoryBackend::runPorts(
     cfva_assert(!streams.empty(), "need at least one port");
     if (streams.size() == 1)
         return wrapSinglePort(
-            runSingleHinted(true, streams[0], arena, detail));
+            runSingleHinted(true, streams[0], arena, detail),
+            streams[0].size());
     // Premap every port once: the disjointness proof, the per-port
     // claims and a stepped answer all read the same premap.
     portMods_.resize(streams.size());

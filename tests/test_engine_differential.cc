@@ -140,27 +140,29 @@ TEST(EngineDifferential, RandomStreamsAllShapes)
     Rng rng(0xD1FFe9ull);
     unsigned checked = 0;
     for (unsigned m : {1u, 2u, 3u, 4u}) {
-        for (unsigned t : {1u, 2u, 3u}) {
+        for (unsigned t : {1u, 2u, 3u, 8u}) {
             for (unsigned q : {1u, 2u}) {
-                MemConfig cfg;
-                cfg.m = m;
-                cfg.t = t;
-                cfg.inputBuffers = q;
-                cfg.outputBuffers = 1 + (checked % 2);
-                const LowOrderInterleave map(m);
-                for (unsigned rep = 0; rep < 8; ++rep) {
-                    // Clustered addresses: small ranges produce
-                    // heavy conflicts, large ranges light ones.
-                    const Addr range =
-                        Addr{1} << (2 + rng.below(8));
-                    const std::size_t len = 1 + rng.below(96);
-                    std::vector<Addr> addrs(len);
-                    for (auto &a : addrs)
-                        a = rng.below(range);
-                    expectEnginesAgree(
-                        cfg, map, sequentialStream(addrs),
-                        "random stream");
-                    ++checked;
+                for (unsigned qp : {1u, 2u, 3u}) {
+                    MemConfig cfg;
+                    cfg.m = m;
+                    cfg.t = t;
+                    cfg.inputBuffers = q;
+                    cfg.outputBuffers = qp;
+                    const LowOrderInterleave map(m);
+                    for (unsigned rep = 0; rep < 8; ++rep) {
+                        // Clustered addresses: small ranges produce
+                        // heavy conflicts, large ranges light ones.
+                        const Addr range =
+                            Addr{1} << (2 + rng.below(8));
+                        const std::size_t len = 1 + rng.below(96);
+                        std::vector<Addr> addrs(len);
+                        for (auto &a : addrs)
+                            a = rng.below(range);
+                        expectEnginesAgree(
+                            cfg, map, sequentialStream(addrs),
+                            "random stream");
+                        ++checked;
+                    }
                 }
             }
         }

@@ -421,6 +421,15 @@ TEST(SweepEngine, RejectsInvalidGrids)
     ScenarioGrid stencil = strideGrid(std::uint64_t{1} << 62);
     stencil.workloads = {{WorkloadKind::Stencil}};
     expectFatalNaming(stencil, {"--workloads stencil", "2^62 - 1"});
+
+    // --workloads chain --exec-latency 4294967296: program totals
+    // add the latency to cycle counts, so it is held to the
+    // --lengths bound; the bound itself is accepted.
+    ScenarioGrid chain = strideGrid(1);
+    chain.workloads = {{WorkloadKind::Chain, ScenarioGrid::kMaxLength}};
+    EXPECT_EQ(expandRejection(chain), "");
+    chain.workloads.front().execLatency = ScenarioGrid::kMaxLength + 1;
+    expectFatalNaming(chain, {"--exec-latency", "2^32 - 1"});
 }
 
 // The strict list parsers behind cfva_sweep's --kinds/--workloads/

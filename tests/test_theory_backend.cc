@@ -258,6 +258,35 @@ TEST(TheoryBackend, SinglePortRunLiftsLikeTheEngines)
     EXPECT_EQ(lifted, oracleOver(unit)->run({plan.stream}));
     ASSERT_EQ(lifted.ports.size(), 1u);
     EXPECT_TRUE(lifted.ports[0].conflictFree);
+
+    // At every detail, a one-stream runPorts carries the oracle's
+    // makespan and aggregates, whether the proof claims the stream,
+    // the solver claims it, or it is stepped.
+    const auto expectLiftAgrees = [](const VectorAccessUnit &u,
+                                     const std::vector<Request> &stream,
+                                     bool claimed, const char *what) {
+        const MultiPortResult oracle = oracleOver(u)->run({stream});
+        for (ResultDetail detail :
+             {ResultDetail::Full, ResultDetail::Summary,
+              ResultDetail::SummaryIfUniform}) {
+            TheoryBackend backend(u.memConfig(), u.mapping());
+            MultiPortResult r = backend.runPorts({stream}, nullptr, detail);
+            EXPECT_EQ(backend.lastClaimed(), claimed) << what;
+            ASSERT_EQ(r.ports.size(), 1u) << what;
+            EXPECT_EQ(r.makespan, oracle.makespan)
+                << what << ", detail " << static_cast<int>(detail);
+            if (detail != ResultDetail::Full && r.ports[0].deliveries.empty())
+                r.ports[0].deliveries = oracle.ports[0].deliveries;
+            EXPECT_EQ(r, oracle)
+                << what << ", detail " << static_cast<int>(detail);
+        }
+    };
+    expectLiftAgrees(unit, plan.stream, true, "proven");
+    expectLiftAgrees(unit, unit.plan(0, Stride(64), 64).stream, true,
+                     "solved");
+    const DeclinedCase declined;
+    expectLiftAgrees(declined.unit, declined.plan.stream, false,
+                     "stepped");
 }
 
 TEST(TheoryBackend, MultiPortSharedModulesFallBack)

@@ -21,7 +21,6 @@
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -117,18 +116,6 @@ usage(std::ostream &os)
           "  --help\n";
 }
 
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> parts;
-    std::stringstream ss(arg);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            parts.push_back(item);
-    return parts;
-}
-
 std::uint64_t
 parseU64(const std::string &arg, const char *what)
 {
@@ -153,17 +140,6 @@ parseU32(const std::string &arg, const char *what)
     if (v > std::numeric_limits<unsigned>::max())
         cfva_fatal(what, " value out of range: ", arg);
     return static_cast<unsigned>(v);
-}
-
-std::vector<std::uint64_t>
-parseU64List(const std::string &arg, const char *what)
-{
-    std::vector<std::uint64_t> vals;
-    for (const auto &p : splitList(arg))
-        vals.push_back(parseU64(p, what));
-    if (vals.empty())
-        cfva_fatal("empty ", what, " list");
-    return vals;
 }
 
 /** sim::splitFlagList + parseU64 per item: a strict numeric list
@@ -322,31 +298,31 @@ parseArgs(int argc, char **argv)
             o.kinds = sim::splitFlagList("--kinds",
                                          need(i, "--kinds"));
         } else if (a == "--t") {
-            o.ts = parseU64List(need(i, "--t"), "--t");
+            o.ts = strictU64List("--t", need(i, "--t"));
         } else if (a == "--lambda") {
-            o.lambdas = parseU64List(need(i, "--lambda"), "--lambda");
+            o.lambdas = strictU64List("--lambda", need(i, "--lambda"));
         } else if (a == "--m") {
-            o.ms = parseU64List(need(i, "--m"), "--m");
+            o.ms = strictU64List("--m", need(i, "--m"));
         } else if (a == "--tunes") {
             o.tunes = strictU64List("--tunes", need(i, "--tunes"));
         } else if (a == "--families") {
             o.families =
                 parseRange(need(i, "--families"), "--families");
         } else if (a == "--sigmas") {
-            o.sigmas = parseU64List(need(i, "--sigmas"), "--sigmas");
+            o.sigmas = strictU64List("--sigmas", need(i, "--sigmas"));
         } else if (a == "--strides") {
             o.strides =
-                parseU64List(need(i, "--strides"), "--strides");
+                strictU64List("--strides", need(i, "--strides"));
         } else if (a == "--lengths") {
             o.lengths =
-                parseU64List(need(i, "--lengths"), "--lengths");
+                strictU64List("--lengths", need(i, "--lengths"));
         } else if (a == "--starts") {
-            o.starts = parseU64List(need(i, "--starts"), "--starts");
+            o.starts = strictU64List("--starts", need(i, "--starts"));
         } else if (a == "--random-starts") {
             o.randomStarts = parseU32(need(i, "--random-starts"),
                                       "--random-starts");
         } else if (a == "--ports") {
-            o.ports = parseU64List(need(i, "--ports"), "--ports");
+            o.ports = strictU64List("--ports", need(i, "--ports"));
         } else if (a == "--port-mix") {
             o.portMixes = sim::parsePortMixFlag(
                 "--port-mix", need(i, "--port-mix"));
