@@ -1,6 +1,9 @@
 #include "sim/cli.h"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -92,6 +95,62 @@ parsePortMixFlag(const std::string &flag, const std::string &arg)
     if (mixes.empty())
         cfva_fatal(flag, " list is empty");
     return mixes;
+}
+
+namespace {
+
+/** @p p made absolute, with symlinks and dot segments resolved as
+ *  far as the file system allows. */
+std::filesystem::path
+resolved(const std::string &p)
+{
+    std::error_code ec;
+    std::filesystem::path r = std::filesystem::absolute(p, ec);
+    if (!ec)
+        r = std::filesystem::weakly_canonical(r, ec);
+    return ec ? std::filesystem::path(p).lexically_normal() : r;
+}
+
+} // namespace
+
+bool
+sameFile(const std::string &a, const std::string &b)
+{
+    namespace fs = std::filesystem;
+    if (a == "-" || b == "-")
+        return a == b;
+    std::error_code ec;
+    if (fs::is_character_file(a, ec) || fs::is_character_file(b, ec))
+        return false;
+    if (fs::exists(a, ec) && fs::exists(b, ec))
+        return fs::equivalent(a, b, ec);
+    return resolved(a) == resolved(b);
+}
+
+std::ostream &
+openOutput(const std::string &path, std::ofstream &file)
+{
+    if (path == "-")
+        return std::cout;
+    file.open(path, std::ios::binary);
+    if (!file)
+        cfva_fatal("cannot open ", path, " for writing");
+    return file;
+}
+
+void
+closeOutput(const std::string &path, std::ofstream &file)
+{
+    bool ok = true;
+    if (path == "-") {
+        ok = static_cast<bool>(std::cout.flush());
+    } else {
+        file.close();
+        ok = !file.fail();
+    }
+    if (!ok)
+        cfva_fatal("writing ", path, " failed; the output is "
+                   "incomplete");
 }
 
 } // namespace cfva::sim

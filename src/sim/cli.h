@@ -1,6 +1,7 @@
 /**
  * @file
- * Strict parsing helpers for list-valued sweep CLI flags.
+ * Strict parsing helpers for list-valued sweep CLI flags, and the
+ * output-file handling cfva_sweep and cfva_merge share.
  *
  * The tools' original ad-hoc splitter silently dropped empty items
  * and accepted duplicates, so "--kinds matched,,matched" ran a
@@ -13,6 +14,7 @@
 #ifndef CFVA_SIM_CLI_H
 #define CFVA_SIM_CLI_H
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,24 @@ splitFlagList(const std::string &flag, const std::string &arg,
  */
 std::vector<PortMix>
 parsePortMixFlag(const std::string &flag, const std::string &arg);
+
+/**
+ * True when output paths @p a and @p b name one file, so writing
+ * both would destroy data: std::filesystem::equivalent when both
+ * exist, equal weakly_canonical paths otherwise.  "-" (stdout)
+ * matches only itself, and a character device such as /dev/null
+ * matches nothing.
+ */
+bool sameFile(const std::string &a, const std::string &b);
+
+/** Opens output @p path ("-" = stdout) through @p file; exits 1
+ *  naming the path when it cannot be opened. */
+std::ostream &openOutput(const std::string &path, std::ofstream &file);
+
+/** Flushes and closes an output openOutput opened; exits 1 naming
+ *  the path if any write to it failed, so a truncated report never
+ *  reads as success. */
+void closeOutput(const std::string &path, std::ofstream &file);
 
 } // namespace cfva::sim
 

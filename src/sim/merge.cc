@@ -178,9 +178,9 @@ mergeJson(std::ostream &out,
         // Streaming passes per shard — locate the rows, check the
         // first row's field-name schema against the earlier shards,
         // rewind, chunk-copy — so merge memory stays O(1) however
-        // large a shard is (the rest of the pipeline is
-        // O(threads x grain); the merge must not be the stage that
-        // buffers a whole report).  The per-row indentation sits
+        // large a shard is (the sweep holds only the outcomes in
+        // flight; the merge must not be the stage that buffers a
+        // whole report).  The per-row indentation sits
         // inside the copied span, so the splice reproduces
         // writeJson's bytes.
         const JsonBody body = findJsonBody(*shards[i], i);

@@ -1,8 +1,8 @@
 #include "sim/sweep_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,143 +27,6 @@ ScenarioOutcome::efficiency() const
            / static_cast<double>(latency);
 }
 
-std::uint64_t
-SweepReport::conflictFreeJobs() const
-{
-    std::uint64_t n = 0;
-    for (const auto &o : outcomes)
-        n += o.conflictFree ? 1 : 0;
-    return n;
-}
-
-Cycle
-SweepReport::totalLatency() const
-{
-    Cycle sum = 0;
-    for (const auto &o : outcomes)
-        sum += o.latency;
-    return sum;
-}
-
-std::vector<MappingSummary>
-SweepReport::perMapping() const
-{
-    std::vector<MappingSummary> rows(mappingLabels.size());
-    std::vector<double> effSum(mappingLabels.size(), 0.0);
-    for (std::size_t i = 0; i < mappingLabels.size(); ++i)
-        rows[i].label = mappingLabels[i];
-    for (const auto &o : outcomes) {
-        cfva_assert(o.mappingIndex < rows.size(),
-                    "outcome references unknown mapping ",
-                    o.mappingIndex);
-        auto &r = rows[o.mappingIndex];
-        ++r.jobs;
-        r.conflictFree += o.conflictFree ? 1 : 0;
-        r.totalLatency += o.latency;
-        r.totalMinLatency += o.minLatency;
-        r.totalStalls += o.stallCycles;
-        r.theoryClaimed += o.theoryClaimed;
-        r.theoryFallback += o.theoryFallback;
-        effSum[o.mappingIndex] += o.efficiency();
-    }
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        rows[i].meanEfficiency =
-            rows[i].jobs ? effSum[i] / static_cast<double>(rows[i].jobs)
-                         : 0.0;
-    }
-    return rows;
-}
-
-TextTable
-SweepReport::table() const
-{
-    TextTable t({"job", "mapping", "stride", "family", "length",
-                 "a1", "ports", "port_mix", "workload", "latency",
-                 "min_latency", "stalls", "conflict_free",
-                 "in_window", "efficiency", "accesses", "decoupled",
-                 "chained", "chain_saved", "chainable", "retunes",
-                 "retune_cycles", "tier", "theory_claimed",
-                 "theory_fallback", "fallback_reason"});
-    for (const auto &o : outcomes) {
-        t.row(o.index, mappingLabels[o.mappingIndex], o.stride,
-              o.family, o.length, o.a1, o.ports,
-              portMixLabels[o.portMixIndex],
-              workloadLabels[o.workloadIndex], o.latency,
-              o.minLatency, o.stallCycles, o.conflictFree ? 1 : 0,
-              o.inWindow ? 1 : 0, fixed(o.efficiency(), 4),
-              o.accesses, o.decoupledCycles, o.chainedCycles,
-              o.chainSaved(), o.chainable ? 1 : 0, o.retunes,
-              o.retuneCycles, o.tierLabel(), o.theoryClaimed,
-              o.theoryFallback, to_string(o.fallbackReason));
-    }
-    return t;
-}
-
-TextTable
-mappingSummaryTable(const std::vector<MappingSummary> &rows)
-{
-    TextTable t({"mapping", "jobs", "conflict-free", "total latency",
-                 "total stalls", "mean efficiency", "theory hits"});
-    for (const auto &r : rows) {
-        t.row(r.label, r.jobs, ratio(r.conflictFree, r.jobs),
-              r.totalLatency, r.totalStalls,
-              fixed(r.meanEfficiency, 4),
-              ratio(r.theoryClaimed,
-                    r.theoryClaimed + r.theoryFallback));
-    }
-    return t;
-}
-
-std::vector<WorkloadSummary>
-SweepReport::perWorkload() const
-{
-    std::vector<WorkloadSummary> rows(workloadLabels.size());
-    for (std::size_t i = 0; i < workloadLabels.size(); ++i)
-        rows[i].label = workloadLabels[i];
-    for (const auto &o : outcomes) {
-        cfva_assert(o.workloadIndex < rows.size(),
-                    "outcome references unknown workload ",
-                    o.workloadIndex);
-        accumulateWorkload(rows[o.workloadIndex], o);
-    }
-    return rows;
-}
-
-void
-accumulateWorkload(WorkloadSummary &row, const ScenarioOutcome &o)
-{
-    ++row.jobs;
-    row.accesses += o.accesses;
-    row.conflictFree += o.conflictFree ? 1 : 0;
-    row.totalLatency += o.latency;
-    row.totalDecoupled += o.decoupledCycles;
-    row.totalChained += o.chainedCycles;
-    row.chainableJobs += o.chainable ? 1 : 0;
-    row.totalRetunes += o.retunes;
-    row.totalRetuneCycles += o.retuneCycles;
-}
-
-TextTable
-workloadSummaryTable(const std::vector<WorkloadSummary> &rows)
-{
-    TextTable t({"workload", "jobs", "accesses", "conflict-free",
-                 "total latency", "chainable", "chain saved",
-                 "retunes", "retune cycles"});
-    for (const auto &r : rows) {
-        t.row(r.label, r.jobs, r.accesses,
-              ratio(r.conflictFree, r.jobs), r.totalLatency,
-              ratio(r.chainableJobs, r.jobs), r.totalChainSaved(),
-              r.totalRetunes, r.totalRetuneCycles);
-    }
-    return t;
-}
-
-TextTable
-SweepReport::summaryTable() const
-{
-    return mappingSummaryTable(perMapping());
-}
-
 void
 SweepReport::stream(SweepSink &sink) const
 {
@@ -171,7 +34,6 @@ SweepReport::stream(SweepSink &sink) const
     ctx.mappingLabels = mappingLabels;
     ctx.portMixLabels = portMixLabels;
     ctx.workloadLabels = workloadLabels;
-    ctx.totalJobs = outcomes.size();
     ctx.firstJob = outcomes.empty() ? 0 : outcomes.front().index;
     ctx.lastJob = outcomes.empty() ? 0 : outcomes.back().index + 1;
     sink.begin(ctx);
@@ -205,25 +67,19 @@ ShardSpec::validate() const
 std::pair<std::size_t, std::size_t>
 ShardSpec::sliceOf(std::size_t jobs) const
 {
-    return {index * jobs / count, (index + 1) * jobs / count};
+    // i * J overflows 64 bits once both pass 2^32; the quotient
+    // fits again because i <= N.
+    const auto bound = [&](std::size_t i) {
+        return static_cast<std::size_t>(
+            static_cast<unsigned __int128>(i) * jobs / count);
+    };
+    return {bound(index), bound(index + 1)};
 }
 
 void
 SweepOptions::validate() const
 {
     shard.validate();
-}
-
-std::size_t
-SweepOptions::effectiveGrain(std::size_t jobs,
-                             unsigned threads) const
-{
-    if (grain)
-        return grain;
-    const std::size_t target =
-        kChunksPerThread * std::max(threads, 1u);
-    return std::clamp<std::size_t>(jobs / target, 1,
-                                   kMaxAdaptiveGrain);
 }
 
 SweepEngine::SweepEngine(SweepOptions opts) : opts_(opts)
@@ -657,25 +513,29 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
 
 namespace {
 
-/** A contiguous range of job indices, the unit of stealing. */
-struct Chunk
+/** Adaptive chunks target about this many per worker: enough for
+ *  the shared cursor to balance uneven scenarios without shrinking
+ *  chunks into scheduling overhead. */
+constexpr std::size_t kChunksPerThread = 8;
+
+/** Chunk-size ceiling: chunks stay small enough that the ordered
+ *  flush window (O(threads x grain)) stays flat on huge grids. */
+constexpr std::size_t kMaxGrain = 256;
+
+/** Jobs per chunk for a run of @p jobs on @p threads workers. */
+std::size_t
+adaptiveGrain(std::size_t jobs, unsigned threads)
 {
-    std::size_t first = 0;
-    std::size_t last = 0; // exclusive
-};
+    return std::clamp<std::size_t>(jobs / (kChunksPerThread * threads),
+                                   1, kMaxGrain);
+}
 
 /**
- * Everything one worker touches on the hot path: its share of the
- * work, its lazily built access units, its backend cache, and its
- * delivery recycler.  Workers only take another worker's mutex
- * when stealing.
+ * Everything one worker touches on the hot path: its lazily built
+ * access units, its backend cache, and its delivery recycler.
  */
 struct WorkerArena
 {
-    std::mutex mutex;
-    std::deque<Chunk> chunks;
-
-    // Arena-local state, never shared.
     std::vector<std::unique_ptr<VectorAccessUnit>> units;
 
     // Re-tuned variant units and relayout memos for Retune
@@ -718,48 +578,23 @@ struct WorkerArena
     }
 };
 
-/** Pops from the front of the worker's own deque. */
-bool
-popOwn(WorkerArena &w, Chunk &out)
-{
-    std::lock_guard<std::mutex> lock(w.mutex);
-    if (w.chunks.empty())
-        return false;
-    out = w.chunks.front();
-    w.chunks.pop_front();
-    return true;
-}
-
-/** Steals from the back of a victim's deque. */
-bool
-stealFrom(WorkerArena &victim, Chunk &out)
-{
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (victim.chunks.empty())
-        return false;
-    out = victim.chunks.back();
-    victim.chunks.pop_back();
-    return true;
-}
-
 /**
- * The ordered flush queue between the work-stealing workers and the
- * sink: completed chunks arrive in any order, the sink sees their
+ * The ordered flush queue between the workers and the sink:
+ * completed chunks arrive in any order, the sink sees their
  * outcomes in strictly increasing job order.
  *
  * Memory stays bounded by an admission window: a worker offering a
  * chunk that starts more than `window` jobs past the lowest
  * undelivered job waits until the stream catches up.  This cannot
- * deadlock — job delivery is chunk-granular and in order, so the
- * next needed job is always the first job of some chunk, and that
- * chunk is admitted unconditionally (first == next < next+window).
- * Its holder is therefore never blocked: it is either computing the
- * chunk or pushing it successfully.  (The chunk can't sit unclaimed
- * while its owner blocks elsewhere, because workers drain their own
- * deque front-to-back in ascending job order before stealing.)
+ * deadlock.  Workers claim chunks in job order from one cursor, so
+ * while any worker waits with a chunk, the lowest undelivered chunk
+ * (which starts lower) has already been claimed.  Its holder
+ * computes it and pushes it, and that push is always admitted
+ * (first == next, 0 <= window).
  *
- * Sink calls happen under the queue mutex, so sinks never see
- * concurrent or out-of-order calls.
+ * One worker at a time delivers (the `delivering_` flag, set and
+ * cleared under the queue mutex), so sinks never see concurrent or
+ * out-of-order calls.
  */
 class OrderedFlush
 {
@@ -853,7 +688,6 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
     ctx.workloadLabels.reserve(grid.workloads.size());
     for (const auto &wl : grid.workloads)
         ctx.workloadLabels.push_back(wl.label());
-    ctx.totalJobs = jobs.size();
     const auto [firstJob, lastJob] =
         opts_.shard.sliceOf(jobs.size());
     ctx.firstJob = firstJob;
@@ -871,15 +705,15 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
     }
 
     // Clamp explicit thread counts to the hardware: oversubscribed
-    // workers only contend for cores (and for each other's stolen
-    // chunks), so --threads 8 on a 1-CPU host silently degenerates
-    // to serial execution with extra scheduling cost.  The report is
-    // identical at any worker count, so clamping is safe.
+    // workers only contend for cores, so --threads 8 on a 1-CPU host
+    // silently degenerates to serial execution with extra scheduling
+    // cost.  The report is identical at any worker count, so
+    // clamping is safe.
     const unsigned hw =
         std::max(1u, std::thread::hardware_concurrency());
     unsigned threads =
         opts_.threads ? std::min(opts_.threads, hw) : hw;
-    const std::size_t grain = opts_.effectiveGrain(run.jobs, threads);
+    const std::size_t grain = adaptiveGrain(run.jobs, threads);
     const std::size_t chunkCount = (run.jobs + grain - 1) / grain;
     threads = static_cast<unsigned>(
         std::min<std::size_t>(threads, chunkCount));
@@ -888,11 +722,6 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
     run.chunks = chunkCount;
 
     std::vector<WorkerArena> arenas(threads);
-    for (std::size_t c = 0; c < chunkCount; ++c) {
-        const std::size_t first = firstJob + c * grain;
-        const std::size_t last = std::min(first + grain, lastJob);
-        arenas[c % threads].chunks.push_back({first, last});
-    }
 
     // Admission window of the ordered flush: workers may run at most
     // this many jobs ahead of the stream, which bounds the outcomes
@@ -901,20 +730,23 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
     run.pendingWindow = window;
     OrderedFlush flush(sink, firstJob, window);
 
+    // The jobs are independent, so one shared cursor hands out
+    // chunks in job order; OrderedFlush relies on that order.
+    std::atomic<std::size_t> nextChunk{0};
+
     auto work = [&](unsigned self) {
         WorkerArena &mine = arenas[self];
         std::vector<ScenarioOutcome> buf;
-        Chunk chunk;
         for (;;) {
-            bool have = popOwn(mine, chunk);
-            for (unsigned v = 1; !have && v < threads; ++v) {
-                have = stealFrom(arenas[(self + v) % threads], chunk);
-            }
-            if (!have)
-                return; // no producer: empty = done
+            const std::size_t c =
+                nextChunk.fetch_add(1, std::memory_order_relaxed);
+            if (c >= chunkCount)
+                return;
+            const std::size_t first = firstJob + c * grain;
+            const std::size_t last = std::min(first + grain, lastJob);
             buf.clear();
-            buf.reserve(chunk.last - chunk.first);
-            for (std::size_t i = chunk.first; i < chunk.last; ++i) {
+            buf.reserve(last - first);
+            for (std::size_t i = first; i < last; ++i) {
                 const Scenario &sc = jobs[i];
                 buf.push_back(runScenario(
                     grid, sc, mine.unitFor(grid, sc.mappingIndex),
@@ -941,7 +773,7 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
                     break;
                 }
             }
-            flush.push(chunk.first, std::move(buf));
+            flush.push(first, std::move(buf));
             buf = {};
         }
     };

@@ -7,13 +7,14 @@
  * configuration at a time.  The engine expands a ScenarioGrid into
  * independent jobs, optionally narrows them to one deterministic
  * shard of N (ShardSpec — the unit of multi-process scale-out),
- * runs them on a work-stealing pool of std::jthread workers — each
- * with a private arena holding its unit cache, backend cache, and
- * delivery recycler, so workers never share mutable state on the
- * hot path — and streams the outcomes in job order through a
- * SweepSink (sim/sweep_sink.h).  run() is the materializing
- * convenience over runToSink(); both produce results identical at
- * any thread count, grain, and shard split.
+ * and runs them on a pool of std::jthread workers that claim
+ * fixed-size chunks in job order from one shared cursor.  Each
+ * worker has a private arena holding its unit cache, backend cache,
+ * and delivery recycler, so workers share no mutable state on the
+ * hot path.  Outcomes stream in job order through a SweepSink
+ * (sim/sweep_sink.h); run() is the materializing convenience over
+ * runToSink().  Results are identical at any thread count and shard
+ * split.
  */
 
 #ifndef CFVA_SIM_SWEEP_ENGINE_H
@@ -27,7 +28,6 @@
 
 #include "common/bits.h"
 #include "common/logging.h"
-#include "common/table.h"
 #include "core/access_unit.h"
 #include "sim/canonical.h"
 #include "sim/scenario.h"
@@ -128,7 +128,7 @@ struct ScenarioOutcome
      * SimulateAlways).  Any fallback on a dynamically re-tuned
      * mapping reads Dynamic — the scheme, not the stream, defeats
      * the analysis.  Deterministic per scenario, so reports stay
-     * identical at any thread count, grain and shard.
+     * identical at any thread count and shard.
      */
     FallbackReason fallbackReason = FallbackReason::None;
 
@@ -154,46 +154,6 @@ struct ScenarioOutcome
     bool operator==(const ScenarioOutcome &o) const = default;
 };
 
-/** Aggregate row for one mapping configuration of the grid. */
-struct MappingSummary
-{
-    std::string label;
-    std::uint64_t jobs = 0;
-    std::uint64_t conflictFree = 0;
-    Cycle totalLatency = 0;
-    Cycle totalMinLatency = 0;
-    std::uint64_t totalStalls = 0;
-
-    /** Theory-tier attribution summed over the mapping's jobs. */
-    std::uint64_t theoryClaimed = 0;
-    std::uint64_t theoryFallback = 0;
-
-    /** Mean of per-access efficiencies. */
-    double meanEfficiency = 0.0;
-};
-
-/** Aggregate row for one workload of the grid. */
-struct WorkloadSummary
-{
-    std::string label;
-    std::uint64_t jobs = 0;
-    std::uint64_t accesses = 0;      //!< memory accesses executed
-    std::uint64_t conflictFree = 0;  //!< fully conflict-free jobs
-    Cycle totalLatency = 0;
-    Cycle totalDecoupled = 0;
-    Cycle totalChained = 0;
-    std::uint64_t chainableJobs = 0;
-    std::uint64_t totalRetunes = 0;
-    Cycle totalRetuneCycles = 0;
-
-    /** Total cycles chaining saved across the workload's jobs. */
-    Cycle
-    totalChainSaved() const
-    {
-        return totalDecoupled - totalChained;
-    }
-};
-
 /** The merged result of one sweep, ordered by job index. */
 struct SweepReport
 {
@@ -210,20 +170,6 @@ struct SweepReport
     std::vector<std::string> workloadLabels;
 
     std::size_t jobs() const { return outcomes.size(); }
-    std::uint64_t conflictFreeJobs() const;
-    Cycle totalLatency() const;
-
-    /** One summary row per mapping configuration. */
-    std::vector<MappingSummary> perMapping() const;
-
-    /** One summary row per workload program. */
-    std::vector<WorkloadSummary> perWorkload() const;
-
-    /** Full per-scenario table (one row per outcome). */
-    TextTable table() const;
-
-    /** Per-mapping summary table. */
-    TextTable summaryTable() const;
 
     /**
      * Replays the materialized outcomes through @p sink
@@ -241,20 +187,6 @@ struct SweepReport
 
     bool operator==(const SweepReport &o) const = default;
 };
-
-/** Renders per-mapping summary rows (shared by SweepReport and
- *  SummarySink so both emit the same table). */
-TextTable mappingSummaryTable(const std::vector<MappingSummary> &rows);
-
-/** Renders per-workload summary rows (shared by SweepReport and
- *  SummarySink so both emit the same table). */
-TextTable
-workloadSummaryTable(const std::vector<WorkloadSummary> &rows);
-
-/** Folds one outcome into a workload summary row (shared by
- *  SweepReport::perWorkload and the streaming SummarySink). */
-void accumulateWorkload(WorkloadSummary &row,
-                        const ScenarioOutcome &o);
 
 /**
  * One deterministic slice of a grid's job list: shard index of
@@ -279,13 +211,13 @@ struct ShardSpec
 };
 
 /** Observability counters filled by one run (not part of report
- *  identity: they legitimately vary with threads/grain/shard). */
+ *  identity: they legitimately vary with threads and shard). */
 struct SweepRunStats
 {
     std::size_t jobs = 0;    //!< jobs this run executed (its slice)
     unsigned threads = 0;    //!< workers actually started
-    std::size_t grain = 0;   //!< effective jobs per chunk
-    std::size_t chunks = 0;  //!< work items distributed
+    std::size_t grain = 0;   //!< jobs per chunk (adaptive)
+    std::size_t chunks = 0;  //!< chunks the workers claimed
 
     /** Backend-cache hits/misses summed over all workers: misses
      *  count backend constructions, hits count reuses — the
@@ -316,8 +248,8 @@ struct SweepRunStats
     std::uint64_t fallbackDynamic = 0;
 
     /** High-water mark of outcomes parked in the ordered flush
-     *  queue, and the admission window that bounds it — the
-     *  streaming-mode peak memory is O(window), not O(jobs). */
+     *  queue, and the admission window that bounds it: the
+     *  outcomes in flight are O(window), not O(jobs). */
     std::size_t peakPendingOutcomes = 0;
     std::size_t pendingWindow = 0;
 
@@ -353,27 +285,8 @@ struct SweepRunStats
 /** Engine tuning knobs. */
 struct SweepOptions
 {
-    /** Adaptive grain targets about this many chunks per worker —
-     *  enough slack for stealing to balance uneven scenarios
-     *  without shrinking chunks into scheduling overhead. */
-    static constexpr std::size_t kChunksPerThread = 8;
-
-    /** Adaptive grain ceiling: chunks stay small enough that the
-     *  ordered flush window (O(threads x grain)) keeps streaming
-     *  memory flat even on huge grids. */
-    static constexpr std::size_t kMaxAdaptiveGrain = 256;
-
     /** Worker threads; 0 means std::thread::hardware_concurrency. */
     unsigned threads = 0;
-
-    /**
-     * Scenarios per work item (stealing granularity).  0 — the
-     * default — sizes the grain adaptively from the job count and
-     * worker count (target ~kChunksPerThread chunks per worker,
-     * clamped to [1, kMaxAdaptiveGrain]); the report is identical
-     * at any grain, so the knob only trades balance vs overhead.
-     */
-    std::size_t grain = 0;
 
     /** Which shard of the grid this run executes; the default is
      *  the whole grid.  Sharded runs emit disjoint, contiguous job
@@ -397,14 +310,9 @@ struct SweepOptions
      *  deletes it with DedupMode (sim/canonical.h). */
     DedupMode dedup = DedupMode::Off;
 
-    /** Panics on an impossible shard spec.  Any grain (including
-     *  0 = adaptive) and any thread count are valid. */
+    /** Panics on an impossible shard spec.  Any thread count is
+     *  valid. */
     void validate() const;
-
-    /** The grain a run over @p jobs on @p threads workers uses:
-     *  this->grain when set, the adaptive size otherwise. */
-    std::size_t effectiveGrain(std::size_t jobs,
-                               unsigned threads) const;
 };
 
 /**
@@ -423,7 +331,7 @@ AccessPlan planPortStream(const ScenarioGrid &grid,
                           DeliveryArena *arena);
 
 /**
- * Expands grids and runs their jobs on a work-stealing thread pool.
+ * Expands grids and runs their jobs on a pool of worker threads.
  * The engine is stateless between run() calls and safe to reuse.
  */
 class SweepEngine
@@ -445,12 +353,11 @@ class SweepEngine
      * The streaming core: expands @p grid, narrows to this run's
      * shard, simulates every job on the worker pool, and feeds the
      * outcomes to @p sink in strictly increasing job-index order.
-     * Workers push completed chunks into an ordered flush queue
-     * whose admission window bounds the outcomes in flight to
-     * O(threads x grain); a worker that runs far ahead of the
-     * lowest unfinished chunk waits, so streamed output is
-     * byte-identical to the materialized report at any thread
-     * count while peak memory stays flat.
+     * Workers claim chunks in job order and push each completed
+     * chunk into an ordered flush queue whose admission window
+     * bounds the outcomes in flight to O(threads x grain); a worker
+     * that runs far ahead of the lowest undelivered chunk waits.
+     * The expanded job list itself is O(jobs).
      */
     void runToSink(const ScenarioGrid &grid, SweepSink &sink,
                    SweepRunStats *stats = nullptr) const;

@@ -239,7 +239,6 @@ SummarySink::consume(const ScenarioOutcome &o)
     cfva_assert(o.workloadIndex < workloadRows_.size(),
                 "outcome references unknown workload ",
                 o.workloadIndex);
-    accumulateWorkload(workloadRows_[o.workloadIndex], o);
     auto &r = rows_[o.mappingIndex];
     ++r.jobs;
     r.conflictFree += o.conflictFree ? 1 : 0;
@@ -249,6 +248,16 @@ SummarySink::consume(const ScenarioOutcome &o)
     r.theoryClaimed += o.theoryClaimed;
     r.theoryFallback += o.theoryFallback;
     effSum_[o.mappingIndex] += o.efficiency();
+    auto &w = workloadRows_[o.workloadIndex];
+    ++w.jobs;
+    w.accesses += o.accesses;
+    w.conflictFree += o.conflictFree ? 1 : 0;
+    w.totalLatency += o.latency;
+    w.totalDecoupled += o.decoupledCycles;
+    w.totalChained += o.chainedCycles;
+    w.chainableJobs += o.chainable ? 1 : 0;
+    w.totalRetunes += o.retunes;
+    w.totalRetuneCycles += o.retuneCycles;
     ++jobs_;
     conflictFree_ += o.conflictFree ? 1 : 0;
     totalLatency_ += o.latency;
@@ -270,13 +279,31 @@ SummarySink::perMapping() const
 TextTable
 SummarySink::summaryTable() const
 {
-    return mappingSummaryTable(perMapping());
+    TextTable t({"mapping", "jobs", "conflict-free", "total latency",
+                 "total stalls", "mean efficiency", "theory hits"});
+    for (const auto &r : perMapping()) {
+        t.row(r.label, r.jobs, ratio(r.conflictFree, r.jobs),
+              r.totalLatency, r.totalStalls,
+              fixed(r.meanEfficiency, 4),
+              ratio(r.theoryClaimed,
+                    r.theoryClaimed + r.theoryFallback));
+    }
+    return t;
 }
 
 TextTable
 SummarySink::workloadTable() const
 {
-    return workloadSummaryTable(perWorkload());
+    TextTable t({"workload", "jobs", "accesses", "conflict-free",
+                 "total latency", "chainable", "chain saved",
+                 "retunes", "retune cycles"});
+    for (const auto &r : workloadRows_) {
+        t.row(r.label, r.jobs, r.accesses,
+              ratio(r.conflictFree, r.jobs), r.totalLatency,
+              ratio(r.chainableJobs, r.jobs), r.totalChainSaved(),
+              r.totalRetunes, r.totalRetuneCycles);
+    }
+    return t;
 }
 
 void

@@ -2,27 +2,23 @@
  * @file
  * Streaming consumers for sweep outcomes.
  *
- * The engine's original contract was "materialize then emit": every
- * ScenarioOutcome of a grid lived in one in-memory SweepReport
- * before a byte of CSV/JSON left the process, so peak memory grew
- * with the job count.  A SweepSink inverts that: the engine feeds
- * outcomes to the sink in strictly increasing job-index order as
- * workers finish them (an ordered flush queue reorders the
- * work-stealing completions), and the sink formats or aggregates
- * each one immediately.  Peak memory in streaming mode is bounded
- * by the reorder window — O(threads x grain) — not by the grid.
+ * The engine feeds outcomes to a SweepSink in strictly increasing
+ * job-index order as workers finish them (an ordered flush queue
+ * reorders the chunk completions), and the sink formats or
+ * aggregates each one immediately.  Apart from ReportSink, nothing
+ * holds more outcomes than the ones in flight: O(threads x grain),
+ * not O(jobs).
  *
  *     ScenarioGrid ──expand──▶ jobs ──workers──▶ ordered flush ──▶ SweepSink
- *                                                               ├─ ReportSink   (SweepReport)
- *                                                               ├─ CsvStreamSink (byte-identical to writeCsv)
- *                                                               ├─ JsonStreamSink(byte-identical to writeJson)
- *                                                               ├─ SummarySink  (per-mapping aggregates)
- *                                                               └─ TeeSink      (fan-out)
+ *                                                               ├─ ReportSink    (SweepReport)
+ *                                                               ├─ CsvStreamSink (per-scenario CSV)
+ *                                                               ├─ JsonStreamSink(per-scenario JSON)
+ *                                                               ├─ SummarySink   (mapping and workload sums)
+ *                                                               └─ TeeSink       (fan-out)
  *
- * Byte-identity is by construction, not by parallel maintenance:
- * SweepReport::writeCsv/writeJson replay the materialized outcomes
- * through the same sinks, so a streamed file and a materialized one
- * cannot drift apart.  Sinks need not be thread-safe — the engine
+ * SweepReport::writeCsv/writeJson replay materialized outcomes
+ * through the same CSV/JSON sinks, so a report written either way
+ * has the same bytes.  Sinks need not be thread-safe — the engine
  * serializes all begin/consume/end calls.
  */
 
@@ -34,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/table.h"
 #include "sim/sweep_engine.h"
 
 namespace cfva::sim {
@@ -49,16 +46,6 @@ struct SweepContext
 
     /** label() of each grid workload, indexed by workloadIndex. */
     std::vector<std::string> workloadLabels;
-
-    /**
-     * Jobs known to the producer: the whole (unsharded) grid when
-     * the engine streams live, the replayed outcome count when a
-     * materialized report replays through SweepReport::stream (a
-     * shard report cannot know the grid total).  Sinks must treat
-     * it as informational — in particular, outcome indices of a
-     * shard replay may exceed it.
-     */
-    std::size_t totalJobs = 0;
 
     /** The producer's job-index range [firstJob, lastJob) — the
      *  shard slice when the engine streams live, the replayed
@@ -105,10 +92,7 @@ class ReportSink final : public SweepSink
     SweepReport report_;
 };
 
-/**
- * Streams the per-scenario CSV table; byte-identical to
- * SweepReport::writeCsv at any thread count and shard split.
- */
+/** Streams the per-scenario CSV table (26 columns). */
 class CsvStreamSink final : public SweepSink
 {
   public:
@@ -123,10 +107,7 @@ class CsvStreamSink final : public SweepSink
     std::string row_; //!< reused row buffer, one os.write per row
 };
 
-/**
- * Streams the per-scenario JSON array; byte-identical to
- * SweepReport::writeJson at any thread count and shard split.
- */
+/** Streams the per-scenario JSON array. */
 class JsonStreamSink final : public SweepSink
 {
   public:
@@ -143,10 +124,51 @@ class JsonStreamSink final : public SweepSink
     bool first_ = true;
 };
 
+/** Aggregate row for one mapping configuration of the grid. */
+struct MappingSummary
+{
+    std::string label;
+    std::uint64_t jobs = 0;
+    std::uint64_t conflictFree = 0;
+    Cycle totalLatency = 0;
+    Cycle totalMinLatency = 0;
+    std::uint64_t totalStalls = 0;
+
+    /** Theory-tier attribution summed over the mapping's jobs. */
+    std::uint64_t theoryClaimed = 0;
+    std::uint64_t theoryFallback = 0;
+
+    /** Mean of per-access efficiencies. */
+    double meanEfficiency = 0.0;
+};
+
+/** Aggregate row for one workload of the grid. */
+struct WorkloadSummary
+{
+    std::string label;
+    std::uint64_t jobs = 0;
+    std::uint64_t accesses = 0;      //!< memory accesses executed
+    std::uint64_t conflictFree = 0;  //!< fully conflict-free jobs
+    Cycle totalLatency = 0;
+    Cycle totalDecoupled = 0;
+    Cycle totalChained = 0;
+    std::uint64_t chainableJobs = 0;
+    std::uint64_t totalRetunes = 0;
+    Cycle totalRetuneCycles = 0;
+
+    /** Total cycles chaining saved across the workload's jobs. */
+    Cycle
+    totalChainSaved() const
+    {
+        return totalDecoupled - totalChained;
+    }
+};
+
 /**
- * Accumulates the per-mapping aggregates (and grid totals) without
- * retaining a single outcome — the O(1)-memory replacement for
- * materializing a report just to print its summary table.
+ * Accumulates the per-mapping and per-workload aggregates and the
+ * grid totals without retaining a single outcome.  Replay a
+ * materialized report through it (SweepReport::stream) to
+ * aggregate that report.
  */
 class SummarySink final : public SweepSink
 {
@@ -158,20 +180,19 @@ class SummarySink final : public SweepSink
     std::uint64_t conflictFreeJobs() const { return conflictFree_; }
     Cycle totalLatency() const { return totalLatency_; }
 
-    /** One row per mapping, same math as SweepReport::perMapping. */
+    /** One row per grid mapping, in mappingIndex order. */
     std::vector<MappingSummary> perMapping() const;
 
-    /** One row per workload, same math as
-     *  SweepReport::perWorkload. */
+    /** One row per grid workload, in workloadIndex order. */
     std::vector<WorkloadSummary> perWorkload() const
     {
         return workloadRows_;
     }
 
-    /** Same rendering as SweepReport::summaryTable. */
+    /** perMapping() as a table. */
     TextTable summaryTable() const;
 
-    /** Same rendering as workloadSummaryTable(perWorkload()). */
+    /** perWorkload() as a table. */
     TextTable workloadTable() const;
 
   private:

@@ -14,6 +14,7 @@
 #include "core/access_unit.h"
 #include "sim/scenario.h"
 #include "sim/sweep_engine.h"
+#include "sim/sweep_sink.h"
 #include "test_util.h"
 
 namespace cfva::sim {
@@ -98,7 +99,9 @@ TEST(SweepDynamic, StaticWindowBeatsOneTuningAcrossFamilies)
     // win on conflict-free count and on mean efficiency.
     const ScenarioGrid grid = priorArtGrid();
     const SweepReport report = SweepEngine().run(grid);
-    const auto per = report.perMapping();
+    SummarySink summary;
+    report.stream(summary);
+    const auto per = summary.perMapping();
     ASSERT_EQ(per.size(), 5u);
     for (std::size_t dyn = 1; dyn <= 3; ++dyn) {
         EXPECT_GT(per[0].conflictFree, per[dyn].conflictFree)
@@ -144,10 +147,11 @@ TEST(SweepDynamic, ReportIdenticalAcrossThreadCounts)
     SweepOptions one;
     one.threads = 1;
     const SweepReport base = SweepEngine(one).run(grid);
-    SweepOptions four;
-    four.threads = 4;
-    four.grain = 3;
-    EXPECT_EQ(SweepEngine(four).run(grid), base);
+    for (unsigned threads : {2u, 3u, 4u}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        EXPECT_EQ(SweepEngine(opts).run(grid), base) << threads;
+    }
 }
 
 } // namespace

@@ -6,18 +6,20 @@
  *
  *  - Streamed CSV/JSON output is byte-identical to the
  *    materialized SweepReport::writeCsv/writeJson at any thread
- *    count, grain, tier, and shard split.
+ *    count, tier, and shard split.
  *  - ShardSpec slices partition the job list into disjoint,
- *    contiguous, covering ranges, and the merged output of N
- *    shards (via sim/merge.h — the exact code cfva_merge runs) is
- *    bit-identical to the unsharded run for N in {1, 2, 3, 5}.
- *  - grain = 0 selects adaptive sizing (the historical division by
- *    zero) and changes nothing about the report.
+ *    contiguous, covering ranges, at any shard count, and the
+ *    merged output of N shards (via sim/merge.h — the exact code
+ *    cfva_merge runs) is bit-identical to the unsharded run for N
+ *    in {1, 2, 3, 5}.
+ *  - Each worker gets about 8 chunks, of at least 1 and at most
+ *    256 jobs.
  *  - The per-worker backend cache produces identical outcomes to
  *    per-access backend construction, and its hit/miss counters
  *    add up.
- *  - Streaming-mode memory is bounded by the flush window
+ *  - The outcomes in flight are bounded by the flush window
  *    (O(threads x grain)), not by the job count.
+ *  - SummarySink folds the per-mapping and per-workload aggregates.
  *  - The sinks' to_chars rows print exactly what iostreams print,
  *    at edge values the golden grid never reaches.
  */
@@ -120,21 +122,16 @@ TEST(SweepStream, ByteIdenticalToMaterializedAtAnyConfig)
         const std::string wantCsv = csvOf(report);
         const std::string wantJson = jsonOf(report);
 
-        for (unsigned threads : {1u, 2u, 5u}) {
-            for (std::size_t grain : {std::size_t{0}, std::size_t{3},
-                                      std::size_t{1000}}) {
-                SweepOptions opts;
-                opts.tier = tier;
-                opts.threads = threads;
-                opts.grain = grain;
-                const Streamed got = streamRun(grid, opts);
-                EXPECT_EQ(got.csv, wantCsv)
-                    << "tier " << to_string(tier) << " threads "
-                    << threads << " grain " << grain;
-                EXPECT_EQ(got.json, wantJson)
-                    << "tier " << to_string(tier) << " threads "
-                    << threads << " grain " << grain;
-            }
+        // Each thread count sizes its chunks differently.
+        for (unsigned threads : {1u, 2u, 3u, 4u, 5u}) {
+            SweepOptions opts;
+            opts.tier = tier;
+            opts.threads = threads;
+            const Streamed got = streamRun(grid, opts);
+            EXPECT_EQ(got.csv, wantCsv)
+                << "tier " << to_string(tier) << " threads " << threads;
+            EXPECT_EQ(got.json, wantJson)
+                << "tier " << to_string(tier) << " threads " << threads;
         }
     }
 }
@@ -156,6 +153,18 @@ TEST(SweepStream, ShardSlicesPartitionTheJobs)
             }
             EXPECT_EQ(expectFirst, jobs);
         }
+    }
+
+    // Past 2^32 shards the product i * J overflowed 64 bits and
+    // shards lost their jobs; the last of N must hold the last job.
+    using Slice = std::pair<std::size_t, std::size_t>;
+    constexpr std::size_t jobs = 1024;
+    for (std::size_t count : {std::size_t{1} << 54, ~std::size_t{0}}) {
+        EXPECT_EQ(ShardSpec({0, count}).sliceOf(jobs), Slice(0, 0))
+            << "N = " << count;
+        EXPECT_EQ(ShardSpec({count - 1, count}).sliceOf(jobs),
+                  Slice(jobs - 1, jobs))
+            << "N = " << count;
     }
 }
 
@@ -224,38 +233,41 @@ TEST(SweepStream, ShardedMaterializedReportsConcatenate)
     EXPECT_EQ(stitched, full.outcomes);
 }
 
-TEST(SweepStream, GrainZeroIsAdaptiveNotDivisionByZero)
-{
-    // Regression: grain = 0 used to reach `jobs / grain`.  Now it
-    // selects the adaptive size and the report is unchanged.
-    const ScenarioGrid grid = pipelineGrid();
-    SweepOptions adaptive;
-    adaptive.grain = 0;
-    adaptive.threads = 3;
-    SweepRunStats stats;
-    const SweepReport a = SweepEngine(adaptive).run(grid, &stats);
-    EXPECT_GE(stats.grain, 1u);
-    EXPECT_LE(stats.grain, SweepOptions::kMaxAdaptiveGrain);
-
-    SweepOptions fixed8;
-    fixed8.grain = 8;
-    fixed8.threads = 3;
-    EXPECT_EQ(a, SweepEngine(fixed8).run(grid));
-}
-
 TEST(SweepStream, AdaptiveGrainTargetsChunksPerThread)
 {
-    SweepOptions opts;
-    // 960 jobs on 4 threads: 960 / (8*4) = 30 jobs per chunk.
-    EXPECT_EQ(opts.effectiveGrain(960, 4), 30u);
-    // Tiny grids floor at 1.
-    EXPECT_EQ(opts.effectiveGrain(3, 8), 1u);
-    // Huge grids clamp so the flush window stays flat.
-    EXPECT_EQ(opts.effectiveGrain(1u << 20, 1),
-              SweepOptions::kMaxAdaptiveGrain);
-    // An explicit grain always wins.
-    opts.grain = 17;
-    EXPECT_EQ(opts.effectiveGrain(960, 4), 17u);
+    const auto statsOf = [](const ScenarioGrid &grid, unsigned threads) {
+        SweepOptions opts;
+        opts.threads = threads;
+        SweepRunStats stats;
+        SweepEngine(opts).run(grid, &stats);
+        return stats;
+    };
+    // 240 jobs: 240 / (8 x threads) jobs per chunk.  Hosts with
+    // fewer cores clamp the thread count and skip the larger rows.
+    const ScenarioGrid grid = pipelineGrid();
+    const std::size_t want[] = {0, 30, 15, 10, 7};
+    for (unsigned threads : {1u, 2u, 3u, 4u}) {
+        const SweepRunStats stats = statsOf(grid, threads);
+        if (stats.threads == threads) {
+            EXPECT_EQ(stats.grain, want[threads]) << threads;
+            EXPECT_EQ(stats.chunks, (240 + want[threads] - 1)
+                                        / want[threads]);
+        }
+    }
+
+    // Tiny grids floor at 1 job per chunk.
+    ScenarioGrid tiny;
+    tiny.mappings.push_back(paperMatchedExample());
+    tiny.strides = {1, 2, 3};
+    EXPECT_EQ(statsOf(tiny, 1).grain, 1u);
+
+    // Huge grids clamp at 256 so the flush window stays flat.
+    ScenarioGrid huge = tiny;
+    huge.strides.clear();
+    for (std::uint64_t s = 1; s <= 2100; ++s)
+        huge.strides.push_back(s);
+    huge.lengths = {1};
+    EXPECT_EQ(statsOf(huge, 1).grain, 256u);
 }
 
 TEST(SweepStream, RejectsImpossibleShards)
@@ -314,7 +326,6 @@ TEST(SweepStream, PendingOutcomesBoundedByWindow)
     grid.randomStarts = 3; // more jobs, more reordering pressure
     SweepOptions opts;
     opts.threads = 4;
-    opts.grain = 2;
     std::ostringstream os;
     CsvStreamSink sink(os);
     SweepRunStats stats;
@@ -325,17 +336,6 @@ TEST(SweepStream, PendingOutcomesBoundedByWindow)
               4 * stats.threads * stats.grain);
     EXPECT_LE(stats.peakPendingOutcomes,
               stats.pendingWindow + stats.grain);
-}
-
-TEST(SweepStream, TableRenderingMatchesCsvSink)
-{
-    // SweepReport::table() and CsvStreamSink each render the
-    // 14-column row schema; this pin keeps the two from drifting
-    // apart now that writeCsv no longer goes through TextTable.
-    const SweepReport report = SweepEngine().run(pipelineGrid());
-    std::ostringstream viaTable;
-    report.table().printCsv(viaTable);
-    EXPECT_EQ(viaTable.str(), csvOf(report));
 }
 
 /** One CSV row of @p o as iostreams print it. */
@@ -453,25 +453,83 @@ TEST(SweepStream, RowsMatchIostreamsAtEdgeValues)
 
 TEST(SweepStream, SummarySinkMatchesReportAggregates)
 {
-    const ScenarioGrid grid = pipelineGrid();
-    const SweepReport report = SweepEngine().run(grid);
+    ScenarioGrid grid = pipelineGrid();
+    grid.workloads = {{WorkloadKind::Single}, {WorkloadKind::Chain}};
+    SweepOptions theory;
+    theory.tier = TierPolicy::TheoryFirst;
+    const SweepReport report = SweepEngine(theory).run(grid);
     SummarySink summary;
     report.stream(summary);
-    EXPECT_EQ(summary.jobs(), report.jobs());
-    EXPECT_EQ(summary.conflictFreeJobs(), report.conflictFreeJobs());
-    EXPECT_EQ(summary.totalLatency(), report.totalLatency());
-    const auto want = report.perMapping();
-    const auto got = summary.perMapping();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].label, want[i].label);
-        EXPECT_EQ(got[i].jobs, want[i].jobs);
-        EXPECT_EQ(got[i].conflictFree, want[i].conflictFree);
-        EXPECT_EQ(got[i].totalLatency, want[i].totalLatency);
-        EXPECT_EQ(got[i].totalStalls, want[i].totalStalls);
-        EXPECT_DOUBLE_EQ(got[i].meanEfficiency,
-                         want[i].meanEfficiency);
+
+    // The same aggregates, folded here from the outcomes.
+    std::vector<MappingSummary> mappings(report.mappingLabels.size());
+    std::vector<double> effSum(mappings.size(), 0.0);
+    std::vector<WorkloadSummary> workloads(report.workloadLabels.size());
+    std::uint64_t conflictFree = 0;
+    Cycle latency = 0;
+    for (const auto &o : report.outcomes) {
+        MappingSummary &m = mappings[o.mappingIndex];
+        ++m.jobs;
+        m.conflictFree += o.conflictFree;
+        m.totalLatency += o.latency;
+        m.totalMinLatency += o.minLatency;
+        m.totalStalls += o.stallCycles;
+        m.theoryClaimed += o.theoryClaimed;
+        m.theoryFallback += o.theoryFallback;
+        effSum[o.mappingIndex] += o.efficiency();
+        WorkloadSummary &w = workloads[o.workloadIndex];
+        ++w.jobs;
+        w.accesses += o.accesses;
+        w.conflictFree += o.conflictFree;
+        w.totalLatency += o.latency;
+        w.totalDecoupled += o.decoupledCycles;
+        w.totalChained += o.chainedCycles;
+        w.chainableJobs += o.chainable;
+        w.totalRetunes += o.retunes;
+        w.totalRetuneCycles += o.retuneCycles;
+        conflictFree += o.conflictFree;
+        latency += o.latency;
     }
+
+    EXPECT_EQ(summary.jobs(), report.jobs());
+    EXPECT_EQ(summary.conflictFreeJobs(), conflictFree);
+    EXPECT_EQ(summary.totalLatency(), latency);
+    const auto gotMappings = summary.perMapping();
+    ASSERT_EQ(gotMappings.size(), mappings.size());
+    for (std::size_t i = 0; i < mappings.size(); ++i) {
+        const MappingSummary &got = gotMappings[i];
+        const MappingSummary &want = mappings[i];
+        EXPECT_EQ(got.label, report.mappingLabels[i]);
+        EXPECT_EQ(got.jobs, want.jobs);
+        EXPECT_EQ(got.conflictFree, want.conflictFree);
+        EXPECT_EQ(got.totalLatency, want.totalLatency);
+        EXPECT_EQ(got.totalMinLatency, want.totalMinLatency);
+        EXPECT_EQ(got.totalStalls, want.totalStalls);
+        EXPECT_EQ(got.theoryClaimed, want.theoryClaimed);
+        EXPECT_EQ(got.theoryFallback, want.theoryFallback);
+        EXPECT_DOUBLE_EQ(got.meanEfficiency,
+                         effSum[i] / static_cast<double>(want.jobs));
+    }
+    const auto gotWorkloads = summary.perWorkload();
+    ASSERT_EQ(gotWorkloads.size(), workloads.size());
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        const WorkloadSummary &got = gotWorkloads[i];
+        const WorkloadSummary &want = workloads[i];
+        EXPECT_EQ(got.label, report.workloadLabels[i]);
+        EXPECT_EQ(got.jobs, want.jobs);
+        EXPECT_EQ(got.accesses, want.accesses);
+        EXPECT_EQ(got.conflictFree, want.conflictFree);
+        EXPECT_EQ(got.totalLatency, want.totalLatency);
+        EXPECT_EQ(got.totalDecoupled, want.totalDecoupled);
+        EXPECT_EQ(got.totalChained, want.totalChained);
+        EXPECT_EQ(got.chainableJobs, want.chainableJobs);
+        EXPECT_EQ(got.totalRetunes, want.totalRetunes);
+        EXPECT_EQ(got.totalRetuneCycles, want.totalRetuneCycles);
+    }
+    // Chain rows save cycles; the check must see a nonzero fold.
+    EXPECT_GT(gotWorkloads[1].totalChainSaved(), 0u);
+    EXPECT_EQ(summary.summaryTable().rows(), mappings.size());
+    EXPECT_EQ(summary.workloadTable().rows(), workloads.size());
 }
 
 TEST(SweepStream, MergeRejectsMismatchedInputs)

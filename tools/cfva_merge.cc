@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "sim/cli.h"
 #include "sim/merge.h"
 
 using namespace cfva;
@@ -74,6 +75,14 @@ main(int argc, char **argv)
         cfva_fatal("need an output and at least one shard file");
     }
 
+    // Check before opening anything: opening the output truncates
+    // it, and a shard named as the output would be lost.
+    for (const auto &path : shardPaths) {
+        if (sim::sameFile(outPath, path))
+            cfva_fatal("output ", outPath, " is also shard input ",
+                       path, "; refusing to overwrite it");
+    }
+
     std::vector<std::unique_ptr<std::ifstream>> files;
     std::vector<std::istream *> shards;
     for (const auto &path : shardPaths) {
@@ -85,17 +94,11 @@ main(int argc, char **argv)
     }
 
     std::ofstream outFile;
-    std::ostream *out = &std::cout;
-    if (outPath != "-") {
-        outFile.open(outPath, std::ios::binary);
-        if (!outFile)
-            cfva_fatal("cannot open ", outPath, " for writing");
-        out = &outFile;
-    }
-
+    std::ostream &out = sim::openOutput(outPath, outFile);
     if (csv)
-        sim::mergeCsv(*out, shards);
+        sim::mergeCsv(out, shards);
     else
-        sim::mergeJson(*out, shards);
+        sim::mergeJson(out, shards);
+    sim::closeOutput(outPath, outFile);
     return 0;
 }

@@ -4,15 +4,13 @@
  * command line.
  *
  * Builds a ScenarioGrid from the options below, runs it on the
- * SweepEngine, and prints a per-mapping summary (optionally the
- * full per-scenario table as CSV/JSON).  --shard I/N restricts the
- * run to the i-th of N deterministic, disjoint job slices (combine
- * the outputs with cfva_merge); --stream pipes outcomes straight
- * through the CSV/JSON sinks so peak memory stays O(threads x
- * grain) instead of O(jobs).  --tier picks who answers each
- * scenario: the evaluator (the default), the stepped oracle, or
- * both with a bit-for-bit audit.  Throughput is measured by the
- * repository's benchmark, perfbench/.
+ * SweepEngine, and streams the outcomes in job order into the
+ * per-scenario CSV/JSON files and a per-mapping summary.  --shard
+ * I/N restricts the run to the i-th of N deterministic, disjoint
+ * job slices (combine the outputs with cfva_merge).  --tier picks
+ * who answers each scenario: the evaluator (the default), the
+ * stepped oracle, or both with a bit-for-bit audit.  Throughput is
+ * measured by the repository's benchmark, perfbench/.
  */
 
 #include <chrono>
@@ -102,14 +100,9 @@ usage(std::ostream &os)
           "                     any divergence\n"
           "  --threads N        worker threads (0 = all cores;\n"
           "                     clamped to the hardware)\n"
-          "  --grain N          jobs per work item (0 = adaptive,\n"
-          "                     the default: ~8 chunks per worker)\n"
           "  --shard I/N        run only the i-th (0-based) of N\n"
           "                     deterministic disjoint job slices;\n"
           "                     merge shard outputs with cfva_merge\n"
-          "  --stream           stream CSV/JSON while the sweep\n"
-          "                     runs (peak memory O(threads x\n"
-          "                     grain), byte-identical output)\n"
           "  --csv FILE         per-scenario CSV ('-' = stdout)\n"
           "  --json FILE        per-scenario JSON ('-' = stdout)\n"
           "  --no-summary       skip the summary table\n"
@@ -220,17 +213,6 @@ parseTier(const std::string &name)
                " (expected sim|theory|audit)");
 }
 
-std::ostream *
-openSink(const std::string &path, std::ofstream &file)
-{
-    if (path == "-")
-        return &std::cout;
-    file.open(path);
-    if (!file)
-        cfva_fatal("cannot open ", path, " for writing");
-    return &file;
-}
-
 /** Parses "I/N" into a 0-based shard spec. */
 sim::ShardSpec
 parseShard(const std::string &arg)
@@ -271,9 +253,7 @@ struct Options
     std::uint64_t seed = 0x5EEDF00Dull;
 
     unsigned threads = 0;
-    std::size_t grain = 0; // 0 = adaptive
     sim::ShardSpec shard;
-    bool stream = false;
     TierPolicy tier = TierPolicy::TheoryFirst;
     std::string csvPath;
     std::string jsonPath;
@@ -351,12 +331,8 @@ parseArgs(int argc, char **argv)
         } else if (a == "--threads") {
             o.threads = parseU32(need(i, "--threads"),
                                  "--threads");
-        } else if (a == "--grain") {
-            o.grain = parseU64(need(i, "--grain"), "--grain");
         } else if (a == "--shard") {
             o.shard = parseShard(need(i, "--shard"));
-        } else if (a == "--stream") {
-            o.stream = true;
         } else if (a == "--csv") {
             o.csvPath = need(i, "--csv");
         } else if (a == "--json") {
@@ -524,11 +500,14 @@ main(int argc, char **argv)
     const Options o = parseArgs(argc, argv);
     const sim::ScenarioGrid grid = buildGrid(o);
 
+    if (!o.csvPath.empty() && !o.jsonPath.empty()
+        && sim::sameFile(o.csvPath, o.jsonPath)) {
+        cfva_fatal("--csv ", o.csvPath, " and --json ", o.jsonPath,
+                   " name the same output");
+    }
     // Keep stdout clean for machine-readable output when a data
     // sink targets it.
     const bool stdoutIsSink = o.csvPath == "-" || o.jsonPath == "-";
-    if (o.csvPath == "-" && o.jsonPath == "-")
-        cfva_fatal("--csv - and --json - cannot share stdout");
     std::ostream &info = stdoutIsSink ? std::cerr : std::cout;
 
     info << "grid: " << grid.mappings.size() << " mappings x "
@@ -549,94 +528,55 @@ main(int argc, char **argv)
 
     sim::SweepOptions opts;
     opts.threads = o.threads;
-    opts.grain = o.grain;
     opts.shard = o.shard;
     opts.tier = o.tier;
 
-    if (o.stream) {
-        // Streaming mode: outcomes flow straight through the
-        // CSV/JSON sinks (and an O(1)-memory summary accumulator)
-        // in job order; nothing is materialized.
-        std::ofstream csvFile, jsonFile;
-        std::optional<sim::CsvStreamSink> csvSink;
-        std::optional<sim::JsonStreamSink> jsonSink;
-        std::vector<sim::SweepSink *> sinks;
-        if (!o.csvPath.empty()) {
-            csvSink.emplace(*openSink(o.csvPath, csvFile));
-            sinks.push_back(&*csvSink);
-        }
-        if (!o.jsonPath.empty()) {
-            jsonSink.emplace(*openSink(o.jsonPath, jsonFile));
-            sinks.push_back(&*jsonSink);
-        }
-        sim::SummarySink summary;
-        if (o.summary)
-            sinks.push_back(&summary);
-        sim::TeeSink tee(std::move(sinks));
-
-        sim::SweepRunStats stats;
-        const auto start = std::chrono::steady_clock::now();
-        sim::SweepEngine(opts).runToSink(grid, tee, &stats);
-        const auto stop = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(stop - start).count();
-
-        if (o.summary) {
-            info << stats.jobs << " scenarios streamed in "
-                 << fixed(secs, 3) << " s ("
-                 << fixed(static_cast<double>(stats.jobs) / secs, 0)
-                 << " scenarios/s, peak "
-                 << stats.peakPendingOutcomes
-                 << " outcomes in flight, window "
-                 << stats.pendingWindow << ")\n";
-            summary.summaryTable().print(info, "Sweep summary");
-            if (wantsWorkloadSummary(grid))
-                summary.workloadTable().print(info,
-                                              "Workload summary");
-            info << summary.conflictFreeJobs() << " of "
-                 << summary.jobs() << " scenarios conflict free\n";
-            info << "backend cache: " << stats.backendCacheHits
-                 << " hits / " << stats.backendCacheMisses
-                 << " misses\n";
-            printFastPathStats(info, o.tier, stats);
-            printTierStats(info, o.tier, stats);
-        }
-        return stats.tierAuditDivergences == 0 ? 0 : 1;
+    // Outcomes flow straight through the CSV/JSON sinks and the
+    // summary accumulator in job order; nothing is materialized.
+    std::ofstream csvFile, jsonFile;
+    std::optional<sim::CsvStreamSink> csvSink;
+    std::optional<sim::JsonStreamSink> jsonSink;
+    std::vector<sim::SweepSink *> sinks;
+    if (!o.csvPath.empty()) {
+        csvSink.emplace(sim::openOutput(o.csvPath, csvFile));
+        sinks.push_back(&*csvSink);
     }
+    if (!o.jsonPath.empty()) {
+        jsonSink.emplace(sim::openOutput(o.jsonPath, jsonFile));
+        sinks.push_back(&*jsonSink);
+    }
+    sim::SummarySink summary;
+    if (o.summary)
+        sinks.push_back(&summary);
+    sim::TeeSink tee(std::move(sinks));
 
     sim::SweepRunStats stats;
     const auto start = std::chrono::steady_clock::now();
-    const sim::SweepReport report =
-        sim::SweepEngine(opts).run(grid, &stats);
+    sim::SweepEngine(opts).runToSink(grid, tee, &stats);
     const auto stop = std::chrono::steady_clock::now();
     const double secs =
         std::chrono::duration<double>(stop - start).count();
+    if (!o.csvPath.empty())
+        sim::closeOutput(o.csvPath, csvFile);
+    if (!o.jsonPath.empty())
+        sim::closeOutput(o.jsonPath, jsonFile);
 
     if (o.summary) {
-        info << report.jobs() << " scenarios in " << fixed(secs, 3)
+        info << stats.jobs << " scenarios in " << fixed(secs, 3)
              << " s ("
-             << fixed(static_cast<double>(report.jobs()) / secs, 0)
-             << " scenarios/s)\n";
-        report.summaryTable().print(info, "Sweep summary");
-        if (wantsWorkloadSummary(grid)) {
-            sim::workloadSummaryTable(report.perWorkload())
-                .print(info, "Workload summary");
-        }
-        info << report.conflictFreeJobs() << " of " << report.jobs()
+             << fixed(static_cast<double>(stats.jobs) / secs, 0)
+             << " scenarios/s, peak " << stats.peakPendingOutcomes
+             << " outcomes in flight, window " << stats.pendingWindow
+             << ")\n";
+        summary.summaryTable().print(info, "Sweep summary");
+        if (wantsWorkloadSummary(grid))
+            summary.workloadTable().print(info, "Workload summary");
+        info << summary.conflictFreeJobs() << " of " << summary.jobs()
              << " scenarios conflict free\n";
         info << "backend cache: " << stats.backendCacheHits
-             << " hits / " << stats.backendCacheMisses
-             << " misses\n";
+             << " hits / " << stats.backendCacheMisses << " misses\n";
         printFastPathStats(info, o.tier, stats);
         printTierStats(info, o.tier, stats);
-    }
-    if (!o.csvPath.empty()) {
-        std::ofstream file;
-        report.writeCsv(*openSink(o.csvPath, file));
-    }
-    if (!o.jsonPath.empty()) {
-        std::ofstream file;
-        report.writeJson(*openSink(o.jsonPath, file));
     }
     return stats.tierAuditDivergences == 0 ? 0 : 1;
 }
