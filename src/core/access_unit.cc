@@ -389,41 +389,31 @@ VectorAccessUnit::execute(const AccessPlan &plan,
     cfva_assert(tier != TierPolicy::AuditBoth,
                 "AuditBoth is resolved by the caller running both "
                 "tiers; execute() takes a single tier");
-    if (tier == TierPolicy::TheoryFirst) {
-        // Certified plans are claimed on the planner's window
-        // theorems (O(1) under summary detail).  Everything else
-        // tries the O(L) proof — the windows are sufficient, not
-        // necessary, so out-of-window streams can still be conflict
-        // free — then the steady-state solver, whose stepper pass
-        // is also the answer when nothing recurs.
-        const auto answer = [&](TheoryBackend &tb) {
-            AccessResult r =
-                plan.expectConflictFree
-                    ? tb.runSingleCertified(plan.stream, arena,
-                                            detail)
-                    : tb.runSingleHinted(false, plan.stream, arena,
-                                         detail);
-            if (tiers) {
-                tiers->add(tb.lastClaimed());
-                tiers->lastReason = tb.lastReason();
-            }
-            return r;
-        };
-        if (cache) {
-            return answer(cache->theoryBackendFor(cfg_.memConfig(),
-                                                  *mapping_));
-        }
-        TheoryBackend tb(cfg_.memConfig(), *mapping_);
-        return answer(tb);
-    }
-    if (tiers)
-        tiers->add(false);
-    if (cache) {
-        return cache->backendFor(cfg_.memConfig(), *mapping_)
+    BackendCache local;
+    BackendCache &backends = cache ? *cache : local;
+    if (tier == TierPolicy::SimulateAlways) {
+        if (tiers)
+            tiers->add(false);
+        return backends.backendFor(cfg_.memConfig(), *mapping_)
             .runSingle(plan.stream, arena);
     }
-    return MemorySystem(cfg_.memConfig(), *mapping_)
-        .runSingle(plan.stream, arena);
+    // Certified plans are claimed on the planner's window theorems
+    // (O(1) under summary detail).  Everything else tries the O(L)
+    // proof — the windows are sufficient, not necessary, so
+    // out-of-window streams can still be conflict free — then the
+    // steady-state solver, whose stepper pass is also the answer
+    // when nothing recurs.
+    TheoryBackend &tb =
+        backends.theoryBackendFor(cfg_.memConfig(), *mapping_);
+    AccessResult r =
+        plan.expectConflictFree
+            ? tb.runSingleCertified(plan.stream, arena, detail)
+            : tb.runSingle(plan.stream, arena, detail);
+    if (tiers) {
+        tiers->add(tb.lastClaimed());
+        tiers->lastReason = tb.lastReason();
+    }
+    return r;
 }
 
 MultiPortResult
@@ -436,30 +426,22 @@ VectorAccessUnit::executePorts(
     cfva_assert(tier != TierPolicy::AuditBoth,
                 "AuditBoth is resolved by the caller running both "
                 "tiers; executePorts() takes a single tier");
-    if (tier == TierPolicy::TheoryFirst) {
-        const auto answer = [&](TheoryBackend &tb) {
-            MultiPortResult r = tb.runPorts(streams, arena, detail);
-            if (tiers) {
-                tiers->add(tb.lastClaimed());
-                tiers->lastReason = tb.lastReason();
-            }
-            return r;
-        };
-        if (cache) {
-            return answer(cache->theoryBackendFor(cfg_.memConfig(),
-                                                  *mapping_));
-        }
-        TheoryBackend tb(cfg_.memConfig(), *mapping_);
-        return answer(tb);
-    }
-    if (tiers)
-        tiers->add(false);
-    if (cache) {
-        return cache->backendFor(cfg_.memConfig(), *mapping_)
+    BackendCache local;
+    BackendCache &backends = cache ? *cache : local;
+    if (tier == TierPolicy::SimulateAlways) {
+        if (tiers)
+            tiers->add(false);
+        return backends.backendFor(cfg_.memConfig(), *mapping_)
             .run(streams, arena);
     }
-    return MemorySystem(cfg_.memConfig(), *mapping_)
-        .run(streams, arena);
+    TheoryBackend &tb =
+        backends.theoryBackendFor(cfg_.memConfig(), *mapping_);
+    MultiPortResult r = tb.runPorts(streams, arena, detail);
+    if (tiers) {
+        tiers->add(tb.lastClaimed());
+        tiers->lastReason = tb.lastReason();
+    }
+    return r;
 }
 
 AccessResult

@@ -23,6 +23,7 @@
 #include "mapping/bitslice.h"
 #include "mapping/mapping.h"
 #include "memsys/memory_system.h"
+#include "memsys/steady_state.h"
 #include "theory/theory.h"
 
 namespace cfva {
@@ -109,11 +110,10 @@ class VectorAccessUnit
     /**
      * Runs a plan through a memory backend.  When @p arena is
      * given, the result's delivery buffer is recycled through it.
-     * When @p cache is given, the backend instance is taken from it
-     * (and built into it on first use) instead of being rebuilt for
-     * this one access — the sweep engine passes each worker's cache
-     * so modules, heaps and the solver's memo are reused across all
-     * scenarios.
+     * The backend instance comes from @p cache (built into it on
+     * first use) — the sweep engine passes each worker's cache so
+     * modules, heaps and the solver's memo are reused across all
+     * scenarios; without one, a local cache serves this one access.
      *
      * @p tier selects the evaluation tier: SimulateAlways steps the
      * oracle (memsys/memory_system.h); TheoryFirst hands the plan to

@@ -1,12 +1,11 @@
 /**
  * @file
- * The port-aware memory-backend interface.
+ * The vocabulary shared by the two ways an access is answered.
  *
- * One abstraction covers every way an access is answered: a
- * MemoryBackend maps (streams, config, mapping) to a
- * MultiPortResult, where the single-port access every earlier layer
- * was built around is simply the P = 1 case.  Two backends
- * implement it:
+ * An access maps (streams, config, mapping) to a MultiPortResult,
+ * where the single-port access every earlier layer was built around
+ * is simply the P = 1 case.  Two plain classes answer it, each with
+ * its own entry points:
  *
  * - MemorySystem (memsys/memory_system.h): the stepped oracle, every
  *   cycle of the paper's Fig. 2 machine, for any port count.
@@ -18,7 +17,8 @@
  * TierPolicy, the one switch between them, lives here so the
  * dispatch is decided at the memsys layer and every consumer —
  * VectorAccessUnit, the sweep engine, tools — honors it for all
- * port counts.
+ * port counts.  BackendCache (memsys/backend_cache.h) keeps one
+ * instance of each per worker.
  */
 
 #ifndef CFVA_MEMSYS_BACKEND_H
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "memsys/request.h"
-#include "memsys/steady_state.h"
 
 namespace cfva {
 
@@ -88,7 +87,7 @@ enum class ResultDetail
  * tier was not active at all).  The reason is a deterministic
  * function of the mapping and the planned module sequence, never of
  * which worker's cache or memo answered, so reports stay identical at
- * any thread count, grain and shard.
+ * any thread count and shard.
  */
 enum class FallbackReason : std::uint8_t
 {
@@ -104,8 +103,9 @@ enum class FallbackReason : std::uint8_t
      *  were not all analytically answerable). */
     MultiPort = 2,
 
-    /** The planner expected conflict freedom but neither the O(L)
-     *  proof nor the solver could establish the schedule. */
+    /** No library path produces it (every uncertified single-port
+     *  fallback is Conflicted); the name stays only while the
+     *  benchmark names it (ROADMAP item 2). */
     Unproven = 3,
 
     /** The mapping is dynamically re-tuned; its fallbacks are
@@ -212,53 +212,6 @@ class DeliveryArena
     std::uint64_t reuses_ = 0;
     std::size_t retainedBytes_ = 0;
     std::size_t peakBytes_ = 0;
-};
-
-/**
- * A backend for P simultaneous request streams sharing one set of
- * memory modules.  Implementations are constructed per (config,
- * mapping) pair and reset themselves on every run.
- */
-class MemoryBackend
-{
-  public:
-    virtual ~MemoryBackend() = default;
-
-    /**
-     * Answers @p streams issued simultaneously, one request per
-     * port per cycle (P = streams.size() >= 1).  Issue priority is
-     * least-issued-port-first each cycle; each port has a private
-     * return bus delivering at most one of its elements per cycle.
-     *
-     * @param streams  one request stream per port (lengths may
-     *                 differ; an empty stream is a vacuously
-     *                 conflict-free port)
-     * @param arena    optional buffer recycler for the per-port
-     *                 delivery records
-     */
-    virtual MultiPortResult
-    run(const std::vector<std::vector<Request>> &streams,
-        DeliveryArena *arena = nullptr) = 0;
-
-    /**
-     * The P = 1 case without wrapping the stream: returns the
-     * port's AccessResult directly, bit-identical to
-     * run({stream}).ports[0].
-     */
-    virtual AccessResult
-    runSingle(const std::vector<Request> &stream,
-              DeliveryArena *arena = nullptr) = 0;
-
-    /**
-     * Collapse/memo attribution accumulated by this backend's
-     * single-port fast path (memsys/steady_state.h).  The default
-     * (no fast path) reports zeros.
-     */
-    virtual FastPathStats
-    fastPathStats() const
-    {
-        return {};
-    }
 };
 
 } // namespace cfva

@@ -2,56 +2,54 @@
 
 #include <utility>
 
-#include "memsys/memory_system.h"
 #include "theory/theory_backend.h"
 
 namespace cfva {
 
-template <typename Make>
-MemoryBackend &
-BackendCache::lookup(const Key &key, Make &&make)
+BackendCache::BackendCache() = default;
+
+BackendCache::~BackendCache() = default;
+
+template <typename Backend>
+Backend &
+BackendCache::lookup(std::vector<Entry<Backend>> &entries,
+                     const MemConfig &cfg, const ModuleMapping &map)
 {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].key == key) {
+    const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
+                  &map};
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].key == key) {
             ++stats_.hits;
             if (i != 0)
-                std::swap(entries_[0], entries_[i]);
-            return *entries_[0].backend;
+                std::swap(entries[0], entries[i]);
+            return *entries[0].backend;
         }
     }
     ++stats_.misses;
-    entries_.insert(entries_.begin(), Entry{key, make()});
-    return *entries_.front().backend;
+    entries.insert(entries.begin(),
+                   Entry<Backend>{key,
+                                  std::make_unique<Backend>(cfg, map)});
+    return *entries.front().backend;
 }
 
-MemoryBackend &
+MemorySystem &
 BackendCache::backendFor(const MemConfig &cfg, const ModuleMapping &map)
 {
-    const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
-                  &map, /*theory=*/false};
-    return lookup(key, [&] {
-        return std::unique_ptr<MemoryBackend>(
-            std::make_unique<MemorySystem>(cfg, map));
-    });
+    return lookup(oracles_, cfg, map);
 }
 
 TheoryBackend &
 BackendCache::theoryBackendFor(const MemConfig &cfg,
                                const ModuleMapping &map)
 {
-    const Key key{cfg.m, cfg.t, cfg.inputBuffers, cfg.outputBuffers,
-                  &map, /*theory=*/true};
-    return static_cast<TheoryBackend &>(lookup(key, [&] {
-        return std::unique_ptr<MemoryBackend>(
-            std::make_unique<TheoryBackend>(cfg, map));
-    }));
+    return lookup(evaluators_, cfg, map);
 }
 
 FastPathStats
 BackendCache::fastPathStats() const
 {
     FastPathStats total;
-    for (const auto &e : entries_)
+    for (const auto &e : evaluators_)
         total += e.backend->fastPathStats();
     return total;
 }

@@ -1,15 +1,17 @@
 /**
  * @file
- * Per-worker cache of MemoryBackend instances.
+ * Per-worker cache of oracle and evaluator instances.
  *
  * The sweep hot path used to rebuild a backend — modules with their
  * buffers, the stepper's heaps, the solver's memo, issue scratch —
- * for every access.  The backends are stateless across run() calls
- * (they self-reset), so one instance per (tier, memory shape,
- * mapping) can serve every scenario a worker executes.  The cache
- * owns those instances and hands out references; hit/miss counters
- * make the saved setup cost observable (SweepRunStats reports
- * them).
+ * for every access.  The backends are stateless across runs (they
+ * self-reset), so one instance per (tier, memory shape, mapping) can
+ * serve every scenario a worker executes.  The cache owns those
+ * instances, one typed list per tier, and hands out references;
+ * hit/miss counters make the saved setup cost observable
+ * (SweepRunStats reports them).  VectorAccessUnit::execute uses a
+ * local cache when its caller passes none, so every access takes
+ * the same path.
  *
  * Not thread-safe: use one cache per worker thread, exactly like
  * DeliveryArena.  The mappings passed in must outlive the cache —
@@ -30,7 +32,8 @@
 #include <vector>
 
 #include "mapping/mapping.h"
-#include "memsys/backend.h"
+#include "memsys/memory_system.h"
+#include "memsys/steady_state.h"
 
 namespace cfva {
 
@@ -53,21 +56,24 @@ struct BackendCacheStats
     bool operator==(const BackendCacheStats &o) const = default;
 };
 
-/** Owns and reuses MemoryBackend instances for one worker. */
+/** Owns and reuses the oracle and evaluator instances of one
+ *  worker. */
 class BackendCache
 {
   public:
+    BackendCache();
+    ~BackendCache();
+
     /**
      * The stepped oracle (memsys/memory_system.h) over @p cfg and
      * @p map, built on first use and reused afterwards.  @p map
      * must outlive the cache.
      */
-    MemoryBackend &backendFor(const MemConfig &cfg,
-                              const ModuleMapping &map);
+    MemorySystem &backendFor(const MemConfig &cfg,
+                             const ModuleMapping &map);
 
     /**
-     * The evaluator over the same shape.  Cached separately from
-     * the oracle (the key carries a tier bit) so
+     * The evaluator over the same shape, kept in its own list so
      * TierPolicy::AuditBoth can hold both at once.
      */
     TheoryBackend &theoryBackendFor(const MemConfig &cfg,
@@ -75,14 +81,15 @@ class BackendCache
 
     const BackendCacheStats &stats() const { return stats_; }
 
-    /** Summed collapse/memo counters over every cached backend. */
+    /** Summed collapse/memo counters over every cached evaluator
+     *  (the oracle has no fast path). */
     FastPathStats fastPathStats() const;
 
-    /** Distinct backends currently cached. */
-    std::size_t size() const { return entries_.size(); }
-
-    /** Drops every cached backend; counters keep accumulating. */
-    void clear() { entries_.clear(); }
+    /** Distinct backends currently cached, both tiers. */
+    std::size_t size() const
+    {
+        return oracles_.size() + evaluators_.size();
+    }
 
   private:
     struct Key
@@ -92,25 +99,28 @@ class BackendCache
         unsigned inputBuffers = 0;
         unsigned outputBuffers = 0;
         const ModuleMapping *map = nullptr;
-        bool theory = false; //!< the evaluator, not the oracle
 
         bool operator==(const Key &o) const = default;
     };
 
+    template <typename Backend>
     struct Entry
     {
         Key key;
-        std::unique_ptr<MemoryBackend> backend;
+        std::unique_ptr<Backend> backend;
     };
 
-    /** The entry for @p key, built by @p make on a miss. */
-    template <typename Make>
-    MemoryBackend &lookup(const Key &key, Make &&make);
+    /** The entry of @p entries over (@p cfg, @p map), built on a
+     *  miss. */
+    template <typename Backend>
+    Backend &lookup(std::vector<Entry<Backend>> &entries,
+                    const MemConfig &cfg, const ModuleMapping &map);
 
-    // Linear scan with move-to-front: a worker touches a handful
-    // of (tier, mapping) pairs per sweep, and the hot lookups
-    // repeat the front entry, so a hash map would only add cost.
-    std::vector<Entry> entries_;
+    // Linear scans with move-to-front: a worker touches a handful
+    // of mappings per sweep, and the hot lookups repeat the front
+    // entry, so a hash map would only add cost.
+    std::vector<Entry<MemorySystem>> oracles_;
+    std::vector<Entry<TheoryBackend>> evaluators_;
     BackendCacheStats stats_;
 };
 

@@ -230,9 +230,8 @@ EventStepper::tryStart(ModuleId id, Cycle now)
 }
 
 template <bool kOnePort>
-EventStepper::PassEnd
-EventStepper::step(const MemConfig &cfg, std::size_t period,
-                   Recurrence mode, bool record)
+bool
+EventStepper::step(const MemConfig &cfg, std::size_t period, bool record)
 {
     reset(cfg, record);
     const unsigned nPorts =
@@ -253,7 +252,7 @@ EventStepper::step(const MemConfig &cfg, std::size_t period,
     const Cycle limit = cfg.wedgeLimit(total, nPorts);
     const Cycle never = std::numeric_limits<Cycle>::max();
 
-    // Recurrence state, one-port passes only.
+    // Snapshot and jump state, one-port passes only.
     Port &first = ports_.front();
     bool snapping = period != 0;
     std::size_t nextSnapPos = period;
@@ -376,7 +375,6 @@ EventStepper::step(const MemConfig &cfg, std::size_t period,
                     break;
                 }
             }
-            bool givingUp = false;
             if (match) {
                 snapping = false;
                 jumped = true;
@@ -402,7 +400,9 @@ EventStepper::step(const MemConfig &cfg, std::size_t period,
                         order_.clear(); // the jump issued everything
                 }
             } else if (snapCount >= kMaxSnapshots) {
-                givingUp = true;
+                // No recurrence within the snapshot budget: step on
+                // from here, the work so far is the answer's prefix.
+                snapping = false;
             } else {
                 if (snapCount == snapshots_.size())
                     snapshots_.emplace_back();
@@ -414,17 +414,8 @@ EventStepper::step(const MemConfig &cfg, std::size_t period,
                 s.delivered = delivered;
                 s.stalls = first.stalls;
                 nextSnapPos += period;
-                givingUp = nextSnapPos >= first.length;
-            }
-            if (givingUp) {
-                // No recurrence before the stream ends (or within the
-                // snapshot budget).  Abandon, or keep stepping from
-                // here: the work so far is the answer's prefix.
-                snapping = false;
-                if (mode == Recurrence::JumpOrAbandon) {
-                    stepped_ = top;
-                    return PassEnd::Abandoned;
-                }
+                // No snapshot position left before the stream ends.
+                snapping = nextSnapPos < first.length;
             }
         }
 
@@ -465,33 +456,25 @@ EventStepper::step(const MemConfig &cfg, std::size_t period,
     }
 
     stepped_ = total == 0 ? 0 : now + 1 - jumpedSpan;
-    return jumped ? PassEnd::Jumped : PassEnd::Stepped;
+    return jumped;
 }
 
 bool
 EventStepper::run(const MemConfig &cfg,
                   const std::vector<Request> &stream,
-                  const ModuleId *mods, Recurrence mode,
-                  bool materialize, bool trace, AccessResult &result)
+                  const ModuleId *mods, bool materialize, bool trace,
+                  AccessResult &result)
 {
     const std::size_t length = stream.size();
-    stepped_ = 0;
-    summary_ = {};
-    emits_.front().clear();
 
-    // Recurrence detection needs a period short enough to snapshot
-    // and two snapshot positions below the stream's end.
+    // Snapshots need a period short enough to keep and two
+    // snapshot positions below the stream's end.
     std::size_t period = length == 0 ? 0 : smallestPeriod(length, mods);
     if (period > kMaxPeriod || length <= 2 * period)
         period = 0;
-    if (period == 0 && mode == Recurrence::JumpOrAbandon)
-        return false;
 
     ports_.assign(1, Port{mods, length});
-    const PassEnd end =
-        step<true>(cfg, period, mode, materialize || trace);
-    if (end == PassEnd::Abandoned)
-        return false;
+    const bool jumped = step<true>(cfg, period, materialize || trace);
     const Port &ps = ports_.front();
     summary_ = summarizePort(length, t_, ps.firstIssue, ps.lastDelivery,
                              ps.stalls);
@@ -499,7 +482,7 @@ EventStepper::run(const MemConfig &cfg,
         materializeEmits(summary_, emits_.front(), stream, mods, 0, result);
     else
         applyEmitSummary(summary_, result);
-    return end == PassEnd::Jumped;
+    return jumped;
 }
 
 MultiPortResult
@@ -519,7 +502,7 @@ EventStepper::runPorts(const MemConfig &cfg,
                     " premapped modules");
         ports_.push_back(Port{mods[p].data(), length});
     }
-    step<false>(cfg, 0, Recurrence::JumpOrFinish, materialize);
+    step<false>(cfg, 0, materialize);
 
     MultiPortResult result;
     result.ports.resize(nPorts);

@@ -24,12 +24,13 @@
  *   materializes or traces; materializeEmits()
  *   (memsys/steady_state.h) writes the Delivery records after the
  *   pass.  Summary callers get the aggregates and no O(L) buffer.
- * - Recurrence inside the loop (one port): the stepper snapshots the
+ * - A jump inside the loop (one port): the stepper snapshots the
  *   relative machine state at issue positions one module-sequence
  *   period apart and, once a snapshot recurs, takes the affine jump
  *   over the remaining whole periods (memsys/steady_state.h).  A
  *   stream that never recurs keeps stepping from where it is, so
- *   every stream costs one pass.  A P-port pass takes no jump.
+ *   every stream costs one pass that always finishes.  A P-port
+ *   pass takes no jump.
  *
  * The P ports of a pass share the modules; each has its own return
  * bus (one output heap per port, arbitrated in port order each
@@ -88,22 +89,21 @@ class EventStepper
      *
      * The pass snapshots at every multiple of the module sequence's
      * smallest period (when that period is at most kMaxPeriod and
-     * fits twice) and takes the affine jump on the first match;
-     * @p mode says whether a pass with no possible match steps on
-     * to the end (JumpOrFinish) or stops early (JumpOrAbandon).
+     * fits twice) and takes the affine jump on the first match; a
+     * pass with no possible match steps on to the end, so every
+     * pass answers.
      *
-     * Unless the pass was abandoned, @p result receives the scalar
-     * aggregates and, when @p materialize is set, every Delivery in
-     * delivery order, written from the trace after the pass
-     * (result.deliveries must be empty; capacity may be reserved; an
-     * abandoned pass leaves it empty).  @p trace keeps the
+     * @p result receives the scalar aggregates and, when
+     * @p materialize is set, every Delivery in delivery order,
+     * written from the trace after the pass (result.deliveries must
+     * be empty; capacity may be reserved).  @p trace keeps the
      * position-form trace readable through emits() after the pass.
      *
      * @return true iff the pass jumped (a snapshot recurred)
      */
     bool run(const MemConfig &cfg, const std::vector<Request> &stream,
-             const ModuleId *mods, Recurrence mode, bool materialize,
-             bool trace, AccessResult &result);
+             const ModuleId *mods, bool materialize, bool trace,
+             AccessResult &result);
 
     /**
      * Steps the P = streams.size() streams of a simultaneous
@@ -127,8 +127,7 @@ class EventStepper
 
     /** Cycles the last pass stepped: all of them up to the last
      *  delivery (the makespan, for a P-port pass), minus the span a
-     *  jump covered (or, for an abandoned pass, the cycles stepped
-     *  before it stopped). */
+     *  jump covered. */
     Cycle steppedCycles() const { return stepped_; }
 
     /** Position-form trace of the last run() made with @p trace
@@ -182,27 +181,18 @@ class EventStepper
         std::uint64_t stalls = 0;
     };
 
-    /** How a pass of the cycle loop ended. */
-    enum class PassEnd
-    {
-        Stepped,   //!< stepped to the end, no jump
-        Jumped,    //!< a snapshot recurred and the loop jumped
-        Abandoned, //!< JumpOrAbandon, and no jump was possible
-    };
-
     /**
      * The cycle loop: steps the ports in ports_ from cycle 0 until
      * every element is delivered, recording each port's Emits when
      * @p record is set.  A nonzero @p period (one port only) turns
-     * on the snapshots at its multiples and the jump; @p mode then
-     * says whether a pass that can no longer jump finishes or is
-     * abandoned.  Leaves each port's aggregates in ports_ and sets
-     * stepped_.  Compiled once for one port (@p kOnePort, which
-     * skips the per-issue reorder) and once for P.
+     * on the snapshots at its multiples and the jump.  Leaves each
+     * port's aggregates in ports_, sets stepped_, and returns true
+     * iff the loop jumped.  Compiled once for one port
+     * (@p kOnePort, which skips the per-issue reorder) and once
+     * for P.
      */
     template <bool kOnePort>
-    PassEnd step(const MemConfig &cfg, std::size_t period,
-                 Recurrence mode, bool record);
+    bool step(const MemConfig &cfg, std::size_t period, bool record);
 
     /** Sizes the module array, event heaps, issue order and trace
      *  buffers for @p cfg and ports_, and empties them. */

@@ -48,7 +48,7 @@ namespace cfva {
  * starve one port).  Deterministic, and reusable across accesses:
  * every run resets what it uses.
  */
-class MemorySystem final : public MemoryBackend
+class MemorySystem
 {
   public:
     /**
@@ -58,14 +58,21 @@ class MemorySystem final : public MemoryBackend
      */
     MemorySystem(const MemConfig &cfg, const ModuleMapping &map);
 
+    /**
+     * Steps @p streams issued simultaneously, one request per port
+     * per cycle (P = streams.size() >= 1; lengths may differ, and an
+     * empty stream is a vacuously conflict-free port).  @p arena,
+     * when given, recycles the per-port delivery buffers.
+     */
     MultiPortResult
     run(const std::vector<std::vector<Request>> &streams,
-        DeliveryArena *arena = nullptr) override;
+        DeliveryArena *arena = nullptr);
 
-    /** The one-port access: run({stream}).ports[0]. */
+    /** The one-port access, bit-identical to
+     *  run({stream}).ports[0]. */
     AccessResult
     runSingle(const std::vector<Request> &stream,
-              DeliveryArena *arena = nullptr) override;
+              DeliveryArena *arena = nullptr);
 
     const MemConfig &config() const { return cfg_; }
 

@@ -1,7 +1,6 @@
 #include "memsys/steady_state.h"
 
 #include "common/logging.h"
-#include "memsys/event_driven.h"
 
 namespace cfva {
 
@@ -128,43 +127,6 @@ OutcomeMemo::cachedSummary() const
     cfva_assert(found_ != ~std::size_t{0},
                 "cachedSummary() without a lookup() hit");
     return entries_[found_].summary;
-}
-
-bool
-tryFastPath(const MemConfig &cfg, const std::vector<Request> &stream,
-            const ModuleId *mods, EventStepper &stepper,
-            OutcomeMemo &memo, FastPathStats &stats,
-            AccessResult &result, bool materialize, Recurrence mode)
-{
-    const bool memoizable = stream.size() <= OutcomeMemo::kMaxLen;
-    if (memoizable) {
-        if (memo.lookup(stream.size(), mods, cfg.modules())) {
-            ++stats.memoHits;
-            if (materialize) {
-                materializeEmits(memo.cachedSummary(),
-                                 memo.cachedEmits(), stream, mods, 0,
-                                 result);
-            } else {
-                applyEmitSummary(memo.cachedSummary(), result);
-            }
-            return true;
-        }
-        ++stats.memoMisses;
-    }
-
-    // The position-form trace is kept only when the memo could take
-    // it (bounded by kMaxLen) or the caller wants the deliveries.
-    const bool jumped = stepper.run(cfg, stream, mods, mode,
-                                    materialize, memoizable, result);
-    if (!jumped) {
-        stats.steppedCycles += stepper.steppedCycles();
-        return false;
-    }
-    ++stats.collapseHits;
-    stats.collapsePrefixCycles += stepper.steppedCycles();
-    if (memoizable)
-        memo.store(stream.size(), stepper.emits(), stepper.summary());
-    return true;
 }
 
 } // namespace cfva

@@ -15,7 +15,7 @@
  *   form — every Delivery timestamp and the stall count of the
  *   remaining floor((L-prefix)/period) repetitions are affine
  *   extrapolations of the captured segment, and stepping resumes
- *   for the tail.  Recurrence of the *relative* state (buffer
+ *   for the tail.  A recurrence of the *relative* state (buffer
  *   occupancy and in-flight timestamps as offsets from the current
  *   cycle and issue position) is exact, so the extrapolated trace
  *   equals the stepped trace cycle for cycle.  This is the
@@ -33,9 +33,10 @@
  *   yields an order-isomorphic module sequence hits; one that
  *   reorders modules (XOR mappings do) correctly misses.
  *
- * tryFastPath() is the one orchestration of the two (memo lookup,
- * then one stepper pass), run by the theory tier's ConflictSolver
- * and differentially tested against the stepped oracle
+ * The theory tier's ConflictSolver::solveOrStep
+ * (theory/conflict_solver.h) is the one orchestration of the two:
+ * one memo lookup, then one stepper pass that always finishes.  It
+ * is differentially tested against the stepped oracle
  * (tests/test_collapse.cc, and `cfva_sweep --tier audit`).
  */
 
@@ -51,27 +52,12 @@
 
 namespace cfva {
 
-struct MemConfig;
-class EventStepper;
-
 /** Ignored everywhere; the name stays only until ROADMAP item 1
  *  drops it from the benchmark. */
 enum class CollapseMode
 {
     Off,
     On,
-};
-
-/** What one stepper pass does when no jump is possible. */
-enum class Recurrence
-{
-    /** Snapshot and jump; a stream that never recurs steps on from
-     *  where it is to its end, so the pass always answers. */
-    JumpOrFinish,
-
-    /** Snapshot and jump; the pass is abandoned (no answer) as soon
-     *  as no jump is possible any more. */
-    JumpOrAbandon,
 };
 
 /** Fast-path attribution counters, mergeable across instances. */
@@ -91,9 +77,9 @@ struct FastPathStats
     /** Memo lookups that missed (a stepper pass then ran). */
     std::uint64_t memoMisses = 0;
 
-    /** Cycles stepped by passes that did not jump: streams stepped
-     *  to their end, and the work of passes abandoned once no
-     *  recurrence was possible. */
+    /** Cycles stepped by passes that did not jump: a one-stream
+     *  pass steps its stream to the end and adds its last delivery
+     *  cycle + 1, and a P-port pass adds its makespan. */
     std::uint64_t steppedCycles = 0;
 
     FastPathStats &
@@ -215,9 +201,6 @@ class OutcomeMemo
     /** Aggregates of the last lookup() hit. */
     const EmitSummary &cachedSummary() const;
 
-    /** Entries currently cached (for tests). */
-    std::size_t size() const { return entries_.size(); }
-
   private:
     struct Entry
     {
@@ -233,32 +216,8 @@ class OutcomeMemo
     std::uint64_t hash_ = 0;
     std::size_t found_ = ~std::size_t{0};
     std::vector<ModuleId> rankOf_;  //!< module id -> rank scratch
-    std::vector<ModuleId> used_;    //!< distinct modules scratch
     std::deque<Entry> entries_;     //!< FIFO eviction order
 };
-
-/**
- * The periodic fast path of the theory tier's solver: memo replay if
- * the canonical sequence is cached, else
- * one stepper pass with recurrence detection in mode @p mode (and a
- * memo insert when it jumped).  Streams up to OutcomeMemo::kMaxLen
- * make exactly one memo lookup; longer ones none.
- *
- * Returns true iff the access was claimed — the memo hit or the pass
- * jumped — with @p result filled bit-identical to the stepped
- * model.  On false, under Recurrence::JumpOrFinish @p result still
- * holds the pass's stepped answer; under JumpOrAbandon it holds
- * nothing beyond its pre-acquired delivery buffer.  When
- * @p materialize is false no Delivery is written — only the scalar
- * aggregates — which is how summary callers skip O(L) output.
- * @p stats is updated either way.
- */
-bool tryFastPath(const MemConfig &cfg,
-                 const std::vector<Request> &stream,
-                 const ModuleId *mods, EventStepper &stepper,
-                 OutcomeMemo &memo, FastPathStats &stats,
-                 AccessResult &result, bool materialize = true,
-                 Recurrence mode = Recurrence::JumpOrAbandon);
 
 } // namespace cfva
 

@@ -7,6 +7,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "common/logging.h"
 
 namespace cfva::sim {
@@ -111,19 +114,34 @@ resolved(const std::string &p)
     return ec ? std::filesystem::path(p).lexically_normal() : r;
 }
 
+/** stat() of output @p p, "-" naming stdout; false when there is
+ *  nothing to stat. */
+bool
+statOutput(const std::string &p, struct stat &st)
+{
+    return p == "-" ? ::fstat(STDOUT_FILENO, &st) == 0
+                    : ::stat(p.c_str(), &st) == 0;
+}
+
 } // namespace
 
 bool
 sameFile(const std::string &a, const std::string &b)
 {
-    namespace fs = std::filesystem;
-    if (a == "-" || b == "-")
-        return a == b;
-    std::error_code ec;
-    if (fs::is_character_file(a, ec) || fs::is_character_file(b, ec))
+    if (a == "-" && b == "-")
+        return true;
+    // "-" is whatever stdout is open on: redirected to a file or a
+    // pipe, it aliases every other name of that file.  A character
+    // device (a terminal, /dev/null) matches nothing.
+    struct stat sa, sb;
+    const bool hasA = statOutput(a, sa);
+    const bool hasB = statOutput(b, sb);
+    if ((hasA && S_ISCHR(sa.st_mode)) || (hasB && S_ISCHR(sb.st_mode)))
         return false;
-    if (fs::exists(a, ec) && fs::exists(b, ec))
-        return fs::equivalent(a, b, ec);
+    if (hasA && hasB)
+        return sa.st_dev == sb.st_dev && sa.st_ino == sb.st_ino;
+    if (a == "-" || b == "-")
+        return false;
     return resolved(a) == resolved(b);
 }
 

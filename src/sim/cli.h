@@ -44,10 +44,12 @@ parsePortMixFlag(const std::string &flag, const std::string &arg);
 
 /**
  * True when output paths @p a and @p b name one file, so writing
- * both would destroy data: std::filesystem::equivalent when both
- * exist, equal weakly_canonical paths otherwise.  "-" (stdout)
- * matches only itself, and a character device such as /dev/null
- * matches nothing.
+ * both would destroy data: the same device and inode when both
+ * exist, equal weakly_canonical paths otherwise.  "-" is the file
+ * stdout is open on, so it matches itself and, when stdout is
+ * redirected to a file or a pipe, every other name of that file
+ * (such as /dev/stdout).  A character device such as a terminal or
+ * /dev/null matches nothing.
  */
 bool sameFile(const std::string &a, const std::string &b);
 

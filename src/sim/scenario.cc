@@ -58,8 +58,8 @@ ScenarioGrid::jobCount() const
            * portMixes.size() * workloads.size();
 }
 
-std::vector<Scenario>
-ScenarioGrid::expand() const
+void
+ScenarioGrid::validate() const
 {
     for (const auto &cfg : mappings)
         cfg.validate();
@@ -130,7 +130,12 @@ ScenarioGrid::expand() const
                        " exceeds the largest signed stride 2^63 - 1");
         }
     }
+}
 
+std::vector<Scenario>
+ScenarioGrid::expand() const
+{
+    validate();
     std::vector<Scenario> jobs;
     jobs.reserve(jobCount());
 

@@ -152,12 +152,17 @@ struct ScenarioGrid
     std::size_t jobCount() const;
 
     /**
-     * Flattens the grid into jobs in deterministic order and
-     * resolves randomized starts.  Calls validate() on every
-     * mapping configuration first, and fails on a length or an
-     * execute latency above kMaxLength or on a stride that, times a
-     * port's mix multiplier (and twice that for Retune), exceeds
-     * 2^63 - 1.
+     * Fails on a grid expand() cannot expand: calls validate() on
+     * every mapping configuration, port mix and workload, and fails
+     * on a zero stride or port count, a length or an execute latency
+     * above kMaxLength, or a stride that, times a port's mix
+     * multiplier (and twice that for Retune), exceeds 2^63 - 1.
+     */
+    void validate() const;
+
+    /**
+     * Flattens the grid into jobCount() jobs in deterministic order
+     * and resolves randomized starts, after validate().
      */
     std::vector<Scenario> expand() const;
 };

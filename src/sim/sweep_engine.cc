@@ -543,7 +543,7 @@ struct WorkerArena
     // reason as `units`.
     WorkloadUnits workloads;
 
-    // Reuses one MemoryBackend (modules, event heaps, scratch) per
+    // Reuses one backend (modules, event heaps, scratch) per
     // (tier, mapping) across all of this worker's scenarios
     // instead of rebuilding it per access.  Declared after the unit
     // holders: the cached backends reference their mappings and
@@ -561,7 +561,6 @@ struct WorkerArena
     std::uint64_t auditDivergences = 0;
     std::uint64_t fallbackConflicted = 0;
     std::uint64_t fallbackMultiport = 0;
-    std::uint64_t fallbackUnproven = 0;
     std::uint64_t fallbackDynamic = 0;
 
     const VectorAccessUnit &
@@ -676,7 +675,7 @@ void
 SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
                        SweepRunStats *stats) const
 {
-    const std::vector<Scenario> jobs = grid.expand();
+    grid.validate();
 
     SweepContext ctx;
     ctx.mappingLabels.reserve(grid.mappings.size());
@@ -689,7 +688,7 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
     for (const auto &wl : grid.workloads)
         ctx.workloadLabels.push_back(wl.label());
     const auto [firstJob, lastJob] =
-        opts_.shard.sliceOf(jobs.size());
+        opts_.shard.sliceOf(grid.jobCount());
     ctx.firstJob = firstJob;
     ctx.lastJob = lastJob;
 
@@ -703,6 +702,13 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
             *stats = run;
         return;
     }
+
+    // Expanded after the sink has begun, so a ReportSink's outcomes,
+    // which outlive this call, are reserved below the job list.  The
+    // other order leaves a job-list-sized hole under them; a caller's
+    // next allocation can split it and send the next sweep's job
+    // list to fresh heap.
+    const std::vector<Scenario> jobs = grid.expand();
 
     // Clamp explicit thread counts to the hardware: oversubscribed
     // workers only contend for cores, so --threads 8 on a 1-CPU host
@@ -758,15 +764,13 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
                 mine.auditDivergences += o.tierAuditDiverged ? 1 : 0;
                 switch (o.fallbackReason) {
                   case FallbackReason::None:
+                  case FallbackReason::Unproven: // no path produces it
                     break;
                   case FallbackReason::Conflicted:
                     ++mine.fallbackConflicted;
                     break;
                   case FallbackReason::MultiPort:
                     ++mine.fallbackMultiport;
-                    break;
-                  case FallbackReason::Unproven:
-                    ++mine.fallbackUnproven;
                     break;
                   case FallbackReason::Dynamic:
                     ++mine.fallbackDynamic;
@@ -801,7 +805,6 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
         run.tierAuditDivergences += arena.auditDivergences;
         run.fallbackConflicted += arena.fallbackConflicted;
         run.fallbackMultiport += arena.fallbackMultiport;
-        run.fallbackUnproven += arena.fallbackUnproven;
         run.fallbackDynamic += arena.fallbackDynamic;
         run.arenaAcquires += arena.deliveries.acquires();
         run.arenaReuses += arena.deliveries.reuses();

@@ -238,13 +238,13 @@ struct SweepRunStats
     std::uint64_t tierAuditDivergences = 0;
 
     /** Fallback taxonomy over this run's scenarios: scenarios
-     *  whose first fallback was a conflicted stream, a
-     *  module-sharing multi-port access, an unproven conflict-free
-     *  expectation, or a dynamically re-tuned mapping.  All 0 when
-     *  the theory tier never fell back (or was inactive). */
+     *  whose first fallback was a conflicted stream, a multi-port
+     *  access with a port not claimed (ports sharing modules, or a
+     *  disjoint port stepped to its end), or a dynamically re-tuned
+     *  mapping.  All 0 when the theory tier never fell back (or was
+     *  inactive). */
     std::uint64_t fallbackConflicted = 0;
     std::uint64_t fallbackMultiport = 0;
-    std::uint64_t fallbackUnproven = 0;
     std::uint64_t fallbackDynamic = 0;
 
     /** High-water mark of outcomes parked in the ordered flush
@@ -266,10 +266,10 @@ struct SweepRunStats
      *  (memsys/steady_state.h): accesses answered by steady-state
      *  collapse, the cycles those accesses still stepped,
      *  outcome-memo replay hits/misses, and the cycles stepped by
-     *  passes that did not jump (streams stepped to their end,
-     *  abandoned attempts, and the makespan of every P-port pass
-     *  over ports that share modules), so the stepped work adds up.
-     *  Only the theory tier counts here: the oracle has no fast
+     *  passes that did not jump (streams, disjoint ports among
+     *  them, stepped to their end, and the makespan of every P-port
+     *  pass over ports that share modules), so the stepped work adds
+     *  up.  Only the theory tier counts here: the oracle has no fast
      *  path, so the simulation tier reports 0. */
     std::uint64_t collapseHits = 0;
     std::uint64_t collapsePrefixCycles = 0;
@@ -350,9 +350,11 @@ class SweepEngine
                     SweepRunStats *stats = nullptr) const;
 
     /**
-     * The streaming core: expands @p grid, narrows to this run's
-     * shard, simulates every job on the worker pool, and feeds the
-     * outcomes to @p sink in strictly increasing job-index order.
+     * The streaming core: validates @p grid, begins @p sink, expands
+     * the grid, narrows to this run's shard, simulates every job on
+     * the worker pool, and feeds the outcomes to @p sink in strictly
+     * increasing job-index order.  A grid that fails validation
+     * fails before the sink sees anything.
      * Workers claim chunks in job order and push each completed
      * chunk into an ordered flush queue whose admission window
      * bounds the outcomes in flight to O(threads x grain); a worker

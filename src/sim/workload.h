@@ -27,11 +27,12 @@
  *             EXECUTE chained on the last load, one STORE — the
  *             multi-stream kernel shape of vectorized stencils.
  *
- * Every access of a workload dispatches through the unified
- * MemoryBackend (single- or multi-port), so program-level results
- * are bit-identical across the oracle and the evaluator by the same
- * differential argument as raw accesses; the retune relayout charge
- * is analytic and tier-independent by construction.
+ * Every access of a workload dispatches through
+ * VectorAccessUnit::execute or executePorts, to the worker's cached
+ * oracle or evaluator, so program-level results are bit-identical
+ * across the two by the same differential argument as raw accesses;
+ * the retune relayout charge is analytic and tier-independent by
+ * construction.
  */
 
 #ifndef CFVA_SIM_WORKLOAD_H

@@ -4,20 +4,46 @@
 
 namespace cfva {
 
-namespace {
-
-/** An empty delivery buffer for @p length records, recycled from
- *  @p arena when one is given. */
-std::vector<Delivery>
-deliveryBuffer(DeliveryArena *arena, std::size_t length)
+bool
+ConflictSolver::solveOrStep(const MemConfig &cfg,
+                            const std::vector<Request> &stream,
+                            const ModuleId *mods, DeliveryArena *arena,
+                            AccessResult &result, bool materialize)
 {
-    std::vector<Delivery> buf =
-        arena ? arena->acquire(length) : std::vector<Delivery>{};
-    buf.reserve(length);
-    return buf;
-}
+    if (materialize) {
+        result.deliveries = arena ? arena->acquire(stream.size())
+                                  : std::vector<Delivery>{};
+        result.deliveries.reserve(stream.size());
+    }
+    const bool memoizable = stream.size() <= OutcomeMemo::kMaxLen;
+    if (memoizable) {
+        if (memo_.lookup(stream.size(), mods, cfg.modules())) {
+            ++stats_.memoHits;
+            if (materialize) {
+                materializeEmits(memo_.cachedSummary(),
+                                 memo_.cachedEmits(), stream, mods, 0,
+                                 result);
+            } else {
+                applyEmitSummary(memo_.cachedSummary(), result);
+            }
+            return true;
+        }
+        ++stats_.memoMisses;
+    }
 
-} // namespace
+    // The position-form trace is kept only when the memo could take
+    // it (bounded by kMaxLen) or the caller wants the deliveries.
+    if (!stepper_.run(cfg, stream, mods, materialize, memoizable,
+                      result)) {
+        stats_.steppedCycles += stepper_.steppedCycles();
+        return false;
+    }
+    ++stats_.collapseHits;
+    stats_.collapsePrefixCycles += stepper_.steppedCycles();
+    if (memoizable)
+        memo_.store(stream.size(), stepper_.emits(), stepper_.summary());
+    return true;
+}
 
 bool
 ConflictSolver::solve(const MemConfig &cfg,
@@ -25,30 +51,13 @@ ConflictSolver::solve(const MemConfig &cfg,
                       const ModuleId *mods, DeliveryArena *arena,
                       AccessResult &result, bool materialize)
 {
-    if (materialize)
-        result.deliveries = deliveryBuffer(arena, stream.size());
-    if (tryFastPath(cfg, stream, mods, stepper_, memo_, stats_, result,
-                    materialize, Recurrence::JumpOrAbandon))
+    if (solveOrStep(cfg, stream, mods, arena, result, materialize))
         return true;
-    // No closed form (aperiodic sequence, too short for a
-    // recurrence, or the snapshot budget ran out).  Hand the
-    // acquired buffer back; the caller's fallback acquires its own.
+    // Not a claim: drop the stepped answer and hand its buffer back.
     if (materialize && arena)
         arena->release(std::move(result.deliveries));
-    result.deliveries = std::vector<Delivery>{};
+    result = AccessResult{};
     return false;
-}
-
-bool
-ConflictSolver::solveOrStep(const MemConfig &cfg,
-                            const std::vector<Request> &stream,
-                            const ModuleId *mods, DeliveryArena *arena,
-                            AccessResult &result, bool materialize)
-{
-    if (materialize)
-        result.deliveries = deliveryBuffer(arena, stream.size());
-    return tryFastPath(cfg, stream, mods, stepper_, memo_, stats_,
-                       result, materialize, Recurrence::JumpOrFinish);
 }
 
 MultiPortResult

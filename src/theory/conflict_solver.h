@@ -20,21 +20,18 @@
  * This class packages that closed form as a *claiming* tier rather
  * than a simulation accelerator:
  *
- *  - solve() answers a single premapped stream without stepping it
- *    to the end: memo replay when the rank-canonicalized module
- *    sequence was solved before, otherwise one event-stepper pass
- *    that establishes the O(period) transient and jumps over the
- *    rest, abandoned as soon as no recurrence is possible.
- *    Success/failure is a deterministic function of (config, module
+ *  - solveOrStep() answers a single premapped stream: memo replay
+ *    when the rank-canonicalized module sequence was solved before,
+ *    otherwise one event-stepper pass that establishes the
+ *    O(period) transient and jumps over the rest.  A pass that
+ *    finds no recurrence steps on from where it is to the end of
+ *    the stream, so a declined stream costs that one pass and its
+ *    answer is the stepped one.  The claim decision (memo hit or
+ *    jump) is a deterministic function of (config, module
  *    sequence, length) — memo state only changes the speed, never
  *    the answer or the claim attribution, which is what keeps the
- *    claimed/fallback columns identical at any thread count, grain
- *    and shard.
- *  - solveOrStep() is solve() for a caller that needs the answer
- *    either way: the same memo lookup and the same pass, but a pass
- *    that finds no recurrence steps on from where it is to the end of
- *    the stream.  The claim decision is solve()'s, and a declined
- *    stream costs that one pass.
+ *    claimed/fallback columns identical at any thread count and
+ *    shard.
  *  - beginPortCheck()/portDisjoint() implement the multi-port
  *    extension: when per-port streams are provably disjoint across
  *    modules, the ports never interact — each port's trace is
@@ -43,7 +40,8 @@
  *    (theory/theory_backend.cc synthesizes the MultiPortResult).
  *    stepPorts() answers the ports that share modules with one pass
  *    of the same stepper: EventStepper::runPorts sets up the loop
- *    that run() sets up for solve(), with P ports and no snapshots.
+ *    that run() sets up for solveOrStep(), with P ports and no
+ *    snapshots.
  *
  * Bit-identity with the stepped oracle (memsys/memory_system.h) is
  * by construction: the transient is established by the event
@@ -80,34 +78,32 @@ class ConflictSolver
 {
   public:
     /**
-     * Attempts to answer @p stream (premapped to @p mods) on
-     * @p cfg without simulating: memo replay, else steady-state
-     * solve + memo insert.  On success fills @p result —
-     * bit-identical to the stepped oracle — and returns
-     * true; on failure returns false with @p result untouched (its
-     * delivery buffer, if one was acquired, is released back to
-     * @p arena).  When @p materialize is false only the scalar
-     * aggregates are written and result.deliveries stays empty —
-     * the claim decision and every aggregate are identical either
-     * way.
-     */
-    bool solve(const MemConfig &cfg,
-               const std::vector<Request> &stream,
-               const ModuleId *mods, DeliveryArena *arena,
-               AccessResult &result, bool materialize = true);
-
-    /**
-     * solve() that always answers: the same single memo lookup and
-     * the same claim decision, but when the stepper pass finds no
-     * recurrence it steps on to the end of the stream, and @p result
-     * holds that stepped answer.  Returns true iff the answer is a
-     * claim (memo hit or recurrence jump).  A delivery buffer is
-     * acquired from @p arena only when @p materialize is set.
+     * Answers @p stream (premapped to @p mods) on @p cfg with one
+     * memo lookup (streams up to OutcomeMemo::kMaxLen; longer ones
+     * make none) and, on a miss, one stepper pass: a pass that jumps
+     * is stored in the memo, and one that finds no recurrence steps
+     * on to the end of the stream.  @p result is filled bit-identical
+     * to the stepped oracle either way.  Returns true iff the answer
+     * is a claim (memo hit or jump).  When @p materialize is false
+     * only the scalar aggregates are written and result.deliveries
+     * stays empty; otherwise its buffer comes from @p arena.
      */
     bool solveOrStep(const MemConfig &cfg,
                      const std::vector<Request> &stream,
                      const ModuleId *mods, DeliveryArena *arena,
                      AccessResult &result, bool materialize);
+
+    /**
+     * solveOrStep() for a caller that wants only claims: returns
+     * the same claim decision, and when the pass did not jump resets
+     * @p result to an empty AccessResult (its delivery buffer, if
+     * one was acquired, is released back to @p arena).  Only the
+     * benchmark's solve probe calls it (ROADMAP item 2).
+     */
+    bool solve(const MemConfig &cfg,
+               const std::vector<Request> &stream,
+               const ModuleId *mods, DeliveryArena *arena,
+               AccessResult &result, bool materialize = true);
 
     /**
      * Steps a P > 1 access whose ports share modules (stream p

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "theory/theory.h"
 
 namespace cfva {
 
@@ -23,6 +22,16 @@ wrapSinglePort(AccessResult &&r, std::size_t length)
     return out;
 }
 
+/** The aggregates of the uniform conflict-free schedule of a
+ *  @p length-element stream on service time @p T: element i issues
+ *  at cycle i and is delivered at i + 1 + T. */
+EmitSummary
+uniformSummary(std::size_t length, Cycle T)
+{
+    const Cycle last = length == 0 ? 0 : static_cast<Cycle>(length) + T;
+    return summarizePort(length, T, 0, last, 0);
+}
+
 } // namespace
 
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
@@ -38,19 +47,6 @@ TheoryBackend::premap(const std::vector<Request> &stream,
     mods.resize(stream.size());
     for (std::size_t i = 0; i < stream.size(); ++i)
         mods[i] = map_->moduleOf(stream[i].addr);
-}
-
-void
-TheoryBackend::summarizeUniform(std::size_t length,
-                                AccessResult &out)
-{
-    const Cycle T = cfg_.serviceCycles();
-    const Cycle L = static_cast<Cycle>(length);
-    out.firstIssue = 0;
-    out.lastDelivery = length == 0 ? 0 : L + T;
-    out.latency = length == 0 ? 0 : theory::minimumLatency(L, T);
-    out.stallCycles = 0;
-    out.conflictFree = true;
 }
 
 void
@@ -76,7 +72,7 @@ TheoryBackend::synthesizeUniform(const std::vector<Request> &stream,
         d.delivered = d.ready;
         out.deliveries.push_back(d);
     }
-    summarizeUniform(L, out);
+    applyEmitSummary(uniformSummary(L, T), out);
 }
 
 bool
@@ -90,7 +86,7 @@ TheoryBackend::tryClaim(const std::vector<Request> &stream,
     // An empty stream's schedule is vacuous; claim it outright so
     // the taxonomy never blames a zero-length access on the solver.
     if (L == 0) {
-        summarizeUniform(0, out);
+        applyEmitSummary(uniformSummary(0, T), out);
         return true;
     }
 
@@ -122,49 +118,49 @@ TheoryBackend::tryClaim(const std::vector<Request> &stream,
     if (materialize)
         synthesizeUniform(stream, mods, arena, out);
     else
-        summarizeUniform(L, out);
+        applyEmitSummary(uniformSummary(L, T), out);
     return true;
 }
 
 void
-TheoryBackend::note(bool claimed, FallbackReason reason)
+TheoryBackend::note(FallbackReason reason)
 {
-    lastClaimed_ = claimed;
+    lastClaimed_ = reason == FallbackReason::None;
     lastReason_ = reason;
-    stats_.add(claimed);
+    stats_.add(lastClaimed_);
 }
 
-AccessResult
-TheoryBackend::runSingleHinted(bool expectConflictFree,
-                               const std::vector<Request> &stream,
-                               DeliveryArena *arena,
-                               ResultDetail detail)
+bool
+TheoryBackend::answer(const std::vector<Request> &stream,
+                      const ModuleId *mods, DeliveryArena *arena,
+                      AccessResult &out, ResultDetail detail)
 {
-    // Premap once; the proof and the solver's pass both reuse it.
-    premap(stream, mods_);
-    AccessResult out;
     // The proof is tried even when the planner's windows say the
     // stream conflicts: the windows are sufficient, not necessary,
     // so an out-of-window stream can still be conflict free, and
-    // the walk stops at the first request that would queue.
-    if (tryClaim(stream, mods_.data(), arena, out,
-                 detail == ResultDetail::Full)) {
-        note(true, FallbackReason::None);
-        return out;
-    }
-    // One memo lookup and one stepper pass: a claim when the memo
+    // the walk stops at the first request that would queue.  Then
+    // one memo lookup and one stepper pass: a claim when the memo
     // hits or the machine state recurs, otherwise the pass steps on
     // to the end of the stream and its answer is the stepped one.
     // A solver answer is non-uniform, so SummaryIfUniform
     // materializes it: its chained cost is not closed-form for the
     // caller.
-    if (solver_.solveOrStep(cfg_, stream, mods_.data(), arena, out,
-                            detail != ResultDetail::Summary)) {
-        note(true, FallbackReason::None);
-    } else {
-        note(false, expectConflictFree ? FallbackReason::Unproven
-                                       : FallbackReason::Conflicted);
-    }
+    return tryClaim(stream, mods, arena, out,
+                    detail == ResultDetail::Full)
+           || solver_.solveOrStep(cfg_, stream, mods, arena, out,
+                                  detail != ResultDetail::Summary);
+}
+
+AccessResult
+TheoryBackend::runSingle(const std::vector<Request> &stream,
+                         DeliveryArena *arena, ResultDetail detail)
+{
+    // Premap once; the proof and the solver's pass both reuse it.
+    premap(stream, mods_);
+    AccessResult out;
+    note(answer(stream, mods_.data(), arena, out, detail)
+             ? FallbackReason::None
+             : FallbackReason::Conflicted);
     return out;
 }
 
@@ -173,78 +169,17 @@ TheoryBackend::runSingleCertified(const std::vector<Request> &stream,
                                   DeliveryArena *arena,
                                   ResultDetail detail)
 {
-    note(true, FallbackReason::None);
+    note(FallbackReason::None);
     AccessResult out;
     if (detail == ResultDetail::Full) {
         // Full detail still needs each delivery's module number.
         premap(stream, mods_);
         synthesizeUniform(stream, mods_.data(), arena, out);
     } else {
-        summarizeUniform(stream.size(), out);
+        applyEmitSummary(
+            uniformSummary(stream.size(), cfg_.serviceCycles()), out);
     }
     return out;
-}
-
-AccessResult
-TheoryBackend::runSingle(const std::vector<Request> &stream,
-                         DeliveryArena *arena)
-{
-    return runSingleHinted(true, stream, arena);
-}
-
-bool
-TheoryBackend::tryClaimPorts(
-    const std::vector<std::vector<Request>> &streams,
-    DeliveryArena *arena, MultiPortResult &out, ResultDetail detail)
-{
-    const std::size_t P = streams.size();
-    solver_.beginPortCheck(cfg_.modules());
-    for (std::size_t p = 0; p < P; ++p) {
-        if (!solver_.portDisjoint(streams[p].size(),
-                                  portMods_[p].data(),
-                                  static_cast<unsigned>(p)))
-            return false;
-    }
-
-    // Disjoint ports never interact: every port issues one request
-    // per cycle from cycle 0, arbitration ties are only broken
-    // between requests for the SAME module, and each port has a
-    // private return bus that delivers only its own elements — so
-    // each port's trace is bit-identical to its single-port trace.
-    // Answer each port analytically; any port neither the proof nor
-    // the solver can close defeats the whole claim.
-    out.ports.clear();
-    out.ports.resize(P);
-    Cycle lastDelivery = 0;
-    bool any = false;
-    for (std::size_t p = 0; p < P; ++p) {
-        AccessResult &r = out.ports[p];
-        const ModuleId *mods = portMods_[p].data();
-        if (!tryClaim(streams[p], mods, arena, r,
-                      detail == ResultDetail::Full)
-            && !solver_.solve(cfg_, streams[p], mods, arena, r,
-                              detail != ResultDetail::Summary)) {
-            if (arena) {
-                for (std::size_t q = 0; q < p; ++q)
-                    arena->release(
-                        std::move(out.ports[q].deliveries));
-            }
-            out.ports.clear();
-            return false;
-        }
-        for (Delivery &d : r.deliveries)
-            d.port = static_cast<unsigned>(p);
-        if (streams[p].size() > 0) {
-            any = true;
-            lastDelivery = std::max(lastDelivery, r.lastDelivery);
-        }
-    }
-    // Assembled as the stepped models assemble it: the makespan is
-    // exclusive of the last delivery cycle, 0 when no element was
-    // delivered, and each port's conflict-free flag was already
-    // judged against its own single-stream floor.
-    out.makespan = any ? lastDelivery + 1 : 0;
-    return true;
 }
 
 MultiPortResult
@@ -254,32 +189,61 @@ TheoryBackend::runPorts(
 {
     cfva_assert(!streams.empty(), "need at least one port");
     if (streams.size() == 1)
-        return wrapSinglePort(
-            runSingleHinted(true, streams[0], arena, detail),
-            streams[0].size());
-    // Premap every port once: the disjointness proof, the per-port
-    // claims and a stepped answer all read the same premap.
-    portMods_.resize(streams.size());
-    for (std::size_t p = 0; p < streams.size(); ++p)
+        return wrapSinglePort(runSingle(streams[0], arena, detail),
+                              streams[0].size());
+    // Premap every port once: the disjointness check, the per-port
+    // answers and a P-port pass all read the same premap.
+    const std::size_t P = streams.size();
+    portMods_.resize(P);
+    for (std::size_t p = 0; p < P; ++p)
         premap(streams[p], portMods_[p]);
-    MultiPortResult out;
-    if (tryClaimPorts(streams, arena, out, detail)) {
-        note(true, FallbackReason::None);
-        return out;
+    solver_.beginPortCheck(cfg_.modules());
+    bool disjoint = true;
+    for (std::size_t p = 0; p < P && disjoint; ++p) {
+        disjoint = solver_.portDisjoint(streams[p].size(),
+                                        portMods_[p].data(),
+                                        static_cast<unsigned>(p));
     }
-    // Ports sharing modules interleave on them; that schedule is
-    // not single-port-decomposable, so it is stepped — one P-port
-    // pass, with deliveries unless the caller wants a summary.
-    note(false, FallbackReason::MultiPort);
-    return solver_.stepPorts(cfg_, streams, portMods_, arena,
-                             detail != ResultDetail::Summary);
-}
+    if (!disjoint) {
+        // Ports sharing modules interleave on them; that schedule is
+        // not single-port-decomposable, so it is stepped — one
+        // P-port pass, with deliveries unless the caller wants a
+        // summary.
+        note(FallbackReason::MultiPort);
+        return solver_.stepPorts(cfg_, streams, portMods_, arena,
+                                 detail != ResultDetail::Summary);
+    }
 
-MultiPortResult
-TheoryBackend::run(const std::vector<std::vector<Request>> &streams,
-                   DeliveryArena *arena)
-{
-    return runPorts(streams, arena, ResultDetail::Full);
+    // Disjoint ports never interact: every port issues one request
+    // per cycle from cycle 0, arbitration ties are only broken
+    // between requests for the SAME module, and each port has a
+    // private return bus that delivers only its own elements — so
+    // each port's trace is bit-identical to its single-port trace.
+    // Answer each port on its own, once; the access is claimed iff
+    // every port was.
+    MultiPortResult out;
+    out.ports.resize(P);
+    bool claimed = true;
+    Cycle lastDelivery = 0;
+    bool any = false;
+    for (std::size_t p = 0; p < P; ++p) {
+        AccessResult &r = out.ports[p];
+        if (!answer(streams[p], portMods_[p].data(), arena, r, detail))
+            claimed = false;
+        for (Delivery &d : r.deliveries)
+            d.port = static_cast<unsigned>(p);
+        if (!streams[p].empty()) {
+            any = true;
+            lastDelivery = std::max(lastDelivery, r.lastDelivery);
+        }
+    }
+    // Assembled as the stepped models assemble it: the makespan is
+    // exclusive of the last delivery cycle, 0 when no element was
+    // delivered, and each port's conflict-free flag was already
+    // judged against its own single-stream floor.
+    out.makespan = any ? lastDelivery + 1 : 0;
+    note(claimed ? FallbackReason::None : FallbackReason::MultiPort);
+    return out;
 }
 
 } // namespace cfva

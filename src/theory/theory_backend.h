@@ -28,36 +28,36 @@
  *    sweep, so repeated workload accesses stop re-proving the same
  *    claim.
  *  - Multi-port claims: when the P > 1 port streams are provably
- *    disjoint across modules, the ports never interact and the
- *    MultiPortResult is synthesized from P independent single-port
- *    answers.
+ *    disjoint across modules, the ports never interact, so each
+ *    port is answered on its own exactly as a single-port stream
+ *    and the MultiPortResult is assembled from those P answers.  The
+ *    access is claimed when every port was.
  *
  * What no claim covers is stepped on the event stepper
- * (memsys/event_driven.h): a single-port stream the solver declines
- * is answered by the very stepper pass that looked for its
- * recurrence — one memo lookup and one pass, the pass stepping on to
- * the end of the stream when no state recurs — and ports that share
- * modules are stepped together in one P-port pass of the same
- * stepper, over the premap the multi-port claim already made,
- * summary-only when the caller wants aggregates.  Every answer is
- * bit-identical to the stepped oracle (memsys/memory_system.h) by
- * construction: tests/test_theory_backend.cc and
- * tests/test_conflict_solver.cc audit this across randomized grids,
- * and TierPolicy::AuditBoth audits it on every sweep scenario it
- * runs.
+ * (memsys/event_driven.h): a stream the solver declines — a single
+ * port, or one port of a disjoint access — is answered by the very
+ * stepper pass that looked for its recurrence — one memo lookup and
+ * one pass, the pass stepping on to the end of the stream when no
+ * state recurs — and ports that share modules are stepped together
+ * in one P-port pass of the same stepper, over the premap the
+ * disjointness check already made, summary-only when the caller
+ * wants aggregates.  Every answer is bit-identical to the stepped
+ * oracle (memsys/memory_system.h) by construction:
+ * tests/test_theory_backend.cc and tests/test_conflict_solver.cc
+ * audit this across randomized grids, and TierPolicy::AuditBoth
+ * audits it on every sweep scenario it runs.
  * Every fallback is attributed a FallbackReason; claim/fallback
  * attribution is a deterministic function of (config, mapping,
  * planned streams) — never of memo state — which is what keeps the
- * attribution columns identical at any thread count, grain and
- * shard.
+ * attribution columns identical at any thread count and shard.
  *
  * The window classification itself (mapping kind + stride family
  * against matchedWindow / sectionedWindows / ...) lives in the
  * planner: VectorAccessUnit::plan sets AccessPlan::expectConflictFree
  * from exactly those windows.  execute() dispatches on it: certified
  * streams take runSingleCertified (theorem-backed O(1) claim),
- * everything else runSingleHinted (proof, then solver, then the
- * stepped answer).
+ * everything else runSingle (proof, then solver, then the stepped
+ * answer).
  */
 
 #ifndef CFVA_THEORY_THEORY_BACKEND_H
@@ -73,13 +73,13 @@
 namespace cfva {
 
 /**
- * MemoryBackend that answers provably conflict-free, periodic
+ * The evaluator: answers provably conflict-free, periodic
  * conflicted, and module-disjoint multi-port streams analytically
  * and steps everything else on the event stepper.  Like the oracle,
- * it is reusable across run() calls and cacheable per (config,
- * mapping); the mapping must outlive the backend.
+ * it is reusable across runs and cacheable per (config, mapping);
+ * the mapping must outlive the backend.
  */
-class TheoryBackend final : public MemoryBackend
+class TheoryBackend
 {
   public:
     /**
@@ -88,31 +88,19 @@ class TheoryBackend final : public MemoryBackend
      */
     TheoryBackend(const MemConfig &cfg, const ModuleMapping &map);
 
-    MultiPortResult
-    run(const std::vector<std::vector<Request>> &streams,
-        DeliveryArena *arena = nullptr) override;
-
-    AccessResult
-    runSingle(const std::vector<Request> &stream,
-              DeliveryArena *arena = nullptr) override;
-
     /**
-     * runSingle with the planner's window classification: the O(L)
+     * Answers a single stream the planner did not certify: the O(L)
      * conflict-free proof is attempted, then the steady-state
      * solver, and a stream neither claims is answered by the
-     * solver's own stepper pass.  @p expectConflictFree only names
-     * such a fallback: Unproven when the planner expected conflict
-     * freedom, Conflicted when its windows said the stream
-     * conflicts.  The plain runSingle() passes true.  @p detail
-     * selects how much of the result is materialized; a stepped
-     * answer follows the same rule as a solver claim (deliveries
-     * unless the detail is Summary).
+     * solver's own stepper pass and falls back as Conflicted.
+     * @p detail selects how much of the result is materialized; a
+     * stepped answer follows the same rule as a solver claim
+     * (deliveries unless the detail is Summary).
      */
     AccessResult
-    runSingleHinted(bool expectConflictFree,
-                    const std::vector<Request> &stream,
-                    DeliveryArena *arena = nullptr,
-                    ResultDetail detail = ResultDetail::Full);
+    runSingle(const std::vector<Request> &stream,
+              DeliveryArena *arena = nullptr,
+              ResultDetail detail = ResultDetail::Full);
 
     /**
      * runSingle for a stream the planner CERTIFIED conflict free
@@ -125,7 +113,7 @@ class TheoryBackend final : public MemoryBackend
      * behind expectConflictFree are property-tested against the
      * stepped oracle (tests/test_conflict_solver.cc certified-plan
      * suite), --tier audit re-simulates every claimed scenario on
-     * demand, and the plain hinted/proof path remains available to
+     * demand, and runSingle()'s proof path remains available to
      * any caller that wants the per-access verification.
      */
     AccessResult
@@ -133,32 +121,38 @@ class TheoryBackend final : public MemoryBackend
                        DeliveryArena *arena = nullptr,
                        ResultDetail detail = ResultDetail::Full);
 
-    /** run() with a claimed-result detail knob (the virtual run()
-     *  is runPorts with ResultDetail::Full). */
+    /**
+     * Answers @p streams issued simultaneously, one request per port
+     * per cycle (P = streams.size() >= 1), as the oracle's run()
+     * would.  One stream is runSingle()'s answer lifted to P = 1.
+     * Module-disjoint ports are each answered like runSingle()'s
+     * stream, and the access is claimed iff every port was;
+     * otherwise it falls back as MultiPort.  Ports that share
+     * modules are stepped together in one P-port pass.  @p detail
+     * as in runSingle().
+     */
     MultiPortResult
     runPorts(const std::vector<std::vector<Request>> &streams,
-             DeliveryArena *arena, ResultDetail detail);
+             DeliveryArena *arena = nullptr,
+             ResultDetail detail = ResultDetail::Full);
 
-    /** True iff the most recent run()/runSingle() was answered
+    /** True iff the most recent access was answered
      *  analytically. */
     bool lastClaimed() const { return lastClaimed_; }
 
-    /** Why the most recent run()/runSingle() fell back (None after
-     *  a claim). */
+    /** Why the most recent access fell back (None after a
+     *  claim). */
     FallbackReason lastReason() const { return lastReason_; }
 
     /** Cumulative claim/fallback counts over this instance. */
     const TierCounters &stats() const { return stats_; }
 
     /** Memo, collapse, and stepped-cycle attribution of the solver's
-     *  passes — every single-port stream this tier did not claim
-     *  outright went through exactly one of them, and every
-     *  module-sharing multi-port access through one P-port pass. */
-    FastPathStats
-    fastPathStats() const override
-    {
-        return solver_.stats();
-    }
+     *  passes — every stream this tier did not claim outright, one
+     *  port of a disjoint access included, went through exactly one
+     *  of them, and every module-sharing multi-port access through
+     *  one P-port pass. */
+    const FastPathStats &fastPathStats() const { return solver_.stats(); }
 
   private:
     /** Premaps @p stream into @p mods through the mapping's
@@ -166,8 +160,9 @@ class TheoryBackend final : public MemoryBackend
     void premap(const std::vector<Request> &stream,
                 std::vector<ModuleId> &mods);
 
-    /** Records the attribution of the access just answered. */
-    void note(bool claimed, FallbackReason reason);
+    /** Records the attribution of the access just answered: a
+     *  claim iff @p reason is None. */
+    void note(FallbackReason reason);
 
     /**
      * The O(L) conflict-free claim proof + synthesis over an
@@ -183,30 +178,17 @@ class TheoryBackend final : public MemoryBackend
                   const ModuleId *mods, DeliveryArena *arena,
                   AccessResult &out, bool materialize);
 
-    /** Fills @p out with the uniform conflict-free schedule's
-     *  scalar aggregates for a length-@p length stream — the O(1)
-     *  half of tryClaim's synthesis. */
-    void summarizeUniform(std::size_t length, AccessResult &out);
-
     /** Materializes the uniform conflict-free schedule's delivery
-     *  records on top of summarizeUniform(). */
+     *  records and aggregates. */
     void synthesizeUniform(const std::vector<Request> &stream,
                            const ModuleId *mods,
                            DeliveryArena *arena, AccessResult &out);
 
-    /**
-     * The multi-port claim over the ports premapped into portMods_:
-     * proves pairwise module-disjointness, and — since disjoint
-     * ports never interact — synthesizes the MultiPortResult from P
-     * independent single-port answers (port ids patched, makespan
-     * assembled as the stepper assembles it).  False when any two
-     * ports share a module or any port defeats both the proof and
-     * the solver.
-     */
-    bool tryClaimPorts(
-        const std::vector<std::vector<Request>> &streams,
-        DeliveryArena *arena, MultiPortResult &out,
-        ResultDetail detail);
+    /** The proof, then the solver's pass, over @p stream premapped
+     *  to @p mods; true iff the answer in @p out is a claim. */
+    bool answer(const std::vector<Request> &stream,
+                const ModuleId *mods, DeliveryArena *arena,
+                AccessResult &out, ResultDetail detail);
 
     MemConfig cfg_;
     const ModuleMapping *map_;

@@ -12,8 +12,8 @@
  * simulated delivery stream.
  *
  * Every LOAD/STORE steps the memory system's oracle
- * (memsys/memory_system.h) through the unified MemoryBackend,
- * reusing one backend per processor via a private BackendCache and
+ * (memsys/memory_system.h) through VectorAccessUnit::execute,
+ * reusing one oracle per processor via a private BackendCache and
  * recycling delivery buffers through a DeliveryArena — the same
  * path the sweep engine's simulation tier runs, so program timings
  * are identical to the sweep's `single`/`chain` workload outcomes.
@@ -103,9 +103,9 @@ class VectorProcessor
     std::uint64_t vl_;
     ExecStats stats_;
 
-    // The unified-backend hot path: one MemoryBackend per mapping
-    // reused across every instruction, delivery
-    // buffers recycled across accesses.  Declared after unit_ —
+    // The sweep's hot path: one oracle per mapping reused across
+    // every instruction, delivery buffers recycled across
+    // accesses.  Declared after unit_ —
     // cached backends reference its mapping and are destroyed
     // first.
     DeliveryArena arena_;

@@ -272,16 +272,22 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
         strideStream(0, 1, OutcomeMemo::kMaxLen + 64);
     const std::vector<ModuleId> mods = premapped(map, stream);
 
-    EventStepper stepper;
-    OutcomeMemo memo;
-    FastPathStats stats;
+    ConflictSolver solver;
     AccessResult result;
-    ASSERT_TRUE(tryFastPath(cfg, stream, mods.data(), stepper, memo,
-                            stats, result));
-    EXPECT_EQ(stats.collapseHits, 1u);
-    EXPECT_EQ(stats.memoMisses, 0u);
-    EXPECT_EQ(memo.size(), 0u);
+    ASSERT_TRUE(solver.solveOrStep(cfg, stream, mods.data(), nullptr,
+                                   result, true));
+    EXPECT_EQ(solver.stats().collapseHits, 1u);
+    EXPECT_EQ(solver.stats().memoMisses, 0u);
     EXPECT_EQ(result, simulateAccess(cfg, map, stream));
+
+    // Nothing was stored: the same stream makes no lookup and jumps
+    // again.
+    AccessResult again;
+    ASSERT_TRUE(solver.solveOrStep(cfg, stream, mods.data(), nullptr,
+                                   again, true));
+    EXPECT_EQ(solver.stats().collapseHits, 2u);
+    EXPECT_EQ(solver.stats().memoHits + solver.stats().memoMisses, 0u);
+    EXPECT_EQ(again, result);
 }
 
 /**
@@ -303,19 +309,39 @@ expectStepperMatchesOracle(const MemConfig &cfg,
     EventStepper stepper;
     AccessResult full;
     const bool jumped =
-        stepper.run(cfg, stream, mods.data(), Recurrence::JumpOrFinish,
-                    true, false, full);
+        stepper.run(cfg, stream, mods.data(), true, false, full);
     EXPECT_EQ(full, expect) << what;
 
     AccessResult brief;
-    EXPECT_EQ(stepper.run(cfg, stream, mods.data(),
-                          Recurrence::JumpOrFinish, false, false, brief),
+    EXPECT_EQ(stepper.run(cfg, stream, mods.data(), false, false, brief),
               jumped)
         << what;
     EXPECT_TRUE(brief.deliveries.empty()) << what;
     brief.deliveries = full.deliveries;
     EXPECT_EQ(brief, full) << what << " (summary aggregates)";
     return jumped;
+}
+
+/**
+ * Steps @p stream (premapped to @p mods) once at full detail on a
+ * fresh EventStepper and holds it to a pass that finished without a
+ * jump: the per-cycle oracle's result, with every cycle up to the
+ * last delivery stepped.
+ */
+void
+expectFinishedWithoutJump(const MemConfig &cfg,
+                          const ModuleMapping &map,
+                          const std::vector<Request> &stream,
+                          const std::vector<ModuleId> &mods,
+                          const std::string &what)
+{
+    EventStepper stepper;
+    AccessResult finished;
+    EXPECT_FALSE(stepper.run(cfg, stream, mods.data(), true, false,
+                             finished))
+        << what;
+    EXPECT_EQ(finished, simulateAccess(cfg, map, stream)) << what;
+    EXPECT_EQ(stepper.steppedCycles(), finished.lastDelivery + 1) << what;
 }
 
 /** Smallest p with mods[i] == mods[i - p] for all i >= p, by
@@ -403,8 +429,7 @@ rawStream(const std::vector<ModuleId> &mods)
 // Smallest periods on both sides of kMaxPeriod: a conflicted
 // rotation over six of 16 modules with one marker module per period.
 // Up to kMaxPeriod the stepper snapshots and jumps; one past it the
-// pass never snapshots, and a JumpOrAbandon pass gives up before
-// stepping a single cycle.
+// pass never snapshots and steps the whole stream.
 TEST(StepperEdges, PeriodsAroundMaxPeriod)
 {
     MemConfig cfg;
@@ -426,17 +451,8 @@ TEST(StepperEdges, PeriodsAroundMaxPeriod)
         const bool jumped =
             expectStepperMatchesOracle(cfg, map, stream, mods, what);
         EXPECT_EQ(jumped, p <= EventStepper::kMaxPeriod) << what;
-
-        EventStepper stepper;
-        AccessResult abandoned;
-        EXPECT_EQ(stepper.run(cfg, stream, mods.data(),
-                              Recurrence::JumpOrAbandon, false, false,
-                              abandoned),
-                  jumped)
-            << what;
-        if (p > EventStepper::kMaxPeriod) {
-            EXPECT_EQ(stepper.steppedCycles(), 0u) << what;
-        }
+        if (p > EventStepper::kMaxPeriod)
+            expectFinishedWithoutJump(cfg, map, stream, mods, what);
     }
 }
 
@@ -444,7 +460,8 @@ TEST(StepperEdges, PeriodsAroundMaxPeriod)
 // elements and then checks its period against the rest: a stream
 // that repeats 0,0,1 well past that prefix and then changes pattern
 // has no period at all, so the stepper must not snapshot (a jump
-// would extrapolate the prefix's pattern over the whole stream).
+// would extrapolate the prefix's pattern over the whole stream) and
+// steps the whole stream.
 TEST(StepperEdges, PeriodicPrefixBeyondTheSearchWindow)
 {
     MemConfig cfg;
@@ -462,20 +479,14 @@ TEST(StepperEdges, PeriodicPrefixBeyondTheSearchWindow)
 
     EXPECT_FALSE(expectStepperMatchesOracle(cfg, map, stream, mods,
                                             "periodic prefix"));
-    EventStepper stepper;
-    AccessResult abandoned;
-    EXPECT_FALSE(stepper.run(cfg, stream, mods.data(),
-                             Recurrence::JumpOrAbandon, false, false,
-                             abandoned));
-    EXPECT_EQ(stepper.steppedCycles(), 0u);
+    expectFinishedWithoutJump(cfg, map, stream, mods, "periodic prefix");
 }
 
 // A backlog that grows every period (modules 0,0,1 with T = 2 put
 // four service cycles of demand on module 0 every three issue
 // cycles) into a deep input buffer never lets the state recur before
 // kMaxSnapshots snapshots are spent.  The stepper must then finish
-// the stream without a jump; a JumpOrAbandon pass gives up right
-// after the last snapshot.
+// the stream without a jump.
 TEST(StepperEdges, ExhaustedSnapshotBudgetFinishesWithoutJump)
 {
     MemConfig cfg;
@@ -491,28 +502,22 @@ TEST(StepperEdges, ExhaustedSnapshotBudgetFinishesWithoutJump)
 
     EXPECT_FALSE(expectStepperMatchesOracle(cfg, map, stream, mods,
                                             "growing backlog"));
+    expectFinishedWithoutJump(cfg, map, stream, mods, "growing backlog");
 
-    EventStepper stepper;
-    AccessResult abandoned;
-    EXPECT_FALSE(stepper.run(cfg, stream, mods.data(),
-                             Recurrence::JumpOrAbandon, false, false,
-                             abandoned));
-    // Snapshots at every third issue; the pass stops at the top of
-    // the cycle after the (kMaxSnapshots + 1)-th, stall free.
-    EXPECT_EQ(stepper.steppedCycles(),
-              (EventStepper::kMaxSnapshots + 1) * 3);
-
-    // Through the fast path the declined pass is accounted as
-    // stepped work, and nothing reaches the memo.
-    OutcomeMemo memo;
-    FastPathStats stats;
-    AccessResult viaFastPath;
-    EXPECT_FALSE(tryFastPath(cfg, stream, mods.data(), stepper, memo,
-                             stats, viaFastPath, false,
-                             Recurrence::JumpOrFinish));
-    EXPECT_EQ(stats.collapseHits, 0u);
-    EXPECT_EQ(stats.steppedCycles, viaFastPath.lastDelivery + 1);
-    EXPECT_EQ(memo.size(), 0u);
+    // Through the solver the declined pass is accounted as stepped
+    // work, and nothing reaches the memo: the same stream misses
+    // again.
+    ConflictSolver solver;
+    AccessResult viaSolver;
+    EXPECT_FALSE(solver.solveOrStep(cfg, stream, mods.data(), nullptr,
+                                    viaSolver, false));
+    EXPECT_EQ(solver.stats().collapseHits, 0u);
+    EXPECT_EQ(solver.stats().steppedCycles, viaSolver.lastDelivery + 1);
+    AccessResult again;
+    EXPECT_FALSE(solver.solveOrStep(cfg, stream, mods.data(), nullptr,
+                                    again, false));
+    EXPECT_EQ(solver.stats().memoHits, 0u);
+    EXPECT_EQ(solver.stats().memoMisses, 2u);
 }
 
 // Buffer depths q, q' in {1, 2, 4} at the smallest and the largest
@@ -573,8 +578,7 @@ TEST(StepperEdges, MillionElementConflictedSummary)
     EventStepper stepper;
     AccessResult brief;
     EXPECT_TRUE(stepper.run(unit.memConfig(), plan.stream, mods.data(),
-                            Recurrence::JumpOrFinish, false, false,
-                            brief));
+                            false, false, brief));
     EXPECT_TRUE(brief.deliveries.empty());
     EXPECT_LT(stepper.steppedCycles(), brief.latency / 100);
 

@@ -67,7 +67,7 @@ solverConfigs(unsigned q, unsigned qOut)
 }
 
 /** The stepped per-cycle oracle. */
-std::unique_ptr<MemoryBackend>
+std::unique_ptr<MemorySystem>
 steppedOracle(const VectorAccessUnit &unit)
 {
     return std::make_unique<MemorySystem>(unit.memConfig(),
@@ -130,11 +130,15 @@ TEST(ConflictSolverProperty, ClaimsMatchTheSteppedOracle)
                     const auto mods = premap(unit, plan.stream);
 
                     AccessResult viaSolver;
-                    const bool ok = solver.solve(
+                    const bool ok = solver.solveOrStep(
                         unit.memConfig(), plan.stream, mods.data(),
-                        nullptr, viaSolver);
+                        nullptr, viaSolver, true);
                     const AccessResult simulated =
                         oracle->runSingle(plan.stream);
+                    EXPECT_EQ(viaSolver, simulated)
+                        << cfg.describe() << " family=" << family
+                        << " sigma=" << sigma
+                        << " length=" << length << " a1=" << a1;
                     if (!ok) {
                         ++refused;
                         continue;
@@ -142,10 +146,6 @@ TEST(ConflictSolverProperty, ClaimsMatchTheSteppedOracle)
                     ++claimed;
                     if (!simulated.conflictFree)
                         ++conflictedClaims;
-                    EXPECT_EQ(viaSolver, simulated)
-                        << cfg.describe() << " family=" << family
-                        << " sigma=" << sigma
-                        << " length=" << length << " a1=" << a1;
                 }
             }
         }
@@ -190,8 +190,9 @@ TEST(ConflictSolverProperty, TailGapsArePeriodic)
                 continue;
 
             AccessResult viaSolver;
-            if (!solver.solve(unit.memConfig(), plan.stream,
-                              mods.data(), nullptr, viaSolver))
+            if (!solver.solveOrStep(unit.memConfig(), plan.stream,
+                                    mods.data(), nullptr, viaSolver,
+                                    true))
                 continue;
             const AccessResult simulated =
                 oracle->runSingle(plan.stream);
@@ -237,22 +238,20 @@ TEST(ConflictSolverProperty, ClaimDecisionIsMemoInvariant)
 
             AccessResult first, second, cold;
             const bool okFirst =
-                warm.solve(unit.memConfig(), plan.stream,
-                           mods.data(), nullptr, first);
+                warm.solveOrStep(unit.memConfig(), plan.stream,
+                                 mods.data(), nullptr, first, true);
             const bool okSecond =
-                warm.solve(unit.memConfig(), plan.stream,
-                           mods.data(), nullptr, second);
+                warm.solveOrStep(unit.memConfig(), plan.stream,
+                                 mods.data(), nullptr, second, true);
             ConflictSolver fresh;
             const bool okCold =
-                fresh.solve(unit.memConfig(), plan.stream,
-                            mods.data(), nullptr, cold);
+                fresh.solveOrStep(unit.memConfig(), plan.stream,
+                                  mods.data(), nullptr, cold, true);
 
             EXPECT_EQ(okFirst, okSecond);
             EXPECT_EQ(okFirst, okCold);
-            if (okFirst) {
-                EXPECT_EQ(first, second);
-                EXPECT_EQ(first, cold);
-            }
+            EXPECT_EQ(first, second);
+            EXPECT_EQ(first, cold);
         }
     }
 }
@@ -291,7 +290,7 @@ TEST(ConflictSolverProperty, MultiPortClaimsMatchTheSteppedOracle)
                                   length)
                             .stream);
                 }
-                const MultiPortResult viaTier = tb.run(streams);
+                const MultiPortResult viaTier = tb.runPorts(streams);
                 const MultiPortResult simulated =
                     oracle->run(streams);
                 EXPECT_EQ(viaTier, simulated)
@@ -399,20 +398,19 @@ TEST(ConflictSolverProperty, SummaryDetailKeepsTheExactAggregates)
             if (plan.expectConflictFree)
                 continue;
 
-            const AccessResult full = tb.runSingleHinted(
-                false, plan.stream, nullptr, ResultDetail::Full);
+            const AccessResult full =
+                tb.runSingle(plan.stream, nullptr, ResultDetail::Full);
             if (!tb.lastClaimed() || full.conflictFree)
                 continue;
             ++solverClaims;
 
-            const AccessResult ifUniform = tb.runSingleHinted(
-                false, plan.stream, nullptr,
-                ResultDetail::SummaryIfUniform);
+            const AccessResult ifUniform = tb.runSingle(
+                plan.stream, nullptr, ResultDetail::SummaryIfUniform);
             ASSERT_TRUE(tb.lastClaimed());
             EXPECT_EQ(ifUniform, full) << cfg.describe();
 
-            const AccessResult brief = tb.runSingleHinted(
-                false, plan.stream, nullptr, ResultDetail::Summary);
+            const AccessResult brief =
+                tb.runSingle(plan.stream, nullptr, ResultDetail::Summary);
             ASSERT_TRUE(tb.lastClaimed());
             EXPECT_TRUE(brief.deliveries.empty());
             EXPECT_EQ(brief.firstIssue, full.firstIssue);

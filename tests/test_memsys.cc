@@ -298,11 +298,9 @@ TEST(BackendCache, CachedBackendsSeeRetunesBetweenAccesses)
         dyn.retune(tune);
         for (std::size_t i = 0; i < stream.size(); ++i)
             stream[i] = Request{rng.below(Addr{1} << 40), i};
-        MemoryBackend *backends[] = {
-            &cache.backendFor(cfg, dyn),
-            &cache.theoryBackendFor(cfg, dyn)};
-        for (MemoryBackend *backend : backends) {
-            const AccessResult r = backend->runSingle(stream);
+        for (const AccessResult &r :
+             {cache.backendFor(cfg, dyn).runSingle(stream),
+              cache.theoryBackendFor(cfg, dyn).runSingle(stream)}) {
             ASSERT_EQ(r.deliveries.size(), stream.size());
             for (const Delivery &d : r.deliveries) {
                 ASSERT_EQ(d.module,

@@ -21,6 +21,9 @@
 #include <string>
 #include <thread>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include "common/stats.h"
 #include "common/stride.h"
 #include "core/access_unit.h"
@@ -400,6 +403,13 @@ TEST(SweepEngine, RejectsInvalidGrids)
     theory.tier = TierPolicy::TheoryFirst;
     EXPECT_THROW(SweepEngine(theory).run(too_long),
                  std::runtime_error);
+    // runToSink validates before it begins the sink (it expands the
+    // jobs only after), so a rejected grid writes no CSV header.
+    std::ostringstream csvOut;
+    CsvStreamSink csv(csvOut);
+    EXPECT_THROW(SweepEngine(theory).runToSink(too_long, csv),
+                 std::runtime_error);
+    EXPECT_EQ(csvOut.str(), "");
 
     // Every port plans base stride x mix multiplier (x 2 in Retune's
     // second phase) as a signed stride; one past 2^63 - 1 is refused
@@ -545,6 +555,18 @@ TEST(SweepCli, SameFileCatchesAliasedOutputs)
     EXPECT_FALSE(sameFile("-", made));
     // Many writers may share a character device.
     EXPECT_FALSE(sameFile("/dev/null", "/dev/null"));
+
+    // Redirected to a file, stdout is that file, so "-" aliases it
+    // under any name.
+    std::fflush(stdout);
+    const int saved = ::dup(STDOUT_FILENO);
+    const int fd = ::open(made.c_str(), O_WRONLY);
+    ::dup2(fd, STDOUT_FILENO);
+    const bool aliased = sameFile("-", made) && sameFile(made, "-");
+    ::dup2(saved, STDOUT_FILENO);
+    ::close(fd);
+    ::close(saved);
+    EXPECT_TRUE(aliased);
     std::remove(made.c_str());
 }
 

@@ -22,6 +22,7 @@
 
 #include "common/stats.h"
 #include "core/access_unit.h"
+#include "mapping/interleave.h"
 #include "memsys/backend_cache.h"
 #include "sim/sweep_engine.h"
 #include "test_util.h"
@@ -42,7 +43,7 @@ matchedConfig()
 }
 
 /** The stepped oracle over @p unit's mapping. */
-std::unique_ptr<MemoryBackend>
+std::unique_ptr<MemorySystem>
 oracleOver(const VectorAccessUnit &unit)
 {
     return std::make_unique<MemorySystem>(unit.memConfig(),
@@ -93,23 +94,22 @@ TEST(TheoryBackend, ConflictedStreamIsSolvedAnalytically)
     EXPECT_GT(viaTier.stallCycles, 0u);
 }
 
-TEST(TheoryBackend, ProofRunsWhateverTheHint)
+TEST(TheoryBackend, ProofClaimsBeforeTheSolver)
 {
     const VectorAccessUnit unit(matchedConfig());
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
     TheoryBackend tb(unit.memConfig(), unit.mapping());
 
-    // The hint only names a fallback; the O(L) proof is tried
-    // either way, so a conflict-free stream is claimed by it — no
-    // memo lookup, no stepper pass — with the bit-identical
+    // runSingle() ignores the planner's certification and tries the
+    // O(L) proof first, so a conflict-free stream is claimed by it —
+    // no memo lookup, no stepper pass — with the bit-identical
     // schedule.
-    const AccessResult hinted =
-        tb.runSingleHinted(false, plan.stream);
+    const AccessResult proven = tb.runSingle(plan.stream);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.stats().claimed, 1u);
     EXPECT_EQ(tb.fastPathStats(), FastPathStats{});
-    EXPECT_EQ(hinted, oracleOver(unit)->runSingle(plan.stream));
-    EXPECT_TRUE(hinted.conflictFree);
+    EXPECT_EQ(proven, oracleOver(unit)->runSingle(plan.stream));
+    EXPECT_TRUE(proven.conflictFree);
 }
 
 /** A pseudo-random unit and a plan it can neither prove nor solve:
@@ -135,21 +135,14 @@ TEST(TheoryBackend, AperiodicConflictedStreamFallsBack)
     // A pseudo-random mapping's module sequence has no short
     // period, so neither the proof nor the solver can close a
     // conflicted stream's form: it is stepped, and the taxonomy
-    // names why — from the planner's expectation, not from which
-    // path gave up.
+    // names it Conflicted.
     const DeclinedCase c;
-    const auto oracle = oracleOver(c.unit);
     TheoryBackend tb(c.unit.memConfig(), c.unit.mapping());
-    for (bool expectConflictFree : {false, true}) {
-        const AccessResult viaTier =
-            tb.runSingleHinted(expectConflictFree, c.plan.stream);
-        ASSERT_FALSE(tb.lastClaimed());
-        EXPECT_EQ(tb.lastReason(), expectConflictFree
-                                       ? FallbackReason::Unproven
-                                       : FallbackReason::Conflicted);
-        EXPECT_EQ(viaTier, oracle->runSingle(c.plan.stream));
-    }
-    EXPECT_EQ(tb.stats().fallback, 2u);
+    const AccessResult viaTier = tb.runSingle(c.plan.stream);
+    ASSERT_FALSE(tb.lastClaimed());
+    EXPECT_EQ(tb.lastReason(), FallbackReason::Conflicted);
+    EXPECT_EQ(viaTier, oracleOver(c.unit)->runSingle(c.plan.stream));
+    EXPECT_EQ(tb.stats().fallback, 1u);
     EXPECT_EQ(tb.fastPathStats().collapseHits, 0u);
 }
 
@@ -253,7 +246,7 @@ TEST(TheoryBackend, SinglePortRunLiftsLikeTheEngines)
     const AccessPlan plan = unit.plan(0, Stride(1), 64);
     TheoryBackend tb(unit.memConfig(), unit.mapping());
 
-    const MultiPortResult lifted = tb.run({plan.stream});
+    const MultiPortResult lifted = tb.runPorts({plan.stream});
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(lifted, oracleOver(unit)->run({plan.stream}));
     ASSERT_EQ(lifted.ports.size(), 1u);
@@ -299,7 +292,7 @@ TEST(TheoryBackend, MultiPortSharedModulesFallBack)
     // the schedule is not single-port-decomposable and is stepped.
     const std::vector<std::vector<Request>> streams = {plan.stream,
                                                        plan.stream};
-    const MultiPortResult viaTier = tb.run(streams);
+    const MultiPortResult viaTier = tb.runPorts(streams);
     EXPECT_FALSE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::MultiPort);
     EXPECT_EQ(tb.stats().fallback, 1u);
@@ -332,7 +325,7 @@ TEST(TheoryBackend, MultiPortDisjointPortsAreClaimed)
     TheoryBackend tb(unit.memConfig(), unit.mapping());
     const std::vector<std::vector<Request>> streams = {p0.stream,
                                                        p1.stream};
-    const MultiPortResult viaTier = tb.run(streams);
+    const MultiPortResult viaTier = tb.runPorts(streams);
     EXPECT_TRUE(tb.lastClaimed());
     EXPECT_EQ(tb.lastReason(), FallbackReason::None);
     EXPECT_EQ(tb.stats().claimed, 1u);
@@ -344,15 +337,47 @@ TEST(TheoryBackend, MultiPortDisjointPortsAreClaimed)
     }
 }
 
+// Two module-disjoint ports whose conflicted module sequences
+// never recur (rank-distinct random walks over modules {0, 1} and
+// {2, 3}): neither port can be claimed, so the access falls back as
+// MultiPort, and each port is answered by its own single pass that
+// steps it to the end — never again in a P-port pass.
+TEST(TheoryBackend, MultiPortDisjointUnclaimedPortsAreSteppedAlone)
+{
+    MemConfig cfg;
+    cfg.m = 2;
+    cfg.t = 3;
+    const LowOrderInterleave map(cfg.m);
+    Rng rng(0xD15Bull);
+    std::vector<std::vector<Request>> streams(2);
+    for (unsigned p = 0; p < 2; ++p) {
+        for (std::size_t i = 0; i < 64 + 16 * p; ++i)
+            streams[p].push_back({2 * p + rng.below(2), i});
+    }
+
+    TheoryBackend tb(cfg, map);
+    const MultiPortResult viaTier =
+        tb.runPorts(streams, nullptr, ResultDetail::Full);
+    EXPECT_EQ(viaTier, MemorySystem(cfg, map).run(streams));
+    EXPECT_FALSE(tb.lastClaimed());
+    EXPECT_EQ(tb.lastReason(), FallbackReason::MultiPort);
+
+    const FastPathStats &fp = tb.fastPathStats();
+    EXPECT_EQ(fp.collapseHits, 0u);
+    EXPECT_EQ(fp.memoMisses, 2u);
+    EXPECT_EQ(fp.steppedCycles, viaTier.ports[0].lastDelivery + 1
+                                    + viaTier.ports[1].lastDelivery + 1);
+}
+
 TEST(TheoryBackend, CacheKeepsTiersSeparate)
 {
     const VectorAccessUnit unit(matchedConfig());
     BackendCache cache;
-    MemoryBackend &sim =
+    MemorySystem &sim =
         cache.backendFor(unit.memConfig(), unit.mapping());
     TheoryBackend &tb =
         cache.theoryBackendFor(unit.memConfig(), unit.mapping());
-    EXPECT_NE(&sim, static_cast<MemoryBackend *>(&tb));
+    EXPECT_NE(static_cast<void *>(&sim), static_cast<void *>(&tb));
     EXPECT_EQ(cache.size(), 2u);
 
     // Repeat lookups hit their own entries.

@@ -10,7 +10,7 @@
  *     aside) over a randomized grid of every mapping kind x every
  *     workload x 1-2 ports.
  *  2. vproc identity: the VectorProcessor — now running on the same
- *     MemoryBackend/BackendCache path — produces program timings
+ *     execute()/BackendCache path — produces program timings
  *     that match the sweep's `single` and `chain` workload outcomes
  *     exactly (the refactor must not change program timings).
  *  3. Retune accounting: the Retune workload charges exactly the

@@ -462,8 +462,7 @@ printTierStats(std::ostream &info, TierPolicy tier,
          << "% of accesses answered analytically)\n";
     info << "fallback taxonomy: " << stats.fallbackConflicted
          << " conflicted, " << stats.fallbackMultiport
-         << " multiport, " << stats.fallbackUnproven
-         << " unproven, " << stats.fallbackDynamic
+         << " multiport, " << stats.fallbackDynamic
          << " dynamic (executed scenarios with any simulated "
             "access)\n";
     if (tier == TierPolicy::AuditBoth) {
@@ -577,6 +576,10 @@ main(int argc, char **argv)
              << " hits / " << stats.backendCacheMisses << " misses\n";
         printFastPathStats(info, o.tier, stats);
         printTierStats(info, o.tier, stats);
+    }
+    if (!info.flush()) {
+        cfva_fatal("writing the summary to ",
+                   stdoutIsSink ? "stderr" : "stdout", " failed");
     }
     return stats.tierAuditDivergences == 0 ? 0 : 1;
 }
