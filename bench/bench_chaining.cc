@@ -87,20 +87,27 @@ main()
                 out_of_window.stride == 32
                     && !out_of_window.chainable);
 
-    // The sweep's chain totals must agree with the direct Sec. 5F
-    // model on the unit — the single source both derive from.
-    const auto r12 = unit.access(7, Stride(12), len);
-    const auto rep12 = chainingModel(r12, exec_latency);
-    bool model_agrees = false;
-    for (const auto &o : oracle.outcomes) {
-        if (o.stride == 12) {
-            model_agrees = o.decoupledCycles == rep12.decoupledTotal
-                           && o.chainedCycles == rep12.chainedTotal
-                           && o.chainable == rep12.chainable;
+    // The sweep's closed-form chain totals must agree with the
+    // direct Sec. 5F model over the unit's delivery stream, for a
+    // conflict-free (12) and a conflicted (32) stride.
+    bool model_agrees = true;
+    for (const std::uint64_t stride : {12u, 32u}) {
+        const auto rep =
+            chainingModel(unit.access(7, Stride(stride), len),
+                          exec_latency);
+        bool found = false;
+        for (const auto &o : oracle.outcomes) {
+            if (o.stride != stride)
+                continue;
+            found = true;
+            model_agrees &= o.decoupledCycles == rep.decoupledTotal
+                            && o.chainedCycles == rep.chainedTotal
+                            && o.chainable == rep.chainable;
         }
+        model_agrees &= found;
     }
     audit.check("sweep chain totals equal chainingModel on the "
-                "unit", model_agrees);
+                "unit (strides 12 and 32)", model_agrees);
 
     // Deterministic order requirement: the delivery order of a
     // conflict-free access equals the issue order of its plan.

@@ -175,8 +175,7 @@ BM_Step(benchmark::State &state, StepVariant variant, MemoryKind kind)
         AccessResult r;
         if (full)
             r.deliveries.reserve(plan.stream.size());
-        stepper.run(unit.memConfig(), plan.stream, mods.data(), full,
-                    false, r);
+        stepper.run(unit.memConfig(), plan.stream, mods.data(), full, r);
         benchmark::DoNotOptimize(r.deliveries.data());
         benchmark::DoNotOptimize(r.latency);
         benchmark::ClobberMemory();

@@ -127,7 +127,7 @@ class VectorAccessUnit
      * The MapPath and CollapseMode arguments are ignored; they stay
      * only until ROADMAP item 1 drops them from the benchmark.
      *
-     * @p detail selects how much of a theory-claimed result is
+     * @p detail selects how much of a theory-tier result is
      * materialized (see ResultDetail; the oracle's results are
      * always full).  Under TheoryFirst a plan the planner certified
      * conflict free (AccessPlan::expectConflictFree) is claimed

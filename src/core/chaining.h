@@ -67,9 +67,12 @@ ChainingReport chainingModel(const AccessResult &result,
  * The EXECUTE step's cost *beyond the load's completion*, for
  * composing program sequences: a program that runs accesses back to
  * back totals sum(access latencies) + the execute extras below.
- * Shared by the vector processor's chained arithmetic timing and
- * the sweep engine's workload programs so both derive from the same
- * Sec. 5F model of the load's delivery stream.
+ * The vector processor's chained arithmetic timing reads it from the
+ * load's delivery stream.  The sweep engine's workload programs no
+ * longer build that stream: on one return bus the costs close to
+ * (L - 1) + e decoupled and e chained, chainable iff the load was
+ * conflict free, and tests/test_chaining.cc holds that closed form
+ * to this model.
  */
 struct ChainCosts
 {

@@ -57,11 +57,11 @@ const char *to_string(TierPolicy tier);
 
 /**
  * How much of a theory-tier AccessResult the caller needs.  The
- * oracle always materializes every Delivery; the
- * theory tier can answer in O(1) when the caller only folds
- * aggregates (latency, stalls, conflict-free), which is what the
- * sweep hot path does with every access whose delivery stream it
- * would immediately release.
+ * oracle always materializes every Delivery; the theory tier
+ * answers without one when the caller only folds aggregates
+ * (latency, stalls, conflict-free).  Every sweep access does: even
+ * the Sec. 5F execute step is closed-form in a load's length and
+ * conflict-free flag (sim/sweep_engine.cc).
  */
 enum class ResultDetail
 {
@@ -72,12 +72,8 @@ enum class ResultDetail
      *  one port or several — carries deliveries. */
     Summary,
 
-    /**
-     * Aggregates for uniform (conflict-free) claims — their Sec. 5F
-     * chaining costs are closed-form — but full deliveries for
-     * solver (periodic conflicted) claims and stepped answers, whose
-     * chained cost the caller must fold delivery by delivery.
-     */
+    /** Behaves as Summary; the name stays only while the benchmark
+     *  names it (ROADMAP item 2). */
     SummaryIfUniform,
 };
 

@@ -462,7 +462,7 @@ EventStepper::step(const MemConfig &cfg, std::size_t period, bool record)
 bool
 EventStepper::run(const MemConfig &cfg,
                   const std::vector<Request> &stream,
-                  const ModuleId *mods, bool materialize, bool trace,
+                  const ModuleId *mods, bool materialize,
                   AccessResult &result)
 {
     const std::size_t length = stream.size();
@@ -474,7 +474,7 @@ EventStepper::run(const MemConfig &cfg,
         period = 0;
 
     ports_.assign(1, Port{mods, length});
-    const bool jumped = step<true>(cfg, period, materialize || trace);
+    const bool jumped = step<true>(cfg, period, materialize);
     const Port &ps = ports_.front();
     summary_ = summarizePort(length, t_, ps.firstIssue, ps.lastDelivery,
                              ps.stalls);

@@ -21,9 +21,9 @@
  *   1-cycle bus and the T-cycle service).
  * - Output on request: the loop records each delivery only as a
  *   position-form Emit per port, and only when the caller
- *   materializes or traces; materializeEmits()
- *   (memsys/steady_state.h) writes the Delivery records after the
- *   pass.  Summary callers get the aggregates and no O(L) buffer.
+ *   materializes; materializeEmits() (memsys/steady_state.h) writes
+ *   the Delivery records after the pass.  Summary callers get the
+ *   aggregates and no O(L) buffer.
  * - A jump inside the loop (one port): the stepper snapshots the
  *   relative machine state at issue positions one module-sequence
  *   period apart and, once a snapshot recurs, takes the affine jump
@@ -95,14 +95,14 @@ class EventStepper
      *
      * @p result receives the scalar aggregates and, when
      * @p materialize is set, every Delivery in delivery order,
-     * written from the trace after the pass (result.deliveries must
-     * be empty; capacity may be reserved).  @p trace keeps the
-     * position-form trace readable through emits() after the pass.
+     * written from the pass's trace afterwards (result.deliveries
+     * must be empty; capacity may be reserved).  Only a
+     * materializing pass records a trace.
      *
      * @return true iff the pass jumped (a snapshot recurred)
      */
     bool run(const MemConfig &cfg, const std::vector<Request> &stream,
-             const ModuleId *mods, bool materialize, bool trace,
+             const ModuleId *mods, bool materialize,
              AccessResult &result);
 
     /**
@@ -129,10 +129,6 @@ class EventStepper
      *  delivery (the makespan, for a P-port pass), minus the span a
      *  jump covered. */
     Cycle steppedCycles() const { return stepped_; }
-
-    /** Position-form trace of the last run() made with @p trace
-     *  (or @p materialize). */
-    const std::vector<Emit> &emits() const { return emits_.front(); }
 
     /** Scalar aggregates of the last pass that finished. */
     const EmitSummary &summary() const { return summary_; }
@@ -256,7 +252,8 @@ class EventStepper
     std::vector<std::int64_t> sig_;   //!< snapshot-encoding scratch
     std::vector<Snapshot> snapshots_; //!< storage, reused per pass
 
-    /** Each port's position-form trace, when the pass records. */
+    /** Each port's position-form trace, when the pass
+     *  materializes. */
     std::vector<std::vector<Emit>> emits_ =
         std::vector<std::vector<Emit>>(1);
     EmitSummary summary_;

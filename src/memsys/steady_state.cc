@@ -96,8 +96,7 @@ OutcomeMemo::lookup(std::size_t length, const ModuleId *mods,
 }
 
 void
-OutcomeMemo::store(std::size_t length, const std::vector<Emit> &emits,
-                   const EmitSummary &summary)
+OutcomeMemo::store(std::size_t length, const EmitSummary &summary)
 {
     if (length == 0 || length > kMaxLen)
         return;
@@ -106,19 +105,10 @@ OutcomeMemo::store(std::size_t length, const std::vector<Emit> &emits,
     Entry e;
     e.hash = hash_;
     e.rankSeq = rankSeq_;
-    e.emits = emits;
     e.summary = summary;
     entries_.push_back(std::move(e));
     if (entries_.size() > kMaxEntries)
         entries_.pop_front();
-}
-
-const std::vector<Emit> &
-OutcomeMemo::cachedEmits() const
-{
-    cfva_assert(found_ != ~std::size_t{0},
-                "cachedEmits() without a lookup() hit");
-    return entries_[found_].emits;
 }
 
 const EmitSummary &

@@ -25,19 +25,20 @@
  *   equal up to an order-preserving relabeling drive the engine
  *   through identical timing decisions — every tie-break compares
  *   module numbers, and a strictly increasing relabeling preserves
- *   every comparison.  The memo keys collapsed outcomes on the
- *   rank-canonicalized module sequence and replays them against
- *   new streams, filling addresses/elements/modules from the new
- *   stream and timing fields from the cache.  This is the sound
- *   version of "base-address invariance": a shifted base that
+ *   every comparison.  The memo keys the aggregates of collapsed
+ *   outcomes on the rank-canonicalized module sequence, so a hit
+ *   answers a summary caller without a pass; a caller that wants
+ *   deliveries steps the stream, which jumps again.  This is the
+ *   sound version of "base-address invariance": a shifted base that
  *   yields an order-isomorphic module sequence hits; one that
  *   reorders modules (XOR mappings do) correctly misses.
  *
  * The theory tier's ConflictSolver::solveOrStep
  * (theory/conflict_solver.h) is the one orchestration of the two:
- * one memo lookup, then one stepper pass that always finishes.  It
- * is differentially tested against the stepped oracle
- * (tests/test_collapse.cc, and `cfva_sweep --tier audit`).
+ * one memo lookup, then — unless a summary caller hit — one stepper
+ * pass that always finishes.  It is differentially tested against
+ * the stepped oracle (tests/test_collapse.cc, and `cfva_sweep
+ * --tier audit`).
  */
 
 #ifndef CFVA_MEMSYS_STEADY_STATE_H
@@ -128,10 +129,9 @@ struct EmitSummary
 };
 
 /**
- * Fills @p result from a position-form outcome — a memo entry
- * replayed against a new stream, or the trace of a stepper pass —
+ * Fills @p result from the position-form trace of a stepper pass
  * and the concrete stream it answers: addresses, element indices,
- * and module numbers come from (@p stream, @p mods) at the stored
+ * and module numbers come from (@p stream, @p mods) at the traced
  * positions, every timing field from the trace, and each record is
  * tagged with @p port.  This is the evaluator's one writer of
  * non-uniform Delivery records.  result.deliveries must be empty
@@ -163,7 +163,7 @@ EmitSummary summarizePort(std::size_t length, Cycle T,
                           std::uint64_t stalls);
 
 /**
- * Bounded cache of collapsed outcomes keyed on the
+ * Bounded cache of the aggregates of collapsed outcomes keyed on the
  * rank-canonicalized module sequence (distinct modules used, sorted
  * ascending, rewritten as ranks 0..k-1).  Not thread-safe; each
  * ConflictSolver holds one, exactly like its other scratch.
@@ -180,23 +180,19 @@ class OutcomeMemo
     /**
      * Canonicalizes (@p length, @p mods) over @p moduleCount
      * modules and looks the rank sequence up.  On a hit returns
-     * true with cachedEmits()/cachedSummary() readable; on a miss
-     * the canonical form is kept so an immediately following
-     * store() of the same stream reuses it.
+     * true with cachedSummary() readable; on a miss the canonical
+     * form is kept so an immediately following store() of the same
+     * stream reuses it.
      */
     bool lookup(std::size_t length, const ModuleId *mods,
                 ModuleId moduleCount);
 
     /**
-     * Inserts the outcome of the stream most recently passed to
+     * Inserts the aggregates of the stream most recently passed to
      * lookup() (which must have missed).  Oversize streams are
      * ignored; the oldest entry is evicted at capacity.
      */
-    void store(std::size_t length, const std::vector<Emit> &emits,
-               const EmitSummary &summary);
-
-    /** Trace of the last lookup() hit. */
-    const std::vector<Emit> &cachedEmits() const;
+    void store(std::size_t length, const EmitSummary &summary);
 
     /** Aggregates of the last lookup() hit. */
     const EmitSummary &cachedSummary() const;
@@ -206,7 +202,6 @@ class OutcomeMemo
     {
         std::uint64_t hash = 0;
         std::vector<ModuleId> rankSeq;
-        std::vector<Emit> emits;
         EmitSummary summary;
     };
 

@@ -11,7 +11,6 @@
 
 #include "common/logging.h"
 #include "common/stride.h"
-#include "core/chaining.h"
 #include "memsys/backend_cache.h"
 #include "sim/sweep_sink.h"
 #include "theory/theory.h"
@@ -139,18 +138,14 @@ resolveReason(const VectorAccessUnit &unit, FallbackReason r)
 
 /**
  * Executes one access of the workload at (@p a1, @p baseStride)
- * through the unit's port-aware backend.  For a single-port
- * scenario with @p loadOut set, the full AccessResult (deliveries
- * intact) is moved there for the chaining model and NOT released —
- * the caller releases it; every other path releases delivery
- * buffers to @p arena before returning.
+ * through the unit's port-aware backend at summary detail, and
+ * releases any delivery buffer (the oracle's) to @p arena.
  */
 AccessStats
 runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
                   const VectorAccessUnit &unit, Addr a1,
                   std::uint64_t baseStride, DeliveryArena *arena,
-                  BackendCache *cache, AccessResult *loadOut,
-                  TierPolicy tier)
+                  BackendCache *cache, TierPolicy tier)
 {
     AccessStats out;
     // Attribution only runs while the theory tier is active, so
@@ -161,29 +156,17 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
     if (sc.ports <= 1) {
         AccessPlan p =
             planPortStream(grid, sc, unit, 0, a1, baseStride, arena);
-        // The sweep folds aggregates; only the captured last load
-        // feeds the chaining model, and a uniform (certified
-        // conflict-free) claim's chain costs are closed-form, so no
-        // sweep access ever needs a claimed delivery stream
-        // materialized.  Solver (periodic) claims are non-uniform:
-        // SummaryIfUniform materializes those for chainCosts().
-        const ResultDetail detail = loadOut
-                                        ? ResultDetail::SummaryIfUniform
-                                        : ResultDetail::Summary;
         AccessResult r =
             unit.execute(p, arena, cache, tier, tcp, MapPath::BitSliced,
-                         CollapseMode::On, detail);
+                         CollapseMode::On, ResultDetail::Summary);
         out.latency = r.latency;
         out.stalls = r.stallCycles;
         out.conflictFree = r.conflictFree;
         out.claimed = tc.claimed;
         out.fallback = tc.fallback;
         out.reason = resolveReason(unit, tc.lastReason);
-        if (arena)
+        if (arena) {
             arena->releaseRequests(std::move(p.stream));
-        if (loadOut) {
-            *loadOut = std::move(r);
-        } else if (arena) {
             arena->release(std::move(r.deliveries));
         }
         return out;
@@ -257,44 +240,26 @@ accessFloor(const Scenario &sc, const VectorAccessUnit &unit)
 /**
  * Applies the EXECUTE step following the sequence's last load: the
  * decoupled/chained program totals grow from the pure memory total
- * by the Sec. 5F costs derived from that load's delivery stream.
- * Multi-port scenarios use the decoupled cost for both totals — the
- * paper's chaining model is a single-stream argument — and stay
- * flagged unchainable.
+ * by the Sec. 5F costs of that load, in closed form.  Decoupled
+ * issue adds (L - 1) + e for execute depth e.  One return bus
+ * delivers at most one element per cycle, so chained operand k
+ * issues at delivered_k + 1 and only the e-cycle drain follows the
+ * load; the schedule is deterministic iff the load was conflict
+ * free.  These equal the Sec. 5F chaining model's costs over the
+ * load's delivery stream (tests/test_chaining.cc holds them to
+ * it).  Multi-port scenarios use the decoupled cost for both
+ * totals — the paper's chaining model is a single-stream argument —
+ * and stay flagged unchainable.
  */
 void
 applyExecuteStep(ScenarioOutcome &out, const Scenario &sc,
-                 const Workload &wl, AccessResult &&lastLoad,
-                 DeliveryArena *arena)
+                 const Workload &wl, const AccessStats &lastLoad)
 {
-    if (sc.ports <= 1) {
-        if (lastLoad.deliveries.empty()) {
-            // Summary-claimed uniform schedule (stepped answers and
-            // solver claims materialize under SummaryIfUniform, and
-            // simulation always does): delivered_k = k + 1 + T, so
-            // the chained pipeline never waits after its first
-            // operand and the Sec. 5F costs close.
-            // Matches chainingModel() on the materialized stream:
-            // decoupled = (L - 1) + exec for ANY load, chained =
-            // max_k(delivered_k - k) + L + exec - loadEnd = exec.
-            out.decoupledCycles += (sc.length - 1) + wl.execLatency;
-            out.chainedCycles += wl.execLatency;
-            out.chainable = true;
-            return;
-        }
-        const ChainCosts costs =
-            chainCosts(lastLoad, wl.execLatency);
-        out.decoupledCycles += costs.decoupled;
-        out.chainedCycles += costs.chained;
-        out.chainable = costs.chainable;
-        if (arena)
-            arena->release(std::move(lastLoad.deliveries));
-        return;
-    }
+    const bool single = sc.ports <= 1;
     const Cycle decoupled = (sc.length - 1) + wl.execLatency;
     out.decoupledCycles += decoupled;
-    out.chainedCycles += decoupled;
-    out.chainable = false;
+    out.chainedCycles += single ? wl.execLatency : decoupled;
+    out.chainable = single && lastLoad.conflictFree;
 }
 
 /** The dynamic scheme's tuning for @p family, clamped so the m-bit
@@ -389,7 +354,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         out.minLatency = floor1;
         foldAccess(out, runWorkloadAccess(grid, sc, unit, sc.a1,
                                           sc.stride, arena, cache,
-                                          nullptr, tier));
+                                          tier));
         return out;
       }
 
@@ -397,16 +362,12 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         // One LOAD, one EXECUTE chained on its delivery stream.
         out.accesses = 1;
         out.minLatency = floor1;
-        AccessResult load;
-        const bool capture = sc.ports <= 1;
-        foldAccess(out,
-                   runWorkloadAccess(grid, sc, unit, sc.a1,
-                                     sc.stride, arena, cache,
-                                     capture ? &load : nullptr,
-                                     tier));
+        const AccessStats load = runWorkloadAccess(
+            grid, sc, unit, sc.a1, sc.stride, arena, cache, tier);
+        foldAccess(out, load);
         out.decoupledCycles = out.latency;
         out.chainedCycles = out.latency;
-        applyExecuteStep(out, sc, wl, std::move(load), arena);
+        applyExecuteStep(out, sc, wl, load);
         return out;
       }
 
@@ -415,23 +376,19 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
         // walk), an EXECUTE chained on the last load, one STORE.
         out.accesses = 4;
         out.minLatency = 4 * floor1;
-        AccessResult lastLoad;
+        AccessStats lastLoad;
         for (unsigned tap = 0; tap < 3; ++tap) {
-            const bool capture = sc.ports <= 1 && tap == 2;
-            foldAccess(out,
-                       runWorkloadAccess(
-                           grid, sc, unit,
-                           sc.a1 + Addr{tap} * sc.stride, sc.stride,
-                           arena, cache,
-                           capture ? &lastLoad : nullptr, tier));
+            lastLoad = runWorkloadAccess(
+                grid, sc, unit, sc.a1 + Addr{tap} * sc.stride,
+                sc.stride, arena, cache, tier);
+            foldAccess(out, lastLoad);
         }
         const Cycle loadTotal = out.latency;
         out.decoupledCycles = loadTotal;
         out.chainedCycles = loadTotal;
-        applyExecuteStep(out, sc, wl, std::move(lastLoad), arena);
+        applyExecuteStep(out, sc, wl, lastLoad);
         const AccessStats store = runWorkloadAccess(
-            grid, sc, unit, sc.a1, sc.stride, arena, cache, nullptr,
-            tier);
+            grid, sc, unit, sc.a1, sc.stride, arena, cache, tier);
         foldAccess(out, store);
         out.decoupledCycles += store.latency;
         out.chainedCycles += store.latency;
@@ -498,7 +455,7 @@ SweepEngine::runScenario(const ScenarioGrid &grid, const Scenario &sc,
                 foldAccess(out, runWorkloadAccess(
                                     grid, sc, *phaseUnit, sc.a1,
                                     phaseStride, arena, phaseCache,
-                                    nullptr, tier));
+                                    tier));
             }
         }
         // The relayout charge is part of the program's memory time:

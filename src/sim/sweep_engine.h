@@ -265,7 +265,7 @@ struct SweepRunStats
     /** Periodic fast-path attribution summed over all workers
      *  (memsys/steady_state.h): accesses answered by steady-state
      *  collapse, the cycles those accesses still stepped,
-     *  outcome-memo replay hits/misses, and the cycles stepped by
+     *  outcome-memo hits/misses, and the cycles stepped by
      *  passes that did not jump (streams, disjoint ports among
      *  them, stepped to their end, and the makespan of every P-port
      *  pass over ports that share modules), so the stepped work adds

@@ -13,9 +13,11 @@
  *             point; outcomes are bit-identical to the pre-workload
  *             engine).
  *  - Chain:   one LOAD followed by an EXECUTE of pipeline depth
- *             execLatency.  The load's delivery stream feeds the
- *             Sec. 5F chaining model; the outcome carries decoupled
- *             vs chained program totals and the chainable flag.
+ *             execLatency, costed by the Sec. 5F chaining model in
+ *             closed form: a load of L elements adds (L - 1) + e
+ *             decoupled and e chained, and chains iff it was
+ *             conflict free.  The outcome carries decoupled vs
+ *             chained program totals and the chainable flag.
  *  - Retune:  2 x retunePeriod accesses in two stride phases (the
  *             base stride, then twice it — a row walk followed by a
  *             column walk).  A DynamicTuned unit re-tunes its field

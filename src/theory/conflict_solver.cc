@@ -19,29 +19,26 @@ ConflictSolver::solveOrStep(const MemConfig &cfg,
     if (memoizable) {
         if (memo_.lookup(stream.size(), mods, cfg.modules())) {
             ++stats_.memoHits;
-            if (materialize) {
-                materializeEmits(memo_.cachedSummary(),
-                                 memo_.cachedEmits(), stream, mods, 0,
-                                 result);
-            } else {
+            // The memo keeps aggregates only.  Deliveries come from a
+            // pass over the stream, which jumps again on the equal
+            // rank sequence; it counts as this hit alone.
+            if (materialize)
+                stepper_.run(cfg, stream, mods, true, result);
+            else
                 applyEmitSummary(memo_.cachedSummary(), result);
-            }
             return true;
         }
         ++stats_.memoMisses;
     }
 
-    // The position-form trace is kept only when the memo could take
-    // it (bounded by kMaxLen) or the caller wants the deliveries.
-    if (!stepper_.run(cfg, stream, mods, materialize, memoizable,
-                      result)) {
+    if (!stepper_.run(cfg, stream, mods, materialize, result)) {
         stats_.steppedCycles += stepper_.steppedCycles();
         return false;
     }
     ++stats_.collapseHits;
     stats_.collapsePrefixCycles += stepper_.steppedCycles();
     if (memoizable)
-        memo_.store(stream.size(), stepper_.emits(), stepper_.summary());
+        memo_.store(stream.size(), stepper_.summary());
     return true;
 }
 

@@ -20,18 +20,19 @@
  * This class packages that closed form as a *claiming* tier rather
  * than a simulation accelerator:
  *
- *  - solveOrStep() answers a single premapped stream: memo replay
- *    when the rank-canonicalized module sequence was solved before,
- *    otherwise one event-stepper pass that establishes the
- *    O(period) transient and jumps over the rest.  A pass that
- *    finds no recurrence steps on from where it is to the end of
- *    the stream, so a declined stream costs that one pass and its
- *    answer is the stepped one.  The claim decision (memo hit or
- *    jump) is a deterministic function of (config, module
- *    sequence, length) — memo state only changes the speed, never
- *    the answer or the claim attribution, which is what keeps the
- *    claimed/fallback columns identical at any thread count and
- *    shard.
+ *  - solveOrStep() answers a single premapped stream: the memo's
+ *    aggregates when the rank-canonicalized module sequence was
+ *    solved before, otherwise one event-stepper pass that
+ *    establishes the O(period) transient and jumps over the rest.
+ *    A pass that finds no recurrence steps on from where it is to
+ *    the end of the stream, so a declined stream costs that one
+ *    pass and its answer is the stepped one.  Only a caller that
+ *    wants deliveries steps a memo hit, and that pass jumps again.
+ *    The claim decision (memo hit or jump) is a deterministic
+ *    function of (config, module sequence, length) — memo state
+ *    only changes the speed, never the answer or the claim
+ *    attribution, which is what keeps the claimed/fallback columns
+ *    identical at any thread count and shard.
  *  - beginPortCheck()/portDisjoint() implement the multi-port
  *    extension: when per-port streams are provably disjoint across
  *    modules, the ports never interact — each port's trace is
@@ -80,13 +81,16 @@ class ConflictSolver
     /**
      * Answers @p stream (premapped to @p mods) on @p cfg with one
      * memo lookup (streams up to OutcomeMemo::kMaxLen; longer ones
-     * make none) and, on a miss, one stepper pass: a pass that jumps
-     * is stored in the memo, and one that finds no recurrence steps
-     * on to the end of the stream.  @p result is filled bit-identical
-     * to the stepped oracle either way.  Returns true iff the answer
-     * is a claim (memo hit or jump).  When @p materialize is false
-     * only the scalar aggregates are written and result.deliveries
-     * stays empty; otherwise its buffer comes from @p arena.
+     * make none) and, on a miss, one stepper pass: the aggregates of
+     * a pass that jumps are stored in the memo, and a pass that
+     * finds no recurrence steps on to the end of the stream.  A hit
+     * answers from the stored aggregates; when @p materialize is set
+     * it steps the stream too, and that pass jumps again.  @p result
+     * is filled bit-identical to the stepped oracle either way.
+     * Returns true iff the answer is a claim (memo hit or jump).
+     * When @p materialize is false only the scalar aggregates are
+     * written and result.deliveries stays empty; otherwise its
+     * buffer comes from @p arena.
      */
     bool solveOrStep(const MemConfig &cfg,
                      const std::vector<Request> &stream,

@@ -142,13 +142,10 @@ TheoryBackend::answer(const std::vector<Request> &stream,
     // one memo lookup and one stepper pass: a claim when the memo
     // hits or the machine state recurs, otherwise the pass steps on
     // to the end of the stream and its answer is the stepped one.
-    // A solver answer is non-uniform, so SummaryIfUniform
-    // materializes it: its chained cost is not closed-form for the
-    // caller.
-    return tryClaim(stream, mods, arena, out,
-                    detail == ResultDetail::Full)
+    const bool materialize = detail == ResultDetail::Full;
+    return tryClaim(stream, mods, arena, out, materialize)
            || solver_.solveOrStep(cfg_, stream, mods, arena, out,
-                                  detail != ResultDetail::Summary);
+                                  materialize);
 }
 
 AccessResult
@@ -207,11 +204,10 @@ TheoryBackend::runPorts(
     if (!disjoint) {
         // Ports sharing modules interleave on them; that schedule is
         // not single-port-decomposable, so it is stepped — one
-        // P-port pass, with deliveries unless the caller wants a
-        // summary.
+        // P-port pass, with deliveries only at full detail.
         note(FallbackReason::MultiPort);
         return solver_.stepPorts(cfg_, streams, portMods_, arena,
-                                 detail != ResultDetail::Summary);
+                                 detail == ResultDetail::Full);
     }
 
     // Disjoint ports never interact: every port issues one request

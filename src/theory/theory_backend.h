@@ -22,8 +22,8 @@
  *    the return bus at i+1+T).
  *  - Conflicted claims: theory/conflict_solver.h establishes the
  *    O(period) transient on the event stepper, jumps over the
- *    periodic steady state, and memoizes the proof per
- *    rank-canonicalized module sequence — the per-worker
+ *    periodic steady state, and memoizes the answer's aggregates
+ *    per rank-canonicalized module sequence — the per-worker
  *    BackendCache keeps this backend (and the memo) alive across a
  *    sweep, so repeated workload accesses stop re-proving the same
  *    claim.
@@ -40,9 +40,10 @@
  * one pass, the pass stepping on to the end of the stream when no
  * state recurs — and ports that share modules are stepped together
  * in one P-port pass of the same stepper, over the premap the
- * disjointness check already made, summary-only when the caller
- * wants aggregates.  Every answer is bit-identical to the stepped
- * oracle (memsys/memory_system.h) by construction:
+ * disjointness check already made.  Only ResultDetail::Full
+ * materializes deliveries, on any path; every sweep access asks for
+ * Summary.  Every answer is bit-identical to the stepped oracle
+ * (memsys/memory_system.h) by construction:
  * tests/test_theory_backend.cc and tests/test_conflict_solver.cc
  * audit this across randomized grids, and TierPolicy::AuditBoth
  * audits it on every sweep scenario it runs.
@@ -93,9 +94,9 @@ class TheoryBackend
      * conflict-free proof is attempted, then the steady-state
      * solver, and a stream neither claims is answered by the
      * solver's own stepper pass and falls back as Conflicted.
-     * @p detail selects how much of the result is materialized; a
-     * stepped answer follows the same rule as a solver claim
-     * (deliveries unless the detail is Summary).
+     * @p detail selects how much of the result is materialized:
+     * every answer, claimed or stepped, carries deliveries iff it is
+     * Full.
      */
     AccessResult
     runSingle(const std::vector<Request> &stream,
@@ -107,8 +108,8 @@ class TheoryBackend
      * (AccessPlan::expectConflictFree): the paper's theorems — not a
      * per-access replay — are the proof, so the uniform schedule
      * (element i issues at cycle i, delivers at i+1+T) is claimed
-     * directly.  Under ResultDetail::Summary that is O(1) per
-     * access: no premap, no proof walk, no delivery synthesis.  The
+     * directly.  Below Full detail that is O(1) per access: no
+     * premap, no proof walk, no delivery synthesis.  The
      * certification chain stays honest three ways: the windows
      * behind expectConflictFree are property-tested against the
      * stepped oracle (tests/test_conflict_solver.cc certified-plan

@@ -224,6 +224,7 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
     EXPECT_EQ(solver.stats().collapseHits, 1u);
     EXPECT_EQ(first, simulateAccess(cfg, map, base0));
     EXPECT_GT(first.stallCycles, 0u) << "stream should conflict";
+    const FastPathStats afterMiss = solver.stats();
 
     const AccessResult shifted =
         solveFull(solver, cfg, base1, premapped(map, base1));
@@ -236,6 +237,24 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
         solveFull(solver, cfg, base0, premapped(map, base0));
     EXPECT_EQ(solver.stats().memoHits, 2u);
     EXPECT_EQ(again, first);
+
+    // A full-detail hit steps the stream for its deliveries, but
+    // counts as the hit alone: no collapse, no stepped cycles.
+    EXPECT_EQ(solver.stats().collapseHits, 1u);
+    EXPECT_EQ(solver.stats().collapsePrefixCycles,
+              afterMiss.collapsePrefixCycles);
+    EXPECT_EQ(solver.stats().steppedCycles, afterMiss.steppedCycles);
+
+    // A summary hit answers from the memo's aggregates alone.
+    const std::vector<ModuleId> mods1 = premapped(map, base1);
+    AccessResult brief;
+    EXPECT_TRUE(solver.solveOrStep(cfg, base1, mods1.data(), nullptr,
+                                   brief, false));
+    EXPECT_EQ(solver.stats().memoHits, 3u);
+    EXPECT_EQ(solver.stats().collapseHits, 1u);
+    EXPECT_TRUE(brief.deliveries.empty());
+    brief.deliveries = shifted.deliveries;
+    EXPECT_EQ(brief, shifted);
 }
 
 TEST(OutcomeMemo, XorBaseShiftReordersModulesAndMisses)
@@ -309,11 +328,11 @@ expectStepperMatchesOracle(const MemConfig &cfg,
     EventStepper stepper;
     AccessResult full;
     const bool jumped =
-        stepper.run(cfg, stream, mods.data(), true, false, full);
+        stepper.run(cfg, stream, mods.data(), true, full);
     EXPECT_EQ(full, expect) << what;
 
     AccessResult brief;
-    EXPECT_EQ(stepper.run(cfg, stream, mods.data(), false, false, brief),
+    EXPECT_EQ(stepper.run(cfg, stream, mods.data(), false, brief),
               jumped)
         << what;
     EXPECT_TRUE(brief.deliveries.empty()) << what;
@@ -337,8 +356,7 @@ expectFinishedWithoutJump(const MemConfig &cfg,
 {
     EventStepper stepper;
     AccessResult finished;
-    EXPECT_FALSE(stepper.run(cfg, stream, mods.data(), true, false,
-                             finished))
+    EXPECT_FALSE(stepper.run(cfg, stream, mods.data(), true, finished))
         << what;
     EXPECT_EQ(finished, simulateAccess(cfg, map, stream)) << what;
     EXPECT_EQ(stepper.steppedCycles(), finished.lastDelivery + 1) << what;
@@ -578,7 +596,7 @@ TEST(StepperEdges, MillionElementConflictedSummary)
     EventStepper stepper;
     AccessResult brief;
     EXPECT_TRUE(stepper.run(unit.memConfig(), plan.stream, mods.data(),
-                            false, false, brief));
+                            false, brief));
     EXPECT_TRUE(brief.deliveries.empty());
     EXPECT_LT(stepper.steppedCycles(), brief.latency / 100);
 

@@ -56,7 +56,7 @@ expectEnginesAgree(const MemConfig &cfg, const ModuleMapping &map,
 
     EventStepper stepper;
     AccessResult event;
-    stepper.run(cfg, stream, mods.data(), true, false, event);
+    stepper.run(cfg, stream, mods.data(), true, event);
     ASSERT_EQ(event.deliveries.size(), oracle.deliveries.size())
         << what;
     for (std::size_t i = 0; i < oracle.deliveries.size(); ++i) {
@@ -67,7 +67,7 @@ expectEnginesAgree(const MemConfig &cfg, const ModuleMapping &map,
     EXPECT_EQ(event, oracle) << what;
 
     AccessResult summary;
-    stepper.run(cfg, stream, mods.data(), false, false, summary);
+    stepper.run(cfg, stream, mods.data(), false, summary);
     EXPECT_TRUE(summary.deliveries.empty()) << what;
     summary.deliveries = oracle.deliveries;
     EXPECT_EQ(summary, oracle) << what << " (summary aggregates)";

@@ -133,8 +133,7 @@ expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
     // match the oracle: nothing of the P-port pass may leak.
     for (std::size_t p = 0; p < streams.size(); ++p) {
         AccessResult alone;
-        sharedStepper().run(cfg, streams[p], mods[p].data(), true, true,
-                            alone);
+        sharedStepper().run(cfg, streams[p], mods[p].data(), true, alone);
         EXPECT_EQ(alone, simulateAccess(cfg, map, streams[p]))
             << what << ": port " << p << " stepped alone";
     }

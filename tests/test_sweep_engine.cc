@@ -200,6 +200,24 @@ TEST(SweepEngine, WorkerArenasAreWarmOnTheHotPath)
     EXPECT_GT(stats.arenaReuses, 0u);
     EXPECT_GT(stats.arenaPeakBytes, 0u);
     EXPECT_GE(stats.arenaAcquires, stats.arenaReuses);
+
+    // A theory-tier sweep materializes no delivery stream: its only
+    // buffers are the planned request streams, one per port of
+    // every access, chain and stencil loads included.
+    ScenarioGrid programs = grid;
+    programs.workloads = {Workload{WorkloadKind::Single},
+                          Workload{WorkloadKind::Chain, 4},
+                          Workload{WorkloadKind::Stencil, 4}};
+    SweepOptions theory;
+    theory.threads = 1;
+    theory.tier = TierPolicy::TheoryFirst;
+    SweepRunStats theoryStats;
+    const SweepReport theoryReport =
+        SweepEngine(theory).run(programs, &theoryStats);
+    std::uint64_t planned = 0;
+    for (const ScenarioOutcome &o : theoryReport.outcomes)
+        planned += o.accesses * o.ports;
+    EXPECT_EQ(theoryStats.arenaAcquires, planned);
 }
 
 TEST(SweepEngine, WorkerCountClampsToHardware)

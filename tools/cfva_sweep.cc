@@ -505,8 +505,13 @@ main(int argc, char **argv)
                    " name the same output");
     }
     // Keep stdout clean for machine-readable output when a data
-    // sink targets it.
-    const bool stdoutIsSink = o.csvPath == "-" || o.jsonPath == "-";
+    // sink targets it: "-", or another name of the file stdout is
+    // redirected to.
+    const auto aliasesStdout = [](const std::string &path) {
+        return !path.empty() && sim::sameFile(path, "-");
+    };
+    const bool stdoutIsSink =
+        aliasesStdout(o.csvPath) || aliasesStdout(o.jsonPath);
     std::ostream &info = stdoutIsSink ? std::cerr : std::cout;
 
     info << "grid: " << grid.mappings.size() << " mappings x "
