@@ -132,15 +132,14 @@ BENCHMARK_CAPTURE(BM_SimulateAccess, conflicted, 32);
 enum class StepVariant
 {
     Oracle,         //!< the per-cycle MemorySystem
-    StepperFull,    //!< EventStepper writing every Delivery
     StepperSummary, //!< EventStepper writing only the aggregates
 };
 
 /**
  * The stepping layer on its own, per element: the per-cycle oracle
  * against the event stepper as the theory tier runs it (recurrence
- * jump on, stepping on to the end when nothing recurs), at full and
- * at summary detail.  The pseudo-random stream is aperiodic, so the
+ * jump on, stepping on to the end when nothing recurs), writing only
+ * the aggregates.  The pseudo-random stream is aperiodic, so the
  * stepper steps all of it; the matched stream (family 6, outside the
  * Theorem 1 window) conflicts periodically, so the stepper jumps.
  * The stepper's streams are premapped outside the timed loop; the
@@ -171,12 +170,8 @@ BM_Step(benchmark::State &state, StepVariant variant, MemoryKind kind)
             benchmark::ClobberMemory();
             continue;
         }
-        const bool full = variant == StepVariant::StepperFull;
         AccessResult r;
-        if (full)
-            r.deliveries.reserve(plan.stream.size());
-        stepper.run(unit.memConfig(), plan.stream, mods.data(), full, r);
-        benchmark::DoNotOptimize(r.deliveries.data());
+        stepper.run(unit.memConfig(), plan.stream, mods.data(), false, r);
         benchmark::DoNotOptimize(r.latency);
         benchmark::ClobberMemory();
     }
@@ -195,17 +190,11 @@ stepLengths(benchmark::internal::Benchmark *b)
 BENCHMARK_CAPTURE(BM_Step, prand_oracle, StepVariant::Oracle,
                   MemoryKind::PseudoRandom)
     ->Apply(stepLengths);
-BENCHMARK_CAPTURE(BM_Step, prand_stepper_full,
-                  StepVariant::StepperFull, MemoryKind::PseudoRandom)
-    ->Apply(stepLengths);
 BENCHMARK_CAPTURE(BM_Step, prand_stepper_summary,
                   StepVariant::StepperSummary, MemoryKind::PseudoRandom)
     ->Apply(stepLengths);
 BENCHMARK_CAPTURE(BM_Step, matched_oracle, StepVariant::Oracle,
                   MemoryKind::Matched)
-    ->Apply(stepLengths);
-BENCHMARK_CAPTURE(BM_Step, matched_stepper_full,
-                  StepVariant::StepperFull, MemoryKind::Matched)
     ->Apply(stepLengths);
 BENCHMARK_CAPTURE(BM_Step, matched_stepper_summary,
                   StepVariant::StepperSummary, MemoryKind::Matched)
@@ -217,8 +206,8 @@ BENCHMARK_CAPTURE(BM_Step, matched_stepper_summary,
  * apart (the sweep's default port stagger), so every port visits
  * every module and the ports contend for all of them.  The
  * per-cycle MemorySystem oracle (which premaps inside its run)
- * against the event stepper's P-port pass at full and at summary
- * detail, premapped outside the timed loop.
+ * against the event stepper's P-port pass as the theory tier runs
+ * it, for aggregates only, premapped outside the timed loop.
  */
 void
 BM_StepPorts(benchmark::State &state, StepVariant variant)
@@ -245,8 +234,7 @@ BM_StepPorts(benchmark::State &state, StepVariant variant)
         const MultiPortResult r =
             variant == StepVariant::Oracle
                 ? oracle.run(streams)
-                : stepper.runPorts(unit.memConfig(), streams, mods,
-                                   variant == StepVariant::StepperFull);
+                : stepper.runPorts(unit.memConfig(), streams, mods, false);
         benchmark::DoNotOptimize(r.ports.data());
         benchmark::DoNotOptimize(r.makespan);
         benchmark::ClobberMemory();
@@ -266,8 +254,6 @@ stepPortShapes(benchmark::internal::Benchmark *b)
 }
 
 BENCHMARK_CAPTURE(BM_StepPorts, oracle, StepVariant::Oracle)
-    ->Apply(stepPortShapes);
-BENCHMARK_CAPTURE(BM_StepPorts, stepper_full, StepVariant::StepperFull)
     ->Apply(stepPortShapes);
 BENCHMARK_CAPTURE(BM_StepPorts, stepper_summary,
                   StepVariant::StepperSummary)

@@ -383,8 +383,7 @@ AccessResult
 VectorAccessUnit::execute(const AccessPlan &plan,
                           DeliveryArena *arena, BackendCache *cache,
                           TierPolicy tier, TierCounters *tiers,
-                          MapPath, CollapseMode,
-                          ResultDetail detail) const
+                          MapPath, CollapseMode, ResultDetail) const
 {
     cfva_assert(tier != TierPolicy::AuditBoth,
                 "AuditBoth is resolved by the caller running both "
@@ -397,8 +396,8 @@ VectorAccessUnit::execute(const AccessPlan &plan,
         return backends.backendFor(cfg_.memConfig(), *mapping_)
             .runSingle(plan.stream, arena);
     }
-    // Certified plans are claimed on the planner's window theorems
-    // (O(1) under summary detail).  Everything else tries the O(L)
+    // Certified plans are claimed on the planner's window theorems,
+    // O(1) per access.  Everything else tries the O(L)
     // proof — the windows are sufficient, not necessary, so
     // out-of-window streams can still be conflict free — then the
     // steady-state solver, whose stepper pass is also the answer
@@ -407,8 +406,8 @@ VectorAccessUnit::execute(const AccessPlan &plan,
         backends.theoryBackendFor(cfg_.memConfig(), *mapping_);
     AccessResult r =
         plan.expectConflictFree
-            ? tb.runSingleCertified(plan.stream, arena, detail)
-            : tb.runSingle(plan.stream, arena, detail);
+            ? tb.runSingleCertified(plan.stream)
+            : tb.runSingle(plan.stream);
     if (tiers) {
         tiers->add(tb.lastClaimed());
         tiers->lastReason = tb.lastReason();
@@ -420,8 +419,7 @@ MultiPortResult
 VectorAccessUnit::executePorts(
     const std::vector<std::vector<Request>> &streams,
     DeliveryArena *arena, BackendCache *cache, TierPolicy tier,
-    TierCounters *tiers, MapPath, CollapseMode,
-    ResultDetail detail) const
+    TierCounters *tiers, MapPath, CollapseMode, ResultDetail) const
 {
     cfva_assert(tier != TierPolicy::AuditBoth,
                 "AuditBoth is resolved by the caller running both "
@@ -436,7 +434,7 @@ VectorAccessUnit::executePorts(
     }
     TheoryBackend &tb =
         backends.theoryBackendFor(cfg_.memConfig(), *mapping_);
-    MultiPortResult r = tb.runPorts(streams, arena, detail);
+    MultiPortResult r = tb.runPorts(streams);
     if (tiers) {
         tiers->add(tb.lastClaimed());
         tiers->lastReason = tb.lastReason();

@@ -8,7 +8,8 @@
  * out-of-order inside the Theorem 1/3 windows, in-order where the
  * mapping is conflict free anyway, the Sec. 5C split for short
  * vectors — runs the request stream through the cycle-accurate
- * memory simulator, and reports the measured latency.
+ * memory simulator (every Delivery) or the evaluator (the same
+ * aggregates, no Delivery), and reports the measured latency.
  */
 
 #ifndef CFVA_CORE_ACCESS_UNIT_H
@@ -109,7 +110,7 @@ class VectorAccessUnit
 
     /**
      * Runs a plan through a memory backend.  When @p arena is
-     * given, the result's delivery buffer is recycled through it.
+     * given, the oracle's delivery buffer is recycled through it.
      * The backend instance comes from @p cache (built into it on
      * first use) — the sweep engine passes each worker's cache so
      * modules, heaps and the solver's memo are reused across all
@@ -124,16 +125,16 @@ class VectorAccessUnit
      * given, the access is attributed to it as claimed or fallback
      * (under SimulateAlways: always fallback).
      *
-     * The MapPath and CollapseMode arguments are ignored; they stay
-     * only until ROADMAP item 1 drops them from the benchmark.
-     *
-     * @p detail selects how much of a theory-tier result is
-     * materialized (see ResultDetail; the oracle's results are
-     * always full).  Under TheoryFirst a plan the planner certified
-     * conflict free (AccessPlan::expectConflictFree) is claimed
-     * directly from the paper's window theorems — O(1) per access
-     * when @p detail skips the deliveries — instead of being
+     * The oracle's result carries every Delivery; the theory tier's
+     * carries the oracle's aggregates and no Delivery.  Under
+     * TheoryFirst a plan the planner certified conflict free
+     * (AccessPlan::expectConflictFree) is claimed directly from the
+     * paper's window theorems, O(1) per access, instead of being
      * re-proved element by element.
+     *
+     * The MapPath, CollapseMode and ResultDetail arguments are
+     * ignored; they stay only until ROADMAP item 1 drops them from
+     * the benchmark.
      */
     AccessResult execute(const AccessPlan &plan,
                          DeliveryArena *arena = nullptr,
@@ -142,16 +143,14 @@ class VectorAccessUnit
                          TierCounters *tiers = nullptr,
                          MapPath = MapPath::BitSliced,
                          CollapseMode = CollapseMode::On,
-                         ResultDetail detail =
-                             ResultDetail::Full) const;
+                         ResultDetail = ResultDetail::Full) const;
 
     /**
      * Runs P = streams.size() simultaneous request streams through
-     * the port-aware backend of @p tier.  @p cache, @p tiers and
-     * @p detail as in execute(), and the MapPath and CollapseMode
-     * arguments are ignored likewise; the theory tier claims P > 1
-     * accesses whose port streams are provably module-disjoint and
-     * steps the rest in the event stepper's P-port pass.
+     * the port-aware backend of @p tier.  The arguments and the
+     * results' detail are as in execute(); the theory tier claims
+     * P > 1 accesses whose port streams are provably module-disjoint
+     * and steps the rest in the event stepper's P-port pass.
      */
     MultiPortResult
     executePorts(const std::vector<std::vector<Request>> &streams,
@@ -161,7 +160,7 @@ class VectorAccessUnit
                  TierCounters *tiers = nullptr,
                  MapPath = MapPath::BitSliced,
                  CollapseMode = CollapseMode::On,
-                 ResultDetail detail = ResultDetail::Full) const;
+                 ResultDetail = ResultDetail::Full) const;
 
     /** plan() + execute() in one call. */
     AccessResult access(Addr a1, const Stride &s,

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "mapping/interleave.h"
 
 namespace cfva {
 
@@ -143,9 +144,14 @@ VectorUnitConfig::validate() const
         break;
       }
       case MemoryKind::DynamicTuned:
-        if (dynamicTune + mm > 63)
+        if (mm > FieldInterleave::kMaxFieldEnd
+            || dynamicTune > FieldInterleave::kMaxFieldEnd - mm) {
             cfva_fatal("dynamic field position p=", dynamicTune,
-                       " pushes the module field past bit 63");
+                       " with m=", mm, " ends the module field past "
+                       "bit ", FieldInterleave::kMaxFieldEnd,
+                       " (p + m <= ", FieldInterleave::kMaxFieldEnd,
+                       ")");
+        }
         break;
       case MemoryKind::PseudoRandom:
         break;

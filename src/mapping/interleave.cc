@@ -41,7 +41,8 @@ LowOrderInterleave::name() const
 FieldInterleave::FieldInterleave(unsigned m, unsigned p) : m_(m), p_(p)
 {
     cfva_assert(m <= 16, "module-bit count unreasonably large: ", m);
-    cfva_assert(p + m <= 56, "field position too high: p=", p);
+    cfva_assert(p <= kMaxFieldEnd - m,
+                "field position too high: p=", p, ", m=", m);
 }
 
 ModuleId

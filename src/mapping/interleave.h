@@ -43,9 +43,14 @@ class LowOrderInterleave : public ModuleMapping
 class FieldInterleave : public ModuleMapping
 {
   public:
+    /** Largest end p + m of the module field: the one bound on the
+     *  field position, shared by every layer that places it. */
+    static constexpr unsigned kMaxFieldEnd = 56;
+
     /**
      * Creates an interleave using the m-bit field starting at bit
-     * @p p as the module number.
+     * @p p as the module number; p + m must be at most
+     * kMaxFieldEnd.
      */
     FieldInterleave(unsigned m, unsigned p);
 

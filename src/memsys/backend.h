@@ -12,7 +12,8 @@
  * - TheoryBackend (theory/theory_backend.h): the evaluator, which
  *   claims what the paper's windows, an O(L) proof or the
  *   steady-state solver can answer and steps the rest on the event
- *   stepper (memsys/event_driven.h).
+ *   stepper (memsys/event_driven.h).  It answers aggregates only;
+ *   the oracle is the one source of Delivery records.
  *
  * TierPolicy, the one switch between them, lives here so the
  * dispatch is decided at the memsys layer and every consumer —
@@ -44,8 +45,9 @@ enum class TierPolicy
     /**
      * The evaluator: claim with the paper's windows, the O(L)
      * proof or the steady-state solver, and step what no claim
-     * covers on the event stepper.  Bit-identical to the oracle by
-     * construction (the audit tier enforces it).
+     * covers on the event stepper.  Answers the oracle's aggregates
+     * with no Delivery, bit-identical by construction (the audit
+     * tier enforces it).
      */
     TheoryFirst,
 
@@ -56,24 +58,15 @@ enum class TierPolicy
 const char *to_string(TierPolicy tier);
 
 /**
- * How much of a theory-tier AccessResult the caller needs.  The
- * oracle always materializes every Delivery; the theory tier
- * answers without one when the caller only folds aggregates
- * (latency, stalls, conflict-free).  Every sweep access does: even
- * the Sec. 5F execute step is closed-form in a load's length and
- * conflict-free flag (sim/sweep_engine.cc).
+ * Ignored everywhere: the evaluator answers aggregates only, and the
+ * stepped oracle always writes every Delivery.  The names stay only
+ * while the benchmark passes them to execute()/executePorts()
+ * (ROADMAP item 2).
  */
 enum class ResultDetail
 {
-    /** Materialize every Delivery (the library default). */
     Full,
-
-    /** Timing aggregates only: no result — claimed or stepped,
-     *  one port or several — carries deliveries. */
     Summary,
-
-    /** Behaves as Summary; the name stays only while the benchmark
-     *  names it (ROADMAP item 2). */
     SummaryIfUniform,
 };
 

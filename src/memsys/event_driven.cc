@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "memsys/backend.h"
 
 namespace cfva {
 
@@ -489,7 +488,7 @@ MultiPortResult
 EventStepper::runPorts(const MemConfig &cfg,
                        const std::vector<std::vector<Request>> &streams,
                        const std::vector<std::vector<ModuleId>> &mods,
-                       bool materialize, DeliveryArena *arena)
+                       bool materialize)
 {
     const auto nPorts = static_cast<unsigned>(streams.size());
     cfva_assert(nPorts > 0 && mods.size() >= nPorts,
@@ -515,8 +514,6 @@ EventStepper::runPorts(const MemConfig &cfg,
             applyEmitSummary(summary, port);
             continue;
         }
-        if (arena)
-            port.deliveries = arena->acquire(ps.length);
         port.deliveries.reserve(ps.length);
         materializeEmits(summary, emits_[p], streams[p], ps.mods, p, port);
     }

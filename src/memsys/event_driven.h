@@ -19,11 +19,13 @@
  *   position, its port, and the two timestamps the model reads
  *   (issue and service start; arrival and ready follow from the
  *   1-cycle bus and the T-cycle service).
- * - Output on request: the loop records each delivery only as a
- *   position-form Emit per port, and only when the caller
- *   materializes; materializeEmits() (memsys/steady_state.h) writes
- *   the Delivery records after the pass.  Summary callers get the
- *   aggregates and no O(L) buffer.
+ * - Aggregates by default: a pass returns each port's aggregates
+ *   and no O(L) buffer.  Recording is a test hook: a pass run with
+ *   materialize set records each delivery as a position-form Emit
+ *   per port, and materializeEmits() (memsys/steady_state.h) writes
+ *   the Delivery records after the pass, so the tests can hold the
+ *   jump's extrapolated schedule to the oracle record by record.
+ *   No library path records.
  * - A jump inside the loop (one port): the stepper snapshots the
  *   relative machine state at issue positions one module-sequence
  *   period apart and, once a snapshot recurs, takes the affine jump
@@ -38,10 +40,11 @@
  * port is the P = 1 case of the same loop.
  *
  * The stepper runs only inside the evaluator: ConflictSolver
- * (theory/conflict_solver.h) drives both set-ups for TheoryBackend.
- * Its results are bit-identical to the oracle on every stream:
- * identical delivery records (all five timestamps and the port
- * tag), identical stall counts, identical aggregates.
+ * (theory/conflict_solver.h) drives both set-ups for TheoryBackend,
+ * always for aggregates.  Its results are bit-identical to the
+ * oracle on every stream: identical stall counts and aggregates,
+ * and, from a recording pass, identical delivery records (all five
+ * timestamps and the port tag).
  * tests/test_engine_differential.cc, tests/test_collapse.cc and
  * tests/test_multi_port_differential.cc hold it to that contract.
  *
@@ -64,8 +67,6 @@
 #include "memsys/steady_state.h"
 
 namespace cfva {
-
-class DeliveryArena;
 
 /**
  * The event-driven stepper over premapped module sequences, for one
@@ -94,10 +95,10 @@ class EventStepper
      * pass answers.
      *
      * @p result receives the scalar aggregates and, when
-     * @p materialize is set, every Delivery in delivery order,
-     * written from the pass's trace afterwards (result.deliveries
-     * must be empty; capacity may be reserved).  Only a
-     * materializing pass records a trace.
+     * @p materialize is set (the tests' recording hook), every
+     * Delivery in delivery order, written from the pass's trace
+     * afterwards (result.deliveries must be empty; capacity may be
+     * reserved).  Only a materializing pass records a trace.
      *
      * @return true iff the pass jumped (a snapshot recurred)
      */
@@ -113,17 +114,16 @@ class EventStepper
      * return bus delivers at most one of its own elements per cycle.
      *
      * Returns each port's aggregates and the makespan.  Only when
-     * @p materialize is set are the port-tagged Delivery records
-     * written, in each port's delivery order, into buffers acquired
-     * from @p arena (or freshly allocated); otherwise no buffer is
-     * acquired at all.  It is the loop of run() with P ports and no
-     * snapshots.
+     * @p materialize is set (the tests' recording hook) are the
+     * port-tagged Delivery records written, in each port's delivery
+     * order; otherwise no buffer is allocated at all.  It is the
+     * loop of run() with P ports and no snapshots.
      */
     MultiPortResult
     runPorts(const MemConfig &cfg,
              const std::vector<std::vector<Request>> &streams,
              const std::vector<std::vector<ModuleId>> &mods,
-             bool materialize, DeliveryArena *arena = nullptr);
+             bool materialize);
 
     /** Cycles the last pass stepped: all of them up to the last
      *  delivery (the makespan, for a P-port pass), minus the span a
@@ -253,7 +253,7 @@ class EventStepper
     std::vector<Snapshot> snapshots_; //!< storage, reused per pass
 
     /** Each port's position-form trace, when the pass
-     *  materializes. */
+     *  records. */
     std::vector<std::vector<Emit>> emits_ =
         std::vector<std::vector<Emit>>(1);
     EmitSummary summary_;

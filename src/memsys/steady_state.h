@@ -27,18 +27,16 @@
  *   module numbers, and a strictly increasing relabeling preserves
  *   every comparison.  The memo keys the aggregates of collapsed
  *   outcomes on the rank-canonicalized module sequence, so a hit
- *   answers a summary caller without a pass; a caller that wants
- *   deliveries steps the stream, which jumps again.  This is the
- *   sound version of "base-address invariance": a shifted base that
- *   yields an order-isomorphic module sequence hits; one that
- *   reorders modules (XOR mappings do) correctly misses.
+ *   answers without a pass.  This is the sound version of
+ *   "base-address invariance": a shifted base that yields an
+ *   order-isomorphic module sequence hits; one that reorders modules
+ *   (XOR mappings do) correctly misses.
  *
  * The theory tier's ConflictSolver::solveOrStep
  * (theory/conflict_solver.h) is the one orchestration of the two:
- * one memo lookup, then — unless a summary caller hit — one stepper
- * pass that always finishes.  It is differentially tested against
- * the stepped oracle (tests/test_collapse.cc, and `cfva_sweep
- * --tier audit`).
+ * one memo lookup, then — unless it hit — one stepper pass that
+ * always finishes.  It is differentially tested against the stepped
+ * oracle (tests/test_collapse.cc, and `cfva_sweep --tier audit`).
  */
 
 #ifndef CFVA_MEMSYS_STEADY_STATE_H
@@ -100,9 +98,8 @@ struct FastPathStats
 /**
  * One delivered element in stream-position form: the timing the
  * engine decided, with the element named by its issue position
- * instead of its address.  Position form is what makes an outcome
- * replayable against a different stream with the same module
- * sequence.
+ * instead of its address.  Only the event stepper's recording pass
+ * writes them, and that pass is a test hook (memsys/event_driven.h).
  */
 struct Emit
 {
@@ -133,9 +130,10 @@ struct EmitSummary
  * and the concrete stream it answers: addresses, element indices,
  * and module numbers come from (@p stream, @p mods) at the traced
  * positions, every timing field from the trace, and each record is
- * tagged with @p port.  This is the evaluator's one writer of
- * non-uniform Delivery records.  result.deliveries must be empty
- * (capacity may be reserved).
+ * tagged with @p port.  It serves only the stepper's recording
+ * pass, so the tests can compare a pass with the oracle record by
+ * record; the evaluator itself writes no Delivery.
+ * result.deliveries must be empty (capacity may be reserved).
  */
 void materializeEmits(const EmitSummary &summary,
                       const std::vector<Emit> &emits,

@@ -2,12 +2,96 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/stride.h"
 
 namespace cfva::sim {
+
+namespace {
+
+/**
+ * Fails when a job plans a descending port whose block passes
+ * 2^64 - 1: planPortStream walks port p down from base + (L - 1)|S|
+ * to base = a1 (+ tap * S for a stencil tap) + p * portStagger, taken
+ * mod 2^64.  Every job is a point of the grid's cross product, so
+ * checking the longest access at every start, stride, access shape
+ * and descending port is exact; a random start is any address below
+ * randomStartBound.  The strides are validated first, so |S| fits.
+ * @p stencil and @p retune say whether those workloads are on the
+ * grid.
+ */
+void
+checkDescendingBlocks(const ScenarioGrid &grid, unsigned maxPorts,
+                      bool stencil, bool retune)
+{
+    constexpr Addr kTop = ~Addr{0};
+    // (tap, phase) of each access shape: the start moves by tap * S
+    // (the stencil's taps) and the stride is phase * S (phase 2 is
+    // the retune's second phase).
+    constexpr std::pair<unsigned, unsigned> kShapes[] = {
+        {0, 1}, {1, 1}, {2, 1}, {0, 2}};
+    std::uint64_t longest = 0;
+    for (const auto &cfg : grid.mappings) {
+        for (std::uint64_t len : grid.lengths)
+            longest =
+                std::max(longest, len ? len : cfg.registerLength());
+    }
+    for (const auto &mix : grid.portMixes) {
+        for (unsigned p = 0; p < maxPorts && longest > 1; ++p) {
+            const std::int64_t mult = mix.multiplierFor(p);
+            if (mult > 0)
+                continue;
+            for (std::uint64_t s : grid.strides) {
+                for (const auto &[tap, phase] : kShapes) {
+                    if ((tap > 0 && !stencil) || (phase > 1 && !retune))
+                        continue;
+                    const std::uint64_t mag =
+                        s * phase * static_cast<std::uint64_t>(-mult);
+                    const bool fits = mag <= kTop / (longest - 1);
+                    const Addr limit =
+                        fits ? kTop - (longest - 1) * mag : 0;
+                    const Addr shift = tap * s + p * grid.portStagger;
+                    // The highest base of the starts lo..hi: a range
+                    // of bases that wraps reaches kTop.
+                    const auto check = [&](Addr lo, Addr hi) {
+                        const Addr base = hi + shift < lo + shift
+                                              ? kTop
+                                              : hi + shift;
+                        if (fits && base <= limit)
+                            return;
+                        cfva_fatal(
+                            "port ", p, " (--port-mix multiplier ",
+                            mult, ") walks ", longest,
+                            " elements of stride -", mag,
+                            phase > 1 ? " (retune's second phase)" : "",
+                            " down to its base ",
+                            lo == hi ? "--starts " : "random start <= ",
+                            hi,
+                            tap ? " + " + std::to_string(tap) + " x "
+                                      + std::to_string(s)
+                                      + " (stencil tap)"
+                                : "",
+                            " + ", p, " x --port-stagger ",
+                            grid.portStagger,
+                            " (mod 2^64), so its block passes address "
+                            "2^64 - 1; lower --starts, --port-stagger "
+                            "or --strides");
+                    };
+                    for (Addr a1 : grid.starts)
+                        check(a1, a1);
+                    if (grid.randomStarts > 0)
+                        check(0, grid.randomStartBound - 1);
+                }
+            }
+        }
+    }
+}
+
+} // namespace
 
 std::string
 PortMix::label() const
@@ -84,6 +168,7 @@ ScenarioGrid::validate() const
                 "the workload axis needs at least one workload (the "
                 "default-constructed Workload is a single access)");
     bool retune = false;
+    bool stencil = false;
     for (const auto &wl : workloads) {
         wl.validate();
         // Program totals add the execute latency to cycle counts;
@@ -94,6 +179,7 @@ ScenarioGrid::validate() const
                        " (2^32 - 1) cycles an execute step may take");
         }
         retune = retune || wl.kind == WorkloadKind::Retune;
+        stencil = stencil || wl.kind == WorkloadKind::Stencil;
         if (wl.kind == WorkloadKind::Retune
             || wl.kind == WorkloadKind::Stencil) {
             // Both derive shifted/doubled strides from the base.
@@ -130,6 +216,7 @@ ScenarioGrid::validate() const
                        " exceeds the largest signed stride 2^63 - 1");
         }
     }
+    checkDescendingBlocks(*this, maxPorts, stencil, retune);
 }
 
 std::vector<Scenario>

@@ -155,8 +155,10 @@ struct ScenarioGrid
      * Fails on a grid expand() cannot expand: calls validate() on
      * every mapping configuration, port mix and workload, and fails
      * on a zero stride or port count, a length or an execute latency
-     * above kMaxLength, or a stride that, times a port's mix
-     * multiplier (and twice that for Retune), exceeds 2^63 - 1.
+     * above kMaxLength, a stride that, times a port's mix multiplier
+     * (and twice that for Retune), exceeds 2^63 - 1, or a
+     * descending port whose block, above its base start + p x
+     * portStagger (mod 2^64), passes address 2^64 - 1.
      */
     void validate() const;
 

@@ -11,6 +11,7 @@
 
 #include "common/logging.h"
 #include "common/stride.h"
+#include "mapping/interleave.h"
 #include "memsys/backend_cache.h"
 #include "sim/sweep_sink.h"
 #include "theory/theory.h"
@@ -138,8 +139,8 @@ resolveReason(const VectorAccessUnit &unit, FallbackReason r)
 
 /**
  * Executes one access of the workload at (@p a1, @p baseStride)
- * through the unit's port-aware backend at summary detail, and
- * releases any delivery buffer (the oracle's) to @p arena.
+ * through the unit's port-aware backend, and releases any delivery
+ * buffer (only the oracle writes one) to @p arena.
  */
 AccessStats
 runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
@@ -156,9 +157,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
     if (sc.ports <= 1) {
         AccessPlan p =
             planPortStream(grid, sc, unit, 0, a1, baseStride, arena);
-        AccessResult r =
-            unit.execute(p, arena, cache, tier, tcp, MapPath::BitSliced,
-                         CollapseMode::On, ResultDetail::Summary);
+        AccessResult r = unit.execute(p, arena, cache, tier, tcp);
         out.latency = r.latency;
         out.stalls = r.stallCycles;
         out.conflictFree = r.conflictFree;
@@ -184,9 +183,7 @@ runWorkloadAccess(const ScenarioGrid &grid, const Scenario &sc,
                 .stream);
     }
     MultiPortResult r =
-        unit.executePorts(streams, arena, cache, tier, tcp,
-                          MapPath::BitSliced, CollapseMode::On,
-                          ResultDetail::Summary);
+        unit.executePorts(streams, arena, cache, tier, tcp);
     if (arena) {
         for (auto &s : streams)
             arena->releaseRequests(std::move(s));
@@ -263,11 +260,12 @@ applyExecuteStep(ScenarioOutcome &out, const Scenario &sc,
 }
 
 /** The dynamic scheme's tuning for @p family, clamped so the m-bit
- *  module field stays inside the 64-bit address. */
+ *  module field ends at or below FieldInterleave::kMaxFieldEnd (the
+ *  unit's config already holds m to that bound). */
 unsigned
 clampedTune(unsigned family, unsigned m)
 {
-    return std::min(family, 63u - m);
+    return std::min(family, FieldInterleave::kMaxFieldEnd - m);
 }
 
 } // namespace

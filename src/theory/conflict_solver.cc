@@ -1,37 +1,23 @@
 #include "theory/conflict_solver.h"
 
-#include "memsys/backend.h"
-
 namespace cfva {
 
 bool
 ConflictSolver::solveOrStep(const MemConfig &cfg,
                             const std::vector<Request> &stream,
-                            const ModuleId *mods, DeliveryArena *arena,
-                            AccessResult &result, bool materialize)
+                            const ModuleId *mods, AccessResult &result)
 {
-    if (materialize) {
-        result.deliveries = arena ? arena->acquire(stream.size())
-                                  : std::vector<Delivery>{};
-        result.deliveries.reserve(stream.size());
-    }
     const bool memoizable = stream.size() <= OutcomeMemo::kMaxLen;
     if (memoizable) {
         if (memo_.lookup(stream.size(), mods, cfg.modules())) {
             ++stats_.memoHits;
-            // The memo keeps aggregates only.  Deliveries come from a
-            // pass over the stream, which jumps again on the equal
-            // rank sequence; it counts as this hit alone.
-            if (materialize)
-                stepper_.run(cfg, stream, mods, true, result);
-            else
-                applyEmitSummary(memo_.cachedSummary(), result);
+            applyEmitSummary(memo_.cachedSummary(), result);
             return true;
         }
         ++stats_.memoMisses;
     }
 
-    if (!stepper_.run(cfg, stream, mods, materialize, result)) {
+    if (!stepper_.run(cfg, stream, mods, false, result)) {
         stats_.steppedCycles += stepper_.steppedCycles();
         return false;
     }
@@ -45,14 +31,12 @@ ConflictSolver::solveOrStep(const MemConfig &cfg,
 bool
 ConflictSolver::solve(const MemConfig &cfg,
                       const std::vector<Request> &stream,
-                      const ModuleId *mods, DeliveryArena *arena,
-                      AccessResult &result, bool materialize)
+                      const ModuleId *mods, DeliveryArena *,
+                      AccessResult &result, bool)
 {
-    if (solveOrStep(cfg, stream, mods, arena, result, materialize))
+    if (solveOrStep(cfg, stream, mods, result))
         return true;
-    // Not a claim: drop the stepped answer and hand its buffer back.
-    if (materialize && arena)
-        arena->release(std::move(result.deliveries));
+    // Not a claim: drop the stepped answer.
     result = AccessResult{};
     return false;
 }
@@ -60,11 +44,9 @@ ConflictSolver::solve(const MemConfig &cfg,
 MultiPortResult
 ConflictSolver::stepPorts(const MemConfig &cfg,
                           const std::vector<std::vector<Request>> &streams,
-                          const std::vector<std::vector<ModuleId>> &mods,
-                          DeliveryArena *arena, bool materialize)
+                          const std::vector<std::vector<ModuleId>> &mods)
 {
-    MultiPortResult result =
-        stepper_.runPorts(cfg, streams, mods, materialize, arena);
+    MultiPortResult result = stepper_.runPorts(cfg, streams, mods, false);
     stats_.steppedCycles += stepper_.steppedCycles();
     return result;
 }

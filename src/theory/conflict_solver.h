@@ -26,23 +26,24 @@
  *    establishes the O(period) transient and jumps over the rest.
  *    A pass that finds no recurrence steps on from where it is to
  *    the end of the stream, so a declined stream costs that one
- *    pass and its answer is the stepped one.  Only a caller that
- *    wants deliveries steps a memo hit, and that pass jumps again.
- *    The claim decision (memo hit or jump) is a deterministic
- *    function of (config, module sequence, length) — memo state
- *    only changes the speed, never the answer or the claim
- *    attribution, which is what keeps the claimed/fallback columns
- *    identical at any thread count and shard.
+ *    pass and its answer is the stepped one.  The claim decision
+ *    (memo hit or jump) is a deterministic function of (config,
+ *    module sequence, length) — memo state only changes the speed,
+ *    never the answer or the claim attribution, which is what keeps
+ *    the claimed/fallback columns identical at any thread count and
+ *    shard.
  *  - beginPortCheck()/portDisjoint() implement the multi-port
  *    extension: when per-port streams are provably disjoint across
  *    modules, the ports never interact — each port's trace is
  *    bit-identical to its single-port trace — so a P > 1 access
  *    decomposes into P independent single-port answers
- *    (theory/theory_backend.cc synthesizes the MultiPortResult).
+ *    (theory/theory_backend.cc assembles the MultiPortResult).
  *    stepPorts() answers the ports that share modules with one pass
  *    of the same stepper: EventStepper::runPorts sets up the loop
  *    that run() sets up for solveOrStep(), with P ports and no
  *    snapshots.
+ *
+ * Every answer is aggregates only; no pass here records a Delivery.
  *
  * Bit-identity with the stepped oracle (memsys/memory_system.h) is
  * by construction: the transient is established by the event
@@ -84,45 +85,40 @@ class ConflictSolver
      * make none) and, on a miss, one stepper pass: the aggregates of
      * a pass that jumps are stored in the memo, and a pass that
      * finds no recurrence steps on to the end of the stream.  A hit
-     * answers from the stored aggregates; when @p materialize is set
-     * it steps the stream too, and that pass jumps again.  @p result
-     * is filled bit-identical to the stepped oracle either way.
-     * Returns true iff the answer is a claim (memo hit or jump).
-     * When @p materialize is false only the scalar aggregates are
-     * written and result.deliveries stays empty; otherwise its
-     * buffer comes from @p arena.
+     * answers from the stored aggregates.  @p result receives the
+     * stepped oracle's aggregates either way; result.deliveries is
+     * left untouched.  Returns true iff the answer is a claim (memo
+     * hit or jump).
      */
     bool solveOrStep(const MemConfig &cfg,
                      const std::vector<Request> &stream,
-                     const ModuleId *mods, DeliveryArena *arena,
-                     AccessResult &result, bool materialize);
+                     const ModuleId *mods, AccessResult &result);
 
     /**
      * solveOrStep() for a caller that wants only claims: returns
      * the same claim decision, and when the pass did not jump resets
-     * @p result to an empty AccessResult (its delivery buffer, if
-     * one was acquired, is released back to @p arena).  Only the
-     * benchmark's solve probe calls it (ROADMAP item 2).
+     * @p result to an empty AccessResult.  The arena and the flag
+     * are ignored.  Only the benchmark's solve probe calls it
+     * (ROADMAP item 2).
      */
     bool solve(const MemConfig &cfg,
                const std::vector<Request> &stream,
-               const ModuleId *mods, DeliveryArena *arena,
-               AccessResult &result, bool materialize = true);
+               const ModuleId *mods, DeliveryArena *,
+               AccessResult &result, bool = true);
 
     /**
      * Steps a P > 1 access whose ports share modules (stream p
      * premapped to mods[p]) in one pass of the solver's stepper set
-     * up for P ports (EventStepper::runPorts), materializing
-     * deliveries only when @p materialize is set.  Nothing is
-     * claimed or memoized: the ports' interleaving on the shared
-     * modules is not periodic in any one port's module sequence.
-     * The pass's makespan counts as stepped cycles.
+     * up for P ports (EventStepper::runPorts), for each port's
+     * aggregates and the makespan.  Nothing is claimed or memoized:
+     * the ports' interleaving on the shared modules is not periodic
+     * in any one port's module sequence.  The pass's makespan counts
+     * as stepped cycles.
      */
     MultiPortResult
     stepPorts(const MemConfig &cfg,
               const std::vector<std::vector<Request>> &streams,
-              const std::vector<std::vector<ModuleId>> &mods,
-              DeliveryArena *arena, bool materialize);
+              const std::vector<std::vector<ModuleId>> &mods);
 
     /** Starts a fresh port-disjointness epoch over @p moduleCount
      *  modules. */

@@ -11,8 +11,8 @@ namespace {
 
 /** Lifts the AccessResult of a @p length-element stream into the
  *  P = 1 MultiPortResult the stepped models produce for it.  The
- *  makespan comes from the stream, since a summary carries no
- *  deliveries to read it from. */
+ *  makespan comes from the stream, since the evaluator's result
+ *  carries no deliveries to read it from. */
 MultiPortResult
 wrapSinglePort(AccessResult &&r, std::size_t length)
 {
@@ -49,43 +49,15 @@ TheoryBackend::premap(const std::vector<Request> &stream,
         mods[i] = map_->moduleOf(stream[i].addr);
 }
 
-void
-TheoryBackend::synthesizeUniform(const std::vector<Request> &stream,
-                                 const ModuleId *mods,
-                                 DeliveryArena *arena,
-                                 AccessResult &out)
-{
-    const Cycle T = cfg_.serviceCycles();
-    const std::size_t L = stream.size();
-    out.deliveries =
-        arena ? arena->acquire(L) : std::vector<Delivery>{};
-    out.deliveries.reserve(L);
-    for (std::size_t i = 0; i < L; ++i) {
-        Delivery d;
-        d.addr = stream[i].addr;
-        d.element = stream[i].element;
-        d.module = mods[i];
-        d.issued = static_cast<Cycle>(i);
-        d.arrived = d.issued + 1;
-        d.serviceStart = d.arrived;
-        d.ready = d.serviceStart + T;
-        d.delivered = d.ready;
-        out.deliveries.push_back(d);
-    }
-    applyEmitSummary(uniformSummary(L, T), out);
-}
-
 bool
-TheoryBackend::tryClaim(const std::vector<Request> &stream,
-                        const ModuleId *mods, DeliveryArena *arena,
-                        AccessResult &out, bool materialize)
+TheoryBackend::tryClaim(std::size_t length, const ModuleId *mods,
+                        AccessResult &out)
 {
     const Cycle T = cfg_.serviceCycles();
-    const std::size_t L = stream.size();
 
     // An empty stream's schedule is vacuous; claim it outright so
     // the taxonomy never blames a zero-length access on the solver.
-    if (L == 0) {
+    if (length == 0) {
         applyEmitSummary(uniformSummary(0, T), out);
         return true;
     }
@@ -105,7 +77,7 @@ TheoryBackend::tryClaim(const std::vector<Request> &stream,
     // cycle order) before the next one is accepted.  The schedule
     // below is therefore exact.
     nextFree_.assign(cfg_.modules(), 0);
-    for (std::size_t i = 0; i < L; ++i) {
+    for (std::size_t i = 0; i < length; ++i) {
         const ModuleId mod = mods[i];
         cfva_assert(mod < cfg_.modules(),
                     "mapping produced out-of-range module");
@@ -115,10 +87,7 @@ TheoryBackend::tryClaim(const std::vector<Request> &stream,
         nextFree_[mod] = arrive + T;
     }
 
-    if (materialize)
-        synthesizeUniform(stream, mods, arena, out);
-    else
-        applyEmitSummary(uniformSummary(L, T), out);
+    applyEmitSummary(uniformSummary(length, T), out);
     return true;
 }
 
@@ -132,8 +101,7 @@ TheoryBackend::note(FallbackReason reason)
 
 bool
 TheoryBackend::answer(const std::vector<Request> &stream,
-                      const ModuleId *mods, DeliveryArena *arena,
-                      AccessResult &out, ResultDetail detail)
+                      const ModuleId *mods, AccessResult &out)
 {
     // The proof is tried even when the planner's windows say the
     // stream conflicts: the windows are sufficient, not necessary,
@@ -142,52 +110,38 @@ TheoryBackend::answer(const std::vector<Request> &stream,
     // one memo lookup and one stepper pass: a claim when the memo
     // hits or the machine state recurs, otherwise the pass steps on
     // to the end of the stream and its answer is the stepped one.
-    const bool materialize = detail == ResultDetail::Full;
-    return tryClaim(stream, mods, arena, out, materialize)
-           || solver_.solveOrStep(cfg_, stream, mods, arena, out,
-                                  materialize);
+    return tryClaim(stream.size(), mods, out)
+           || solver_.solveOrStep(cfg_, stream, mods, out);
 }
 
 AccessResult
-TheoryBackend::runSingle(const std::vector<Request> &stream,
-                         DeliveryArena *arena, ResultDetail detail)
+TheoryBackend::runSingle(const std::vector<Request> &stream)
 {
     // Premap once; the proof and the solver's pass both reuse it.
     premap(stream, mods_);
     AccessResult out;
-    note(answer(stream, mods_.data(), arena, out, detail)
+    note(answer(stream, mods_.data(), out)
              ? FallbackReason::None
              : FallbackReason::Conflicted);
     return out;
 }
 
 AccessResult
-TheoryBackend::runSingleCertified(const std::vector<Request> &stream,
-                                  DeliveryArena *arena,
-                                  ResultDetail detail)
+TheoryBackend::runSingleCertified(const std::vector<Request> &stream)
 {
     note(FallbackReason::None);
     AccessResult out;
-    if (detail == ResultDetail::Full) {
-        // Full detail still needs each delivery's module number.
-        premap(stream, mods_);
-        synthesizeUniform(stream, mods_.data(), arena, out);
-    } else {
-        applyEmitSummary(
-            uniformSummary(stream.size(), cfg_.serviceCycles()), out);
-    }
+    applyEmitSummary(uniformSummary(stream.size(), cfg_.serviceCycles()),
+                     out);
     return out;
 }
 
 MultiPortResult
-TheoryBackend::runPorts(
-    const std::vector<std::vector<Request>> &streams,
-    DeliveryArena *arena, ResultDetail detail)
+TheoryBackend::runPorts(const std::vector<std::vector<Request>> &streams)
 {
     cfva_assert(!streams.empty(), "need at least one port");
     if (streams.size() == 1)
-        return wrapSinglePort(runSingle(streams[0], arena, detail),
-                              streams[0].size());
+        return wrapSinglePort(runSingle(streams[0]), streams[0].size());
     // Premap every port once: the disjointness check, the per-port
     // answers and a P-port pass all read the same premap.
     const std::size_t P = streams.size();
@@ -203,11 +157,10 @@ TheoryBackend::runPorts(
     }
     if (!disjoint) {
         // Ports sharing modules interleave on them; that schedule is
-        // not single-port-decomposable, so it is stepped — one
-        // P-port pass, with deliveries only at full detail.
+        // not single-port-decomposable, so it is stepped in one
+        // P-port pass.
         note(FallbackReason::MultiPort);
-        return solver_.stepPorts(cfg_, streams, portMods_, arena,
-                                 detail == ResultDetail::Full);
+        return solver_.stepPorts(cfg_, streams, portMods_);
     }
 
     // Disjoint ports never interact: every port issues one request
@@ -224,10 +177,8 @@ TheoryBackend::runPorts(
     bool any = false;
     for (std::size_t p = 0; p < P; ++p) {
         AccessResult &r = out.ports[p];
-        if (!answer(streams[p], portMods_[p].data(), arena, r, detail))
+        if (!answer(streams[p], portMods_[p].data(), r))
             claimed = false;
-        for (Delivery &d : r.deliveries)
-            d.port = static_cast<unsigned>(p);
         if (!streams[p].empty()) {
             any = true;
             lastDelivery = std::max(lastDelivery, r.lastDelivery);

@@ -12,14 +12,13 @@
  *
  *  - Conflict-free claims: for planner-certified streams
  *    (AccessPlan::expectConflictFree — the paper's window theorems)
- *    the uniform schedule is claimed directly, O(1) per access under
- *    ResultDetail::Summary; for every other stream a one-pass O(L)
- *    proof over per-module next-free times is tried first, and it
- *    stops at the first request that would queue.  Either way the
- *    exact AccessResult the stepped oracle would produce is
- *    synthesized from the timing contract (request issued at cycle i
- *    arrives at i+1, starts service immediately, retires and crosses
- *    the return bus at i+1+T).
+ *    the uniform schedule is claimed directly, O(1) per access; for
+ *    every other stream a one-pass O(L) proof over per-module
+ *    next-free times is tried first, and it stops at the first
+ *    request that would queue.  Either way the aggregates the
+ *    stepped oracle would produce follow from the timing contract
+ *    (request issued at cycle i arrives at i+1, starts service
+ *    immediately, retires and crosses the return bus at i+1+T).
  *  - Conflicted claims: theory/conflict_solver.h establishes the
  *    O(period) transient on the event stepper, jumps over the
  *    periodic steady state, and memoizes the answer's aggregates
@@ -40,10 +39,13 @@
  * one pass, the pass stepping on to the end of the stream when no
  * state recurs — and ports that share modules are stepped together
  * in one P-port pass of the same stepper, over the premap the
- * disjointness check already made.  Only ResultDetail::Full
- * materializes deliveries, on any path; every sweep access asks for
- * Summary.  Every answer is bit-identical to the stepped oracle
- * (memsys/memory_system.h) by construction:
+ * disjointness check already made.
+ *
+ * Every answer is aggregates only — latency, stalls, first issue,
+ * last delivery, conflict-free, and the makespan of a P-port access
+ * — and carries no Delivery record: the stepped oracle
+ * (memsys/memory_system.h) is the one source of those.  The
+ * aggregates equal the oracle's by construction:
  * tests/test_theory_backend.cc and tests/test_conflict_solver.cc
  * audit this across randomized grids, and TierPolicy::AuditBoth
  * audits it on every sweep scenario it runs.
@@ -94,22 +96,16 @@ class TheoryBackend
      * conflict-free proof is attempted, then the steady-state
      * solver, and a stream neither claims is answered by the
      * solver's own stepper pass and falls back as Conflicted.
-     * @p detail selects how much of the result is materialized:
-     * every answer, claimed or stepped, carries deliveries iff it is
-     * Full.
+     * The result carries the oracle's aggregates and no deliveries.
      */
-    AccessResult
-    runSingle(const std::vector<Request> &stream,
-              DeliveryArena *arena = nullptr,
-              ResultDetail detail = ResultDetail::Full);
+    AccessResult runSingle(const std::vector<Request> &stream);
 
     /**
      * runSingle for a stream the planner CERTIFIED conflict free
      * (AccessPlan::expectConflictFree): the paper's theorems — not a
      * per-access replay — are the proof, so the uniform schedule
      * (element i issues at cycle i, delivers at i+1+T) is claimed
-     * directly.  Below Full detail that is O(1) per access: no
-     * premap, no proof walk, no delivery synthesis.  The
+     * directly, O(1) per access: no premap and no proof walk.  The
      * certification chain stays honest three ways: the windows
      * behind expectConflictFree are property-tested against the
      * stepped oracle (tests/test_conflict_solver.cc certified-plan
@@ -118,9 +114,7 @@ class TheoryBackend
      * any caller that wants the per-access verification.
      */
     AccessResult
-    runSingleCertified(const std::vector<Request> &stream,
-                       DeliveryArena *arena = nullptr,
-                       ResultDetail detail = ResultDetail::Full);
+    runSingleCertified(const std::vector<Request> &stream);
 
     /**
      * Answers @p streams issued simultaneously, one request per port
@@ -129,13 +123,11 @@ class TheoryBackend
      * Module-disjoint ports are each answered like runSingle()'s
      * stream, and the access is claimed iff every port was;
      * otherwise it falls back as MultiPort.  Ports that share
-     * modules are stepped together in one P-port pass.  @p detail
-     * as in runSingle().
+     * modules are stepped together in one P-port pass.  Each port
+     * carries aggregates only, as in runSingle().
      */
     MultiPortResult
-    runPorts(const std::vector<std::vector<Request>> &streams,
-             DeliveryArena *arena = nullptr,
-             ResultDetail detail = ResultDetail::Full);
+    runPorts(const std::vector<std::vector<Request>> &streams);
 
     /** True iff the most recent access was answered
      *  analytically. */
@@ -166,30 +158,21 @@ class TheoryBackend
     void note(FallbackReason reason);
 
     /**
-     * The O(L) conflict-free claim proof + synthesis over an
-     * already premapped stream: walks @p mods tracking each
+     * The O(L) conflict-free claim proof over a @p length-element
+     * stream premapped to @p mods: walks @p mods tracking each
      * module's next-free cycle; if every request finds its module
      * free on arrival the conflict-free schedule is exact and
-     * @p out is filled with the synthesized result (aggregates only
-     * when @p materialize is false).  An empty stream is claimed
+     * @p out receives its aggregates.  An empty stream is claimed
      * vacuously.  Returns false (leaving @p out untouched) when any
      * request would queue.
      */
-    bool tryClaim(const std::vector<Request> &stream,
-                  const ModuleId *mods, DeliveryArena *arena,
-                  AccessResult &out, bool materialize);
-
-    /** Materializes the uniform conflict-free schedule's delivery
-     *  records and aggregates. */
-    void synthesizeUniform(const std::vector<Request> &stream,
-                           const ModuleId *mods,
-                           DeliveryArena *arena, AccessResult &out);
+    bool tryClaim(std::size_t length, const ModuleId *mods,
+                  AccessResult &out);
 
     /** The proof, then the solver's pass, over @p stream premapped
      *  to @p mods; true iff the answer in @p out is a claim. */
     bool answer(const std::vector<Request> &stream,
-                const ModuleId *mods, DeliveryArena *arena,
-                AccessResult &out, ResultDetail detail);
+                const ModuleId *mods, AccessResult &out);
 
     MemConfig cfg_;
     const ModuleMapping *map_;

@@ -8,17 +8,18 @@
  *
  * The contract under test is absolute: the theory tier's
  * ConflictSolver::solveOrStep — memo replay, recurrence jump, or
- * stepping to the end — must return AccessResults bit-identical to
- * the oracle's (memsys/memory_system.h) — every delivery record with
- * all five timestamps, every stall, every aggregate — on every
- * mapping kind and lengths on both sides of the module sequence's
- * period (including L < one period and L = k * period exactly).
- * The StepperEdges suite drives the stepper itself along
+ * stepping to the end — must return the oracle's
+ * (memsys/memory_system.h) aggregates bit for bit — every stall,
+ * every aggregate — and the stepper's recording pass, which takes
+ * the same jump, every delivery record with all five timestamps, on
+ * every mapping kind and lengths on both sides of the module
+ * sequence's period (including L < one period and L = k * period
+ * exactly).  The StepperEdges suite drives the stepper itself along
  * the edges of its recurrence logic: lengths around the first
  * snapshot pair, periods around kMaxPeriod, an exhausted snapshot
  * budget, buffer-depth and service-time extremes, and a 10^6-element
- * summary pass — full detail bit-identical to the per-cycle oracle,
- * summary detail carrying the same aggregates.
+ * summary pass — the recording pass bit-identical to the per-cycle
+ * oracle, the summary pass carrying the same aggregates.
  */
 
 #include <gtest/gtest.h>
@@ -64,22 +65,24 @@ premapped(const ModuleMapping &map, const std::vector<Request> &stream)
     return mods;
 }
 
-/** The solver's full-detail answer for @p stream (premapped to
- *  @p mods), claimed or stepped. */
+/** The solver's answer for @p stream (premapped to @p mods),
+ *  claimed or stepped. */
 AccessResult
-solveFull(ConflictSolver &solver, const MemConfig &cfg,
-          const std::vector<Request> &stream,
-          const std::vector<ModuleId> &mods)
+solveAccess(ConflictSolver &solver, const MemConfig &cfg,
+            const std::vector<Request> &stream,
+            const std::vector<ModuleId> &mods)
 {
     AccessResult r;
-    solver.solveOrStep(cfg, stream, mods.data(), nullptr, r, true);
+    solver.solveOrStep(cfg, stream, mods.data(), r);
     return r;
 }
 
 /**
  * Answers @p stream with the theory tier's solver twice (the second
- * answer replays the memo when the first one collapsed), and asserts
- * every answer is bit-identical to the oracle.
+ * answer replays the memo when the first one collapsed) and asserts
+ * every answer carries the oracle's aggregates, then steps it once
+ * through the stepper's recording pass and asserts that pass equals
+ * the oracle delivery by delivery.
  */
 void
 expectSolverMatchesOracle(const MemConfig &cfg,
@@ -91,17 +94,21 @@ expectSolverMatchesOracle(const MemConfig &cfg,
     const std::vector<ModuleId> mods = premapped(map, stream);
     ConflictSolver solver;
     for (const char *pass : {"first", "repeat"}) {
-        const AccessResult got = solveFull(solver, cfg, stream, mods);
-        ASSERT_EQ(got.deliveries.size(), expect.deliveries.size())
+        EXPECT_EQ(solveAccess(solver, cfg, stream, mods),
+                  test::withoutDeliveries(expect))
             << what << " (" << pass << ")";
-        for (std::size_t i = 0; i < expect.deliveries.size(); ++i) {
-            ASSERT_EQ(got.deliveries[i], expect.deliveries[i])
-                << what << " (" << pass << "): delivery " << i
-                << " diverges (element "
-                << expect.deliveries[i].element << ")";
-        }
-        EXPECT_EQ(got, expect) << what << " (" << pass << ")";
     }
+
+    EventStepper stepper;
+    AccessResult got;
+    stepper.run(cfg, stream, mods.data(), true, got);
+    ASSERT_EQ(got.deliveries.size(), expect.deliveries.size()) << what;
+    for (std::size_t i = 0; i < expect.deliveries.size(); ++i) {
+        ASSERT_EQ(got.deliveries[i], expect.deliveries[i])
+            << what << ": delivery " << i << " diverges (element "
+            << expect.deliveries[i].element << ")";
+    }
+    EXPECT_EQ(got, expect) << what << " (recording pass)";
 }
 
 /** Lengths chosen so the default shapes see streams shorter than
@@ -219,41 +226,38 @@ TEST(OutcomeMemo, BaseShiftedOrderIsomorphicStreamHits)
     const auto base1 = strideStream(1, 2, 32);
 
     const AccessResult first =
-        solveFull(solver, cfg, base0, premapped(map, base0));
+        solveAccess(solver, cfg, base0, premapped(map, base0));
     EXPECT_EQ(solver.stats().memoMisses, 1u);
     EXPECT_EQ(solver.stats().collapseHits, 1u);
-    EXPECT_EQ(first, simulateAccess(cfg, map, base0));
+    EXPECT_EQ(first,
+              test::withoutDeliveries(simulateAccess(cfg, map, base0)));
     EXPECT_GT(first.stallCycles, 0u) << "stream should conflict";
     const FastPathStats afterMiss = solver.stats();
 
     const AccessResult shifted =
-        solveFull(solver, cfg, base1, premapped(map, base1));
+        solveAccess(solver, cfg, base1, premapped(map, base1));
     EXPECT_EQ(solver.stats().memoHits, 1u)
         << "base-shifted rank-isomorphic stream must replay";
-    EXPECT_EQ(shifted, simulateAccess(cfg, map, base1));
+    EXPECT_EQ(shifted,
+              test::withoutDeliveries(simulateAccess(cfg, map, base1)));
 
     // Same stream again: the identity relabeling also hits.
     const AccessResult again =
-        solveFull(solver, cfg, base0, premapped(map, base0));
+        solveAccess(solver, cfg, base0, premapped(map, base0));
     EXPECT_EQ(solver.stats().memoHits, 2u);
     EXPECT_EQ(again, first);
-
-    // A full-detail hit steps the stream for its deliveries, but
-    // counts as the hit alone: no collapse, no stepped cycles.
     EXPECT_EQ(solver.stats().collapseHits, 1u);
     EXPECT_EQ(solver.stats().collapsePrefixCycles,
               afterMiss.collapsePrefixCycles);
     EXPECT_EQ(solver.stats().steppedCycles, afterMiss.steppedCycles);
 
-    // A summary hit answers from the memo's aggregates alone.
+    // A hit answers from the memo's aggregates alone.
     const std::vector<ModuleId> mods1 = premapped(map, base1);
     AccessResult brief;
-    EXPECT_TRUE(solver.solveOrStep(cfg, base1, mods1.data(), nullptr,
-                                   brief, false));
+    EXPECT_TRUE(solver.solveOrStep(cfg, base1, mods1.data(), brief));
     EXPECT_EQ(solver.stats().memoHits, 3u);
     EXPECT_EQ(solver.stats().collapseHits, 1u);
     EXPECT_TRUE(brief.deliveries.empty());
-    brief.deliveries = shifted.deliveries;
     EXPECT_EQ(brief, shifted);
 }
 
@@ -270,11 +274,11 @@ TEST(OutcomeMemo, XorBaseShiftReordersModulesAndMisses)
 
     const auto base0 = strideStream(0, 2, 64);
     const auto base3 = strideStream(3, 2, 64);
-    EXPECT_EQ(solveFull(solver, cfg, base0, premapped(map, base0)),
-              simulateAccess(cfg, map, base0));
+    EXPECT_EQ(solveAccess(solver, cfg, base0, premapped(map, base0)),
+              test::withoutDeliveries(simulateAccess(cfg, map, base0)));
     const std::uint64_t hitsBefore = solver.stats().memoHits;
-    EXPECT_EQ(solveFull(solver, cfg, base3, premapped(map, base3)),
-              simulateAccess(cfg, map, base3));
+    EXPECT_EQ(solveAccess(solver, cfg, base3, premapped(map, base3)),
+              test::withoutDeliveries(simulateAccess(cfg, map, base3)));
     EXPECT_EQ(solver.stats().memoHits, hitsBefore)
         << "XOR-reordered module sequence must not hit the memo";
 }
@@ -293,17 +297,16 @@ TEST(OutcomeMemo, OversizeStreamsBypassTheMemo)
 
     ConflictSolver solver;
     AccessResult result;
-    ASSERT_TRUE(solver.solveOrStep(cfg, stream, mods.data(), nullptr,
-                                   result, true));
+    ASSERT_TRUE(solver.solveOrStep(cfg, stream, mods.data(), result));
     EXPECT_EQ(solver.stats().collapseHits, 1u);
     EXPECT_EQ(solver.stats().memoMisses, 0u);
-    EXPECT_EQ(result, simulateAccess(cfg, map, stream));
+    EXPECT_EQ(result,
+              test::withoutDeliveries(simulateAccess(cfg, map, stream)));
 
     // Nothing was stored: the same stream makes no lookup and jumps
     // again.
     AccessResult again;
-    ASSERT_TRUE(solver.solveOrStep(cfg, stream, mods.data(), nullptr,
-                                   again, true));
+    ASSERT_TRUE(solver.solveOrStep(cfg, stream, mods.data(), again));
     EXPECT_EQ(solver.stats().collapseHits, 2u);
     EXPECT_EQ(solver.stats().memoHits + solver.stats().memoMisses, 0u);
     EXPECT_EQ(again, result);
@@ -527,13 +530,11 @@ TEST(StepperEdges, ExhaustedSnapshotBudgetFinishesWithoutJump)
     // again.
     ConflictSolver solver;
     AccessResult viaSolver;
-    EXPECT_FALSE(solver.solveOrStep(cfg, stream, mods.data(), nullptr,
-                                    viaSolver, false));
+    EXPECT_FALSE(solver.solveOrStep(cfg, stream, mods.data(), viaSolver));
     EXPECT_EQ(solver.stats().collapseHits, 0u);
     EXPECT_EQ(solver.stats().steppedCycles, viaSolver.lastDelivery + 1);
     AccessResult again;
-    EXPECT_FALSE(solver.solveOrStep(cfg, stream, mods.data(), nullptr,
-                                    again, false));
+    EXPECT_FALSE(solver.solveOrStep(cfg, stream, mods.data(), again));
     EXPECT_EQ(solver.stats().memoHits, 0u);
     EXPECT_EQ(solver.stats().memoMisses, 2u);
 }

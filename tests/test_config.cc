@@ -175,6 +175,24 @@ TEST(Config, RejectsUnmatchedSPlusMAboveMappingBound)
         << rejection(cfg);
 }
 
+TEST(Config, RejectsDynamicFieldPastTheMappingBound)
+{
+    // cfva_sweep --kinds dynamic --t 3 --tunes 54: p + m = 57 passes
+    // FieldInterleave's bound, which the config shares; p = 53 ends
+    // the field exactly on it.
+    VectorUnitConfig cfg;
+    cfg.kind = MemoryKind::DynamicTuned;
+    cfg.t = 3;
+    cfg.dynamicTune = 54;
+    const std::string msg = rejection(cfg);
+    EXPECT_EQ(msg.rfind("fatal: ", 0), 0u) << msg;
+    EXPECT_NE(msg.find("dynamic field position p=54"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("p + m <= 56"), std::string::npos) << msg;
+    cfg.dynamicTune = 53;
+    EXPECT_EQ(rejection(cfg), "");
+}
+
 TEST(Config, RejectsZeroBuffers)
 {
     test::ScopedPanicThrow guard;

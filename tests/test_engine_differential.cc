@@ -17,8 +17,9 @@
  *    stepping on to the end when nothing recurs).
  * 2. A randomized ScenarioGrid of > 1000 planned accesses across
  *    every mapping kind, swept once per tier; the SweepReports must
- *    compare equal outside the tier-attribution columns, and each
- *    scenario's direct AccessResults must compare equal.
+ *    compare equal outside the tier-attribution columns, and sampled
+ *    planned accesses must match the oracle's AccessResult: the
+ *    evaluator's aggregates and the recording pass's every delivery.
  */
 
 #include <gtest/gtest.h>
@@ -277,11 +278,13 @@ TEST(EngineDifferential, RandomizedGridOver1000Scenarios)
 
 TEST(EngineDifferential, PlannedAccessesFullResultEquality)
 {
-    // Beyond the report fields: the complete AccessResult — every
-    // delivery timestamp — for planned accesses of each kind, from
-    // the oracle and from the evaluator at full detail.
+    // Beyond the report fields: the complete AccessResult for planned
+    // accesses of each kind — the evaluator's aggregates against the
+    // oracle's, and every delivery timestamp of the stepper's
+    // recording pass, the pass the evaluator's solver takes.
     Rng rng(0xACCE55ull);
     const sim::ScenarioGrid grid = randomizedGrid(0xF00D5EEDull);
+    EventStepper stepper;
     unsigned checked = 0;
     for (const auto &mapping : grid.mappings) {
         const VectorAccessUnit unit(mapping);
@@ -297,9 +300,19 @@ TEST(EngineDifferential, PlannedAccessesFullResultEquality)
             const AccessResult a = unit.execute(plan);
             const AccessResult b = unit.execute(
                 plan, nullptr, nullptr, TierPolicy::TheoryFirst);
-            EXPECT_EQ(b, a)
+            EXPECT_EQ(b, test::withoutDeliveries(a))
                 << mapping.describe() << " stride " << stride.value()
                 << " length " << length << " a1 " << a1;
+            std::vector<ModuleId> mods;
+            for (const Request &r : plan.stream)
+                mods.push_back(unit.mapping().moduleOf(r.addr));
+            AccessResult recorded;
+            stepper.run(unit.memConfig(), plan.stream, mods.data(), true,
+                        recorded);
+            EXPECT_EQ(recorded, a)
+                << mapping.describe() << " stride " << stride.value()
+                << " length " << length << " a1 " << a1
+                << " (recording pass)";
             ++checked;
         }
     }

@@ -58,15 +58,6 @@ sharedStepper()
     return stepper;
 }
 
-/** @p r without its delivery records: the aggregates alone. */
-MultiPortResult
-aggregatesOf(MultiPortResult r)
-{
-    for (AccessResult &port : r.ports)
-        port.deliveries.clear();
-    return r;
-}
-
 /** Premaps every stream of @p streams through @p map. */
 std::vector<std::vector<ModuleId>>
 premapPorts(const ModuleMapping &map,
@@ -124,7 +115,7 @@ expectBackendsAgree(const MemConfig &cfg, const ModuleMapping &map,
         sharedStepper().runPorts(cfg, streams, mods, false);
     for (const AccessResult &port : summary.ports)
         EXPECT_TRUE(port.deliveries.empty()) << what;
-    EXPECT_EQ(summary, aggregatesOf(oracle))
+    EXPECT_EQ(summary, test::withoutDeliveries(oracle))
         << what << " (stepper, summary)";
     EXPECT_EQ(sharedStepper().steppedCycles(), oracle.makespan) << what;
 
@@ -386,10 +377,10 @@ TEST(MultiPortDifferential, RandomizedGridOver1000Scenarios)
 
 TEST(MultiPortDifferential, PlannedAccessesFullResultEquality)
 {
-    // Beyond the report fields: the complete MultiPortResult —
-    // every per-port delivery timestamp — for planned multi-port
-    // accesses of each kind from the oracle and from the evaluator
-    // at full detail.
+    // Beyond the report fields: the complete MultiPortResult for
+    // planned multi-port accesses of each kind — the evaluator's
+    // aggregates against the oracle's, and every per-port delivery
+    // timestamp of the stepper's recording P-port pass.
     Rng rng(0xACCE551ull);
     const sim::ScenarioGrid grid =
         randomizedMultiPortGrid(0xF00D1234ull);
@@ -414,8 +405,14 @@ TEST(MultiPortDifferential, PlannedAccessesFullResultEquality)
             const MultiPortResult a = unit.executePorts(streams);
             const MultiPortResult b = unit.executePorts(
                 streams, nullptr, nullptr, TierPolicy::TheoryFirst);
-            EXPECT_EQ(b, a)
+            EXPECT_EQ(b, test::withoutDeliveries(a))
                 << mapping.describe() << " ports " << n_ports;
+            EXPECT_EQ(sharedStepper().runPorts(
+                          unit.memConfig(), streams,
+                          premapPorts(unit.mapping(), streams), true),
+                      a)
+                << mapping.describe() << " ports " << n_ports
+                << " (recording pass)";
             ++checked;
         }
     }
@@ -491,8 +488,8 @@ TEST(MultiPortProperty, MakespanMonotoneInAddedStreams)
 
 TEST(MultiPortDifferential, ArenaDoesNotChangeResults)
 {
-    // Arena-recycled delivery buffers must leave the records
-    // themselves bit-identical, and buffers must actually pool.
+    // Arena-recycled delivery buffers must leave the oracle's
+    // records bit-identical, and buffers must actually pool.
     const MemConfig cfg;
     const XorMatchedMapping map(3, 4);
     std::vector<std::vector<Request>> streams;
@@ -504,25 +501,20 @@ TEST(MultiPortDifferential, ArenaDoesNotChangeResults)
     }
 
     DeliveryArena arena;
-    const std::vector<std::vector<ModuleId>> mods =
-        premapPorts(map, streams);
-    EventStepper &stepper = sharedStepper();
-    const MultiPortResult plain = stepper.runPorts(cfg, streams, mods, true);
-    MultiPortResult pooled =
-        stepper.runPorts(cfg, streams, mods, true, &arena);
+    MemorySystem oracle(cfg, map);
+    const MultiPortResult plain = oracle.run(streams);
+    MultiPortResult pooled = oracle.run(streams, &arena);
     EXPECT_EQ(pooled, plain);
     for (auto &port : pooled.ports)
         arena.release(std::move(port.deliveries));
     EXPECT_EQ(arena.pooled(), 3u);
-    const MultiPortResult reused =
-        stepper.runPorts(cfg, streams, mods, true, &arena);
+    const MultiPortResult reused = oracle.run(streams, &arena);
     EXPECT_EQ(reused, plain);
     EXPECT_EQ(arena.pooled(), 0u); // buffers handed back out
 
-    // The oracle's P = 1 path recycles too: a released buffer is
-    // handed back out on the next runSingle, so the sweep's
-    // release-after-consume loop cannot grow the pool unboundedly.
-    MemorySystem oracle(cfg, map);
+    // The P = 1 path recycles too: a released buffer is handed back
+    // out on the next runSingle, so the sweep's release-after-consume
+    // loop cannot grow the pool unboundedly.
     AccessResult first = oracle.runSingle(streams[0], &arena);
     const AccessResult bare = oracle.runSingle(streams[0]);
     EXPECT_EQ(first, bare);

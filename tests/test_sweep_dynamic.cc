@@ -65,6 +65,33 @@ TEST(SweepDynamic, GridExpandsAndValidates)
     EXPECT_EQ(grid.jobCount(), 5u * 21u * 3u);
 }
 
+// cfva_sweep --kinds dynamic --t 3 --families 58..58 --sigmas 1
+// --workloads retune --random-starts 0: the retune phases ask for
+// families 58 and 59, and the clamp keeps the re-tuned field inside
+// FieldInterleave's bound (p = 56 - m = 53) instead of asserting in
+// the mapping.  Both tiers agree on the clamped program.
+TEST(SweepDynamic, RetuneClampStaysInsideTheFieldBound)
+{
+    ScenarioGrid grid;
+    grid.mappings = {dynamicConfig(0)};
+    grid.addFamilies(58, 58, {1});
+    grid.workloads = {{WorkloadKind::Retune}};
+
+    SweepOptions audit;
+    audit.tier = TierPolicy::AuditBoth;
+    SweepRunStats stats;
+    const SweepReport report = SweepEngine(audit).run(grid, &stats);
+    ASSERT_EQ(report.jobs(), 1u);
+    EXPECT_EQ(stats.tierAuditDivergences, 0u);
+    // One relayout from p = 0 to the clamped p = 53; the second
+    // phase clamps to the same position.
+    const ScenarioOutcome &o = report.outcomes.front();
+    EXPECT_EQ(o.retunes, 1u);
+    EXPECT_EQ(o.retuneCycles,
+              retuneRelayoutCycles(3, 0, 53, o.length,
+                                   dynamicConfig(0).serviceCycles()));
+}
+
 TEST(SweepDynamic, TunedFamilyIsConflictFreeOnTheGrid)
 {
     const ScenarioGrid grid = priorArtGrid();

@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -473,6 +474,61 @@ TEST(SweepEngine, RejectsInvalidGrids)
     EXPECT_EQ(expandRejection(chain), "");
     chain.workloads.front().execLatency = ScenarioGrid::kMaxLength + 1;
     expectFatalNaming(chain, {"--exec-latency", "2^32 - 1"});
+
+    // A descending port walks down to its base start + p x
+    // --port-stagger (mod 2^64) from base + (L - 1)|S|; a block that
+    // passes 2^64 - 1 is refused at expansion, naming the flags,
+    // instead of asserting in the planner.  Ascending ports wrap.
+    constexpr Addr kTop = ~Addr{0};
+    const auto descending = [](std::uint64_t stride, PortMix mix) {
+        ScenarioGrid grid; // --kinds matched --t 3 --random-starts 0
+        grid.mappings = {paperMatchedExample()};
+        grid.strides = {stride};
+        grid.ports = {static_cast<unsigned>(
+            std::max<std::size_t>(1, mix.multipliers.size()))};
+        grid.portMixes = {std::move(mix)};
+        return grid;
+    };
+
+    // --port-mix -1 --starts 18446744073709551615
+    ScenarioGrid fromTop = descending(1, PortMix{{-1}});
+    fromTop.starts = {kTop};
+    expectFatalNaming(fromTop, {"--starts", "--port-stagger", "2^64 - 1"});
+
+    // --ports 2 --port-mix 1,-1 --port-stagger 18446744073709551615
+    ScenarioGrid staggered = descending(1, PortMix{{1, -1}});
+    staggered.portStagger = kTop;
+    expectFatalNaming(staggered,
+                      {"--starts", "--port-stagger", "2^64 - 1"});
+
+    // --ports 2 --port-mix 1,-1 --starts 18446744073709551615: port
+    // 1's base wraps to 2^20 - 1, and its block fits.
+    staggered.portStagger = ScenarioGrid{}.portStagger;
+    staggered.starts = {kTop};
+    EXPECT_EQ(expandRejection(staggered), "");
+
+    // The stencil's third tap starts two strides up: from 2^64 - 129
+    // the single access ends on 2^64 - 2, the tap past 2^64 - 1.
+    ScenarioGrid tapped = descending(1, PortMix{{-1}});
+    tapped.starts = {kTop - 128};
+    EXPECT_EQ(expandRejection(tapped), "");
+    tapped.workloads = {{WorkloadKind::Stencil}};
+    expectFatalNaming(tapped, {"2 x 1 (stencil tap)", "--starts"});
+
+    // Retune's second phase doubles the stride: 127 x 2^57 fits
+    // below 2^64, 127 x 2^58 does not, from any start.
+    ScenarioGrid doubled = descending(std::uint64_t{1} << 57,
+                                      PortMix{{-1}});
+    EXPECT_EQ(expandRejection(doubled), "");
+    doubled.workloads = {{WorkloadKind::Retune}};
+    expectFatalNaming(doubled, {"retune", "--strides"});
+
+    // A random start may be any address below randomStartBound.
+    ScenarioGrid drawn = descending(1, PortMix{{1, -1}});
+    drawn.portStagger = kTop - drawn.randomStartBound;
+    EXPECT_EQ(expandRejection(drawn), "");
+    drawn.randomStarts = 1;
+    expectFatalNaming(drawn, {"random start", "--port-stagger"});
 }
 
 // The strict list parsers behind cfva_sweep's --kinds/--workloads/

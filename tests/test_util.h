@@ -29,6 +29,26 @@ class ScopedPanicThrow
 };
 
 /**
+ * @p r without its Delivery records: the oracle's result as the
+ * evaluator answers it, aggregates only.
+ */
+inline AccessResult
+withoutDeliveries(AccessResult r)
+{
+    r.deliveries = {};
+    return r;
+}
+
+/** Every port of @p r without its Delivery records. */
+inline MultiPortResult
+withoutDeliveries(MultiPortResult r)
+{
+    for (AccessResult &port : r.ports)
+        port.deliveries = {};
+    return r;
+}
+
+/**
  * @p report with the tier-attribution columns (theory_claimed,
  * theory_fallback, fallback_reason) cleared: the only columns in
  * which the theory tier's report may differ from the oracle's.
