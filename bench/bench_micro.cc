@@ -286,8 +286,7 @@ BM_Plan(benchmark::State &state)
     std::vector<Request> buf;
     AccessPolicy policy = AccessPolicy::InOrder;
     for (auto _ : state) {
-        AccessPlan p = unit.plan(16, stride, length, std::move(buf),
-                                 /*explain=*/false);
+        AccessPlan p = unit.plan(16, stride, length, std::move(buf));
         benchmark::DoNotOptimize(p.stream.data());
         benchmark::ClobberMemory();
         policy = p.policy;

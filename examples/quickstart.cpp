@@ -39,7 +39,8 @@ main()
     std::cout << "Access: A1=" << a1 << ", S=" << stride << ", L="
               << cfg.registerLength() << "\n"
               << "Chosen policy: " << to_string(plan.policy) << "\n"
-              << "Why: " << plan.rationale << "\n\n";
+              << "Why: " << unit.explain(stride, cfg.registerLength())
+              << "\n\n";
 
     const auto result = unit.execute(plan);
     std::cout << "Measured latency: " << result.latency

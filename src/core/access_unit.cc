@@ -198,165 +198,78 @@ VectorAccessUnit::withReorderKey(unsigned x, Fn &&fn) const
     cfva_panic("unreachable memory kind");
 }
 
-AccessPlan
-VectorAccessUnit::planRegisters(Addr a1, const Stride &s,
-                                std::uint64_t length,
-                                std::vector<Request> seed,
-                                bool explain) const
-{
-    const std::uint64_t reg_len = cfg_.registerLength();
-    const std::uint64_t chunks = length / reg_len;
-    const unsigned x = s.family();
-
-    AccessPlan plan;
-    plan.a1 = a1;
-    plan.stride = s;
-    plan.length = length;
-    plan.stream = std::move(seed);
-    plan.stream.clear();
-    plan.stream.reserve(length);
-
-    // The choice depends on the family alone, not on a1, so every
-    // portion of a V = k*L access takes the same one.
-    const bool explain_portion = explain && chunks == 1;
-    bool portion_conflict_free = false;
-    const auto w = windowW(x);
-    if (inOrderConflictFree(x)) {
-        plan.policy = AccessPolicy::InOrder;
-        portion_conflict_free = true;
-        appendCanonicalOrder(plan.stream, a1, s, 0, length);
-        if (explain_portion) {
-            std::ostringstream why;
-            why << "family x=" << x
-                << " is conflict free in order on "
-                << mapping_->name();
-            plan.rationale = why.str();
-        }
-    } else if (w && subsequencePlanExists(cfg_.t, *w, s, reg_len)) {
-        plan.policy = AccessPolicy::ConflictFree;
-        portion_conflict_free = true;
-        const auto sub = makeSubsequencePlan(cfg_.t, *w, s, reg_len);
-        withReorderKey(x, [&](const auto &key) {
-            for (std::uint64_t c = 0; c < chunks; ++c) {
-                appendConflictFreeOrder(plan.stream, a1, sub,
-                                        c * reg_len, key);
-            }
-        });
-        if (explain_portion) {
-            std::ostringstream why;
-            why << "family x=" << x << " in window via w=" << *w
-                << ": Sec. " << (cfg_.kind == MemoryKind::Sectioned
-                                 ? "4.2" : "3.2")
-                << " out-of-order issue";
-            plan.rationale = why.str();
-        }
-    } else {
-        plan.policy = AccessPolicy::InOrder;
-        appendCanonicalOrder(plan.stream, a1, s, 0, length);
-        if (explain_portion) {
-            std::ostringstream why;
-            why << "family x=" << x << " outside every window (vector "
-                << "not T-matched); canonical order";
-            plan.rationale = why.str();
-        }
-    }
-
-    // Seams between portions are not covered by Theorem 1/3; only a
-    // fully in-order stream keeps the guarantee end to end.  Each
-    // seam may cost up to T-1 cycles, which the simulator measures
-    // honestly.
-    plan.expectConflictFree =
-        portion_conflict_free && (chunks == 1 || inOrderConflictFree(x));
-    if (chunks > 1) {
-        plan.policy = AccessPolicy::ChunkedByL;
-        if (explain) {
-            std::ostringstream why;
-            why << "V = " << chunks << " * L: per-portion scheme "
-                << "(Sec. 5C case ii)";
-            plan.rationale = why.str();
-        }
-    }
-    return plan;
-}
-
-AccessPlan
-VectorAccessUnit::plan(Addr a1, const Stride &s,
-                       std::uint64_t length,
-                       std::vector<Request> seed,
-                       bool explain) const
+VectorAccessUnit::Decision
+VectorAccessUnit::decide(const Stride &s, std::uint64_t length) const
 {
     cfva_assert(length > 0, "empty access");
     const std::uint64_t reg_len = cfg_.registerLength();
+    // k whole registers (V = k*L), or 0 when V is not a multiple.
+    const std::uint64_t registers =
+        length % reg_len == 0 ? length / reg_len : 0;
     const unsigned x = s.family();
+    const auto w = windowW(x);
 
-    if (length % reg_len == 0) {
-        // V = L, or Sec. 5C case ii: multiple-size registers; apply
-        // the register-length scheme to each portion.
-        return planRegisters(a1, s, length, std::move(seed), explain);
-    }
-
+    Decision d;
     if (inOrderConflictFree(x)) {
-        AccessPlan plan;
-        plan.policy = AccessPolicy::InOrder;
-        plan.a1 = a1;
-        plan.stride = s;
-        plan.length = length;
-        plan.expectConflictFree = true;
-        plan.stream = canonicalOrder(a1, s, length, std::move(seed));
-        if (explain) {
-            plan.rationale = "in-order family; any length is "
-                             "conflict free";
-        }
-        return plan;
+        d.conflictFree = true;
+    } else if (registers > 0 && w
+               && subsequencePlanExists(cfg_.t, *w, s, reg_len)) {
+        // The full-register scheme on each L-element portion (Sec.
+        // 5C case ii when k > 1).  Seams between portions are not
+        // covered by Theorems 1/3; each may cost up to T-1 cycles,
+        // which the simulator measures honestly.
+        d = {AccessPolicy::ConflictFree, registers == 1, *w, length,
+             reg_len};
+    } else if (registers == 0 && w) {
+        // Sec. 5C case i: an out-of-order head of V1 = k*2^{w+t-x}
+        // elements and an in-order tail.
+        const std::uint64_t head =
+            planShortVector(cfg_.t, *w, s, length).reordered;
+        d = {AccessPolicy::SplitShort, head == length, *w, head, head};
     }
+    if (registers > 1)
+        d.policy = AccessPolicy::ChunkedByL;
+    return d;
+}
 
-    // Sec. 5C case i: short vector; split into an out-of-order head
-    // of length k*2^{w+t-x} and an in-order tail.
+AccessPlan
+VectorAccessUnit::plan(Addr a1, const Stride &s, std::uint64_t length,
+                       std::vector<Request> seed) const
+{
+    const Decision d = decide(s, length);
     AccessPlan plan;
-    plan.policy = AccessPolicy::SplitShort;
+    plan.policy = d.policy;
     plan.a1 = a1;
     plan.stride = s;
     plan.length = length;
-
-    const auto w = windowW(x);
-    if (!w) {
-        plan.policy = AccessPolicy::InOrder;
-        plan.expectConflictFree = false;
-        plan.stream = canonicalOrder(a1, s, length, std::move(seed));
-        if (explain) {
-            plan.rationale = "family outside every window; "
-                             "canonical order";
-        }
-        return plan;
+    plan.expectConflictFree = d.conflictFree;
+    plan.stream = std::move(seed);
+    plan.stream.clear();
+    plan.stream.reserve(length);
+    if (d.reordered > 0) {
+        const auto sub = makeSubsequencePlan(cfg_.t, d.w, s, d.block);
+        withReorderKey(s.family(), [&](const auto &key) {
+            for (std::uint64_t first = 0; first < d.reordered;
+                 first += d.block) {
+                appendConflictFreeOrder(plan.stream, a1, sub, first, key);
+            }
+        });
     }
-
-    const auto split = planShortVector(cfg_.t, *w, s, length);
-    withReorderKey(x, [&](const auto &key) {
-        plan.stream = shortVectorOrder(a1, s, split, key, std::move(seed));
-    });
-    plan.expectConflictFree =
-        split.hasReorderedPart() && split.ordered == 0;
-    if (explain) {
-        std::ostringstream why;
-        why << "short vector: " << split.reordered
-            << " elements out of order + " << split.ordered
-            << " in order (Sec. 5C)";
-        plan.rationale = why.str();
-    }
+    appendCanonicalOrder(plan.stream, a1, s, d.reordered,
+                         length - d.reordered);
     return plan;
 }
 
 AccessPlan
 VectorAccessUnit::plan(Addr a1, std::int64_t stride,
                        std::uint64_t length,
-                       std::vector<Request> seed,
-                       bool explain) const
+                       std::vector<Request> seed) const
 {
     cfva_assert(stride != 0, "stride must be nonzero");
     cfva_assert(length > 0, "empty access");
     if (stride > 0)
         return plan(a1, Stride(static_cast<std::uint64_t>(stride)),
-                    length, std::move(seed), explain);
+                    length, std::move(seed));
 
     // |S| in unsigned arithmetic: -stride overflows for INT64_MIN,
     // and (length-1)*|S| can wrap past a1, so compare by division.
@@ -369,14 +282,60 @@ VectorAccessUnit::plan(Addr a1, std::int64_t stride,
     // element numbering: element i of the descending vector is
     // element length-1-i of the ascending one.
     const Addr low_a1 = a1 - (length - 1) * mag;
-    AccessPlan p = plan(low_a1, Stride(mag), length,
-                        std::move(seed), explain);
+    AccessPlan p = plan(low_a1, Stride(mag), length, std::move(seed));
     for (auto &req : p.stream)
         req.element = length - 1 - req.element;
     p.a1 = a1;
-    if (explain)
-        p.rationale += " (descending: mirrored from ascending twin)";
     return p;
+}
+
+std::string
+VectorAccessUnit::explain(const Stride &s, std::uint64_t length) const
+{
+    const Decision d = decide(s, length);
+    const unsigned x = s.family();
+    std::ostringstream why;
+    switch (d.policy) {
+      case AccessPolicy::InOrder:
+        if (length != cfg_.registerLength()) {
+            why << (d.conflictFree
+                        ? "in-order family; any length is conflict free"
+                        : "family outside every window; canonical order");
+        } else if (d.conflictFree) {
+            why << "family x=" << x << " is conflict free in order on "
+                << mapping_->name();
+        } else {
+            why << "family x=" << x << " outside every window (vector "
+                << "not T-matched); canonical order";
+        }
+        break;
+      case AccessPolicy::ConflictFree:
+        why << "family x=" << x << " in window via w=" << d.w
+            << ": Sec. "
+            << (cfg_.kind == MemoryKind::Sectioned ? "4.2" : "3.2")
+            << " out-of-order issue";
+        break;
+      case AccessPolicy::SplitShort:
+        why << "short vector: " << d.reordered
+            << " elements out of order + " << length - d.reordered
+            << " in order (Sec. 5C)";
+        break;
+      case AccessPolicy::ChunkedByL:
+        why << "V = " << length / cfg_.registerLength()
+            << " * L: per-portion scheme (Sec. 5C case ii)";
+        break;
+    }
+    return why.str();
+}
+
+std::string
+VectorAccessUnit::explain(std::int64_t stride, std::uint64_t length) const
+{
+    cfva_assert(stride != 0, "stride must be nonzero");
+    if (stride > 0)
+        return explain(Stride(static_cast<std::uint64_t>(stride)), length);
+    return explain(Stride(0 - static_cast<std::uint64_t>(stride)), length)
+           + " (descending: mirrored from ascending twin)";
 }
 
 AccessResult

@@ -3,13 +3,15 @@
  * VectorAccessUnit: the library's primary public API.
  *
  * Ties the whole system together: given a configuration (memory
- * shape + register length), it owns the address mapping, selects
- * the right ordering for each (A1, S, V) access — conflict-free
- * out-of-order inside the Theorem 1/3 windows, in-order where the
- * mapping is conflict free anyway, the Sec. 5C split for short
- * vectors — runs the request stream through the cycle-accurate
- * memory simulator (every Delivery) or the evaluator (the same
- * aggregates, no Delivery), and reports the measured latency.
+ * shape + register length), it owns the address mapping, decides the
+ * issue order of each (A1, S, V) access from the stride family and
+ * the length alone — conflict-free out-of-order inside the Theorem
+ * 1/3 windows, in-order where the mapping is conflict free anyway,
+ * the Sec. 5C cases for short vectors and V = k*L registers — builds
+ * the request stream, runs it through the cycle-accurate memory
+ * simulator (every Delivery) or the evaluator (the same aggregates,
+ * no Delivery), and reports the measured latency.  explain() puts
+ * the decision into words.
  */
 
 #ifndef CFVA_CORE_ACCESS_UNIT_H
@@ -43,7 +45,8 @@ enum class AccessPolicy
 
 const char *to_string(AccessPolicy policy);
 
-/** A fully materialized access: policy, rationale, request stream. */
+/** A fully materialized access: policy and request stream.
+ *  VectorAccessUnit::explain() says why the policy was chosen. */
 struct AccessPlan
 {
     AccessPolicy policy = AccessPolicy::InOrder;
@@ -56,12 +59,6 @@ struct AccessPlan
 
     /** True iff the plan should achieve minimum latency L+T+1. */
     bool expectConflictFree = false;
-
-    /** Human-readable explanation of the choice (for examples);
-     *  empty when the caller opted out (plan(..., explain=false) —
-     *  the sweep hot path does, the strings cost more than the
-     *  ordering decision itself). */
-    std::string rationale;
 };
 
 /**
@@ -83,16 +80,18 @@ class VectorAccessUnit
     bool inWindow(const Stride &s) const;
 
     /**
-     * Chooses an ordering for a vector access of @p length elements
-     * with stride @p s starting at @p a1 (any address).  @p seed
-     * donates its capacity to the plan's stream vector — pass a
-     * recycled buffer (DeliveryArena::acquireRequests) to keep
-     * batch planning allocation free; contents are discarded.
-     * @p explain false skips building the rationale string.
+     * Plans a vector access of @p length elements with stride @p s
+     * starting at @p a1 (any address).  The policy and
+     * expectConflictFree depend on (@p s, @p length) alone, never on
+     * @p a1; one builder writes every policy's stream: the leading
+     * elements the decision reorders, in Fig. 4 blocks, then the
+     * rest in order.  @p seed donates its capacity to the plan's
+     * stream vector — pass a recycled buffer
+     * (DeliveryArena::acquireRequests) to keep batch planning
+     * allocation free; contents are discarded.
      */
     AccessPlan plan(Addr a1, const Stride &s, std::uint64_t length,
-                    std::vector<Request> seed = {},
-                    bool explain = true) const;
+                    std::vector<Request> seed = {}) const;
 
     /**
      * Signed-stride overload.  The paper's analysis is symmetric in
@@ -105,8 +104,16 @@ class VectorAccessUnit
      */
     AccessPlan plan(Addr a1, std::int64_t stride,
                     std::uint64_t length,
-                    std::vector<Request> seed = {},
-                    bool explain = true) const;
+                    std::vector<Request> seed = {}) const;
+
+    /** Why plan() picks its policy for an access of @p length
+     *  elements with stride @p s, in words (the same for every
+     *  start address). */
+    std::string explain(const Stride &s, std::uint64_t length) const;
+
+    /** Signed-stride overload of explain(); a descending access
+     *  says it is mirrored from its ascending twin. */
+    std::string explain(std::int64_t stride, std::uint64_t length) const;
 
     /**
      * Runs a plan through a memory backend.  When @p arena is
@@ -171,13 +178,21 @@ class VectorAccessUnit
     MemConfig memConfig() const { return cfg_.memConfig(); }
 
   private:
-    /** Plans an access of k >= 1 whole registers (length = k * L):
-     *  the full-register scheme, applied to each portion when
-     *  k > 1 (Sec. 5C case ii). */
-    AccessPlan planRegisters(Addr a1, const Stride &s,
-                             std::uint64_t length,
-                             std::vector<Request> seed,
-                             bool explain) const;
+    /** How one access issues: its first `reordered` elements in
+     *  the Sec. 3.2 / 4.2 conflict-free order, `block` elements per
+     *  Fig. 4 plan over XOR distance w, and the rest in order. */
+    struct Decision
+    {
+        AccessPolicy policy = AccessPolicy::InOrder;
+        bool conflictFree = false;
+        unsigned w = 0;
+        std::uint64_t reordered = 0;
+        std::uint64_t block = 0;
+    };
+
+    /** The planning decision for an access of @p length elements
+     *  with stride @p s; O(1), and no start address enters. */
+    Decision decide(const Stride &s, std::uint64_t length) const;
 
     /** Calls @p fn with the concrete reorder key for conflict-free
      *  issue at family @p x; windowW(x) must be set. */

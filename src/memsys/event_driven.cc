@@ -475,12 +475,10 @@ EventStepper::run(const MemConfig &cfg,
     ports_.assign(1, Port{mods, length});
     const bool jumped = step<true>(cfg, period, materialize);
     const Port &ps = ports_.front();
-    summary_ = summarizePort(length, t_, ps.firstIssue, ps.lastDelivery,
-                             ps.stalls);
+    summarizePort(length, t_, ps.firstIssue, ps.lastDelivery, ps.stalls,
+                  result);
     if (materialize)
-        materializeEmits(summary_, emits_.front(), stream, mods, 0, result);
-    else
-        applyEmitSummary(summary_, result);
+        materializeEmits(emits_.front(), stream, mods, 0, result);
     return jumped;
 }
 
@@ -507,15 +505,13 @@ EventStepper::runPorts(const MemConfig &cfg,
     result.ports.resize(nPorts);
     for (unsigned p = 0; p < nPorts; ++p) {
         const Port &ps = ports_[p];
-        const EmitSummary summary = summarizePort(
-            ps.length, t_, ps.firstIssue, ps.lastDelivery, ps.stalls);
         AccessResult &port = result.ports[p];
-        if (!materialize) {
-            applyEmitSummary(summary, port);
+        summarizePort(ps.length, t_, ps.firstIssue, ps.lastDelivery,
+                      ps.stalls, port);
+        if (!materialize)
             continue;
-        }
         port.deliveries.reserve(ps.length);
-        materializeEmits(summary, emits_[p], streams[p], ps.mods, p, port);
+        materializeEmits(emits_[p], streams[p], ps.mods, p, port);
     }
     result.makespan = stepped_;
     return result;

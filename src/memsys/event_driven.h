@@ -19,13 +19,15 @@
  *   position, its port, and the two timestamps the model reads
  *   (issue and service start; arrival and ready follow from the
  *   1-cycle bus and the T-cycle service).
- * - Aggregates by default: a pass returns each port's aggregates
- *   and no O(L) buffer.  Recording is a test hook: a pass run with
+ * - Aggregates by default: a pass writes each port's aggregates
+ *   into its AccessResult through summarizePort()
+ *   (memsys/steady_state.h), the oracle's one criterion, and keeps
+ *   no O(L) buffer.  Recording is a test hook: a pass run with
  *   materialize set records each delivery as a position-form Emit
- *   per port, and materializeEmits() (memsys/steady_state.h) writes
- *   the Delivery records after the pass, so the tests can hold the
- *   jump's extrapolated schedule to the oracle record by record.
- *   No library path records.
+ *   per port, and materializeEmits() appends the Delivery records
+ *   after the pass, so the tests can hold the jump's extrapolated
+ *   schedule to the oracle record by record.  No library path
+ *   records.
  * - A jump inside the loop (one port): the stepper snapshots the
  *   relative machine state at issue positions one module-sequence
  *   period apart and, once a snapshot recurs, takes the affine jump
@@ -94,9 +96,9 @@ class EventStepper
      * pass with no possible match steps on to the end, so every
      * pass answers.
      *
-     * @p result receives the scalar aggregates and, when
+     * @p result receives the aggregates (summarizePort) and, when
      * @p materialize is set (the tests' recording hook), every
-     * Delivery in delivery order, written from the pass's trace
+     * Delivery in delivery order, appended from the pass's trace
      * afterwards (result.deliveries must be empty; capacity may be
      * reserved).  Only a materializing pass records a trace.
      *
@@ -129,9 +131,6 @@ class EventStepper
      *  delivery (the makespan, for a P-port pass), minus the span a
      *  jump covered. */
     Cycle steppedCycles() const { return stepped_; }
-
-    /** Scalar aggregates of the last pass that finished. */
-    const EmitSummary &summary() const { return summary_; }
 
   private:
     /** One element in flight, in absolute position/cycle terms. */
@@ -256,7 +255,6 @@ class EventStepper
      *  records. */
     std::vector<std::vector<Emit>> emits_ =
         std::vector<std::vector<Emit>>(1);
-    EmitSummary summary_;
     Cycle stepped_ = 0;
 };
 

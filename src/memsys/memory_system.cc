@@ -181,11 +181,8 @@ MemorySystem::step(const std::vector<Request> *streams, unsigned count,
         AccessResult &r = result.ports[p];
         const Cycle last =
             r.deliveries.empty() ? 0 : r.deliveries.back().delivered;
-        applyEmitSummary(summarizePort(streams[p].size(),
-                                       cfg_.serviceCycles(),
-                                       ports[p].firstIssue, last,
-                                       ports[p].stalls),
-                         r);
+        summarizePort(streams[p].size(), cfg_.serviceCycles(),
+                      ports[p].firstIssue, last, ports[p].stalls, r);
     }
     result.makespan = total == 0 ? 0 : makespan + 1;
     return result;

@@ -5,8 +5,7 @@
 namespace cfva {
 
 void
-materializeEmits(const EmitSummary &summary,
-                 const std::vector<Emit> &emits,
+materializeEmits(const std::vector<Emit> &emits,
                  const std::vector<Request> &stream,
                  const ModuleId *mods, unsigned port,
                  AccessResult &result)
@@ -24,32 +23,20 @@ materializeEmits(const EmitSummary &summary,
         d.delivered = e.delivered;
         result.deliveries.push_back(d);
     }
-    applyEmitSummary(summary, result);
 }
 
 void
-applyEmitSummary(const EmitSummary &summary, AccessResult &result)
-{
-    result.firstIssue = summary.firstIssue;
-    result.lastDelivery = summary.lastDelivery;
-    result.stallCycles = summary.stallCycles;
-    result.latency = summary.latency;
-    result.conflictFree = summary.conflictFree;
-}
-
-EmitSummary
 summarizePort(std::size_t length, Cycle T, Cycle firstIssue,
-              Cycle lastDelivery, std::uint64_t stalls)
+              Cycle lastDelivery, std::uint64_t stalls,
+              AccessResult &out)
 {
-    EmitSummary s;
-    s.firstIssue = firstIssue;
-    s.lastDelivery = lastDelivery;
-    s.stallCycles = stalls;
-    s.latency = length == 0 ? 0 : lastDelivery - firstIssue + 1;
+    out.firstIssue = firstIssue;
+    out.lastDelivery = lastDelivery;
+    out.stallCycles = stalls;
+    out.latency = length == 0 ? 0 : lastDelivery - firstIssue + 1;
     const Cycle minimum = static_cast<Cycle>(length) + T + 1;
-    s.conflictFree =
-        length == 0 || (stalls == 0 && s.latency == minimum);
-    return s;
+    out.conflictFree =
+        length == 0 || (stalls == 0 && out.latency == minimum);
 }
 
 bool
@@ -96,7 +83,7 @@ OutcomeMemo::lookup(std::size_t length, const ModuleId *mods,
 }
 
 void
-OutcomeMemo::store(std::size_t length, const EmitSummary &summary)
+OutcomeMemo::store(std::size_t length, const AccessResult &result)
 {
     if (length == 0 || length > kMaxLen)
         return;
@@ -105,18 +92,18 @@ OutcomeMemo::store(std::size_t length, const EmitSummary &summary)
     Entry e;
     e.hash = hash_;
     e.rankSeq = rankSeq_;
-    e.summary = summary;
+    e.result = result;
     entries_.push_back(std::move(e));
     if (entries_.size() > kMaxEntries)
         entries_.pop_front();
 }
 
-const EmitSummary &
-OutcomeMemo::cachedSummary() const
+const AccessResult &
+OutcomeMemo::cached() const
 {
     cfva_assert(found_ != ~std::size_t{0},
-                "cachedSummary() without a lookup() hit");
-    return entries_[found_].summary;
+                "cached() without a lookup() hit");
+    return entries_[found_].result;
 }
 
 } // namespace cfva

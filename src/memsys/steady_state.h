@@ -30,7 +30,8 @@
  *   answers without a pass.  This is the sound version of
  *   "base-address invariance": a shifted base that yields an
  *   order-isomorphic module sequence hits; one that reorders modules
- *   (XOR mappings do) correctly misses.
+ *   (XOR mappings do) correctly misses.  An entry is the
+ *   AccessResult of the pass, which carries no deliveries.
  *
  * The theory tier's ConflictSolver::solveOrStep
  * (theory/conflict_solver.h) is the one orchestration of the two:
@@ -113,56 +114,39 @@ struct Emit
     bool operator==(const Emit &o) const = default;
 };
 
-/** Scalar aggregates of a position-form outcome. */
-struct EmitSummary
-{
-    Cycle firstIssue = 0;
-    Cycle lastDelivery = 0;
-    std::uint64_t stallCycles = 0;
-    Cycle latency = 0;
-    bool conflictFree = false;
-
-    bool operator==(const EmitSummary &o) const = default;
-};
-
 /**
- * Fills @p result from the position-form trace of a stepper pass
- * and the concrete stream it answers: addresses, element indices,
- * and module numbers come from (@p stream, @p mods) at the traced
- * positions, every timing field from the trace, and each record is
- * tagged with @p port.  It serves only the stepper's recording
- * pass, so the tests can compare a pass with the oracle record by
- * record; the evaluator itself writes no Delivery.
- * result.deliveries must be empty (capacity may be reserved).
+ * Appends to result.deliveries the Delivery records of the
+ * position-form trace of a stepper pass over the concrete stream it
+ * answers: addresses, element indices, and module numbers come from
+ * (@p stream, @p mods) at the traced positions, every timing field
+ * from the trace, and each record is tagged with @p port.  It
+ * serves only the stepper's recording pass, so the tests can
+ * compare a pass with the oracle record by record; the evaluator
+ * itself writes no Delivery.
  */
-void materializeEmits(const EmitSummary &summary,
-                      const std::vector<Emit> &emits,
+void materializeEmits(const std::vector<Emit> &emits,
                       const std::vector<Request> &stream,
                       const ModuleId *mods, unsigned port,
                       AccessResult &result);
 
-/** Copies only the scalar aggregates of a position-form outcome
- *  into @p result, leaving result.deliveries untouched — the
- *  summary-only half of materializeEmits(). */
-void applyEmitSummary(const EmitSummary &summary,
-                      AccessResult &result);
-
 /**
- * The aggregates of one port's stepped access: @p length requests,
- * the first issued at @p firstIssue, @p stalls issue retries, the
- * last element delivered at @p lastDelivery, on a memory of service
- * time @p T.  Latency is inclusive; the access is conflict free iff
- * it never stalled and took the minimum L + T + 1 cycles.  An empty
- * stream has latency 0 and is vacuously conflict free.  Every
- * engine judges a port here, so the criterion has one definition.
+ * Writes the aggregates of one port's access into @p out, leaving
+ * out.deliveries alone: @p length requests, the first issued at
+ * @p firstIssue, @p stalls issue retries, the last element
+ * delivered at @p lastDelivery, on a memory of service time @p T.
+ * Latency is inclusive; the access is conflict free iff it never
+ * stalled and took the minimum L + T + 1 cycles.  An empty stream
+ * has latency 0 and is vacuously conflict free.  Every engine
+ * judges a port here, so the criterion has one definition.
  */
-EmitSummary summarizePort(std::size_t length, Cycle T,
-                          Cycle firstIssue, Cycle lastDelivery,
-                          std::uint64_t stalls);
+void summarizePort(std::size_t length, Cycle T, Cycle firstIssue,
+                   Cycle lastDelivery, std::uint64_t stalls,
+                   AccessResult &out);
 
 /**
- * Bounded cache of the aggregates of collapsed outcomes keyed on the
- * rank-canonicalized module sequence (distinct modules used, sorted
+ * Bounded cache of the aggregates of collapsed outcomes (an
+ * AccessResult with no deliveries) keyed on the rank-canonicalized
+ * module sequence (distinct modules used, sorted
  * ascending, rewritten as ranks 0..k-1).  Not thread-safe; each
  * ConflictSolver holds one, exactly like its other scratch.
  */
@@ -178,7 +162,7 @@ class OutcomeMemo
     /**
      * Canonicalizes (@p length, @p mods) over @p moduleCount
      * modules and looks the rank sequence up.  On a hit returns
-     * true with cachedSummary() readable; on a miss the canonical
+     * true with cached() readable; on a miss the canonical
      * form is kept so an immediately following store() of the same
      * stream reuses it.
      */
@@ -186,21 +170,22 @@ class OutcomeMemo
                 ModuleId moduleCount);
 
     /**
-     * Inserts the aggregates of the stream most recently passed to
-     * lookup() (which must have missed).  Oversize streams are
-     * ignored; the oldest entry is evicted at capacity.
+     * Inserts @p result, the aggregates (no deliveries) of the
+     * stream most recently passed to lookup() (which must have
+     * missed).  Oversize streams are ignored; the oldest entry is
+     * evicted at capacity.
      */
-    void store(std::size_t length, const EmitSummary &summary);
+    void store(std::size_t length, const AccessResult &result);
 
     /** Aggregates of the last lookup() hit. */
-    const EmitSummary &cachedSummary() const;
+    const AccessResult &cached() const;
 
   private:
     struct Entry
     {
         std::uint64_t hash = 0;
         std::vector<ModuleId> rankSeq;
-        EmitSummary summary;
+        AccessResult result;
     };
 
     static constexpr ModuleId kUnranked = ~ModuleId{0};

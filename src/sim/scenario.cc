@@ -1,6 +1,7 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -137,9 +138,25 @@ ScenarioGrid::addFamilies(unsigned xLo, unsigned xHi,
 std::size_t
 ScenarioGrid::jobCount() const
 {
-    return mappings.size() * strides.size() * lengths.size()
-           * (starts.size() + randomStarts) * ports.size()
-           * portMixes.size() * workloads.size();
+    const std::size_t axes[] = {mappings.size(),  strides.size(),
+                                lengths.size(),
+                                starts.size() + randomStarts,
+                                workloads.size(), ports.size(),
+                                portMixes.size()};
+    if (std::find(std::begin(axes), std::end(axes), 0) != std::end(axes))
+        return 0;
+    std::size_t jobs = 1;
+    for (std::size_t n : axes) {
+        if (__builtin_mul_overflow(jobs, n, &jobs)) {
+            cfva_fatal("the grid has more than 2^64 - 1 jobs: ",
+                       axes[0], " mappings x ", axes[1], " strides x ",
+                       axes[2], " lengths x ", axes[3],
+                       " starts (--starts and --random-starts) x ",
+                       axes[4], " workloads x ", axes[5], " ports x ",
+                       axes[6], " port mixes");
+        }
+    }
+    return jobs;
 }
 
 void

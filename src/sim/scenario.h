@@ -148,7 +148,8 @@ struct ScenarioGrid
     void addFamilies(unsigned xLo, unsigned xHi,
                      const std::vector<std::uint64_t> &sigmas);
 
-    /** Number of jobs expand() will produce. */
+    /** Number of jobs expand() will produce; fails naming the axes
+     *  when the product passes 2^64 - 1. */
     std::size_t jobCount() const;
 
     /**

@@ -6,7 +6,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <ostream>
+#include <stdexcept>
 #include <thread>
 
 #include "common/logging.h"
@@ -284,8 +286,7 @@ planPortStream(const ScenarioGrid &grid, const Scenario &sc,
     }
     return unit.plan(start, stride, sc.length,
                      arena ? arena->acquireRequests(sc.length)
-                           : std::vector<Request>{},
-                     /*explain=*/false);
+                           : std::vector<Request>{});
 }
 
 ScenarioOutcome
@@ -624,6 +625,24 @@ class OrderedFlush
     bool delivering_ = false;
 };
 
+/** grid.expand(), refusing a job list too large to allocate as bad
+ *  input instead of letting std::bad_alloc abort the process. */
+std::vector<Scenario>
+expandJobs(const ScenarioGrid &grid)
+{
+    try {
+        return grid.expand();
+    } catch (const std::bad_alloc &) {
+    } catch (const std::length_error &) {
+    }
+    const std::size_t jobs = grid.jobCount();
+    cfva_fatal("cannot allocate the job list: ", jobs, " jobs x ",
+               sizeof(Scenario), " B = ",
+               static_cast<double>(jobs) * sizeof(Scenario)
+                   / (std::uint64_t{1} << 30),
+               " GiB");
+}
+
 } // namespace
 
 void
@@ -663,7 +682,7 @@ SweepEngine::runToSink(const ScenarioGrid &grid, SweepSink &sink,
     // other order leaves a job-list-sized hole under them; a caller's
     // next allocation can split it and send the next sweep's job
     // list to fresh heap.
-    const std::vector<Scenario> jobs = grid.expand();
+    const std::vector<Scenario> jobs = expandJobs(grid);
 
     // Clamp explicit thread counts to the hardware: oversubscribed
     // workers only contend for cores, so --threads 8 on a 1-CPU host

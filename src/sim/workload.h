@@ -144,7 +144,7 @@ class WorkloadUnits
         bool operator==(const CostKey &o) const = default;
     };
 
-    // Linear scans, same rationale as BackendCache: a worker sees a
+    // Linear scans, as in BackendCache: a worker sees a
     // handful of (mapping, tune) pairs per sweep.
     std::vector<std::pair<UnitKey, std::unique_ptr<VectorAccessUnit>>>
         units_;

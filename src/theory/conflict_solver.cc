@@ -11,7 +11,7 @@ ConflictSolver::solveOrStep(const MemConfig &cfg,
     if (memoizable) {
         if (memo_.lookup(stream.size(), mods, cfg.modules())) {
             ++stats_.memoHits;
-            applyEmitSummary(memo_.cachedSummary(), result);
+            result = memo_.cached();
             return true;
         }
         ++stats_.memoMisses;
@@ -24,7 +24,7 @@ ConflictSolver::solveOrStep(const MemConfig &cfg,
     ++stats_.collapseHits;
     stats_.collapsePrefixCycles += stepper_.steppedCycles();
     if (memoizable)
-        memo_.store(stream.size(), stepper_.summary());
+        memo_.store(stream.size(), result);
     return true;
 }
 

@@ -85,10 +85,10 @@ class ConflictSolver
      * make none) and, on a miss, one stepper pass: the aggregates of
      * a pass that jumps are stored in the memo, and a pass that
      * finds no recurrence steps on to the end of the stream.  A hit
-     * answers from the stored aggregates.  @p result receives the
-     * stepped oracle's aggregates either way; result.deliveries is
-     * left untouched.  Returns true iff the answer is a claim (memo
-     * hit or jump).
+     * answers from the stored aggregates.  @p result, which must
+     * hold no deliveries, receives the stepped oracle's aggregates
+     * either way and no Delivery.  Returns true iff the answer is a
+     * claim (memo hit or jump).
      */
     bool solveOrStep(const MemConfig &cfg,
                      const std::vector<Request> &stream,

@@ -22,16 +22,6 @@ wrapSinglePort(AccessResult &&r, std::size_t length)
     return out;
 }
 
-/** The aggregates of the uniform conflict-free schedule of a
- *  @p length-element stream on service time @p T: element i issues
- *  at cycle i and is delivered at i + 1 + T. */
-EmitSummary
-uniformSummary(std::size_t length, Cycle T)
-{
-    const Cycle last = length == 0 ? 0 : static_cast<Cycle>(length) + T;
-    return summarizePort(length, T, 0, last, 0);
-}
-
 } // namespace
 
 TheoryBackend::TheoryBackend(const MemConfig &cfg,
@@ -58,7 +48,7 @@ TheoryBackend::tryClaim(std::size_t length, const ModuleId *mods,
     // An empty stream's schedule is vacuous; claim it outright so
     // the taxonomy never blames a zero-length access on the solver.
     if (length == 0) {
-        applyEmitSummary(uniformSummary(0, T), out);
+        summarizePort(0, T, 0, 0, 0, out);
         return true;
     }
 
@@ -87,7 +77,8 @@ TheoryBackend::tryClaim(std::size_t length, const ModuleId *mods,
         nextFree_[mod] = arrive + T;
     }
 
-    applyEmitSummary(uniformSummary(length, T), out);
+    // Element i issues at cycle i and is delivered at i + 1 + T.
+    summarizePort(length, T, 0, static_cast<Cycle>(length) + T, 0, out);
     return true;
 }
 
@@ -130,9 +121,10 @@ AccessResult
 TheoryBackend::runSingleCertified(const std::vector<Request> &stream)
 {
     note(FallbackReason::None);
+    const std::size_t length = stream.size();
+    const Cycle T = cfg_.serviceCycles();
     AccessResult out;
-    applyEmitSummary(uniformSummary(stream.size(), cfg_.serviceCycles()),
-                     out);
+    summarizePort(length, T, 0, length == 0 ? 0 : length + T, 0, out);
     return out;
 }
 

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/access_unit.h"
 #include "test_util.h"
@@ -33,12 +36,94 @@ TEST(AccessUnit, MatchedWindowAndPolicies)
     const auto p_low = unit.plan(10, Stride(12), 128);
     EXPECT_EQ(p_low.policy, AccessPolicy::ConflictFree);
     EXPECT_TRUE(p_low.expectConflictFree);
-    EXPECT_FALSE(p_low.rationale.empty());
+    EXPECT_FALSE(unit.explain(Stride(12), 128).empty());
 
     // x > s: fallback, not conflict free.
     const auto p_out = unit.plan(10, Stride(32), 128);
     EXPECT_EQ(p_out.policy, AccessPolicy::InOrder);
     EXPECT_FALSE(p_out.expectConflictFree);
+}
+
+// The planner decides each access from (stride, length) alone: no
+// start changes the policy or the certification, a descending access
+// takes its ascending twin's decision, and explain() names the
+// policy it describes.
+TEST(AccessUnit, DecisionIgnoresTheStart)
+{
+    std::vector<VectorUnitConfig> cfgs;
+    for (unsigned t : {2u, 3u}) {
+        VectorUnitConfig cfg; // lambda = 7: L = 128
+        cfg.t = t;
+        for (MemoryKind kind : {MemoryKind::Matched, MemoryKind::Sectioned,
+                                MemoryKind::PseudoRandom}) {
+            cfg.kind = kind;
+            cfgs.push_back(cfg);
+        }
+        cfg.kind = MemoryKind::SimpleUnmatched;
+        cfg.mOverride = t + 1;
+        cfgs.push_back(cfg);
+        cfg.mOverride.reset();
+        cfg.kind = MemoryKind::DynamicTuned;
+        for (unsigned p : {0u, 3u}) {
+            cfg.dynamicTune = p;
+            cfgs.push_back(cfg);
+        }
+    }
+    const auto names = [](const std::string &why, const char *phrase) {
+        return why.find(phrase) != std::string::npos;
+    };
+    std::set<AccessPolicy> seen;
+    for (const VectorUnitConfig &cfg : cfgs) {
+        const VectorAccessUnit unit(cfg);
+        const std::uint64_t L = cfg.registerLength();
+        for (unsigned x = 0; x <= 10; ++x) {
+            for (std::uint64_t sigma : {1u, 3u, 7u}) {
+                const Stride s = Stride::fromFamily(sigma, x);
+                const auto signed_s = static_cast<std::int64_t>(s.value());
+                for (std::uint64_t len : {std::uint64_t{1}, std::uint64_t{5},
+                                          L / 2, L / 2 + 3, L - 1, L, L + 1,
+                                          2 * L, 3 * L + 5}) {
+                    SCOPED_TRACE(cfg.describe() + " S="
+                                 + std::to_string(s.value())
+                                 + " V=" + std::to_string(len));
+                    const AccessPlan ref = unit.plan(0, s, len);
+                    seen.insert(ref.policy);
+                    for (Addr a1 : {Addr{12345}, Addr{1} << 40}) {
+                        const AccessPlan p = unit.plan(a1, s, len);
+                        EXPECT_EQ(p.policy, ref.policy);
+                        EXPECT_EQ(p.expectConflictFree,
+                                  ref.expectConflictFree);
+                    }
+                    const AccessPlan down = unit.plan(
+                        (Addr{1} << 40) + (len - 1) * s.value(), -signed_s,
+                        len);
+                    EXPECT_EQ(down.policy, ref.policy);
+                    EXPECT_EQ(down.expectConflictFree,
+                              ref.expectConflictFree);
+
+                    const std::string why = unit.explain(s, len);
+                    EXPECT_EQ(names(why, "Sec. 5C case ii"),
+                              ref.policy == AccessPolicy::ChunkedByL)
+                        << why;
+                    EXPECT_EQ(names(why, "short vector"),
+                              ref.policy == AccessPolicy::SplitShort)
+                        << why;
+                    EXPECT_EQ(names(why, "out-of-order issue"),
+                              ref.policy == AccessPolicy::ConflictFree)
+                        << why;
+                    EXPECT_EQ(unit.explain(-signed_s, len),
+                              why + " (descending: mirrored from "
+                                    "ascending twin)");
+                }
+            }
+        }
+    }
+    EXPECT_EQ(seen.size(), 4u) << "the grid must reach every policy";
+
+    // The quickstart's access.
+    const VectorAccessUnit paper(paperMatchedExample());
+    EXPECT_EQ(paper.explain(Stride(12), 128),
+              "family x=2 in window via w=4: Sec. 3.2 out-of-order issue");
 }
 
 TEST(AccessUnit, MatchedWholeWindowMinimumLatency)

@@ -81,8 +81,8 @@ TEST(SignedStride, RejectsZeroAndUnderflow)
 TEST(SignedStride, RationaleMentionsMirroring)
 {
     const VectorAccessUnit unit(paperMatchedExample());
-    const auto p = unit.plan(10000, std::int64_t{-12}, 128);
-    EXPECT_NE(p.rationale.find("descending"), std::string::npos);
+    EXPECT_NE(unit.explain(std::int64_t{-12}, 128).find("descending"),
+              std::string::npos);
 }
 
 } // namespace

@@ -529,6 +529,19 @@ TEST(SweepEngine, RejectsInvalidGrids)
     EXPECT_EQ(expandRejection(drawn), "");
     drawn.randomStarts = 1;
     expectFatalNaming(drawn, {"random start", "--port-stagger"});
+
+    // 2^16 strides x 2^16 lengths x 2^32 starts is 2^64 jobs: the
+    // count is refused, naming the axes, before anything prints or
+    // expands it.  One start fewer fits.
+    ScenarioGrid huge = strideGrid(1);
+    huge.strides.assign(std::size_t{1} << 16, 1);
+    huge.lengths.assign(std::size_t{1} << 16, 64);
+    huge.randomStarts = ~0u;
+    EXPECT_THROW(huge.jobCount(), std::runtime_error);
+    expectFatalNaming(huge, {"2^64 - 1", "65536 strides", "65536 lengths",
+                             "4294967296 starts", "--random-starts"});
+    huge.randomStarts -= 1;
+    EXPECT_EQ(huge.jobCount(), ~std::size_t{0} - 0xFFFFFFFFu);
 }
 
 // The strict list parsers behind cfva_sweep's --kinds/--workloads/

@@ -146,6 +146,17 @@ strictU64List(const char *flag, const std::string &arg)
     return vals;
 }
 
+/** strictU64List for a flag whose values are 32-bit: a value past
+ *  2^32 - 1 is a hard error naming the flag, never a wrap. */
+std::vector<unsigned>
+strictU32List(const char *flag, const std::string &arg)
+{
+    std::vector<unsigned> vals;
+    for (const auto &p : sim::splitFlagList(flag, arg))
+        vals.push_back(parseU32(p, flag));
+    return vals;
+}
+
 /** Parses "LO..HI" (or a single value) into an inclusive range. */
 std::pair<unsigned, unsigned>
 parseRange(const std::string &arg, const char *what)
@@ -234,10 +245,10 @@ parseShard(const std::string &arg)
 struct Options
 {
     std::vector<std::string> kinds = {"matched", "sectioned"};
-    std::vector<std::uint64_t> ts = {2, 3};
-    std::vector<std::uint64_t> lambdas = {7};
-    std::vector<std::uint64_t> ms; // only for kind=simple
-    std::vector<std::uint64_t> tunes = {0}; // only for kind=dynamic
+    std::vector<unsigned> ts = {2, 3};
+    std::vector<unsigned> lambdas = {7};
+    std::vector<unsigned> ms; // only for kind=simple
+    std::vector<unsigned> tunes = {0}; // only for kind=dynamic
     std::pair<unsigned, unsigned> families = {0, 7};
     std::vector<std::uint64_t> sigmas = {1, 3, 5, 7, 9, 11, 13, 15};
     std::vector<std::uint64_t> strides; // explicit override
@@ -278,13 +289,13 @@ parseArgs(int argc, char **argv)
             o.kinds = sim::splitFlagList("--kinds",
                                          need(i, "--kinds"));
         } else if (a == "--t") {
-            o.ts = strictU64List("--t", need(i, "--t"));
+            o.ts = strictU32List("--t", need(i, "--t"));
         } else if (a == "--lambda") {
-            o.lambdas = strictU64List("--lambda", need(i, "--lambda"));
+            o.lambdas = strictU32List("--lambda", need(i, "--lambda"));
         } else if (a == "--m") {
-            o.ms = strictU64List("--m", need(i, "--m"));
+            o.ms = strictU32List("--m", need(i, "--m"));
         } else if (a == "--tunes") {
-            o.tunes = strictU64List("--tunes", need(i, "--tunes"));
+            o.tunes = strictU32List("--tunes", need(i, "--tunes"));
         } else if (a == "--families") {
             o.families =
                 parseRange(need(i, "--families"), "--families");
@@ -356,9 +367,9 @@ buildGrid(const Options &o)
         const bool usesS = kind == MemoryKind::Matched
                            || kind == MemoryKind::SimpleUnmatched
                            || kind == MemoryKind::Sectioned;
-        for (std::uint64_t t : o.ts) {
-            for (std::uint64_t lambda : o.lambdas) {
-                if (usesS && lambda < 2 * t) {
+        for (unsigned t : o.ts) {
+            for (unsigned lambda : o.lambdas) {
+                if (usesS && lambda < 2 * std::uint64_t{t}) {
                     // s = lambda-t >= t (Sec. 3.3) is unsatisfiable.
                     cfva_warn("skipping ", kindName, " t=", t,
                               " lambda=", lambda,
@@ -367,18 +378,18 @@ buildGrid(const Options &o)
                 }
                 VectorUnitConfig cfg;
                 cfg.kind = kind;
-                cfg.t = static_cast<unsigned>(t);
-                cfg.lambda = static_cast<unsigned>(lambda);
+                cfg.t = t;
+                cfg.lambda = lambda;
                 if (kind == MemoryKind::SimpleUnmatched) {
                     if (o.ms.empty())
                         cfva_fatal("kind=simple needs --m");
-                    for (std::uint64_t m : o.ms) {
-                        cfg.mOverride = static_cast<unsigned>(m);
+                    for (unsigned m : o.ms) {
+                        cfg.mOverride = m;
                         grid.mappings.push_back(cfg);
                     }
                 } else if (kind == MemoryKind::DynamicTuned) {
-                    for (std::uint64_t p : o.tunes) {
-                        cfg.dynamicTune = static_cast<unsigned>(p);
+                    for (unsigned p : o.tunes) {
+                        cfg.dynamicTune = p;
                         grid.mappings.push_back(cfg);
                     }
                 } else {
@@ -514,6 +525,7 @@ main(int argc, char **argv)
         aliasesStdout(o.csvPath) || aliasesStdout(o.jsonPath);
     std::ostream &info = stdoutIsSink ? std::cerr : std::cout;
 
+    const std::size_t jobs = grid.jobCount(); // refuses an overflow
     info << "grid: " << grid.mappings.size() << " mappings x "
               << grid.strides.size() << " strides x "
               << grid.lengths.size() << " lengths x "
@@ -521,9 +533,9 @@ main(int argc, char **argv)
               << " starts x " << grid.workloads.size()
               << " workloads x " << grid.ports.size() << " ports x "
               << grid.portMixes.size() << " mixes = "
-              << grid.jobCount() << " scenarios\n";
+              << jobs << " scenarios\n";
     if (o.shard.count > 1) {
-        const auto [first, last] = o.shard.sliceOf(grid.jobCount());
+        const auto [first, last] = o.shard.sliceOf(jobs);
         info << "shard: " << o.shard.index << "/" << o.shard.count
              << " covering jobs [" << first << ", " << last
              << ") = " << (last - first) << " scenarios\n";
